@@ -3,15 +3,16 @@
 Measures the simulator's events/sec on the workload that dominates every
 large sweep — heartbeat-style deadlines that are almost always cancelled
 and re-armed — and the trace's marks/sec on its unobserved fast path.
-The "before" leg is :mod:`benchmarks.legacy_engine`, an in-process frozen
-copy of the pre-fast-path scheduler, so the speedup ratio compares two
-engines inside one interpreter instead of this host against a recorded
-wall-clock number.
+The reference leg is the same engine with the wheel disabled
+(``Simulator(wheel=False)``, the heap-only path tests use as the oracle),
+so the comparison runs inside one interpreter instead of this host
+against a recorded wall-clock number.  Per-PR wall clock is the perf
+ledger's job (``benchmarks/perf``).
 
-CI gates on the *ratios* (noise-robust: both legs share the machine) and
-on the deterministic operation counts in ``extra_info``; raw rates are
-recorded under ``wallclock_*`` keys, which ``check_baseline.py`` reports
-but never compares.
+CI gates on the *ordering* (noise-robust: both legs share the machine)
+and on the deterministic operation counts in ``extra_info``; raw rates
+are recorded under ``wallclock_*`` keys, which ``check_baseline.py``
+reports but never compares.
 """
 
 import gc
@@ -20,7 +21,6 @@ import time
 import pytest
 
 from benchmarks.conftest import once
-from benchmarks.legacy_engine import LegacySimulator
 from repro.experiments.scalability import run_point
 from repro.sim import Simulator
 from repro.sim.trace import Trace
@@ -49,9 +49,7 @@ def _run_storm(sim) -> dict:
         fired[0] += 1
 
     # GC off during the measured window: a collection landing in one leg
-    # but not another is the main noise source, and leaving it on favors
-    # the *new* engine (the legacy leg allocates per event) — so this is
-    # conservative for the speedup ratio.
+    # but not the other is the main noise source.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -77,26 +75,23 @@ def _run_storm(sim) -> dict:
 
 @pytest.mark.benchmark(group="engine")
 def test_heartbeat_storm_throughput_gate(benchmark):
-    """The tentpole gate: >= 2x events/sec over the pre-fast-path engine.
+    """The wheel engine must not lose to its own heap-only reference.
 
-    Three legs on the identical workload: the frozen legacy engine, the
-    current engine with the wheel disabled (heap-only reference), and the
-    full wheel engine.  The wheel leg must double the legacy rate; it
-    should also beat the heap-only leg (that margin is the wheel itself,
-    the rest is free-listed handles + the single-sweep run loop).  Each
-    leg runs twice and is scored by its best pass — the ratio of bests is
-    far more stable than a single-pass ratio on a shared CI host.
+    Two legs on the identical workload: the engine with the wheel
+    disabled (heap-only reference) and the full wheel engine; the margin
+    between them is the wheel itself.  Each leg runs twice and is scored
+    by its best pass — the ordering of bests is far more stable than a
+    single-pass comparison on a shared CI host.
     """
 
     def run() -> dict:
         legs: dict = {}
         for _ in range(2):
-            legacy = _run_storm(LegacySimulator())
             heap_sim = Simulator(seed=0, trace_capacity=0, wheel=False)
             heap_mode = _run_storm(heap_sim)
             wheel_sim = Simulator(seed=0, trace_capacity=0, wheel=True)
             wheel_mode = _run_storm(wheel_sim)
-            for name, leg in (("legacy", legacy), ("heap", heap_mode), ("wheel", wheel_mode)):
+            for name, leg in (("heap", heap_mode), ("wheel", wheel_mode)):
                 rate = leg["ops"] / leg["wall"]
                 if name not in legs or rate > legs[name]["rate"]:
                     legs[name] = {**leg, "rate": rate}
@@ -105,16 +100,14 @@ def test_heartbeat_storm_throughput_gate(benchmark):
         return legs
 
     result = once(benchmark, run)
-    legacy, wheel_mode = result["legacy"], result["wheel"]
+    wheel_mode = result["wheel"]
     wheel_sim, heap_sim = result["wheel_sim"], result["heap_sim"]
 
-    legacy_rate = legacy["rate"]
+    heap_rate = result["heap"]["rate"]
     wheel_rate = wheel_mode["rate"]
-    speedup = wheel_rate / legacy_rate
-    # The acceptance gate: the fast path at least doubles the old engine.
-    assert speedup >= 2.0, (
-        f"wheel engine {wheel_rate:,.0f} ops/s is only {speedup:.2f}x the "
-        f"legacy engine's {legacy_rate:,.0f} ops/s (gate: >= 2x)"
+    assert wheel_rate >= heap_rate, (
+        f"wheel engine {wheel_rate:,.0f} ops/s is slower than the heap-only "
+        f"reference's {heap_rate:,.0f} ops/s"
     )
 
     # Deterministic structure proxies (compared against BENCH_BASELINE):
@@ -130,10 +123,8 @@ def test_heartbeat_storm_throughput_gate(benchmark):
     benchmark.extra_info["wheel_scheduled"] = wheel_sim.wheel_scheduled
     benchmark.extra_info["heap_scheduled"] = wheel_sim.heap_scheduled
     benchmark.extra_info["handles_recycled"] = wheel_sim.handles_recycled
-    benchmark.extra_info["wallclock_legacy_ops_per_s"] = round(legacy_rate)
-    benchmark.extra_info["wallclock_heap_ops_per_s"] = round(result["heap"]["rate"])
+    benchmark.extra_info["wallclock_heap_ops_per_s"] = round(heap_rate)
     benchmark.extra_info["wallclock_wheel_ops_per_s"] = round(wheel_rate)
-    benchmark.extra_info["wallclock_speedup_vs_legacy"] = round(speedup, 2)
 
 
 @pytest.mark.benchmark(group="engine")

@@ -173,15 +173,6 @@ class ClusterSpec:
         size = self.region_size
         return tuple(pids[i : i + size] for i in range(0, len(pids), size))
 
-    def region_of(self, partition_id: str) -> int:
-        """Region index of a partition (0 when federation is flat)."""
-        if self.region_size is None:
-            return 0
-        for idx, part in enumerate(self.partitions):
-            if part.partition_id == partition_id:
-                return idx // self.region_size
-        raise ClusterError(f"unknown partition {partition_id!r}")
-
     # -- builders ----------------------------------------------------------
     @classmethod
     def build(

@@ -136,7 +136,7 @@ def run_point(
         "nodes": nodes,
         "partitions": partitions,
         "region_size": region_size,
-        "regions": len(cluster.spec.regions()) if region_size is not None else 1,
+        "regions": len(cluster.spec.regions()),
         # Per-partition federation datagram counts for the storm window:
         # flat mode is O(P) per partition (every publisher batches to
         # every peer), two-tier is O(R + P/R).  The fig6 bench guards

@@ -78,18 +78,16 @@ class PhoenixKernel:
         #: Monotone bulletin incarnation counters per partition, stamped
         #: into delta/read watermarks for failover fencing.
         self._db_epochs: dict[str, int] = {}
-        #: Two-tier federation bookkeeping (DESIGN.md §16): region index
-        #: -> aggregator partition id, recomputed (epoch-fenced) from
-        #: every installed meta-group view.  Empty in flat mode.
-        self._region_partitions: tuple[tuple[str, ...], ...] = ()
-        self._region_index: dict[str, int] = {}
+        #: Federation topology (DESIGN.md §16): the spec's regions in
+        #: configured order — one region is the paper's complete graph —
+        #: and region index -> aggregator partition id, recomputed
+        #: (epoch-fenced) from every installed meta-group view.
+        self._region_partitions = cluster.spec.regions()
+        self._region_index = {
+            pid: idx for idx, pids in enumerate(self._region_partitions) for pid in pids
+        }
         self.region_aggregators: dict[int, str] = {}
         self._aggregator_epoch = 0
-        if cluster.spec.region_size is not None:
-            self._region_partitions = cluster.spec.regions()
-            for idx, pids in enumerate(self._region_partitions):
-                for pid in pids:
-                    self._region_index[pid] = idx
         self.booted = False
         self._register_default_factories()
 
@@ -207,36 +205,41 @@ class PhoenixKernel:
             )
         return True
 
-    # -- two-tier federation topology (DESIGN.md §16) -----------------------
+    # -- federation topology (DESIGN.md §16) ---------------------------------
     @property
-    def regions_enabled(self) -> bool:
-        """True when the spec groups partitions into more than one region."""
+    def multi_region(self) -> bool:
+        """More than one region?  Federation code never branches on this (one
+        region just has no remote aggregators); its few callers each keep a
+        one-region trace or wire byte paper-identical and say which."""
         return len(self._region_partitions) > 1
 
     def region_of(self, partition_id: str) -> int:
-        """Region index of a partition (0 in flat mode)."""
-        return self._region_index.get(partition_id, 0)
+        """Region index of a partition."""
+        return self._region_index[partition_id]
 
     def region_partitions(self, partition_id: str) -> tuple[str, ...]:
         """Configured partition ids of ``partition_id``'s region."""
-        if not self._region_partitions:
-            return tuple(p.partition_id for p in self.cluster.partitions)
         return self._region_partitions[self.region_of(partition_id)]
 
     def is_aggregator(self, partition_id: str) -> bool:
         """Is this partition its region's currently elected aggregator?"""
-        if not self.regions_enabled:
-            return False
         return self.region_aggregators.get(self.region_of(partition_id)) == partition_id
 
-    def remote_aggregators(self, partition_id: str) -> list[str]:
-        """Aggregator partition of every *other* region, in region order."""
-        if not self.regions_enabled:
-            return []
+    def federation_edges(self, service: str, partition_id: str) -> list[tuple[str, str, bool]]:
+        """Placed federation peers of ``partition_id``'s ``service`` instance
+        as ``(peer partition, hosting node, crosses_region)``: the own-region
+        mesh in configured order, then every other region's aggregator in
+        region order — O(P/R + R) edges; with one region, the complete graph.
+        """
         own = self.region_of(partition_id)
+        peers = [(pid, False) for pid in self._region_partitions[own] if pid != partition_id]
+        peers += [
+            (agg, True) for idx, agg in sorted(self.region_aggregators.items()) if idx != own
+        ]
         return [
-            agg for idx, agg in sorted(self.region_aggregators.items())
-            if idx != own
+            (pid, self.placement[(service, pid)], remote)
+            for pid, remote in peers
+            if (service, pid) in self.placement
         ]
 
     def note_view(self, view) -> None:
@@ -249,7 +252,9 @@ class PhoenixKernel:
         by the view epoch — a stale view from a healed minority cannot
         roll the aggregator map backwards.
         """
-        if not self.regions_enabled or view is None:
+        # One region has no cross-region edge, hence no election and no
+        # ``region.aggregator`` mark in the paper-calibrated traces.
+        if not self.multi_region or view is None:
             return
         if view.epoch < self._aggregator_epoch:
             return
@@ -304,14 +309,6 @@ class PhoenixKernel:
         if daemon is None:
             raise ServiceUnavailable("security service is not running")
         return daemon
-
-    def es_locations(self) -> dict[str, str]:
-        """partition id -> node currently hosting its event service."""
-        return {
-            p.partition_id: self.placement[("es", p.partition_id)]
-            for p in self.cluster.partitions
-            if ("es", p.partition_id) in self.placement
-        }
 
     def db_locations(self) -> dict[str, str]:
         """partition id -> node currently hosting its data bulletin."""

@@ -47,6 +47,16 @@ TABLE_APPS = "apps"
 VIEW_EVENTS_PORT = "db.view_events"
 
 
+def _row_order(row: dict[str, Any]) -> tuple[str, str]:
+    """Canonical result order: by source partition, then key."""
+    return (row.get("_partition", ""), row.get("_key", ""))
+
+
+def _ordered(rows_by_table: dict[str, list[dict[str, Any]]]):
+    """Executor row source: a table's gathered rows in canonical order."""
+    return lambda table: sorted(rows_by_table.get(table, []), key=_row_order)
+
+
 #: Tables whose rows go stale when their producer stops exporting
 #: (detector feeds); mapped to expiry in units of the detector interval.
 EXPIRING_TABLES = {
@@ -140,7 +150,7 @@ class BulletinDaemon(ServiceDaemon):
         }
         if row is not None:
             delta["row"] = row
-        es_node = self.kernel.es_locations().get(self.partition_id)
+        es_node = self.kernel.placement.get(("es", self.partition_id))
         if es_node is not None:
             # Plain send: the feed is lossy by design — a dropped delta
             # shows up as a seq gap at the owner, which rescans the slice.
@@ -268,49 +278,30 @@ class BulletinDaemon(ServiceDaemon):
             return {"rows": local_rows, "partitions_missing": [], "watermark": watermark}
         # Global scope: fan out to peers asynchronously, then answer the RPC
         # ourselves (the handler returns None so the transport does not
-        # auto-reply).  Region scope (two-tier federation only) is the
-        # same flow restricted to this instance's region mesh — remote
-        # aggregators answer it on a global query's behalf.
+        # auto-reply).  Region scope is the same flow restricted to this
+        # instance's region mesh — remote aggregators answer it on a
+        # global query's behalf.
         span = self.sim.trace.span(
             "db.query", parent=msg.payload.get("_span", ""), node=self.node_id, table=table
         )
-        if scope == "region":
-            peers = self._region_query_peers()
-        else:
-            peers = self._federation_query_peers()
         self.spawn(
-            self._global_query(msg, table, where, aggregate, local_rows, span, peers),
+            self._global_query(
+                msg, table, where, aggregate, local_rows, span, self._query_peers(scope)
+            ),
             name=f"{self.node_id}/db.fanout",
         )
         return None
 
-    def _region_query_peers(self) -> dict[str, tuple[str, str]]:
-        """Own region's placed peers, each probed with local scope."""
-        locations = self.kernel.db_locations()
+    def _query_peers(self, scope: str = "global") -> dict[str, tuple[str, str]]:
+        """Probe set ``part_id -> (node, probe scope)`` in federation-edge
+        order: the own-region mesh at local scope plus — unless the query
+        is itself region-scoped — one region-scope probe per remote
+        aggregator, O(R + P/R) requests instead of O(P)."""
         return {
-            pid: (locations[pid], "local")
-            for pid in self.kernel.region_partitions(self.partition_id)
-            if pid != self.partition_id and pid in locations
+            pid: (node, "region" if remote else "local")
+            for pid, node, remote in self.kernel.federation_edges("db", self.partition_id)
+            if scope != "region" or not remote
         }
-
-    def _federation_query_peers(self) -> dict[str, tuple[str, str]]:
-        """Fan-out set for a global query: ``part_id -> (node, scope)``.
-
-        Flat federation: every placed peer, local scope.  Two-tier: own
-        region's mesh (local scope) plus one region-scope probe per
-        remote aggregator — O(R + P/R) requests instead of O(P)."""
-        locations = self.kernel.db_locations()
-        if not self.kernel.regions_enabled:
-            return {
-                part_id: (node, "local")
-                for part_id, node in locations.items()
-                if part_id != self.partition_id
-            }
-        peers = self._region_query_peers()
-        for pid in self.kernel.remote_aggregators(self.partition_id):
-            if pid in locations:
-                peers[pid] = (locations[pid], "region")
-        return peers
 
     def _peer_covers(self, part_id: str, peer_scope: str) -> list[str]:
         """Partitions hidden when the probe to ``part_id`` goes unanswered."""
@@ -318,32 +309,31 @@ class BulletinDaemon(ServiceDaemon):
             return list(self.kernel.region_partitions(part_id))
         return [part_id]
 
-    def _global_query(self, msg: Message, table: str, where, aggregate, local_rows, span, peers):
-        request = {"table": table, "where": where, "scope": "local"}
-        if aggregate:
-            request["aggregate"] = aggregate
-        # Local-scope peer queries are idempotent: retry within the same
-        # budget so one lost datagram does not hide a partition's rows.
-        signals = {
-            part_id: self.rpc_retry(
-                node, ports.DB, ports.DB_QUERY,
-                dict(request) if peer_scope == "local" else dict(request, scope="region"),
+    def _scatter_gather(self, peers, requests, span):
+        """Send every ``DB_QUERY`` probe (each request to each peer) now, in
+        the caller's order — send order drives the jitter RNG — then fold
+        the replies in that order.  Returns the answered ``(table, reply)``
+        pairs, the partitions hidden by unanswered probes or reported
+        missing downstream, and per-partition incarnation numbers: a
+        console comparing two replies can tell whether a bulletin failed
+        over between them (the torn-read guard in GridView)."""
+        # Peer probes are idempotent: retry within the same budget so one
+        # lost datagram does not hide a partition's rows.
+        signals = [
+            (part_id, peer_scope, request["table"], self.rpc_retry(
+                node, ports.DB, ports.DB_QUERY, dict(request, scope=peer_scope),
                 span=span, call_class="bulletin.fanout",
-            )
-            for part_id, (node, peer_scope) in peers.items()
-        }
-        rows = list(local_rows)
-        partials = [aggregate_rows(local_rows, aggregate)] if aggregate else []
-        row_count = len(local_rows)
+            ))
+            for part_id, (node, peer_scope) in peers
+            for request in requests
+        ]
+        replies: list[tuple[str, dict[str, Any]]] = []
         missing: list[str] = []
-        #: Per-partition incarnation numbers: a console comparing two
-        #: replies can tell whether a bulletin failed over between them
-        #: (the torn-read guard in GridView).
         watermarks: dict[str, int] = {self.partition_id: self.epoch}
-        for part_id, signal in signals.items():
+        for part_id, peer_scope, table, signal in signals:
             reply = yield signal
             if reply is None:
-                missing.extend(self._peer_covers(part_id, peers[part_id][1]))
+                missing.extend(self._peer_covers(part_id, peer_scope))
                 continue
             wm = reply.get("watermark")
             if wm is not None:
@@ -351,6 +341,20 @@ class BulletinDaemon(ServiceDaemon):
             for pid, epoch in (reply.get("watermarks") or {}).items():
                 watermarks[pid] = int(epoch)
             missing.extend(reply.get("partitions_missing", ()))
+            replies.append((table, reply))
+        return replies, missing, watermarks
+
+    def _global_query(self, msg: Message, table: str, where, aggregate, local_rows, span, peers):
+        request = {"table": table, "where": where, "scope": "local"}
+        if aggregate:
+            request["aggregate"] = aggregate
+        replies, missing, watermarks = yield from self._scatter_gather(
+            peers.items(), [request], span  # configured (federation-edge) order
+        )
+        rows = list(local_rows)
+        partials = [aggregate_rows(local_rows, aggregate)] if aggregate else []
+        row_count = len(local_rows)
+        for _table, reply in replies:
             if aggregate:
                 partials.append(reply.get("aggregate", {}))
                 row_count += int(reply.get("row_count", 0))
@@ -365,7 +369,7 @@ class BulletinDaemon(ServiceDaemon):
                     "watermarks": watermarks,
                 }
             else:
-                rows.sort(key=lambda r: (r.get("_partition", ""), r.get("_key", "")))
+                rows.sort(key=_row_order)
                 payload = {
                     "rows": rows,
                     "partitions_missing": sorted(missing),
@@ -399,45 +403,51 @@ class BulletinDaemon(ServiceDaemon):
         rows_by_table: dict[str, list[dict[str, Any]]] = {
             table: self.store.query(table) for table in tables
         }
-        peers = self._federation_query_peers()
-        signals = {
-            (part_id, table): self.rpc_retry(
-                node, ports.DB, ports.DB_QUERY,
-                {"table": table, "scope": "local"} if peer_scope == "local"
-                else {"table": table, "scope": "region"},
-                span=span, call_class="bulletin.fanout",
-            )
-            for part_id, (node, peer_scope) in sorted(peers.items())
-            for table in tables
-        }
-        missing: set[str] = set()
-        watermarks: dict[str, int] = {self.partition_id: self.epoch}
-        for (part_id, table), signal in signals.items():
-            reply = yield signal
-            if reply is None:
-                missing.update(self._peer_covers(part_id, peers[part_id][1]))
-                continue
+        replies, missing, watermarks = yield from self._scatter_gather(
+            sorted(self._query_peers().items()),  # sorted() order x base tables
+            [{"table": table, "scope": "local"} for table in tables],
+            span,
+        )
+        for table, reply in replies:
             rows_by_table[table].extend(reply.get("rows", []))
-            wm = reply.get("watermark")
-            if wm is not None:
-                watermarks[part_id] = int(wm["epoch"])
-            for pid, epoch in (reply.get("watermarks") or {}).items():
-                watermarks[pid] = int(epoch)
-            missing.update(reply.get("partitions_missing", ()))
-
-        def get_rows(table: str) -> list[dict[str, Any]]:
-            return sorted(
-                rows_by_table.get(table, []),
-                key=lambda r: (r.get("_partition", ""), r.get("_key", "")),
-            )
-
-        result = rel.execute_on(q, get_rows)
-        self.reply(msg, {
-            "rows": result,
-            "partitions_missing": sorted(missing),
-            "watermarks": watermarks,
-        })
+        missing = sorted(set(missing))  # one entry per partition, not per table probe
+        result = rel.execute_on(q, _ordered(rows_by_table))
+        self.reply(msg, {"rows": result, "partitions_missing": missing, "watermarks": watermarks})
         span.end(rows=len(result), missing=len(missing))
+
+    def _pull_region_tables(self, at_time, span=None):
+        """Checkpoint pull shared by ``AS OF`` and its aggregator-side
+        summary: fire ``CKPT_LOAD db.tables.<pid> at_time=...`` at every
+        partition of this region *now*, and return a generator that folds
+        the replies into ``(rows by table, versions, missing)`` — so the
+        caller can put more probes on the wire before it waits."""
+        region = sorted(self.kernel.region_partitions(self.partition_id))
+        signals = {}
+        for part_id in region:
+            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
+            if ckpt_node is not None:
+                signals[part_id] = self.rpc_retry(
+                    ckpt_node, ports.CKPT, ports.CKPT_LOAD,
+                    {"key": f"db.tables.{part_id}", "at_time": at_time},
+                    span=span, call_class="ckpt.pull",
+                )
+        missing = [p for p in region if p not in signals]
+
+        def fold():
+            tables: dict[str, list[dict[str, Any]]] = {}
+            versions: dict[str, dict[str, Any]] = {}
+            for part_id, signal in signals.items():
+                reply = yield signal
+                if reply is None or not reply.get("found"):
+                    missing.append(part_id)
+                    continue
+                data = reply.get("data") or {}
+                versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
+                for table, rows in (data.get("tables") or {}).items():
+                    tables.setdefault(table, []).extend(rows.values())
+            return tables, versions, missing
+
+        return fold()
 
     def _exec_as_of(self, msg: Message, q: "rel.Query", span):
         """Time-travel: answer from checkpointed base tables instead of
@@ -445,47 +455,18 @@ class BulletinDaemon(ServiceDaemon):
         in DESIGN.md §14).  Requires view maintenance to have been on
         around ``t`` (that is what checkpoints the base tables).
 
-        Flat federation pulls every partition's checkpoint directory;
-        two-tier pulls its own region's directly and asks each remote
-        aggregator for a ``DB_ASOF`` directory summary of its region."""
-        if self.kernel.regions_enabled:
-            partitions = sorted(self.kernel.region_partitions(self.partition_id))
-        else:
-            partitions = sorted(p.partition_id for p in self.kernel.cluster.partitions)
-        signals = {}
-        for part_id in partitions:
-            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
-            if ckpt_node is None:
-                continue
-            signals[part_id] = self.rpc_retry(
-                ckpt_node, ports.CKPT, ports.CKPT_LOAD,
-                {"key": f"db.tables.{part_id}", "at_time": q.as_of},
-                span=span, call_class="ckpt.pull",
+        Pulls its own region's checkpoint directories directly and asks
+        each remote aggregator for a ``DB_ASOF`` summary of its region."""
+        pull = self._pull_region_tables(q.as_of, span)
+        agg_signals = {
+            agg: self.rpc_retry(
+                node, ports.DB, ports.DB_ASOF, {"as_of": q.as_of},
+                span=span, call_class="bulletin.fanout",
             )
-        missing = [p for p in partitions if p not in signals]
-        agg_signals = {}
-        if self.kernel.regions_enabled:
-            locations = self.kernel.db_locations()
-            for agg in self.kernel.remote_aggregators(self.partition_id):
-                node = locations.get(agg)
-                if node is None:
-                    missing.extend(self.kernel.region_partitions(agg))
-                    continue
-                agg_signals[agg] = self.rpc_retry(
-                    node, ports.DB, ports.DB_ASOF, {"as_of": q.as_of},
-                    span=span, call_class="bulletin.fanout",
-                )
-        rows_by_table: dict[str, list[dict[str, Any]]] = {}
-        versions: dict[str, dict[str, Any]] = {}
-        for part_id, signal in signals.items():
-            reply = yield signal
-            if reply is None or not reply.get("found"):
-                missing.append(part_id)
-                continue
-            data = reply.get("data") or {}
-            versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
-            for table, rows in (data.get("tables") or {}).items():
-                rows_by_table.setdefault(table, []).extend(rows.values())
+            for agg, node, remote in self.kernel.federation_edges("db", self.partition_id)
+            if remote
+        }
+        rows_by_table, versions, missing = yield from pull
         for agg, signal in agg_signals.items():
             reply = yield signal
             if reply is None:
@@ -495,14 +476,7 @@ class BulletinDaemon(ServiceDaemon):
             versions.update(reply.get("versions") or {})
             for table, rows in (reply.get("tables") or {}).items():
                 rows_by_table.setdefault(table, []).extend(rows)
-
-        def get_rows(table: str) -> list[dict[str, Any]]:
-            return sorted(
-                rows_by_table.get(table, []),
-                key=lambda r: (r.get("_partition", ""), r.get("_key", "")),
-            )
-
-        result = rel.execute_on(q, get_rows)
+        result = rel.execute_on(q, _ordered(rows_by_table))
         self.reply(msg, {
             "rows": result,
             "partitions_missing": sorted(missing),
@@ -512,39 +486,16 @@ class BulletinDaemon(ServiceDaemon):
         span.end(rows=len(result), missing=len(missing), as_of=q.as_of)
 
     def _on_asof(self, msg: Message) -> None:
-        """Aggregator-side AS OF summary (two-tier federation): pull this
-        region's checkpointed base-table directories at ``as_of`` and ship
-        the merged rows, so a remote querier needs one RPC per region
-        instead of one checkpoint pull per partition."""
+        """Aggregator-side AS OF summary: pull this region's checkpointed
+        base-table directories at ``as_of`` and ship the merged rows, so a
+        remote querier needs one RPC per region instead of one checkpoint
+        pull per partition."""
         self.sim.trace.count("db.asof_summaries")
         self.spawn(self._asof_flow(msg), name=f"{self.node_id}/db.asof")
         return None
 
     def _asof_flow(self, msg: Message):
-        as_of = msg.payload.get("as_of")
-        region = sorted(self.kernel.region_partitions(self.partition_id))
-        signals = {}
-        for part_id in region:
-            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
-            if ckpt_node is None:
-                continue
-            signals[part_id] = self.rpc_retry(
-                ckpt_node, ports.CKPT, ports.CKPT_LOAD,
-                {"key": f"db.tables.{part_id}", "at_time": as_of},
-                call_class="ckpt.pull",
-            )
-        missing = [p for p in region if p not in signals]
-        tables: dict[str, list[dict[str, Any]]] = {}
-        versions: dict[str, dict[str, Any]] = {}
-        for part_id, signal in signals.items():
-            reply = yield signal
-            if reply is None or not reply.get("found"):
-                missing.append(part_id)
-                continue
-            data = reply.get("data") or {}
-            versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
-            for table, rows in (data.get("tables") or {}).items():
-                tables.setdefault(table, []).extend(rows.values())
+        tables, versions, missing = yield from self._pull_region_tables(msg.payload.get("as_of"))
         self.reply(msg, {
             "tables": tables,
             "versions": versions,
@@ -595,14 +546,14 @@ class BulletinDaemon(ServiceDaemon):
         ``table`` so the SubscriptionIndex can hash-prune the feed when
         ``table`` is in ``es_indexed_where_keys``.  Re-subscribing with
         the same consumer id replaces in place."""
-        es_node = self.kernel.es_locations().get(self.partition_id)
+        es_node = self.kernel.placement.get(("es", self.partition_id))
         if es_node is None:
             return
-        # Two-tier mode: cross-region delta runs arrive coalesced as
-        # db.delta_digest events; flat mode keeps the historical
-        # single-type subscription so its checkpoints stay byte-identical.
+        # Cross-region delta runs arrive coalesced as db.delta_digest
+        # events.  One region never sees one, and listing the type would
+        # change its ES_SUBSCRIBE payload and registry-checkpoint bytes.
         types = [DB_DELTA]
-        if self.kernel.regions_enabled:
+        if self.kernel.multi_region:
             types.append(DB_DELTA_DIGEST)
         for table in sorted(tables):
             yield self.rpc_retry(
@@ -617,49 +568,28 @@ class BulletinDaemon(ServiceDaemon):
                 },
             )
 
-    def _maint_targets(self) -> dict[str, tuple[str, bool]]:
-        """``part_id -> (node, relay)`` for a maintenance broadcast.
-
-        Flat federation: every placed peer.  Two-tier: own region's mesh
-        plus remote aggregators, the latter flagged to re-relay into
-        their region so config still reaches everyone in O(R + P/R)."""
-        locations = self.kernel.db_locations()
-        if not self.kernel.regions_enabled:
-            return {
-                part_id: (node, False)
-                for part_id, node in locations.items()
-                if part_id != self.partition_id
-            }
-        targets = {
-            pid: (locations[pid], False)
-            for pid in self.kernel.region_partitions(self.partition_id)
-            if pid != self.partition_id and pid in locations
-        }
-        for pid in self.kernel.remote_aggregators(self.partition_id):
-            if pid in locations:
-                targets[pid] = (locations[pid], True)
-        return targets
+    def _maint_probes(self) -> list[tuple[str, dict[str, Any]]]:
+        """``(node, DB_MAINT payload)`` per broadcast target in ``sorted()``
+        order: own region's mesh plus remote aggregators, the latter
+        flagged to re-relay into their region so config reaches everyone
+        in O(R + P/R)."""
+        payload = self._maint_payload()
+        return [
+            (node, dict(payload, relay=True) if relay else dict(payload))
+            for _pid, node, relay in sorted(self.kernel.federation_edges("db", self.partition_id))
+        ]
 
     def _broadcast_maint(self):
-        payload = self._maint_payload()
-        signals = {
-            part_id: self.rpc_retry(
-                node, ports.DB, ports.DB_MAINT,
-                dict(payload, relay=True) if relay else dict(payload),
-                call_class="bulletin.fanout",
-            )
-            for part_id, (node, relay) in sorted(self._maint_targets().items())
-        }
-        for signal in signals.values():
+        signals = [
+            self.rpc_retry(node, ports.DB, ports.DB_MAINT, payload, call_class="bulletin.fanout")
+            for node, payload in self._maint_probes()
+        ]
+        for signal in signals:
             yield signal  # best-effort: housekeeping re-broadcasts heal stragglers
 
     def _rebroadcast_maint(self) -> None:
-        payload = self._maint_payload()
-        for part_id, (node, relay) in sorted(self._maint_targets().items()):
-            self.send(
-                node, ports.DB, ports.DB_MAINT,
-                dict(payload, relay=True) if relay else dict(payload),
-            )
+        for node, payload in self._maint_probes():
+            self.send(node, ports.DB, ports.DB_MAINT, payload)
 
     def _maint_payload(self) -> dict[str, Any]:
         return {
@@ -672,15 +602,14 @@ class BulletinDaemon(ServiceDaemon):
 
     def _on_maint(self, msg: Message) -> dict[str, Any] | None:
         self.kernel.view_maintenance = True
-        if msg.payload.get("relay") and self.kernel.regions_enabled:
-            # Two-tier federation: the sender only reached this region's
-            # aggregator — re-relay the config into the local mesh (one
-            # hop only; the relayed copy drops the flag).
+        if msg.payload.get("relay"):
+            # The sender only reached this region's aggregator — re-relay
+            # the config into the local mesh (one hop only; the relayed
+            # copy drops the flag).
             relayed = {k: v for k, v in msg.payload.items() if k != "relay"}
-            locations = self.kernel.db_locations()
-            for part_id in self.kernel.region_partitions(self.partition_id):
-                if part_id != self.partition_id and part_id in locations:
-                    self.send(locations[part_id], ports.DB, ports.DB_MAINT, dict(relayed))
+            for _pid, node, remote in self.kernel.federation_edges("db", self.partition_id):
+                if not remote:
+                    self.send(node, ports.DB, ports.DB_MAINT, dict(relayed))
         for name, part_id in (msg.payload.get("views") or {}).items():
             self.kernel.view_owners[name] = part_id
         new = set(msg.payload.get("tables", ())) - self._publish_tables

@@ -129,19 +129,9 @@ class EventServiceDaemon(ServiceDaemon):
                 )
                 if restored:
                     self._arm_flush()
-        # Tell peers (their peer table may point at a dead node after
-        # migration).  Two-tier mode announces along federation edges only
-        # — the intra-region mesh plus the aggregator overlay — instead of
-        # the O(P) complete graph.
-        locations = self.kernel.es_locations()
-        if self.kernel.regions_enabled:
-            announce = set(self.kernel.region_partitions(self.partition_id))
-            announce.update(self.kernel.remote_aggregators(self.partition_id))
-            announce.discard(self.partition_id)
-            targets = {pid: locations[pid] for pid in sorted(announce) if pid in locations}
-        else:
-            targets = {pid: node for pid, node in locations.items() if pid != self.partition_id}
-        for part_id, peer in targets.items():
+        # Tell peers along our federation edges (their peer table may
+        # point at a dead node after migration).
+        for _pid, peer, _remote in self.kernel.federation_edges("es", self.partition_id):
             self.send(peer, ports.ES, ports.ES_PEERS, {"partition": self.partition_id, "node": self.node_id})
 
     # -- message dispatch ----------------------------------------------------
@@ -214,24 +204,15 @@ class EventServiceDaemon(ServiceDaemon):
         return {"ok": True, "event_id": event.event_id}
 
     def _federation_peers(self) -> list[str]:
-        """Peers this instance forwards its own publishes to.
-
-        Flat federation: every other placed instance (complete graph).
-        Two-tier (DESIGN.md §16): the instance's intra-region mesh, plus —
-        when this partition is its region's elected aggregator — every
-        other region's aggregator.
+        """Peers this instance forwards its own publishes to (DESIGN.md
+        §16): its region's mesh, plus — when this partition is its region's
+        elected aggregator — every other region's aggregator.
         """
-        locations = self.kernel.es_locations()
-        if not self.kernel.regions_enabled:
-            return [pid for pid in locations if pid != self.partition_id]
-        region = self.kernel.region_partitions(self.partition_id)
-        peers = [pid for pid in region if pid != self.partition_id and pid in locations]
-        if self.kernel.is_aggregator(self.partition_id):
-            peers.extend(
-                pid for pid in self.kernel.remote_aggregators(self.partition_id)
-                if pid in locations
-            )
-        return peers
+        funnel = self.kernel.is_aggregator(self.partition_id)
+        return [
+            pid for pid, _node, remote in self.kernel.federation_edges("es", self.partition_id)
+            if funnel or not remote
+        ]
 
     def _on_forward_batch(self, msg: Message) -> dict[str, Any]:
         origin = str(msg.payload.get("origin", ""))
@@ -243,12 +224,12 @@ class EventServiceDaemon(ServiceDaemon):
         return {"ok": True, "accepted": accepted}
 
     def _relay_forward(self, event: Event, origin_part: str) -> None:
-        """Two-tier relay rules, applied on first acceptance of a forward.
+        """Relay rules, applied on first acceptance of a forward.
 
         *Ingress*: a batch arriving from another region (necessarily via
         an aggregator funnel) is fanned out to this region's mesh, so
-        every partition sees it exactly as it would under flat
-        federation.  *Egress*: when a home-region event reaches this
+        every partition sees it exactly as it would in a one-region
+        complete graph.  *Egress*: when a home-region event reaches this
         instance over the intra-region mesh and this partition currently
         holds the aggregator role, it is queued to every other region's
         aggregator.  Both decisions are taken receiver-side from the
@@ -257,25 +238,20 @@ class EventServiceDaemon(ServiceDaemon):
         when old and new aggregators race during a handover.
         """
         kernel = self.kernel
-        if not kernel.regions_enabled or not origin_part:
+        if not origin_part:
             return
         my_region = kernel.region_of(self.partition_id)
-        locations = kernel.es_locations()
-        if kernel.region_of(origin_part) != my_region:
-            payload = event.to_payload()
-            for pid in kernel.region_partitions(self.partition_id):
-                if pid != self.partition_id and pid in locations:
-                    self._enqueue_forward(pid, payload)
-            self._arm_flush()
-        elif (
+        ingress = kernel.region_of(origin_part) != my_region
+        if not ingress and not (
             kernel.region_of(event.partition) == my_region
             and kernel.is_aggregator(self.partition_id)
         ):
-            payload = event.to_payload()
-            for pid in kernel.remote_aggregators(self.partition_id):
-                if pid in locations:
-                    self._enqueue_forward(pid, payload)
-            self._arm_flush()
+            return
+        payload = event.to_payload()
+        for pid, _node, remote in kernel.federation_edges("es", self.partition_id):
+            if remote != ingress:  # ingress -> own mesh, egress -> remote aggregators
+                self._enqueue_forward(pid, payload)
+        self._arm_flush()
 
     def _accept_forward(self, event: Event) -> bool:
         """Deliver one federated event, suppressing re-received duplicates
@@ -349,10 +325,7 @@ class EventServiceDaemon(ServiceDaemon):
 
     def _cross_region(self, part_id: str) -> bool:
         """Does the hop to ``part_id`` cross a region boundary?"""
-        kernel = self.kernel
-        return kernel.regions_enabled and (
-            kernel.region_of(part_id) != kernel.region_of(self.partition_id)
-        )
+        return self.kernel.region_of(part_id) != self.kernel.region_of(self.partition_id)
 
     def _send_batch(self, part_id: str, batch: list[dict[str, Any]]):
         span = self.sim.trace.span(
@@ -414,9 +387,10 @@ class EventServiceDaemon(ServiceDaemon):
                           batch_to_payload(self.partition_id, batch))
 
     def _count_tier(self, part_id: str, events: int) -> None:
-        """Intra/cross-region breakdown of federation traffic (two-tier
-        mode only, so flat-mode counter sets stay byte-identical)."""
-        if not self.kernel.regions_enabled:
+        """Intra/cross-region breakdown of federation traffic."""
+        # One region would mint ``_intra`` keys the paper-calibrated
+        # counter sets (Tables 1-3, fig4 trace, sim_digest) never had.
+        if not self.kernel.multi_region:
             return
         tier = "cross" if self._cross_region(part_id) else "intra"
         self.sim.trace.count(f"es.forward_batches_{tier}")

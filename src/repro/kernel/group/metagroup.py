@@ -52,8 +52,8 @@ partitions that ack within ``regroup_timeout``:
   checkpoint replica the minority hosted).
 
 Census acks carry the responder's view, so the first post-heal round
-doubles as anti-entropy.  ``quorum_demotion=False`` restores the
-pre-quorum behavior (demote only when the view empties entirely).
+doubles as anti-entropy.  A one-partition cluster has no peers to lose
+and skips the census entirely.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class MetaGroup:
 
     # -- quorum-gated regroup (DESIGN.md §15) -----------------------------
     def quorum_enabled(self) -> bool:
-        return self.gsd.timings.quorum_demotion and len(self.gsd.cluster.partitions) > 1
+        return len(self.gsd.cluster.partitions) > 1
 
     def tie_break_partition(self) -> str:
         """The MCS tie-breaker: on an exact-half split, only the side

@@ -157,18 +157,10 @@ class KernelTimings:
     #: deployment's monitors filter on them); empty disables the buckets.
     es_indexed_where_keys: tuple[str, ...] = ("node",)
 
-    #: Quorum-gated regroup (MCS-style): a meta-group member whose live
-    #: view would drop to half or less of the *configured* partition count
-    #: runs a regroup probe round before acting on the failure, and parks
-    #: (refusing view broadcasts, placement writes, and checkpoint
-    #: commits) while it cannot reach a quorum.  The exact-half split is
-    #: decided by the lowest-surviving-partition tie-breaker, so a 2-vs-2
-    #: partition converges to exactly one leader.  Disable to restore the
-    #: pre-quorum behavior (demote only when the view empties), kept for
-    #: failing-before regression tests.
-    quorum_demotion: bool = True
-    #: How long a regroup round waits for probe acks before concluding the
-    #: unreachable members are really gone.  ``None`` means
+    #: Quorum-gated regroup (MCS-style, DESIGN.md §15; always on in a
+    #: multi-partition cluster).  How long a regroup round waits for probe
+    #: acks before concluding the unreachable members are really gone.
+    #: ``None`` means
     #: ``max(2 * rpc_timeout, 0.25 * heartbeat_interval)`` — two control
     #: round-trips, stretched on slow-beat deployments so one lossy
     #: exchange cannot fake a lost quorum.

@@ -214,25 +214,6 @@ class TimerWheel:
         #: ``pending_events``; maintained by the owning Simulator.
         self.live = 0
 
-    def try_insert(self, time: float, handle: EventHandle) -> bool:
-        """File ``handle`` at the finest level whose window covers ``time``.
-
-        Returns False when the event is too near (its slot was already
-        promoted — the heap must take it) or beyond the coarsest horizon.
-        """
-        for level in self.levels:
-            idx = int(time * level.inv_width)
-            cursor = level.cursor
-            if idx < cursor:
-                return False  # already-promoted region: the heap owns it
-            if idx - cursor < level.nslots:
-                level.slots[idx & level.mask].append(handle)
-                level.count += 1
-                self.live += 1
-                handle._in_heap = False
-                return True
-        return False  # beyond the coarsest horizon
-
     def promote_due(self, limit_time: float, heap: list, freelist: list[EventHandle]) -> bool:
         """Push every live entry in slots starting at or before
         ``limit_time`` into ``heap``; discard cancelled ones (recycling

@@ -18,10 +18,10 @@ from repro.sim import Simulator
 HB = 10.0
 
 
-def build(seed=5, partitions=4, quorum=True, interval=HB):
+def build(seed=5, partitions=4, interval=HB):
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, ClusterSpec.build(partitions=partitions, computes=2))
-    timings = KernelTimings(heartbeat_interval=interval, quorum_demotion=quorum)
+    timings = KernelTimings(heartbeat_interval=interval)
     kernel = PhoenixKernel(cluster, timings=timings)
     kernel.boot()
     return sim, cluster, kernel
@@ -167,36 +167,34 @@ def test_minority_refuses_writes_while_parked():
     assert entry is not None and entry.data["node_state"]["p3c0"] == "down"
 
 
-def test_quorum_demotion_off_restores_view_emptiness_behavior():
-    """``quorum_demotion=False`` is the pre-quorum kernel: an isolated
-    leader keeps evicting until its view empties, and only then demotes
-    (``leader.isolated``).  With gating on, it parks *before* that —
-    while peers are still in the view — and never reigns alone."""
-    # Old behavior: no parks, demotion only at empty view.
-    sim, cluster, kernel = build(quorum=False)
+@pytest.mark.parametrize("partitions", [4, 1])
+def test_isolated_leader_parks_only_when_it_has_peers_to_lose(partitions):
+    """Cut the leader off from every other node.  With peers configured
+    it parks (``quorum.lost``) while they are still in its view — it never
+    evicts its way down to reigning alone.  A one-partition cluster has no
+    quorum to lose: the census never runs and the leader keeps leading."""
+    sim, cluster, kernel = build(partitions=partitions)
     injector = FaultInjector(cluster)
     sim.run(until=20.001)
-    leader = cluster.partition("p0").all_nodes
-    side_a, side_b = sides(cluster, minority=("p1", "p2", "p3"))
-    split_all(cluster, injector, set(leader), side_b | (side_a - set(leader)))
+    everyone = set(cluster.nodes)
+    cut = set(cluster.partition("p0").all_nodes) if partitions > 1 else {"p0s0"}
+    split_all(cluster, injector, cut, everyone - cut)
     sim.run(until=sim.now + 20 * HB)
-    assert sim.trace.records("quorum.lost") == []
-    assert sim.trace.records("leader.isolated")  # evicted everyone first
-    assert len(kernel.gsd("p0").metagroup.view.members) == 1
-
-    # Quorum gating: the cut-off leader parks with peers still in view.
-    sim2, cluster2, kernel2 = build(quorum=True)
-    injector2 = FaultInjector(cluster2)
-    sim2.run(until=20.001)
-    leader2 = cluster2.partition("p0").all_nodes
-    side_a2, side_b2 = sides(cluster2, minority=("p1", "p2", "p3"))
-    split_all(cluster2, injector2, set(leader2), side_b2 | (side_a2 - set(leader2)))
-    sim2.run(until=sim2.now + 20 * HB)
-    parks = sim2.trace.records("quorum.lost", node="p0s0")
-    assert parks
-    mg = kernel2.gsd("p0").metagroup
-    assert mg.parked and not mg.is_leader
-    assert len(mg.view.members) >= 2  # parked before the view emptied
+    mg = kernel.gsd("p0").metagroup
+    assert sim.trace.records("leader.isolated") == []
+    if partitions > 1:
+        assert sim.trace.records("quorum.lost", node="p0s0")
+        assert mg.parked and not mg.is_leader
+        assert len(mg.view.members) >= 2  # parked before the view emptied
+    else:
+        assert sim.trace.records("quorum.lost") == []
+        assert sim.trace.records("gsd.regroup") == []
+        assert mg.is_leader and not mg.parked
+        assert kernel.placement[("metagroup", "leader")] == "p0s0"
+        assert all(kernel.gsd("p0").node_state.get(n) == "down" for n in everyone - cut)
+        heal_all(cluster, injector)
+        sim.run(until=sim.now + 6 * HB)
+        assert all(kernel.gsd("p0").node_state.get(n, "up") == "up" for n in everyone - cut)
 
 
 def test_time_to_park_is_bounded():

@@ -15,6 +15,7 @@ node-metric sampling and identical across topologies by construction —
 any divergence is a federation bug, not workload noise.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +120,17 @@ def test_two_tier_view_contents_equal_flat_reference(seed, actions):
     assert rows_close(
         sorted(flat, key=str), sorted(two_tier, key=str)
     ), f"flat={flat!r} two_tier={two_tier!r}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 0: an `apps` row lost across p2's bulletin failover "
+    "is never retracted from the remote view owner (fails on both topologies: "
+    "an IVM bug, not a digest bug)",
+)
+@pytest.mark.parametrize("region_size", [None, 2])
+def test_regression_put_put_agg_crash_view_keeps_lost_row(region_size):
+    _run_scenario(0, ["put", "put", "agg_crash"], region_size=region_size)
 
 
 def test_aggregator_failover_mid_stream_converges():

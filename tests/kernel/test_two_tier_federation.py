@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.errors import ClusterError
-from repro.kernel import KernelTimings, PhoenixKernel
+from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
 from repro.kernel.events import types as ev
 from repro.kernel.events.digest import digest_batch
@@ -42,13 +42,15 @@ def boot_two_tier(seed=11, partitions=6, region_size=2, computes=2, until=1.0, *
 def test_spec_regions_positional_grouping():
     spec = ClusterSpec.build(partitions=5, computes=1, region_size=2)
     assert spec.regions() == (("p0", "p1"), ("p2", "p3"), ("p4",))
-    assert [spec.region_of(f"p{i}") for i in range(5)] == [0, 0, 1, 1, 2]
+    kernel = PhoenixKernel(Cluster(Simulator(seed=11), spec))
+    assert [kernel.region_of(f"p{i}") for i in range(5)] == [0, 0, 1, 1, 2]
 
 
 def test_spec_flat_is_one_region():
     spec = ClusterSpec.build(partitions=3, computes=1)
     assert spec.regions() == (("p0", "p1", "p2"),)
-    assert spec.region_of("p2") == 0
+    kernel = PhoenixKernel(Cluster(Simulator(seed=11), spec))
+    assert kernel.region_of("p2") == 0
 
 
 def test_spec_region_size_validated():
@@ -61,21 +63,29 @@ def test_spec_region_size_validated():
 
 def test_aggregator_election_first_present_per_region():
     sim, cluster, kernel = boot_two_tier(until=30.0)
-    assert kernel.regions_enabled
+    assert kernel.multi_region
     assert kernel.region_aggregators == {0: "p0", 1: "p2", 2: "p4"}
     assert kernel.is_aggregator("p2") and not kernel.is_aggregator("p3")
     assert kernel.region_partitions("p3") == ("p2", "p3")
-    assert kernel.remote_aggregators("p2") == ["p0", "p4"]
+    # Own-region mesh in configured order, then the other regions' aggregators.
+    assert kernel.federation_edges("es", "p2") == [
+        ("p3", "p3s0", False), ("p0", "p0s0", True), ("p4", "p4s0", True),
+    ]
 
 
-def test_flat_mode_has_no_aggregators():
+def test_one_region_elects_no_aggregator():
+    """One region is the paper's complete graph: every edge is a mesh
+    edge, nobody is elected, nothing is marked."""
     sim = Simulator(seed=11)
     cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))
     kernel = PhoenixKernel(cluster)
-    assert not kernel.regions_enabled
+    kernel.boot()
+    assert not kernel.multi_region
+    assert kernel.region_partitions("p1") == ("p0", "p1", "p2")
     assert kernel.region_aggregators == {}
     assert not kernel.is_aggregator("p0")
-    assert kernel.remote_aggregators("p0") == []
+    assert kernel.federation_edges("db", "p1") == [("p0", "p0s0", False), ("p2", "p2s0", False)]
+    assert sim.trace.records("region.aggregator") == []
 
 
 def test_aggregator_election_is_epoch_fenced():
@@ -253,3 +263,89 @@ def test_as_of_pulls_remote_regions_through_aggregator_summaries():
     assert set(past["versions"]) == {f"p{i}" for i in range(6)}
     # Remote regions answered via DB_ASOF aggregator summaries, not 1:1 pulls.
     assert sim.trace.counter("db.asof_summaries") > 0
+
+
+# -- one region *is* the flat complete graph -----------------------------------
+
+
+def _twin_run(region_size):
+    """One seeded scenario touching every federation path: boot, a
+    cluster-wide config publish, a view registration, a global query, a
+    relational scan and an AS OF read."""
+    sim, cluster, kernel = boot_two_tier(
+        seed=23, partitions=4, region_size=region_size, until=35.0
+    )
+    client = kernel.client("p1c0")
+    subscribe_collector(kernel, sim, "p3c0", "twin", types=(ev.CONFIG_CHANGED,), partition="p3")
+    assert drive(sim, client.config_set("site.mode", "twin"))["ok"]
+    view = Query(table="nodes", group_by=("state",), aggs=(Agg("count", "*", "n"),))
+    assert drive(sim, client.register_view("twin.nodes", view), max_time=30.0)["ok"]
+    sim.run(until=sim.now + 30.0)
+    replies = [
+        drive(sim, client.query_bulletin("node_metrics"), max_time=30.0),
+        drive(sim, client.exec_query(view), max_time=30.0),
+        drive(sim, client.exec_query(Query(table="nodes", as_of=sim.now - 2.0)), max_time=30.0),
+    ]
+    assert all(r is not None and r["partitions_missing"] == [] for r in replies)
+    records = [(r.time, r.category, r.fields) for r in sim.trace.records()]
+    return sim, kernel, records, replies
+
+
+def test_flat_is_the_one_region_case_twin_run():
+    """``region_size=None`` and ``region_size=<partition count>`` select
+    the same input to the same code: identical counters, trace records
+    and replies — and none of the multi-region wire/trace artefacts."""
+    sim_a, kernel_a, records_a, replies_a = _twin_run(None)
+    sim_b, kernel_b, records_b, replies_b = _twin_run(4)
+    assert sim_a.trace.counters() == sim_b.trace.counters()
+    assert records_a == records_b
+    assert replies_a == replies_b
+    for sim, kernel in ((sim_a, kernel_a), (sim_b, kernel_b)):
+        assert sim.trace.records("region.aggregator") == []
+        tiered = [k for k in sim.trace.counters() if k.endswith(("_intra", "_cross"))]
+        assert tiered == []
+        assert sim.trace.counter("es.forward_batches") > 0  # the config publish federated
+        assert sim.trace.counter("db.asof_summaries") == 0
+        feed = [
+            sub for pid in ("p0", "p1", "p2", "p3") for sub in kernel.es(pid).subscriptions()
+            if sub.consumer_id.startswith("db.views.")
+        ]
+        assert feed and all(ev.DB_DELTA_DIGEST not in sub.types for sub in feed)
+
+
+# -- probe-order contracts of the shared scatter-gather ---------------------------
+
+
+def _probe_order(kernel, sim, send):
+    """Partitions a bulletin's DB_QUERY probes go to, in send order."""
+    daemon = kernel.bulletin("p0")
+    sent = []
+    orig = daemon.rpc_retry
+
+    def spy(dst_node, dst_port, mtype, payload=None, **kwargs):
+        if mtype == ports.DB_QUERY:
+            sent.append((kernel.cluster.node(dst_node).partition_id, payload["table"]))
+        return orig(dst_node, dst_port, mtype, payload, **kwargs)
+
+    daemon.rpc_retry = spy
+    assert drive(sim, send(kernel.client("p0c0")), max_time=30.0) is not None
+    return sent
+
+
+def test_global_query_probes_in_configured_order():
+    """12 partitions: configured order is p1, p2, ... p11 while sorted()
+    puts p10 and p11 before p2 — send order drives the jitter RNG."""
+    sim, cluster, kernel = boot_two_tier(partitions=12, region_size=None, computes=1)
+    sent = _probe_order(kernel, sim, lambda c: c.query_bulletin("node_state"))
+    assert sent == [(f"p{i}", "node_state") for i in range(1, 12)]
+
+
+def test_exec_probes_in_sorted_order_per_base_table():
+    sim, cluster, kernel = boot_two_tier(partitions=12, region_size=None, computes=1)
+    query = Query(table="nodes", group_by=("state",), aggs=(Agg("count", "*", "n"),))
+    sent = _probe_order(kernel, sim, lambda c: c.exec_query(query))
+    peers = sorted(f"p{i}" for i in range(1, 12))
+    assert peers[:3] == ["p1", "p10", "p11"]
+    tables = [table for part, table in sent if part == "p1"]
+    assert len(tables) > 1  # `nodes` joins several base tables
+    assert sent == [(part, table) for part in peers for table in tables]

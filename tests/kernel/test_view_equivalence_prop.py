@@ -7,6 +7,7 @@ to converge back to exact (float-tolerant) agreement with the full-scan
 reference, and a time-travel read to stay self-consistent.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,16 +34,7 @@ JOBS_VIEW = Query(table="jobs", group_by=("phase",), aggs=(Agg("count", "*", "n"
 _ACTIONS = ("kill", "recover", "failover", "job", "idle")
 
 
-@settings(
-    max_examples=6,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(
-    seed=st.integers(0, 2**16),
-    actions=st.lists(st.sampled_from(_ACTIONS), min_size=2, max_size=5),
-)
-def test_view_matches_fresh_scan_under_randomized_churn(seed, actions):
+def _run_churn(seed, actions):
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))
     timings = KernelTimings(heartbeat_interval=5.0, deadline_grace=0.1)
@@ -93,3 +85,26 @@ def test_view_matches_fresh_scan_under_randomized_churn(seed, actions):
     # with per-partition versions and never raise.
     past = drive(sim, client.exec_query(Query(table="jobs", as_of=sim.now - 1.0)))
     assert past is not None and "rows" in past and "versions" in past
+
+
+@settings(
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    actions=st.lists(st.sampled_from(_ACTIONS), min_size=2, max_size=5),
+)
+def test_view_matches_fresh_scan_under_randomized_churn(seed, actions):
+    _run_churn(seed, actions)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 0: read_view/exec_query get no answer inside drive's "
+    "budget after four back-to-back owner failovers (availability bug or "
+    "too-tight budget - undecided)",
+)
+def test_regression_four_back_to_back_owner_failovers():
+    _run_churn(0, ["failover"] * 4)
