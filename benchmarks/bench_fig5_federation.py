@@ -13,7 +13,7 @@ from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.experiments.report import format_table
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.bulletin.service import TABLE_NODE_METRICS
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 
 
 def run_federation_probe(seed: int = 0) -> dict:
@@ -26,9 +26,7 @@ def run_federation_probe(seed: int = 0) -> dict:
     def query_via(partition: str) -> tuple[int, list[str], float]:
         start = sim.now
         sig = kernel.client("p7c3").query_bulletin(TABLE_NODE_METRICS, partition=partition)
-        while not sig.fired and sim.peek() is not None:
-            sim.step()
-        reply = sig.value
+        reply = drive(sim, sig)
         return len(reply["rows"]), reply["partitions_missing"], sim.now - start
 
     per_entry = {pid: query_via(pid) for pid in ("p0", "p3", "p7")}

@@ -21,17 +21,10 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.report import format_table
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.bulletin.query import Agg, Query
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.construction import ConstructionTool
 from repro.userenv.pws import PoolSpec, install_pws
 from repro.userenv.pws.console import ManagementConsole, render_console
-
-
-def drive(sim, signal, max_time=10.0):
-    deadline = sim.now + max_time
-    while not signal.fired and sim.peek() is not None and sim.peek() <= deadline:
-        sim.step()
-    return signal.value if signal.fired else None
 
 
 def run_console_cycle(seed: int = 0) -> dict:

@@ -15,7 +15,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.pws_vs_pbs import compare_ha
 from repro.experiments.report import format_table
 from repro.kernel import KernelTimings, PhoenixKernel
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.pws import PoolSpec, install_pws
 from repro.userenv.pws.server import STATUS, SUBMIT
 from repro.userenv.pws.server import PORT as PWS_PORT
@@ -53,9 +53,7 @@ def run_leasing_scenario(seed: int = 0) -> dict:
     def rpc(mtype, payload):
         sig = cluster.transport.rpc(
             "p1c0", kernel.placement[("pws", "p0")], PWS_PORT, mtype, payload, timeout=5.0)
-        while not sig.fired and sim.peek() is not None:
-            sim.step()
-        return sig.value
+        return drive(sim, sig)
 
     # Interactive pool owns 7 nodes; ask for 10 -> 3 leased from batch.
     reply = rpc(SUBMIT, {"user": "u", "nodes": 10, "cpus_per_node": 2,

@@ -12,7 +12,7 @@ Run:  python examples/job_management.py
 
 from repro.cluster import ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.construction import ConstructionTool
 from repro.userenv.pws import PoolSpec, install_pws
 from repro.userenv.pws.server import POOLS, STATUS, SUBMIT
@@ -43,9 +43,7 @@ def main() -> None:
     def rpc(mtype, payload):
         node = kernel.placement[("pws", "p0")]
         sig = cluster.transport.rpc("p2c0", node, PWS_PORT, mtype, payload, timeout=5.0)
-        while not sig.fired and sim.peek() is not None:
-            sim.step()
-        return sig.value
+        return drive(sim, sig)
 
     # 1. A synthetic trace into the batch pool.
     trace = generate_trace(8, TraceConfig(max_nodes=3), seed=1)

@@ -11,19 +11,12 @@ Run:  python examples/management_console.py
 
 from repro.cluster import ClusterSpec
 from repro.kernel import KernelTimings
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.construction import ConstructionTool
 from repro.userenv.pws import PoolSpec, install_pws
 from repro.userenv.pws.console import ManagementConsole, render_accounting, render_console
 from repro.userenv.pws.server import SUBMIT
 from repro.userenv.pws.server import PORT as PWS_PORT
-
-
-def drive(sim, signal, max_time=10.0):
-    deadline = sim.now + max_time
-    while not signal.fired and sim.peek() is not None and sim.peek() <= deadline:
-        sim.step()
-    return signal.value if signal.fired else None
 
 
 def show(console, sim) -> None:

@@ -8,7 +8,7 @@ turns it into a running system.
 Run:  python examples/profile_deploy.py
 """
 
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.construction import deploy_profile
 from repro.userenv.monitoring import render_snapshot
 
@@ -39,13 +39,6 @@ PROFILE = {
         "business": {"partition": "p1"},
     },
 }
-
-
-def drive(sim, signal, max_time=10.0):
-    deadline = sim.now + max_time
-    while not signal.fired and sim.peek() is not None and sim.peek() <= deadline:
-        sim.step()
-    return signal.value if signal.fired else None
 
 
 def main() -> None:

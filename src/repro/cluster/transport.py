@@ -66,8 +66,8 @@ class Endpoint:
 class Transport:
     """Cluster-wide message router."""
 
-    #: Default per-destination cap on concurrent ``rpc_retry`` calls; the
-    #: kernel overrides it from ``KernelTimings.rpc_inflight_cap``.
+    #: Per-destination cap on concurrent ``rpc_retry`` calls (excess calls
+    #: queue FIFO at the sender instead of piling onto a struggling node).
     DEFAULT_INFLIGHT_CAP = 32
 
     def __init__(self, sim: Simulator, networks: dict[str, Network], nodes: dict[str, Node]) -> None:

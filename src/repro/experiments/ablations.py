@@ -24,7 +24,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.fault_tables import run_fault_case
 from repro.experiments.report import format_dict_rows
 from repro.kernel import KernelTimings, PhoenixKernel, ports
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 
 DEFAULT_INTERVALS = (5.0, 10.0, 30.0, 60.0)
 
@@ -136,9 +136,7 @@ def launch_latency(targets: int, mode: str, seed: int = 0) -> float:
             "spawn_job", nodes, args={"job_id": "bench", "cpus": 1, "duration": 1e6},
             timeout=60.0,
         )
-        while not signal.fired and sim.peek() is not None:
-            sim.step()
-        reply = signal.value
+        reply = drive(sim, signal)
         assert reply is not None and not reply["errors"], reply
         done["at"] = sim.now
     elif mode == "serial":

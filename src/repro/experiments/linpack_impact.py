@@ -6,10 +6,10 @@ scientific computing" — overheads stay in the low single-digit percents
 and do not blow up with scale.
 
 We regenerate the table from :class:`repro.workloads.linpack.HplModel`
-parameterized by the *kernel's actual* per-node daemon cost
-(``KernelTimings.daemon_cpu_fraction``), and optionally run the real
-NumPy mini-Linpack with live monitor threads as a hardware-grounded
-cross-check of the same claim.
+charged with the kernel's per-node daemon cost
+(``timings.DAEMON_CPU_FRACTION``, the model's default), and optionally
+run the real NumPy mini-Linpack with live monitor threads as a
+hardware-grounded cross-check of the same claim.
 """
 
 from __future__ import annotations
@@ -24,17 +24,9 @@ from repro.workloads.linpack import HplModel, run_real_linpack
 CPU_COUNTS = (4, 16, 64, 128)
 
 
-def build_model(timings: KernelTimings | None = None) -> HplModel:
-    """HPL model charged with the kernel's configured daemon cost."""
-    t = timings or KernelTimings()
-    return HplModel(daemon_cpu_fraction=t.daemon_cpu_fraction)
-
-
-def run_table4(
-    cpu_counts: tuple[int, ...] = CPU_COUNTS, timings: KernelTimings | None = None
-) -> list[dict[str, float]]:
+def run_table4(cpu_counts: tuple[int, ...] = CPU_COUNTS) -> list[dict[str, float]]:
     """Table 4 rows from the closed-form HPL model."""
-    model = build_model(timings)
+    model = HplModel()
     return [model.table4_row(cpus) for cpus in cpu_counts]
 
 

@@ -35,7 +35,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.report import format_table
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.bulletin.query import Query, parse
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 
 #: Default query when none is given on the command line.
 DEFAULT_QUERY = "select state, count(*) as n from nodes group by state"
@@ -60,17 +60,6 @@ def boot_system(
     sim.run(until=warm)
     client = kernel.client(cluster.partitions[0].server)
     return sim, kernel, client
-
-
-def drive(sim, signal, max_time: float = 60.0):
-    """Advance the sim until ``signal`` fires (or ``max_time`` passes)."""
-    deadline = sim.now + max_time
-    while not signal.fired:
-        nxt = sim.peek()
-        if nxt is None or nxt > deadline:
-            break
-        sim.step()
-    return signal.value if signal.fired else None
 
 
 def columns_for(query: Query, rows: list[dict[str, Any]]) -> list[str]:

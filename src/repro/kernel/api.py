@@ -31,7 +31,7 @@ from repro.kernel.group.metagroup import View
 from repro.kernel.group.watchdaemon import WatchDaemon
 from repro.kernel.ppm.parallel import subtree_timeout
 from repro.kernel.ppm.service import PPMDaemon
-from repro.kernel.timings import KernelTimings
+from repro.kernel.timings import RPC_TIMEOUT, KernelTimings
 from repro.sim import Signal
 
 #: Services whose placement is tracked per partition id (config/security
@@ -53,7 +53,6 @@ class PhoenixKernel:
         self.cluster = cluster
         self.sim = cluster.sim
         self.timings = timings or KernelTimings()
-        cluster.transport.max_inflight_per_dest = self.timings.rpc_inflight_cap
         self.secret = secret
         self.registry = DaemonRegistry()
         #: (service, scope) -> node currently hosting it.  Scope is the
@@ -377,11 +376,8 @@ class KernelClient:
         payload: dict[str, Any] = {"table": table, "where": where, "scope": "global"}
         if aggregate:
             payload["aggregate"] = list(aggregate)
-        t = self.kernel.timings
         return self._transport.rpc_retry(
             self.node_id, db_node, ports.DB, ports.DB_QUERY, payload, timeout=timeout,
-            attempts=t.rpc_retry_attempts, backoff=t.rpc_retry_backoff,
-            jitter=t.rpc_retry_jitter,
         )
 
     # -- relational layer (typed queries + materialized views) -----------
@@ -398,12 +394,9 @@ class KernelClient:
         instance — the full-scan reference path, or a read of checkpoint
         history when the query is ``AS OF`` a past time."""
         db_node = self._db_node(partition)
-        t = self.kernel.timings
         return self._transport.rpc_retry(
             self.node_id, db_node, ports.DB, ports.DB_EXEC,
             {"query": query.to_payload()}, timeout=timeout,
-            attempts=t.rpc_retry_attempts, backoff=t.rpc_retry_backoff,
-            jitter=t.rpc_retry_jitter,
         )
 
     def register_view(
@@ -423,12 +416,9 @@ class KernelClient:
         if part is None:
             raise ServiceUnavailable(f"view {name!r} has no registered owner")
         db_node = self._db_node(part)
-        t = self.kernel.timings
         return self._transport.rpc_retry(
             self.node_id, db_node, ports.DB, ports.DB_VIEW_READ,
             {"name": name}, timeout=timeout,
-            attempts=t.rpc_retry_attempts, backoff=t.rpc_retry_backoff,
-            jitter=t.rpc_retry_jitter,
         )
 
     def drop_view(self, name: str, timeout: float = 5.0) -> Signal:
@@ -516,7 +506,7 @@ class KernelClient:
         if not targets:
             raise KernelError("parallel command needs at least one target")
         if timeout is None:
-            timeout = subtree_timeout(self.kernel.timings.rpc_timeout, len(targets)) + 2.0
+            timeout = subtree_timeout(RPC_TIMEOUT, len(targets)) + 2.0
         return self._transport.rpc(
             self.node_id, self.node_id, ports.PPM, ports.PPM_PCMD,
             {"cmd": cmd, "args": dict(args or {}), "targets": list(targets)},

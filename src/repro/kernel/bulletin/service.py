@@ -36,6 +36,7 @@ from repro.kernel.bulletin.views import MaterializedView, ViewEngine
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.types import DB_DELTA, DB_DELTA_DIGEST
 from repro.kernel.query import aggregate_rows, merge_aggregates, validate_where
+from repro.kernel.timings import DB_CKPT_DEBOUNCE
 
 #: Well-known bulletin tables.
 TABLE_NODE_METRICS = "node_metrics"
@@ -163,11 +164,10 @@ class BulletinDaemon(ServiceDaemon):
         export burst coalesces into one write (cf. the ES registry)."""
         if self._tables_ckpt_timer is not None and self._tables_ckpt_timer.active:
             return
-        delay = self.timings.db_ckpt_debounce
         if self._tables_ckpt_timer is None:
-            self._tables_ckpt_timer = self.sim.timer(delay, self._flush_tables_ckpt)
+            self._tables_ckpt_timer = self.sim.timer(DB_CKPT_DEBOUNCE, self._flush_tables_ckpt)
         else:
-            self._tables_ckpt_timer.restart(delay)
+            self._tables_ckpt_timer.restart(DB_CKPT_DEBOUNCE)
 
     def _flush_tables_ckpt(self) -> None:
         if not self.alive or not self._publish_tables:

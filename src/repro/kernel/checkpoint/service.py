@@ -21,6 +21,7 @@ from repro.cluster.message import Message
 from repro.kernel import ports
 from repro.kernel.checkpoint.store import CheckpointStore
 from repro.kernel.daemon import ServiceDaemon
+from repro.kernel.timings import ckpt_write_cost
 
 
 def _spill_tier(kernel, node_id: str, slot: str) -> dict:
@@ -117,7 +118,7 @@ class CheckpointDaemon(ServiceDaemon):
         while queue:
             msg = queue[0]
             data = msg.payload["data"]
-            yield self.timings.ckpt_write_cost(len(repr(data)))
+            yield ckpt_write_cost(len(repr(data)))
             version = self.store.save(key, data, self.sim.now)
             if self.timings.trace_commit_marks:
                 # Commit evidence for the external trace-only checker

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any
 from repro.cluster.hostos import HostProcess
 from repro.cluster.message import Message
 from repro.errors import ServiceUnavailable
+from repro.kernel.timings import RPC_INFLIGHT_BUDGETS, RPC_TIMEOUT
 from repro.sim import Proc, Signal, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,7 +139,7 @@ class ServiceDaemon:
             mtype,
             payload,
             network=network,
-            timeout=self.timings.rpc_timeout if timeout is None else timeout,
+            timeout=RPC_TIMEOUT if timeout is None else timeout,
             span=span,
         )
 
@@ -150,20 +151,19 @@ class ServiceDaemon:
         payload: dict[str, Any] | None = None,
         network: str | None = None,
         timeout: float | None = None,
-        attempts: int | None = None,
         span: Span | None = None,
         call_class: str | None = None,
     ) -> Signal:
         """Retrying RPC for *idempotent* calls (queries, checkpoint
         save/load, fan-out); same total timeout budget as :meth:`rpc`,
-        policy from :class:`~repro.kernel.timings.KernelTimings`.
+        retry policy from :meth:`Transport.rpc_retry`'s defaults.
 
         ``call_class`` tags the call site for a per-class in-flight
-        budget (``KernelTimings.rpc_inflight_budgets``): wide fan-outs
-        and bulky pulls get cheaper per-destination caps than ordinary
-        control-plane calls.
+        budget (``timings.RPC_INFLIGHT_BUDGETS``): wide fan-outs and
+        bulky pulls get cheaper per-destination caps than ordinary
+        control-plane calls (untagged or unknown classes get the
+        transport-global cap).
         """
-        t = self.timings
         return self.transport.rpc_retry(
             self.node_id,
             dst_node,
@@ -171,11 +171,8 @@ class ServiceDaemon:
             mtype,
             payload,
             network=network,
-            timeout=t.rpc_timeout if timeout is None else timeout,
-            attempts=t.rpc_retry_attempts if attempts is None else attempts,
-            backoff=t.rpc_retry_backoff,
-            jitter=t.rpc_retry_jitter,
-            inflight_cap=None if call_class is None else t.inflight_budget(call_class),
+            timeout=RPC_TIMEOUT if timeout is None else timeout,
+            inflight_cap=RPC_INFLIGHT_BUDGETS.get(call_class),
             span=span,
         )
 

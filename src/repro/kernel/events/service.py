@@ -46,6 +46,7 @@ from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.digest import digest_batch
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
 from repro.kernel.events.types import Event, batch_to_payload, events_from_batch
+from repro.kernel.timings import ES_CKPT_DEBOUNCE, ES_FORWARD_FLUSH
 from repro.sim import Timer
 from repro.util import IdAllocator
 
@@ -142,9 +143,6 @@ class EventServiceDaemon(ServiceDaemon):
             return self._on_unsubscribe(msg)
         if msg.mtype == ports.ES_PUBLISH:
             return self._on_publish(msg)
-        if msg.mtype == ports.ES_FORWARD:
-            self._accept_forward(Event.from_payload(msg.payload["event"]))
-            return None
         if msg.mtype == ports.ES_FORWARD_BATCH:
             return self._on_forward_batch(msg)
         if msg.mtype == ports.ES_PEERS:
@@ -299,11 +297,10 @@ class EventServiceDaemon(ServiceDaemon):
             return
         if self._flush_timer is not None and self._flush_timer.active:
             return
-        delay = self.timings.es_forward_flush
         if self._flush_timer is None:
-            self._flush_timer = self.sim.timer(delay, self._flush_forwards)
+            self._flush_timer = self.sim.timer(ES_FORWARD_FLUSH, self._flush_forwards)
         else:
-            self._flush_timer.restart(delay)
+            self._flush_timer.restart(ES_FORWARD_FLUSH)
 
     def _flush_forwards(self) -> None:
         """Drain the outbox: one size-capped batch per peer partition."""
@@ -437,11 +434,10 @@ class EventServiceDaemon(ServiceDaemon):
         """
         if self._ckpt_timer is not None and self._ckpt_timer.active:
             return
-        delay = self.timings.es_ckpt_debounce
         if self._ckpt_timer is None:
-            self._ckpt_timer = self.sim.timer(delay, self._flush_checkpoint)
+            self._ckpt_timer = self.sim.timer(ES_CKPT_DEBOUNCE, self._flush_checkpoint)
         else:
-            self._ckpt_timer.restart(delay)
+            self._ckpt_timer.restart(ES_CKPT_DEBOUNCE)
 
     def _flush_checkpoint(self) -> None:
         if not self.alive:

@@ -31,6 +31,7 @@ from repro.kernel.group.recovery import (
     pick_migration_target,
     restart_service_remote,
 )
+from repro.kernel.timings import LOCAL_CHECK_DELAY, NIC_ANALYSIS_DELAY
 from repro.sim import Span
 
 
@@ -54,8 +55,6 @@ class GSDDaemon(ServiceDaemon):
             on_nic_restore=self._on_wd_nic_restore,
             on_full_miss=self._on_wd_full_miss,
             on_return=self._on_wd_return,
-            suspicion_threshold=self.timings.suspicion_threshold,
-            suspicion_decay=self.timings.suspicion_decay,
         )
         self._svc_recovering: set[str] = set()
         self._local_nics_ok: dict[str, bool] | None = None
@@ -270,7 +269,7 @@ class GSDDaemon(ServiceDaemon):
 
     def _wd_nic_failure(self, subject: str, network: str, root: Span):
         diag = root.child("gsd.diagnose", node=subject, network=network)
-        yield self.timings.nic_analysis_delay
+        yield NIC_ANALYSIS_DELAY
         diag.end(kind="network")
         root.mark(
             "failure.diagnosed", component="wd", kind="network", node=subject, network=network
@@ -375,7 +374,7 @@ class GSDDaemon(ServiceDaemon):
         try:
             # Same-host check: the process table is local (Table 3: 12 us).
             diag = root.child("gsd.diagnose", node=self.node_id, service=svc)
-            yield self.timings.local_check_delay
+            yield LOCAL_CHECK_DELAY
             diag.end(kind="process")
             root.mark(
                 "failure.diagnosed", component=svc, kind="process", node=self.node_id
@@ -427,7 +426,7 @@ class GSDDaemon(ServiceDaemon):
 
     def _local_nic_failure(self, network: str, root: Span):
         diag = root.child("gsd.diagnose", node=self.node_id, network=network)
-        yield self.timings.local_check_delay
+        yield LOCAL_CHECK_DELAY
         diag.end(kind="network")
         root.mark(
             "failure.diagnosed", component="es", kind="network", node=self.node_id, network=network

@@ -73,6 +73,7 @@ from repro.kernel.group.recovery import (
     pick_migration_target,
     restart_service_remote,
 )
+from repro.kernel.timings import JOIN_PROCESS_TIME, MIGRATE_SELECT_TIME, NIC_ANALYSIS_DELAY
 from repro.util import Ring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -149,8 +150,6 @@ class MetaGroup:
             on_nic_restore=self._on_nic_restore,
             on_full_miss=self._on_full_miss,
             on_return=self._on_return,
-            suspicion_threshold=gsd.timings.suspicion_threshold,
-            suspicion_decay=gsd.timings.suspicion_decay,
         )
         self._recovering: set[str] = set()
         self._rejoining = False
@@ -696,7 +695,7 @@ class MetaGroup:
         self.gsd.spawn(self._admit(msg), name=f"{self.me}/mg.admit")
 
     def _admit(self, msg: Message):
-        yield self.gsd.timings.join_process_time
+        yield JOIN_PROCESS_TIME
         if self.view is None:
             return
         partition = msg.payload["partition"]
@@ -773,7 +772,7 @@ class MetaGroup:
                     ports.GSD_JOIN,
                     {"partition": self.gsd.partition_id, "node": self.me},
                 )
-            yield 2.0 * self.gsd.timings.join_process_time + 0.5
+            yield 2.0 * JOIN_PROCESS_TIME + 0.5
 
     # -- monitor callbacks ---------------------------------------------------
     def _on_nic_miss(self, subject: str, network: str) -> None:
@@ -785,7 +784,7 @@ class MetaGroup:
         self.gsd.spawn(self._nic_failure(subject, network), name=f"{self.me}/mg.nic")
 
     def _nic_failure(self, subject: str, network: str):
-        yield self.gsd.timings.nic_analysis_delay
+        yield NIC_ANALYSIS_DELAY
         self.sim.trace.mark(
             "failure.diagnosed", component="gsd", kind="network", node=subject, network=network
         )
@@ -960,7 +959,7 @@ class MetaGroup:
                 ev.NODE_FAILURE, {"node": failed_node, "partition": partition}, span=root
             )
             rec = root.child("gsd.recover", node=failed_node, action="migrate")
-            yield self.gsd.timings.migrate_select_time
+            yield MIGRATE_SELECT_TIME
             tried: set[str] = {failed_node}
             while True:
                 target = pick_migration_target(self.gsd, partition, exclude=tried)

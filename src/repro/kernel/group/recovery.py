@@ -20,7 +20,7 @@ failing the subject over.  This is the verification step that keeps a
 
 Each probe round is real traffic: OS pings with a timeout, evaluated at
 the end of a fixed window, so diagnosing times in Tables 1–3 emerge from
-``KernelTimings.probe_window`` and friends rather than hard-coded sleeps
+``timings.PROBE_WINDOW`` and friends rather than hard-coded sleeps
 in front of trace marks.
 """
 
@@ -28,6 +28,13 @@ from __future__ import annotations
 
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
+from repro.kernel.timings import (
+    NODE_CONFIRM_ROUNDS,
+    PING_TIMEOUT,
+    PROBE_WINDOW,
+    RPC_TIMEOUT,
+    SERVER_NODE_CONFIRM_DELAY,
+)
 from repro.sim import Span, Timeout
 
 #: Diagnosis verdicts.
@@ -58,15 +65,13 @@ def diagnose(
     compute nodes (~2 s).  ``span`` parents the probe RPCs' spans, so a
     failover trace shows each probe round under the diagnosis step.
     """
-    timings = daemon.timings
     networks = list(daemon.cluster.networks)
     probe = _LIVENESS_PROBES.get(service) if service else None
-    rounds = 1 if server_mode else 1 + timings.node_confirm_rounds
+    rounds = 1 if server_mode else 1 + NODE_CONFIRM_ROUNDS
     for _ in range(rounds):
         signals = [
             daemon.transport.ping(
-                daemon.node_id, subject_node, network, timeout=timings.ping_timeout,
-                span=span,
+                daemon.node_id, subject_node, network, timeout=PING_TIMEOUT, span=span,
             )
             for network in networks
         ]
@@ -76,11 +81,11 @@ def diagnose(
             queries = [
                 daemon.rpc(
                     subject_node, port, mtype, dict(payload), network=network,
-                    timeout=timings.ping_timeout, span=span,
+                    timeout=PING_TIMEOUT, span=span,
                 )
                 for network in networks
             ]
-        yield Timeout(timings.probe_window)
+        yield Timeout(PROBE_WINDOW)
         for sig in queries:
             reply = sig.value if sig.fired else None
             if reply and reply.get("alive", True):
@@ -90,7 +95,7 @@ def diagnose(
     if server_mode:
         # Cross-check with another ring member before declaring a server
         # node dead (modeled as a short fixed confirmation exchange).
-        yield Timeout(timings.server_node_confirm_delay)
+        yield Timeout(SERVER_NODE_CONFIRM_DELAY)
     return NODE
 
 
@@ -102,7 +107,7 @@ def restart_service_remote(
     Returns True on acknowledged success.  The RPC timeout covers the
     service's spawn time plus slack for the round trips.
     """
-    timeout = daemon.timings.spawn_time(service) + 2.0 * daemon.timings.rpc_timeout
+    timeout = daemon.timings.spawn_time(service) + 2.0 * RPC_TIMEOUT
     reply = yield daemon.rpc(
         node_id, ports.PPM, ports.PPM_START_SERVICE, {"service": service}, timeout=timeout,
         span=span,

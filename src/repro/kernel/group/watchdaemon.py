@@ -16,6 +16,8 @@ from typing import Any
 from repro.cluster.message import Message
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
+from repro.kernel.quiesce import WdBeatContract
+from repro.kernel.timings import LOCAL_CHECK_DELAY
 
 
 class WatchDaemon(ServiceDaemon):
@@ -36,36 +38,15 @@ class WatchDaemon(ServiceDaemon):
 
     def on_start(self) -> None:
         self.bind(ports.WD, self._dispatch)
-        if (
-            self.sim.fast_forward
-            and not self.timings.stagger_heartbeats
-            and "wd.beat" in self.timings.quiesce_skippable
-        ):
-            # Fast-forward wiring: the beat loop becomes a contracted
-            # engine-level PeriodicTask so healthy firings can be
-            # batch-accounted.  first_delay=0 plus callback-then-re-arm
-            # replicates the Proc formulation's seq-allocation instants,
-            # so ordering is observably identical (staggered phases keep
-            # the exact Proc: the stagger draw has no analytic twin).
-            from repro.kernel.quiesce import WdBeatContract
-
-            task = self.sim.periodic(
-                self.timings.heartbeat_interval,
-                self._beat_tick,
-                first_delay=0.0,
-                contract=WdBeatContract(self),
-            )
-            self.hp.on_kill(task.cancel)
-        else:
-            self.spawn(self._beat_loop(), name=f"{self.node_id}/wd.beat")
-
-    def _beat_loop(self):
-        if self.timings.stagger_heartbeats:
-            rng = self.sim.rngs.stream(f"wd.stagger.{self.node_id}")
-            yield float(rng.uniform(0.0, self.timings.heartbeat_interval))
-        while True:
-            self._beat_tick()
-            yield self.timings.heartbeat_interval
+        # First beat now, then every interval; the contract lets an engine
+        # that skips healthy firings account them (repro.kernel.quiesce).
+        task = self.sim.periodic(
+            self.timings.heartbeat_interval,
+            self._beat_tick,
+            first_delay=0.0,
+            contract=WdBeatContract(self),
+        )
+        self.hp.on_kill(task.cancel)
 
     def _beat_tick(self) -> None:
         self._send_beat()
@@ -84,7 +65,7 @@ class WatchDaemon(ServiceDaemon):
 
     def _restart_local(self, svc: str):
         try:
-            yield self.timings.local_check_delay
+            yield LOCAL_CHECK_DELAY
             self.sim.trace.mark(
                 "failure.diagnosed", component=svc, kind="process", node=self.node_id
             )

@@ -42,7 +42,6 @@ GSD_REGROUP_ACK = "gsd.regroup_ack"  # census answer, carries responder's view
 ES_SUBSCRIBE = "es.subscribe"
 ES_UNSUBSCRIBE = "es.unsubscribe"
 ES_PUBLISH = "es.publish"
-ES_FORWARD = "es.forward"  # single-event federation forward (legacy path)
 ES_FORWARD_BATCH = "es.forward_batch"  # batched federation forwards (acked)
 ES_EVENT = "es.event"  # pushed to consumers
 ES_PEERS = "es.peers"  # federation membership refresh

@@ -19,6 +19,7 @@ from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.ppm.jobs import TaskRecord, TaskSpec, TaskState
 from repro.kernel.ppm.parallel import split_targets, subtree_timeout
+from repro.kernel.timings import RPC_TIMEOUT
 
 
 class PPMDaemon(ServiceDaemon):
@@ -164,7 +165,7 @@ class PPMDaemon(ServiceDaemon):
         pending = []
         for branch in branches:
             head = branch[0]
-            timeout = subtree_timeout(self.timings.rpc_timeout, len(branch))
+            timeout = subtree_timeout(RPC_TIMEOUT, len(branch))
             sig = self.rpc_retry(
                 head,
                 ports.PPM,

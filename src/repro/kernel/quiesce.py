@@ -219,6 +219,11 @@ class DetectorExportContract:
         db = det.kernel.live_daemon("db", db_node)
         if db is None or not db.alive:
             return False
+        if not db._publish_tables.isdisjoint((TABLE_NODE_METRICS, TABLE_NET_STATE)):
+            # A registered view maintains a table we write: the put would
+            # publish a db.delta (sent, and stamped, at the arrival
+            # instant) and arm the table-checkpoint debounce.
+            return False
         net = transport._pick_network(src, None)
         if net is None:
             return False

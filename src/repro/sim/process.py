@@ -19,6 +19,7 @@ bug the test suite must see, not background noise.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Generator
 from typing import Any
 
@@ -208,6 +209,22 @@ _FIRST = _FirstStep()
 def spawn(sim: Simulator, body: Generator[Any, Any, Any], name: str = "") -> Proc:
     """Start a process on ``sim`` (function form of ``Simulator.spawn``)."""
     return Proc(sim, body, name=name)
+
+
+def drive(sim: Simulator, signal: Signal, max_time: float | None = None) -> Any:
+    """Step ``sim`` until ``signal`` fires and return its value — or
+    ``None`` if the simulation drains, or ``max_time`` seconds pass, first.
+
+    The harness-side way to wait for one reply: single-stepping stops at
+    the firing instant instead of overshooting to a ``run(until=...)``.
+    """
+    deadline = math.inf if max_time is None else sim.now + max_time
+    while not signal.fired:
+        nxt = sim.peek()
+        if nxt is None or nxt > deadline:
+            break
+        sim.step()
+    return signal.value if signal.fired else None
 
 
 def all_of(sim: Simulator, signals: list[Signal], name: str = "all_of") -> Signal:

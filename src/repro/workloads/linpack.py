@@ -9,7 +9,7 @@ Two reproductions:
 
 * :class:`HplModel` — an analytic model of cluster Linpack throughput
   whose *with-Phoenix* variant charges exactly the CPU the kernel's
-  per-node daemons consume (``KernelTimings.daemon_cpu_fraction``) plus a
+  per-node daemons consume (``timings.DAEMON_CPU_FRACTION``) plus a
   mild OS-noise amplification term that grows with node count (jitter
   hurts collectives more at scale).  This regenerates Table 4's shape.
 * :func:`run_real_linpack` — an actual LU-factorization solve via NumPy,
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.kernel.timings import DAEMON_CPU_FRACTION
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class HplModel:
     scaling_alpha: float = 0.035
     cpus_per_node: int = 4
     #: CPU fraction consumed by Phoenix daemons on each node.
-    daemon_cpu_fraction: float = 0.006
+    daemon_cpu_fraction: float = DAEMON_CPU_FRACTION
     #: Extra loss per log2(node count): OS noise hitting collectives.
     noise_amplification: float = 0.0015
 

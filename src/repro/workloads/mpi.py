@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
 from repro.errors import WorkloadError
-from repro.sim import Signal
+from repro.kernel.timings import DAEMON_CPU_FRACTION
+from repro.sim import Signal, drive
 
 #: Port prefix for rank-to-rank traffic.
 PORT = "mpi"
@@ -79,7 +80,7 @@ class NoiseProfile:
             + 1.0 / timings.heartbeat_interval  # WD beat + local checks
         )
         return cls(
-            cpu_fraction=timings.daemon_cpu_fraction,
+            cpu_fraction=DAEMON_CPU_FRACTION,
             interrupt_rate_hz=wakeups_per_s,
             interrupt_cost=interrupt_cost,
         )
@@ -238,9 +239,7 @@ def run_mpi_job(
     """Convenience: start the job and run the simulator until it finishes."""
     job = MpiJob(cluster, nodes, spec, noise=noise)
     job.start()
-    sim = cluster.sim
-    while not job.done.fired and sim.peek() is not None:
-        sim.step()
+    drive(cluster.sim, job.done)
     if not job.done.fired:
         raise WorkloadError(f"{spec.job_id}: simulation drained before completion")
     return job.done.value

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NetworkSpec, NodeRole, NodeSpec, PartitionSpec
 from repro.kernel import KernelTimings, PhoenixKernel
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.pws import PoolSpec, install_pws
 from repro.userenv.pws.server import STATUS, SUBMIT
 from repro.userenv.pws.server import PORT as PWS_PORT
@@ -62,9 +62,7 @@ def test_scheduler_respects_mixed_capacities(het_kernel):
     def rpc(mtype, payload):
         sig = kernel.cluster.transport.rpc(
             "thin0", kernel.placement[("pws", "p0")], PWS_PORT, mtype, payload, timeout=5.0)
-        while not sig.fired and sim.peek() is not None:
-            sim.step()
-        return sig.value
+        return drive(sim, sig)
 
     # An 8-cpu-per-node job only fits the fat nodes.
     big = rpc(SUBMIT, {"user": "u", "nodes": 2, "cpus_per_node": 8, "duration": 30.0,

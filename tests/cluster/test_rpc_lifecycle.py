@@ -3,17 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.sim import Simulator
-
-
-def drive(sim, signal, max_time=60.0):
-    deadline = sim.now + max_time
-    while not signal.fired:
-        nxt = sim.peek()
-        if nxt is None or nxt > deadline:
-            break
-        sim.step()
-    return signal.value if signal.fired else None
+from repro.sim import Simulator, drive
 
 
 def bind_echo(cluster, node_id, port):

@@ -10,8 +10,8 @@ acceptance checks for the observability spine.
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.daemon import HEALTH_TABLE
+from repro.sim import drive
 from repro.userenv.monitoring import critical_path, health_report, span_tree
-from tests.kernel.conftest import drive
 from tests.kernel.test_events import publish, subscribe_collector
 
 INTERVAL = 5.0

@@ -5,18 +5,6 @@ from repro.kernel import KernelTimings, PhoenixKernel
 from repro.sim import Simulator
 
 
-def drive(sim, signal, max_time=30.0):
-    """Run the simulator until ``signal`` fires (or ``max_time`` passes);
-    returns the signal's value (None on timeout)."""
-    deadline = sim.now + max_time
-    while not signal.fired:
-        nxt = sim.peek()
-        if nxt is None or nxt > deadline:
-            break
-        sim.step()
-    return signal.value if signal.fired else None
-
-
 @pytest.fixture()
 def sim():
     return Simulator(seed=11)

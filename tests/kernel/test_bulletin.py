@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.bulletin.store import BulletinStore
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 # -- store unit tests --------------------------------------------------------
 

@@ -21,7 +21,7 @@ def test_live_node_rows_survive(kernel, sim):
 
 
 def test_finished_app_rows_expire_eventually(kernel, sim):
-    from tests.kernel.conftest import drive
+    from repro.sim import drive
 
     client = kernel.client("p0s0")
     drive(sim, client.spawn_job("p0c0", "ephemeral", cpus=1, duration=2.0))

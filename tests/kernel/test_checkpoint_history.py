@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import CheckpointError
 from repro.kernel import ports
 from repro.kernel.checkpoint.store import CheckpointStore
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 
 def test_history_retains_recent_versions():

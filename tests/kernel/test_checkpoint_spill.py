@@ -11,8 +11,7 @@ from repro.cluster.hostos import HostOS
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
 from repro.kernel.checkpoint.store import CheckpointStore
-from repro.sim import Simulator
-from tests.kernel.conftest import drive
+from repro.sim import Simulator, drive
 
 
 # -- store-level spill tier ---------------------------------------------------

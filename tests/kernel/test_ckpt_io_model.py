@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.kernel import KernelTimings, ports
-from tests.kernel.conftest import drive
+from repro.kernel import ports
+from repro.kernel.timings import ckpt_write_cost
+from repro.sim import drive
 
 
 def test_write_cost_formula():
-    t = KernelTimings()
-    assert t.ckpt_write_cost(0) == pytest.approx(0.001)
-    assert t.ckpt_write_cost(50_000_000) == pytest.approx(1.001)
+    assert ckpt_write_cost(0) == pytest.approx(0.001)
+    assert ckpt_write_cost(50_000_000) == pytest.approx(1.001)
 
 
 def test_small_save_acks_in_milliseconds(kernel, sim):

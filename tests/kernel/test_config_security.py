@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SecurityError
 from repro.kernel.events import types as ev
 from repro.kernel.security import acl, crypto, tokens
-from tests.kernel.conftest import drive
+from repro.sim import drive
 from tests.kernel.test_events import subscribe_collector
 
 # -- configuration service ----------------------------------------------------

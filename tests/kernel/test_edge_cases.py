@@ -4,7 +4,7 @@ semantics, multi-app isolation."""
 import pytest
 
 from repro.kernel import ports
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 
 def test_late_rpc_reply_after_timeout_is_dropped(kernel, sim):

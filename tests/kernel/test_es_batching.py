@@ -7,9 +7,8 @@ from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.events.filters import Subscription
 from repro.kernel.events.types import Event
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.monitoring import messaging_report
-from tests.kernel.conftest import drive
 from tests.kernel.test_events import publish, subscribe_collector
 
 FORWARD_COUNTERS = (

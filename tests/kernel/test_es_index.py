@@ -10,7 +10,7 @@ from repro.kernel import ports
 from repro.kernel.events import types as ev
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
 from repro.kernel.events.types import Event
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 # -- index unit behaviour ----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Late-subscriber event replay + job priority ordering."""
 
 from repro.kernel.events.types import Event
-from tests.kernel.conftest import drive
+from repro.sim import drive
 from tests.kernel.test_events import publish
 
 
@@ -87,7 +87,7 @@ def test_priority_roundtrips_payload():
 def test_high_priority_job_dispatches_first(kernel, sim):
     from repro.userenv.pws import PoolSpec, install_pws
     from repro.userenv.pws.server import STATUS, SUBMIT
-    from tests.kernel.conftest import drive as _drive
+    from repro.sim import drive as _drive
 
     install_pws(kernel, [PoolSpec("q", kernel.cluster.compute_nodes(), lendable=False)])
     sim.run(until=sim.now + 2.0)

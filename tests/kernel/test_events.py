@@ -4,7 +4,7 @@ from repro.kernel import ports
 from repro.kernel.events import types as ev
 from repro.kernel.events.filters import Subscription
 from repro.kernel.events.types import Event
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 
 def make_event(**over):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SchedulingError
 from repro.kernel.ppm.jobs import TaskSpec
 from repro.kernel.ppm.parallel import BRANCHING, split_targets, subtree_timeout
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 # -- task spec unit tests ----------------------------------------------------
 

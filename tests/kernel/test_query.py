@@ -14,7 +14,7 @@ from repro.kernel.query import (
     merge_aggregates,
     validate_where,
 )
-from tests.kernel.conftest import drive
+from repro.sim import drive
 
 # -- matcher unit tests --------------------------------------------------------
 

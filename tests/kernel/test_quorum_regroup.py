@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
-from repro.errors import KernelError
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.sim import Simulator
 
@@ -85,15 +84,11 @@ def test_quorum_rule_both_halves_never_win():
             assert not (mg.quorum_met(subset) and mg.quorum_met(parts - set(subset)))
 
 
-def test_regroup_timing_knobs_validated():
-    with pytest.raises(KernelError):
-        KernelTimings(regroup_timeout=0.0)
-    with pytest.raises(KernelError):
-        KernelTimings(regroup_heal_interval=-1.0)
+def test_regroup_periods_follow_heartbeat_interval():
     t = KernelTimings(heartbeat_interval=10.0)
     assert t.regroup_period == pytest.approx(2.5)  # max(2*rpc, hb/4)
     assert t.regroup_heal_period == pytest.approx(10.0)
-    assert KernelTimings(regroup_timeout=7.0).regroup_period == 7.0
+    assert KernelTimings(heartbeat_interval=4.0).regroup_period == pytest.approx(2.0)
 
 
 # -- the 2-vs-2 tie-breaker ---------------------------------------------------

@@ -1,9 +1,13 @@
 """KernelTimings, DaemonRegistry, View, and miscellaneous kernel units."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.errors import KernelError, ServiceUnavailable
-from repro.kernel import KernelTimings
+from repro.kernel import KernelTimings, timings
 from repro.kernel.daemon import DaemonRegistry
 from repro.kernel.group.metagroup import View
 
@@ -13,21 +17,17 @@ from repro.kernel.group.metagroup import View
 def test_default_timings_match_paper_calibration():
     t = KernelTimings()
     assert t.heartbeat_interval == 30.0
-    assert t.probe_window == pytest.approx(0.29)
-    assert t.nic_analysis_delay == pytest.approx(348e-6)
-    assert t.local_check_delay == pytest.approx(12e-6)
     assert t.service_check_period == 30.0
+    assert timings.PROBE_WINDOW == pytest.approx(0.29)
+    assert timings.PING_TIMEOUT < timings.PROBE_WINDOW
+    assert timings.NIC_ANALYSIS_DELAY == pytest.approx(348e-6)
+    assert timings.LOCAL_CHECK_DELAY == pytest.approx(12e-6)
 
 
 def test_with_interval_copies():
-    t = KernelTimings().with_interval(5.0)
+    t = KernelTimings(detector_interval=2.5).with_interval(5.0)
     assert t.heartbeat_interval == 5.0
-    assert t.probe_window == pytest.approx(0.29)  # untouched
-
-
-def test_service_check_interval_override():
-    t = KernelTimings(service_check_interval=2.0)
-    assert t.service_check_period == 2.0
+    assert t.detector_interval == 2.5  # untouched
 
 
 def test_spawn_time_lookup_and_fallback():
@@ -35,7 +35,7 @@ def test_spawn_time_lookup_and_fallback():
     assert t.spawn_time("gsd") == 2.0
     assert t.spawn_time("wd") == 0.1
     assert t.spawn_time("ckpt.replica") == t.spawn_time("ckpt")
-    assert t.spawn_time("pws") == KernelTimings.DEFAULT_USER_SPAWN_TIME
+    assert t.spawn_time("pws") == timings.DEFAULT_USER_SPAWN_TIME
     t2 = KernelTimings(extra={"spawn.pws": 0.7})
     assert t2.spawn_time("pws") == 0.7
 
@@ -45,12 +45,24 @@ def test_timings_validation():
         KernelTimings(heartbeat_interval=0)
     with pytest.raises(KernelError):
         KernelTimings(deadline_grace=0)
-    with pytest.raises(KernelError):
-        KernelTimings(ping_timeout=0.5, probe_window=0.3)
-    with pytest.raises(KernelError):
-        KernelTimings(node_confirm_rounds=-1)
-    with pytest.raises(KernelError):
-        KernelTimings(daemon_cpu_fraction=1.5)
+
+
+def test_every_knob_has_a_caller():
+    """A ``KernelTimings`` field is a knob somebody turns: each one is
+    passed by keyword to a ``KernelTimings(...)`` call outside this file.
+    A value nobody sets belongs with the module constants instead."""
+    root = Path(__file__).resolve().parents[2]
+    turned: set[str] = set()
+    for top in ("src", "benchmarks", "examples", "tests"):
+        for path in (root / top).rglob("*.py"):
+            text = path.read_text()
+            if path == Path(__file__).resolve() or "KernelTimings(" not in text:
+                continue
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "KernelTimings":
+                    turned.update(kw.arg for kw in node.keywords if kw.arg)
+    fields = {f.name for f in dataclasses.fields(KernelTimings)}
+    assert fields - turned == set()
 
 
 # -- registry ----------------------------------------------------------------

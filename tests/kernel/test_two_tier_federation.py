@@ -17,8 +17,7 @@ from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
 from repro.kernel.events import types as ev
 from repro.kernel.events.digest import digest_batch
-from repro.sim import Simulator
-from tests.kernel.conftest import drive
+from repro.sim import Simulator, drive
 from tests.kernel.test_events import publish, subscribe_collector
 
 

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
-from repro.sim import Simulator
-from tests.kernel.conftest import drive
+from repro.sim import Simulator, drive
 from tests.kernel.test_bulletin_views import rows_close
 from tests.kernel.test_views_integration import _equivalent
 

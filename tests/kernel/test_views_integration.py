@@ -6,8 +6,7 @@ from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.errors import ServiceUnavailable
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
-from repro.sim import Simulator
-from tests.kernel.conftest import drive
+from repro.sim import Simulator, drive
 from tests.kernel.test_bulletin_views import rows_close
 
 NODES_BY_STATE = Query(

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.errors import SimulationError
 from repro.kernel import KernelClient, KernelTimings, PhoenixKernel
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
+from repro.userenv.monitoring import cluster_view_query
 
 from tests.sim.engine_equivalence import assert_equivalent, diff_snapshots, observable_snapshot
 
@@ -268,6 +269,25 @@ def test_fixed_fault_storm_is_equivalent():
     assert_equivalent(exact, ff_sim, context="fault storm")
     assert ff_sim.ff_skipped > 0
     assert ff_sim.events_executed < exact.events_executed
+
+
+def test_registered_view_is_equivalent():
+    """Once a view maintains the tables the detectors export, every put
+    publishes a ``db.delta`` at its *arrival* instant — an effect the
+    export contract does not account, so it must refuse to skip."""
+
+    def replay(fast_forward):
+        sim, _, kernel = _world(fast_forward)
+        sim.run(until=6.0)
+        reply = drive(sim, KernelClient(kernel, "p0c0").register_view("v", cluster_view_query()))
+        assert reply and reply.get("ok")
+        sim.run(until=61.3)
+        return sim
+
+    exact = replay(False)
+    ff_sim = replay(True)
+    assert_equivalent(exact, ff_sim, context="registered view")
+    assert ff_sim.ff_skipped > 0  # WD beats still skip
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,9 @@ import pytest
 
 from repro.cluster import ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.construction import ConstructionTool
 from repro.userenv.pws import PoolSpec, install_pws
-
-
-def drive(sim, signal, max_time=30.0):
-    deadline = sim.now + max_time
-    while not signal.fired:
-        nxt = sim.peek()
-        if nxt is None or nxt > deadline:
-            break
-        sim.step()
-    return signal.value if signal.fired else None
 
 
 @pytest.fixture()

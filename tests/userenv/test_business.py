@@ -88,7 +88,7 @@ def test_availability_accounting(kernel, sim, runtime, injector):
 
 
 def test_deploy_via_rpc_interface(kernel, sim, runtime):
-    from tests.userenv.conftest import drive
+    from repro.sim import drive
 
     sig = kernel.cluster.transport.rpc(
         "p0c0", runtime.node_id, "bizrt", "bizrt.deploy",
@@ -102,7 +102,7 @@ def test_deploy_via_rpc_interface(kernel, sim, runtime):
 
 
 def test_duplicate_deploy_rejected(kernel, sim, runtime):
-    from tests.userenv.conftest import drive
+    from repro.sim import drive
 
     runtime.deploy(shop())
     sig = kernel.cluster.transport.rpc(

@@ -9,10 +9,9 @@ where the fabric provably eats checkpoint-save attempts and assert the
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel, ports
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.business import BizAppSpec, TierSpec, install_business_runtime
 from repro.userenv.pws import PoolSpec, install_pws
-from tests.userenv.conftest import drive
 
 
 def build_lossy(seed, loss_rate=0.15, computes=3):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UserEnvError
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.pws.console import (
     ManagementConsole,
     render_console,
@@ -12,7 +12,7 @@ from repro.userenv.pws.console import (
     render_pools,
 )
 from repro.userenv.pws.server import STATUS, SUBMIT
-from tests.userenv.conftest import drive, pws_rpc
+from tests.userenv.conftest import pws_rpc
 
 
 @pytest.fixture()

@@ -3,12 +3,12 @@
 import math
 
 from repro.kernel import ports
+from repro.sim import drive
 from repro.userenv.monitoring import (
     CLUSTER_VIEW,
     install_gridview,
     torn_partitions,
 )
-from tests.userenv.conftest import drive
 
 
 # -- torn_partitions unit ----------------------------------------------------

@@ -334,7 +334,7 @@ def test_health_view_feeds_health_report():
     from repro.kernel import KernelTimings, PhoenixKernel
     from repro.sim import Simulator
     from repro.userenv.monitoring import HEALTH_VIEW_NAME, health_view_query
-    from tests.userenv.conftest import drive
+    from repro.sim import drive
 
     sim = Simulator(seed=5)
     cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.sim import drive
 from repro.userenv.pbs import PBSServer
 from repro.userenv.pbs.server import CANCEL, PORT, STATUS, SUBMIT
-from tests.userenv.conftest import drive
 
 
 @pytest.fixture()

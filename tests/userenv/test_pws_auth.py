@@ -3,9 +3,10 @@
 import pytest
 
 from repro.kernel.security import acl
+from repro.sim import drive
 from repro.userenv.pws import PoolSpec, install_pws
 from repro.userenv.pws.server import CANCEL, STATUS, SUBMIT
-from tests.userenv.conftest import drive, pws_rpc
+from tests.userenv.conftest import pws_rpc
 
 
 @pytest.fixture()

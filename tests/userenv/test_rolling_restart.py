@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import UserEnvError
-from repro.sim import Simulator
+from repro.sim import Simulator, drive
 from repro.userenv.construction import ConstructionTool
-from tests.kernel.conftest import drive
 from tests.kernel.test_events import publish, subscribe_collector
 
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.errors import SchedulingError
+from repro.sim import drive
 from repro.userenv.business import BizAppSpec, TierSpec, install_business_runtime
 from repro.userenv.pws.jobs import JobSpec
 from repro.userenv.pws.server import STATUS, SUBMIT
-from tests.userenv.conftest import drive, pws_rpc
+from tests.userenv.conftest import pws_rpc
 
 # -- walltime ------------------------------------------------------------
 

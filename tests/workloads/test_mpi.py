@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.errors import WorkloadError
 from repro.kernel import KernelTimings
+from repro.kernel.timings import DAEMON_CPU_FRACTION
 from repro.sim import Simulator
 from repro.workloads.mpi import MpiJobSpec, NoiseProfile, run_mpi_job
 
@@ -85,7 +86,7 @@ def test_noise_amplification_grows_with_ranks():
 def test_noise_profile_from_kernel_timings():
     t = KernelTimings()
     noise = NoiseProfile.from_kernel(t)
-    assert noise.cpu_fraction == t.daemon_cpu_fraction
+    assert noise.cpu_fraction == DAEMON_CPU_FRACTION
     assert noise.interrupt_rate_hz == pytest.approx(1 / 5.0 + 1 / 30.0)
     assert NoiseProfile.none().interrupt_rate_hz == 0.0
 
