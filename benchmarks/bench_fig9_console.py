@@ -100,9 +100,7 @@ def run_query_storm(partitions: int, computes: int, seed: int = 0, queries: int 
     )
     sim = Simulator(seed=seed, trace_capacity=10_000)
     cluster = Cluster(sim, spec)
-    timings = KernelTimings(
-        heartbeat_interval=10.0, es_indexed_where_keys=("node", "table")
-    )
+    timings = KernelTimings(heartbeat_interval=10.0)
     kernel = PhoenixKernel(cluster, timings=timings)
     kernel.boot()
     sim.run(until=25.0)  # detectors exporting everywhere

@@ -10,8 +10,8 @@ catches behavioural regressions without flaking on runner speed.
 
 Usage::
 
-    python benchmarks/check_baseline.py BENCH_PR1.json
-    python benchmarks/check_baseline.py BENCH_PR1.json --update  # refresh baseline
+    python benchmarks/check_baseline.py BENCH_CI.json
+    python benchmarks/check_baseline.py BENCH_CI.json --update  # refresh baseline
 
 Exit status 0 when every baseline benchmark is present and within
 tolerance, 1 otherwise.

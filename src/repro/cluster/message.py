@@ -46,10 +46,6 @@ class Message:
         if self.size <= 0:
             self.size = estimate_size(self.payload)
 
-    def reply_payload_port(self) -> str:
-        """Port on the source node where an RPC reply is expected."""
-        return f"_rpc.{self.rpc_id}"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Message({self.mtype!r}, {self.src_node}->{self.dst_node}:{self.dst_port},"

@@ -32,10 +32,6 @@ class NodeDown(ClusterError):
     """An operation addressed a node that is powered off or crashed."""
 
 
-class NetworkUnreachable(ClusterError):
-    """No healthy network path exists between two endpoints."""
-
-
 class TransportError(ClusterError):
     """Message could not be bound, routed, or delivered."""
 
@@ -58,10 +54,6 @@ class CheckpointError(KernelError):
 
 class SecurityError(KernelError):
     """Authentication or authorization failure."""
-
-
-class ConfigurationError(KernelError):
-    """Configuration service: unknown key, invalid reconfiguration."""
 
 
 class UserEnvError(ReproError):

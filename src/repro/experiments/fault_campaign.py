@@ -537,62 +537,22 @@ class PartitionCampaignResult:
         return self.covered / self.injected if self.injected else 0.0
 
 
-class _WriteSpies:
-    """Record every *accepted* leadership placement write and every
-    ``gsd.state.*`` checkpoint save reaching a checkpoint primary, with
-    the node holding the write — the campaign classifies each record by
-    split side.  Instruments one kernel instance (placement) plus the
-    checkpoint dispatch path (class-level, restored on exit)."""
-
-    def __init__(self, sim, kernel) -> None:
-        self.sim = sim
-        self.kernel = kernel
-        self.placements: list[tuple[float, str]] = []
-        self.ckpt_saves: list[tuple[float, str]] = []
-        self._orig_note = None
-        self._orig_dispatch = None
-
-    def __enter__(self) -> "_WriteSpies":
-        from repro.kernel import ports
-        from repro.kernel.checkpoint.service import CheckpointDaemon
-
-        orig_note = self.kernel.note_placement
-        self._orig_note = orig_note
-        spies = self
-
-        def note_placement(service, scope, node_id, epoch=None):
-            ok = orig_note(service, scope, node_id, epoch=epoch)
-            if ok and (service, scope) == ("metagroup", "leader"):
-                spies.placements.append((spies.sim.now, node_id))
-            return ok
-
-        self.kernel.note_placement = note_placement
-
-        orig_dispatch = CheckpointDaemon._dispatch
-        self._orig_dispatch = orig_dispatch
-
-        def dispatch(daemon, msg):
-            if (
-                daemon.sim is spies.sim
-                and msg.mtype == ports.CKPT_SAVE
-                and str(msg.payload.get("key", "")).startswith("gsd.state.")
-            ):
-                spies.ckpt_saves.append((daemon.sim.now, daemon.node_id))
-            return orig_dispatch(daemon, msg)
-
-        CheckpointDaemon._dispatch = dispatch
-        return self
-
-    def __exit__(self, *exc) -> None:
-        from repro.kernel.checkpoint.service import CheckpointDaemon
-
-        self.kernel.note_placement = self._orig_note
-        CheckpointDaemon._dispatch = self._orig_dispatch
-
-    def writes_in(
-        self, records: list[tuple[float, str]], nodes: set[str], start: float, end: float
-    ) -> int:
-        return sum(1 for t, node in records if start <= t <= end and node in nodes)
+def _minority_writes(sim, kind: str, nodes: set[str], start: float, end: float) -> int:
+    """Commits the ``nodes`` side made inside ``[start, end]``, counted
+    from the commit marks (the campaign boots with
+    ``trace_commit_marks=True``): ``kind="placement"`` is an accepted
+    meta-group leadership placement, ``kind="ckpt"`` a ``gsd.state.*``
+    checkpoint commit."""
+    if kind == "placement":
+        records = sim.trace.iter_records(
+            "placement.committed", service="metagroup", scope="leader"
+        )
+    else:
+        records = (
+            r for r in sim.trace.iter_records("ckpt.committed")
+            if str(r.get("key", "")).startswith("gsd.state.")
+        )
+    return sum(1 for r in records if start <= r.time <= end and r.get("node") in nodes)
 
 
 def _side_nodes(cluster, partition_ids) -> set[str]:
@@ -645,7 +605,7 @@ def run_partition_class(
 
     ``trace_export`` writes the full trace (with commit marks) to a JSONL
     file afterwards, so :mod:`repro.experiments.trace_check` can re-verify
-    the leadership invariants without the in-process spies."""
+    the leadership invariants from the trace alone."""
     if kind not in PARTITION_CLASSES:
         raise ValueError(
             f"unknown partition class {kind!r}; expected one of {PARTITION_CLASSES}"
@@ -674,163 +634,162 @@ def run_partition_class(
     park_grace = 5.0 * hb
     fault_span_ids: set[str] = set()
 
-    with _WriteSpies(sim, kernel) as spies:
-        sim.run(until=2.0 * hb)
-        for i in range(injections):
-            sim.run(until=sim.now + float(rng.uniform(0.2, 1.2)) * hb)
-            case = f"s{i}"
-            t0 = sim.now
-            claims = _leader_claims(kernel)
-            if len(claims) != 1:
-                continue
-            leader_node, leader_epoch = claims[0]
-            leader_part = cluster.node(leader_node).partition_id
-            span = sim.trace.span("campaign.fault", partition=kind, case=case)
-            injector.current_span = span
-            fault_span_ids.add(span.span_id)
-            result.injected += 1
-            drops0 = sum(sim.trace.counter(f"net.{n}.degraded_drops") for n in networks)
-            covered = False
+    sim.run(until=2.0 * hb)
+    for i in range(injections):
+        sim.run(until=sim.now + float(rng.uniform(0.2, 1.2)) * hb)
+        case = f"s{i}"
+        t0 = sim.now
+        claims = _leader_claims(kernel)
+        if len(claims) != 1:
+            continue
+        leader_node, leader_epoch = claims[0]
+        leader_part = cluster.node(leader_node).partition_id
+        span = sim.trace.span("campaign.fault", partition=kind, case=case)
+        injector.current_span = span
+        fault_span_ids.add(span.span_id)
+        result.injected += 1
+        drops0 = sum(sim.trace.counter(f"net.{n}.degraded_drops") for n in networks)
+        covered = False
 
-            if kind in ("clean-split", "even-split"):
-                minority_parts = parts[2:] if kind == "even-split" else [leader_part]
-                minority = _side_nodes(cluster, minority_parts)
-                groups = [minority, all_nodes - minority]
-                for net in networks:
-                    injector.split_network(net, groups, case=case)
-                sampler.run_until(sim.now + 10.0 * hb)
-                heal_t = sim.now
-                for net in networks:
-                    injector.heal_network(net, case=case)
-                span.end()
-                injector.current_span = None
-                sampler.run_until(sim.now + 10.0 * hb)
-                parks = _parks_since(sim, t0)
-                takeovers = [
-                    r for r in sim.trace.iter_records("leader.takeover") if r.time > t0
-                ]
-                result.minority_placement_writes += spies.writes_in(
-                    spies.placements, minority, t0, heal_t
+        if kind in ("clean-split", "even-split"):
+            minority_parts = parts[2:] if kind == "even-split" else [leader_part]
+            minority = _side_nodes(cluster, minority_parts)
+            groups = [minority, all_nodes - minority]
+            for net in networks:
+                injector.split_network(net, groups, case=case)
+            sampler.run_until(sim.now + 10.0 * hb)
+            heal_t = sim.now
+            for net in networks:
+                injector.heal_network(net, case=case)
+            span.end()
+            injector.current_span = None
+            sampler.run_until(sim.now + 10.0 * hb)
+            parks = _parks_since(sim, t0)
+            takeovers = [
+                r for r in sim.trace.iter_records("leader.takeover") if r.time > t0
+            ]
+            result.minority_placement_writes += _minority_writes(
+                sim, "placement", minority, t0, heal_t
+            )
+            result.minority_ckpt_writes += _minority_writes(
+                sim, "ckpt", minority, t0 + park_grace, heal_t
+            )
+            if parks:
+                result.detect.append(parks[0].time - t0)
+            if kind == "clean-split":
+                # Majority takes over at epoch+1; the cut-off old
+                # leader parks, then rejoins as a plain member.
+                covered = (
+                    bool(_parks_since(sim, t0, node=leader_node))
+                    and len(takeovers) == 1
+                    and takeovers[0].get("epoch") == leader_epoch + 1
+                    and _settled(kernel, len(parts))
                 )
-                result.minority_ckpt_writes += spies.writes_in(
-                    spies.ckpt_saves, minority, t0 + park_grace, heal_t
-                )
-                if parks:
-                    result.detect.append(parks[0].time - t0)
-                if kind == "clean-split":
-                    # Majority takes over at epoch+1; the cut-off old
-                    # leader parks, then rejoins as a plain member.
-                    covered = (
-                        bool(_parks_since(sim, t0, node=leader_node))
-                        and len(takeovers) == 1
-                        and takeovers[0].get("epoch") == leader_epoch + 1
-                        and _settled(kernel, len(parts))
-                    )
-                else:
-                    # Tie-break: the low-partition side keeps the leader
-                    # it already had; the other side parks, no takeover.
-                    minority_parked = {
-                        r.get("node")
-                        for r in parks
-                        if cluster.node(r.get("node")).partition_id in minority_parts
-                    }
-                    final = _leader_claims(kernel)
-                    covered = (
-                        len(minority_parked) == len(minority_parts)
-                        and not takeovers
-                        and _settled(kernel, len(parts))
-                        and final and final[0][0] == leader_node
-                    )
-
-            elif kind == "asym-inbound":
-                # The leader goes deaf: everything it sends still lands,
-                # nothing it is sent arrives.  Peers keep hearing a live
-                # leader so nobody may take over; the leader's own census
-                # gets no acks, so it must park until the link heals.
-                minority = _side_nodes(cluster, [leader_part])
-                for net in networks:
-                    injector.degrade_link(
-                        leader_node, net, loss=1.0, direction="in", case=case
-                    )
-                sampler.run_until(sim.now + 10.0 * hb)
-                heal_t = sim.now
-                for net in networks:
-                    injector.restore_link(leader_node, net, direction="in", case=case)
-                span.end()
-                injector.current_span = None
-                sampler.run_until(sim.now + 10.0 * hb)
-                parks = _parks_since(sim, t0, node=leader_node)
-                takeovers = [
-                    r for r in sim.trace.iter_records("leader.takeover") if r.time > t0
-                ]
-                result.minority_placement_writes += spies.writes_in(
-                    spies.placements, minority, t0, heal_t
-                )
-                result.minority_ckpt_writes += spies.writes_in(
-                    spies.ckpt_saves, minority, t0 + park_grace, heal_t
-                )
-                if parks:
-                    result.detect.append(parks[0].time - t0)
+            else:
+                # Tie-break: the low-partition side keeps the leader
+                # it already had; the other side parks, no takeover.
+                minority_parked = {
+                    r.get("node")
+                    for r in parks
+                    if cluster.node(r.get("node")).partition_id in minority_parts
+                }
                 final = _leader_claims(kernel)
                 covered = (
-                    bool(parks)
+                    len(minority_parked) == len(minority_parts)
                     and not takeovers
                     and _settled(kernel, len(parts))
                     and final and final[0][0] == leader_node
                 )
 
-            elif kind in ("fabric-gray", "fabric-latency"):
-                loss = 0.15 if kind == "fabric-gray" else 0.0
-                mult = 1.0 if kind == "fabric-gray" else 3.0
-                for net in networks:
-                    injector.degrade_fabric(
-                        net, loss=loss, latency_mult=mult, case=case
-                    )
-                sampler.run_until(sim.now + 8.0 * hb)
-                for net in networks:
-                    injector.restore_fabric_quality(net, case=case)
-                span.end()
-                injector.current_span = None
-                sampler.run_until(sim.now + 8.0 * hb)
-                drops = sum(
-                    sim.trace.counter(f"net.{n}.degraded_drops") for n in networks
+        elif kind == "asym-inbound":
+            # The leader goes deaf: everything it sends still lands,
+            # nothing it is sent arrives.  Peers keep hearing a live
+            # leader so nobody may take over; the leader's own census
+            # gets no acks, so it must park until the link heals.
+            minority = _side_nodes(cluster, [leader_part])
+            for net in networks:
+                injector.degrade_link(
+                    leader_node, net, loss=1.0, direction="in", case=case
                 )
-                takeovers = sum(
-                    1 for r in sim.trace.iter_records("leader.takeover") if r.time > t0
-                )
-                if kind == "fabric-gray":
-                    covered = drops > drops0 and _settled(kernel, len(parts))
-                else:
-                    # Pure latency inflation: nothing is lost, so nothing
-                    # may be detected, evicted, parked, or taken over.
-                    covered = (
-                        drops == drops0
-                        and not _parks_since(sim, t0)
-                        and takeovers == 0
-                        and _settled(kernel, len(parts))
-                    )
+            sampler.run_until(sim.now + 10.0 * hb)
+            heal_t = sim.now
+            for net in networks:
+                injector.restore_link(leader_node, net, direction="in", case=case)
+            span.end()
+            injector.current_span = None
+            sampler.run_until(sim.now + 10.0 * hb)
+            parks = _parks_since(sim, t0, node=leader_node)
+            takeovers = [
+                r for r in sim.trace.iter_records("leader.takeover") if r.time > t0
+            ]
+            result.minority_placement_writes += _minority_writes(
+                sim, "placement", minority, t0, heal_t
+            )
+            result.minority_ckpt_writes += _minority_writes(
+                sim, "ckpt", minority, t0 + park_grace, heal_t
+            )
+            if parks:
+                result.detect.append(parks[0].time - t0)
+            final = _leader_claims(kernel)
+            covered = (
+                bool(parks)
+                and not takeovers
+                and _settled(kernel, len(parts))
+                and final and final[0][0] == leader_node
+            )
 
-            else:  # flap-split
-                minority = _side_nodes(cluster, parts[2:])
-                groups = [minority, all_nodes - minority]
-                for cycle in range(3):
-                    for net in networks:
-                        injector.split_network(net, groups, case=f"{case}.{cycle}")
-                    sampler.run_until(sim.now + 0.5 * hb)
-                    heal_t = sim.now
-                    for net in networks:
-                        injector.heal_network(net, case=f"{case}.{cycle}")
-                    sampler.run_until(sim.now + 1.5 * hb)
-                span.end()
-                injector.current_span = None
-                sampler.run_until(sim.now + 8.0 * hb)
-                result.minority_placement_writes += spies.writes_in(
-                    spies.placements, minority, t0, heal_t
+        elif kind in ("fabric-gray", "fabric-latency"):
+            loss = 0.15 if kind == "fabric-gray" else 0.0
+            mult = 1.0 if kind == "fabric-gray" else 3.0
+            for net in networks:
+                injector.degrade_fabric(
+                    net, loss=loss, latency_mult=mult, case=case
                 )
-                covered = _settled(kernel, len(parts))
+            sampler.run_until(sim.now + 8.0 * hb)
+            for net in networks:
+                injector.restore_fabric_quality(net, case=case)
+            span.end()
+            injector.current_span = None
+            sampler.run_until(sim.now + 8.0 * hb)
+            drops = sum(
+                sim.trace.counter(f"net.{n}.degraded_drops") for n in networks
+            )
+            takeovers = sum(
+                1 for r in sim.trace.iter_records("leader.takeover") if r.time > t0
+            )
+            if kind == "fabric-gray":
+                covered = drops > drops0 and _settled(kernel, len(parts))
+            else:
+                # Pure latency inflation: nothing is lost, so nothing
+                # may be detected, evicted, parked, or taken over.
+                covered = (
+                    drops == drops0
+                    and not _parks_since(sim, t0)
+                    and takeovers == 0
+                    and _settled(kernel, len(parts))
+                )
 
-            if covered:
-                result.covered += 1
+        else:  # flap-split
+            minority = _side_nodes(cluster, parts[2:])
+            groups = [minority, all_nodes - minority]
+            for cycle in range(3):
+                for net in networks:
+                    injector.split_network(net, groups, case=f"{case}.{cycle}")
+                sampler.run_until(sim.now + 0.5 * hb)
+                heal_t = sim.now
+                for net in networks:
+                    injector.heal_network(net, case=f"{case}.{cycle}")
+                sampler.run_until(sim.now + 1.5 * hb)
+            span.end()
+            injector.current_span = None
+            sampler.run_until(sim.now + 8.0 * hb)
+            result.minority_placement_writes += _minority_writes(
+                sim, "placement", minority, t0, heal_t
+            )
+            covered = _settled(kernel, len(parts))
+
+        if covered:
+            result.covered += 1
 
     result.parks = sum(1 for _ in sim.trace.iter_records("quorum.lost"))
     result.unparks = sum(1 for _ in sim.trace.iter_records("quorum.regained"))

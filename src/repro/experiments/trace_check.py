@@ -1,11 +1,11 @@
 """Offline trace-only leadership checker.
 
 The partition campaign (:mod:`repro.experiments.fault_campaign`) verifies
-its split-brain invariants with in-process spies wrapped around the live
-kernel.  This module re-verifies the same invariants from nothing but an
-exported JSONL trace (:meth:`repro.sim.trace.Trace.export_jsonl`), so a
-reviewer can audit a run after the fact — or cross-check that the spies
-themselves are honest:
+its split-brain invariants in-process, sampling the live kernel.  This
+module re-verifies the same invariants from nothing but an exported
+JSONL trace (:meth:`repro.sim.trace.Trace.export_jsonl`), so a reviewer
+can audit a run after the fact — or cross-check that the campaign's own
+counts are honest:
 
 1. **Zero dual leader** — no two *same-epoch* leadership claims by
    different nodes may overlap in time.  Claims are reconstructed from

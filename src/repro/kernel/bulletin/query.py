@@ -29,17 +29,18 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.errors import KernelError
+from repro.kernel.daemon import HEALTH_TABLE as TABLE_HEALTH
 from repro.kernel.query import OPS, matches, validate_where
 
 AGG_FUNCS = ("count", "sum", "avg", "min", "max")
 
-#: Physical bulletin tables the logical catalog is derived from
-#: (mirrors the constants in :mod:`repro.kernel.bulletin.service` /
-#: :mod:`repro.kernel.daemon`; re-declared here to avoid an import cycle).
+#: The well-known physical bulletin tables (re-exported by
+#: :mod:`repro.kernel.bulletin.service`); the logical catalog derives
+#: from them.
 TABLE_NODE_METRICS = "node_metrics"
 TABLE_NODE_STATE = "node_state"
+TABLE_NET_STATE = "net_state"
 TABLE_APPS = "apps"
-TABLE_HEALTH = "kernel_health"
 
 
 # -- AST ---------------------------------------------------------------------

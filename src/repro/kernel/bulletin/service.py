@@ -31,18 +31,18 @@ from typing import Any
 from repro.cluster.message import Message
 from repro.kernel import ports
 from repro.kernel.bulletin import query as rel
+from repro.kernel.bulletin.query import (  # noqa: F401 - re-exported
+    TABLE_APPS,
+    TABLE_NET_STATE,
+    TABLE_NODE_METRICS,
+    TABLE_NODE_STATE,
+)
 from repro.kernel.bulletin.store import BulletinStore
 from repro.kernel.bulletin.views import MaterializedView, ViewEngine
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.types import DB_DELTA, DB_DELTA_DIGEST
 from repro.kernel.query import aggregate_rows, merge_aggregates, validate_where
 from repro.kernel.timings import DB_CKPT_DEBOUNCE
-
-#: Well-known bulletin tables.
-TABLE_NODE_METRICS = "node_metrics"
-TABLE_NODE_STATE = "node_state"
-TABLE_NET_STATE = "net_state"
-TABLE_APPS = "apps"
 
 #: Port where a view-owning instance receives its ``db.delta`` feed.
 VIEW_EVENTS_PORT = "db.view_events"
@@ -118,6 +118,16 @@ class BulletinDaemon(ServiceDaemon):
                 expired = self.store.expire(table, max_age=multiple * interval, now=self.sim.now)
                 if expired:
                     self.sim.trace.count("db.expired", expired)
+            if self.epoch > 1:
+                # A successor whose table stays quiet never publishes a
+                # delta carrying its new epoch, so remote view owners would
+                # keep the dead incarnation's rows forever.  Announce it
+                # with seq 0: the owner resyncs on the newer epoch and every
+                # repeat is stale.  Per tick, not once at start-up — the
+                # partition's ES may be failing over alongside us.
+                for table in sorted(self._publish_tables):
+                    if not self.delta_seq(table):
+                        self._publish_delta(table, "", "epoch", 0)
             if self.engine is not None and self.engine.ready:
                 # Collect failover leftovers: checkpoint-seeded mirror rows
                 # whose producer never re-exported into the live store.
@@ -140,6 +150,11 @@ class BulletinDaemon(ServiceDaemon):
             return
         seq = self._delta_seqs.get(table, 0) + 1
         self._delta_seqs[table] = seq
+        self._publish_delta(table, key, op, seq, row)
+        self.sim.trace.count("db.deltas_published")
+        self._arm_tables_ckpt()
+
+    def _publish_delta(self, table: str, key: str, op: str, seq: int, row=None) -> None:
         delta: dict[str, Any] = {
             "table": table,
             "key": key,
@@ -156,8 +171,6 @@ class BulletinDaemon(ServiceDaemon):
             # Plain send: the feed is lossy by design — a dropped delta
             # shows up as a seq gap at the owner, which rescans the slice.
             self.send(es_node, ports.ES, ports.ES_PUBLISH, {"type": DB_DELTA, "data": delta})
-        self.sim.trace.count("db.deltas_published")
-        self._arm_tables_ckpt()
 
     def _arm_tables_ckpt(self) -> None:
         """Debounced checkpoint of the maintained base tables: a detector
@@ -174,11 +187,17 @@ class BulletinDaemon(ServiceDaemon):
             return
         self.spawn(self._save_tables_ckpt(), name=f"{self.node_id}/db.tables_ckpt")
 
-    def _save_tables_ckpt(self):
+    def _ckpt_save(self, key: str, data: dict[str, Any]):
         ckpt_node = self.kernel.placement.get(("ckpt", self.partition_id))
-        if ckpt_node is None:
-            return
-        data = {
+        if ckpt_node is not None:
+            yield self.rpc_retry(
+                ckpt_node, ports.CKPT, ports.CKPT_SAVE,
+                {"key": f"db.{key}.{self.partition_id}", "data": data},
+                call_class="ckpt.save",
+            )
+
+    def _save_tables_ckpt(self):
+        yield from self._ckpt_save("tables", {
             "tables": {
                 table: {row["_key"]: row for row in self.store.query(table)}
                 for table in sorted(self._publish_tables)
@@ -186,20 +205,12 @@ class BulletinDaemon(ServiceDaemon):
             "epoch": self.epoch,
             "delta_seqs": dict(self._delta_seqs),
             "t": self.sim.now,
-        }
-        yield self.rpc_retry(
-            ckpt_node, ports.CKPT, ports.CKPT_SAVE,
-            {"key": f"db.tables.{self.partition_id}", "data": data},
-            call_class="ckpt.save",
-        )
+        })
 
     def _save_maint_ckpt(self):
         """Persist the maintenance config (published tables + owned view
         definitions) so a restarted instance can resume both roles."""
-        ckpt_node = self.kernel.placement.get(("ckpt", self.partition_id))
-        if ckpt_node is None:
-            return
-        data = {
+        yield from self._ckpt_save("views", {
             "tables": sorted(self._publish_tables),
             "views": [
                 {"name": view.name, "query": view.query.to_payload()}
@@ -207,12 +218,7 @@ class BulletinDaemon(ServiceDaemon):
             ]
             if self.engine is not None
             else [],
-        }
-        yield self.rpc_retry(
-            ckpt_node, ports.CKPT, ports.CKPT_SAVE,
-            {"key": f"db.views.{self.partition_id}", "data": data},
-            call_class="ckpt.save",
-        )
+        })
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, msg: Message) -> dict[str, Any] | None:
@@ -503,18 +509,23 @@ class BulletinDaemon(ServiceDaemon):
         })
 
     # -- materialized views -------------------------------------------------
-    def _on_view_register(self, msg: Message) -> dict[str, Any] | None:
-        try:
-            q = rel.Query.from_payload(msg.payload["query"])
-            view = MaterializedView(msg.payload["name"], q)
-        except Exception as exc:
-            return {"ok": False, "error": str(exc)}
+    def _adopt_view(self, name: str, query: dict[str, Any]) -> MaterializedView:
+        """Take ownership of one view definition (registration or
+        failover recovery); raises on a definition that does not parse."""
+        view = MaterializedView(name, rel.Query.from_payload(query))
         if self.engine is None:
             self.engine = ViewEngine(self)
-        self.engine.views[view.name] = view
-        self.kernel.view_owners[view.name] = self.partition_id
+        self.engine.views[name] = view
+        self.kernel.view_owners[name] = self.partition_id
+        return view
+
+    def _on_view_register(self, msg: Message) -> dict[str, Any] | None:
+        try:
+            view = self._adopt_view(msg.payload["name"], msg.payload["query"])
+        except Exception as exc:
+            return {"ok": False, "error": str(exc)}
         self.kernel.view_maintenance = True
-        self._publish_tables |= set(rel.LOGICAL_TABLES[q.table].bases)
+        self._publish_tables |= set(rel.LOGICAL_TABLES[view.query.table].bases)
         self.sim.trace.count("db.view_registers")
         self.spawn(self._register_flow(msg, view), name=f"{self.node_id}/db.view_register")
         return None
@@ -543,9 +554,8 @@ class BulletinDaemon(ServiceDaemon):
 
     def _subscribe_view_feed(self, tables):
         """One ES subscription per maintained base table — equality on
-        ``table`` so the SubscriptionIndex can hash-prune the feed when
-        ``table`` is in ``es_indexed_where_keys``.  Re-subscribing with
-        the same consumer id replaces in place."""
+        ``table`` so the SubscriptionIndex hash-prunes the feed.
+        Re-subscribing with the same consumer id replaces in place."""
         es_node = self.kernel.placement.get(("es", self.partition_id))
         if es_node is None:
             return
@@ -669,13 +679,7 @@ class BulletinDaemon(ServiceDaemon):
         if self.engine is None:
             return
         event = msg.payload.get("event") or {}
-        delta = event.get("data") or {}
-        if not delta.get("table"):
-            return
-        if event.get("type") == DB_DELTA_DIGEST:
-            self.engine.on_delta_digest(delta, self.sim.now)
-        else:
-            self.engine.on_delta(delta, self.sim.now)
+        self.engine.on_feed(event.get("data") or {}, self.sim.now)
 
     def _recover_maintenance(self):
         """Failover path: restore maintenance config — and, when this
@@ -698,19 +702,14 @@ class BulletinDaemon(ServiceDaemon):
             return
         config = reply.get("data") or {}
         self._publish_tables |= set(config.get("tables", ()))
-        view_defs = config.get("views") or []
-        if not view_defs:
-            return
-        self.engine = ViewEngine(self)
-        for entry in view_defs:
+        adopted = False
+        for entry in config.get("views") or []:
             try:
-                view = MaterializedView(entry["name"], rel.Query.from_payload(entry["query"]))
+                self._adopt_view(entry["name"], entry["query"])
+                adopted = True
             except Exception:
                 continue  # a config checkpoint predating a schema change
-            self.engine.views[view.name] = view
-            self.kernel.view_owners[view.name] = self.partition_id
-        if not self.engine.views:
-            self.engine = None
+        if not adopted:
             return
         seed_reply = yield self.rpc_retry(
             ckpt_node, ports.CKPT, ports.CKPT_LOAD,

@@ -29,9 +29,10 @@ slice of that table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import KernelError
+from repro.kernel import ports
 from repro.kernel.bulletin.query import (
     LOGICAL_TABLES,
     Query,
@@ -39,6 +40,7 @@ from repro.kernel.bulletin.query import (
     _sort_key,
 )
 from repro.kernel.query import matches
+from repro.sim import Signal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.bulletin.service import BulletinDaemon
@@ -242,8 +244,9 @@ class ViewEngine:
         #: double-apply an update.
         self.ready = False
         self.building = False
-        self._startup_buffer: list[dict[str, Any]] = []
-        self._resyncing: dict[tuple[str, str], list[dict[str, Any]]] = {}
+        #: Normalized feeds ``(part, table, epoch, lo, hi, deltas)``.
+        self._startup_buffer: list[tuple] = []
+        self._resyncing: dict[tuple[str, str], list[tuple]] = {}
 
     # -- helpers -------------------------------------------------------------
     def tables(self) -> set[str]:
@@ -269,97 +272,66 @@ class ViewEngine:
         return self.views[name].rows()
 
     # -- delta intake --------------------------------------------------------
-    def _intake(self, payload: dict[str, Any], now: float) -> None:
-        """Dispatch one buffered feed payload (plain delta or digest)."""
-        if "seq_hi" in payload:
-            self.on_delta_digest(payload, now)
-        else:
-            self.on_delta(payload, now)
-
-    def on_delta(self, delta: dict[str, Any], now: float) -> None:
-        """Entry point for one ``db.delta`` event payload."""
-        table = delta.get("table", "")
+    def on_feed(self, payload: dict[str, Any], now: float) -> None:
+        """Entry point for one change-feed payload: a ``db.delta``, or a
+        ``db.delta_digest`` (two-tier federation) carrying the per-key
+        latest deltas of a contiguous ``[seq_lo, seq_hi]`` run of one
+        source's stream.  A plain delta is the digest ``[seq, seq]``
+        holding itself.  Buffered while the initial build is in flight."""
+        table = payload.get("table", "")
         if table not in self.tables():
             return  # subscription lagging a view drop
-        if not self.ready:
-            self._startup_buffer.append(delta)
-            return
-        source = (delta["partition"], table)
-        pending = self._resyncing.get(source)
-        if pending is not None:
-            pending.append(delta)
-            return
-        self._admit(delta, now)
+        if "seq_hi" in payload:
+            lo, hi = int(payload["seq_lo"]), int(payload["seq_hi"])
+            deltas = payload.get("deltas", [])
+        else:
+            lo = hi = int(payload["seq"])
+            deltas = [payload]
+        feed = (payload["partition"], table, int(payload["epoch"]), lo, hi, deltas)
+        if self.ready:
+            self._admit(*feed, now)
+        else:
+            self._startup_buffer.append(feed)
 
-    def on_delta_digest(self, digest: dict[str, Any], now: float) -> None:
-        """Entry point for one ``db.delta_digest`` payload (two-tier
-        federation): a contiguous ``[seq_lo, seq_hi]`` slice of one
-        source's delta stream, carrying the per-key latest delta only.
-        Shares the plain feed's buffering/resync discipline."""
-        table = digest.get("table", "")
-        if table not in self.tables():
-            return
-        if not self.ready:
-            self._startup_buffer.append(digest)
-            return
-        source = (digest["partition"], table)
-        pending = self._resyncing.get(source)
+    def _admit(
+        self, part: str, table: str, epoch: int, lo: int, hi: int,
+        deltas: list[dict[str, Any]], now: float,
+    ) -> None:
+        feed = (part, table, epoch, lo, hi, deltas)
+        pending = self._resyncing.get((part, table))
         if pending is not None:
-            pending.append(digest)
+            pending.append(feed)
             return
-        self._admit_digest(digest, now)
-
-    def _admit_digest(self, digest: dict[str, Any], now: float) -> None:
-        part, table = digest["partition"], digest["table"]
-        epoch = int(digest["epoch"])
-        lo, hi = int(digest["seq_lo"]), int(digest["seq_hi"])
         known = self.sources.get((part, table))
         if known is None:
-            self._start_resync(part, table, first=digest)
+            # A source we never scanned (new partition, or its config
+            # outlived a scan failure): baseline it with a rescan.
+            self._start_resync(part, table, first=feed)
             return
         cur_epoch, cur_seq = known
         if epoch < cur_epoch or (epoch == cur_epoch and hi <= cur_seq):
             self.daemon.sim.trace.count("db.view_delta_stale")
             return
         if epoch > cur_epoch or lo > cur_seq + 1:
-            # New incarnation or a gap ahead of the digest: rescan.
-            self._start_resync(part, table, first=digest)
+            # New incarnation (failover) or a lost delta ahead of the run
+            # (outbox overflow, subscribe race): the slice is
+            # untrustworthy — rescan it.
+            self._start_resync(part, table, first=feed)
             return
         # Contiguous (possibly overlapping an already-applied prefix):
         # apply the unseen suffix.  Dropped intermediate versions of a key
         # are safe — _apply derives old rows from the mirror, so folding
         # (old->v1, v1->v2) into (old->v2) is the same transition.
         self.sources[(part, table)] = (epoch, hi)
-        self.daemon.sim.trace.count("db.view_digests_applied")
-        for delta in digest.get("deltas", []):
+        if hi > lo:
+            self.daemon.sim.trace.count("db.view_digests_applied")
+        for delta in deltas:
             if int(delta["seq"]) > cur_seq:
                 self._apply(
                     table, delta["key"],
                     delta.get("row") if delta["op"] == "put" else None,
                     float(delta.get("t", now)), now,
                 )
-
-    def _admit(self, delta: dict[str, Any], now: float) -> None:
-        part, table = delta["partition"], delta["table"]
-        epoch, seq = int(delta["epoch"]), int(delta["seq"])
-        known = self.sources.get((part, table))
-        if known is None:
-            # A source we never scanned (new partition, or its config
-            # outlived a scan failure): baseline it with a rescan.
-            self._start_resync(part, table, first=delta)
-            return
-        cur_epoch, cur_seq = known
-        if epoch < cur_epoch or (epoch == cur_epoch and seq <= cur_seq):
-            self.daemon.sim.trace.count("db.view_delta_stale")
-            return
-        if epoch > cur_epoch or seq > cur_seq + 1:
-            # New incarnation (failover) or a lost delta (outbox overflow,
-            # subscribe race): the slice is untrustworthy — rescan it.
-            self._start_resync(part, table, first=delta)
-            return
-        self.sources[(part, table)] = (epoch, seq)
-        self._apply(table, delta["key"], delta.get("row") if delta["op"] == "put" else None,
-                    float(delta.get("t", now)), now)
 
     def _apply(
         self, table: str, key: str, new_base_row: dict[str, Any] | None,
@@ -390,13 +362,8 @@ class ViewEngine:
                 self.daemon.sim.trace.count("db.view_delta_applied")
 
     # -- resync (gap healing) ------------------------------------------------
-    def _start_resync(self, part: str, table: str, first: dict | None = None) -> None:
-        source = (part, table)
-        if source in self._resyncing:
-            if first is not None:
-                self._resyncing[source].append(first)
-            return
-        self._resyncing[source] = [first] if first is not None else []
+    def _start_resync(self, part: str, table: str, first: tuple) -> None:
+        self._resyncing[(part, table)] = [first]
         for view in self._views_for(table):
             view.resyncs += 1
         self.daemon.sim.trace.count("db.view_resyncs")
@@ -406,51 +373,58 @@ class ViewEngine:
         )
 
     def _resync_proc(self, part: str, table: str) -> Generator[Any, Any, None]:
-        try:
-            scan = yield from self._scan_source(part, table)
-            if scan is None:
-                # Peer unreachable: forget the source so the next delta
-                # from its successor incarnation retries the rescan.
-                self.sources.pop((part, table), None)
-                return
-            rows, watermark = scan
-            self.replace_slice(part, table, rows, watermark)
-            now = self.daemon.sim.now
-            for delta in self._resyncing.get((part, table), ()):
-                self._admit_post_resync(delta, now)
-        finally:
-            self._resyncing.pop((part, table), None)
+        scan = yield from self._scan_source(part, table)
+        # Popped before the drain: a buffered payload still ahead of the
+        # scan plus one (a residual gap) starts a fresh resync of its own.
+        buffered = self._resyncing.pop((part, table))
+        if scan is None:
+            # Peer unreachable: forget the source so the next delta
+            # from its successor incarnation retries the rescan.
+            self.sources.pop((part, table), None)
+            return
+        self.replace_slice(part, table, *scan)
+        now = self.daemon.sim.now
+        for feed in buffered:
+            self._admit(*feed, now)
 
-    def _admit_post_resync(self, delta: dict[str, Any], now: float) -> None:
-        """Drain one buffered delta after a resync landed; a residual gap
-        (delta newer than the scan plus one) re-triggers the resync."""
-        if "seq_hi" in delta:
-            self._admit_digest(delta, now)
-        else:
-            self._admit(delta, now)
-
-    def _scan_source(
-        self, part: str, table: str
-    ) -> Generator[Any, Any, tuple[list[dict], tuple[int, int]] | None]:
-        """Local-scope scan of one partition's slice of one table,
-        returning (rows, (epoch, delta_seq)) or None when unreachable."""
-        from repro.kernel import ports
-
-        daemon = self.daemon
-        if part == daemon.partition_id:
-            rows = daemon.store.query(table)
-            return rows, (daemon.epoch, daemon.delta_seq(table))
-        node = daemon.kernel.db_locations().get(part)
-        if node is None:
-            return None
-        reply = yield daemon.rpc_retry(
+    def _scan_rpc(self, node: str, table: str) -> Signal:
+        """Local-scope scan of one peer's slice of one table."""
+        return self.daemon.rpc_retry(
             node, ports.DB, ports.DB_QUERY, {"table": table, "scope": "local"},
             call_class="bulletin.fanout",
         )
+
+    @staticmethod
+    def _scan_result(reply: dict | None) -> tuple[list[dict], tuple[int, int]] | None:
+        """``(rows, (epoch, delta_seq))`` of a scan reply; None when the
+        peer was unreachable."""
         if reply is None or "watermark" not in reply:
             return None
         wm = reply["watermark"]
         return reply.get("rows", []), (int(wm["epoch"]), int(wm["delta_seq"]))
+
+    def _scan_source(
+        self, part: str, table: str
+    ) -> Generator[Any, Any, tuple[list[dict], tuple[int, int]] | None]:
+        """One partition's slice of one table: own store read, peer RPC."""
+        daemon = self.daemon
+        if part == daemon.partition_id:
+            return daemon.store.query(table), (daemon.epoch, daemon.delta_seq(table))
+        node = daemon.kernel.db_locations().get(part)
+        if node is None:
+            return None
+        return self._scan_result((yield self._scan_rpc(node, table)))
+
+    def _swap_slice(
+        self, part: str, table: str, rows: list[dict[str, Any]],
+        watermark: tuple[int, int],
+    ) -> None:
+        slice_ = self.mirror.setdefault(table, {})
+        for key in [k for k, r in slice_.items() if r.get("_partition") == part]:
+            del slice_[key]
+        for row in rows:
+            slice_[row["_key"]] = row
+        self.sources[(part, table)] = watermark
 
     def replace_slice(
         self, part: str, table: str, rows: list[dict[str, Any]],
@@ -459,14 +433,22 @@ class ViewEngine:
         """Swap one partition's slice of one mirrored table and rebuild
         the views deriving from it (scan results supersede any deltas
         applied while the scan was in flight)."""
-        slice_ = self.mirror.setdefault(table, {})
-        for key in [k for k, r in slice_.items() if r.get("_partition") == part]:
-            del slice_[key]
-        for row in rows:
-            slice_[row["_key"]] = row
-        self.sources[(part, table)] = watermark
+        self._swap_slice(part, table, rows, watermark)
         for view in self._views_for(table):
             view.rebuild(LOGICAL_TABLES[view.query.table].derive(self._get_rows))
+
+    def _baseline_own(self, table: str, seed: dict[str, Any] | None = None) -> None:
+        """Own partition's slice: the seed's rows with the live store
+        overlaid on top (fresher), watermarked on the *current*
+        incarnation so new deltas apply cleanly."""
+        daemon = self.daemon
+        own = daemon.partition_id
+        seeded = ((seed or {}).get("tables", {}).get(table) or {}).values()
+        self._swap_slice(
+            own, table,
+            [r for r in seeded if r.get("_partition") == own] + daemon.store.query(table),
+            (daemon.epoch, daemon.delta_seq(table)),
+        )
 
     # -- build / failover rebuild --------------------------------------------
     def build(self, seed: dict[str, Any] | None = None) -> Generator[Any, Any, None]:
@@ -474,9 +456,7 @@ class ViewEngine:
 
         ``seed`` is a recovered ``db.tables.<pid>`` checkpoint: the dead
         incarnation's local base rows, used to answer reads immediately
-        while detectors repopulate the restarted store.  The live store
-        is overlaid on top (fresher), and the watermark baselines on the
-        *current* incarnation so new deltas apply cleanly.  Seed rows a
+        while detectors repopulate the restarted store.  Seed rows a
         producer never re-exports are garbage-collected by
         :meth:`reconcile_own`.
         """
@@ -485,48 +465,27 @@ class ViewEngine:
         tables = sorted(self.tables())
         self.building = True
         for table in tables:
-            slice_ = self.mirror.setdefault(table, {})
-            if seed:
-                for key, row in (seed.get("tables", {}).get(table, {}) or {}).items():
-                    if row.get("_partition") == own:
-                        slice_[key] = row
-            for row in daemon.store.query(table):
-                slice_[row["_key"]] = row
-            self.sources[(own, table)] = (daemon.epoch, daemon.delta_seq(table))
-        peers = {
-            part: node
-            for part, node in daemon.kernel.db_locations().items()
-            if part != own
-        }
-        from repro.kernel import ports
-
+            self._baseline_own(table, seed)
+        # Every scan goes on the wire before the first reply is folded:
+        # send order drives the jitter RNG.
         signals = {
-            (part, table): daemon.rpc_retry(
-                node, ports.DB, ports.DB_QUERY, {"table": table, "scope": "local"},
-                call_class="bulletin.fanout",
-            )
-            for part, node in sorted(peers.items())
+            (part, table): self._scan_rpc(node, table)
+            for part, node in sorted(daemon.kernel.db_locations().items())
+            if part != own
             for table in tables
         }
         for (part, table), signal in signals.items():
-            reply = yield signal
-            if reply is None or "watermark" not in reply:
-                continue  # unreachable peer: first delta triggers a resync
-            wm = reply["watermark"]
-            slice_ = self.mirror.setdefault(table, {})
-            for key in [k for k, r in slice_.items() if r.get("_partition") == part]:
-                del slice_[key]
-            for row in reply.get("rows", []):
-                slice_[row["_key"]] = row
-            self.sources[(part, table)] = (int(wm["epoch"]), int(wm["delta_seq"]))
+            scan = self._scan_result((yield signal))
+            if scan is not None:  # else: the peer's first delta triggers a resync
+                self._swap_slice(part, table, *scan)
         for view in self.views.values():
             view.rebuild(LOGICAL_TABLES[view.query.table].derive(self._get_rows))
         self.ready = True
         self.building = False
         buffered, self._startup_buffer = self._startup_buffer, []
         now = daemon.sim.now
-        for delta in buffered:
-            self._intake(delta, now)
+        for feed in buffered:
+            self._admit(*feed, now)
 
     def build_table(self, table: str) -> Generator[Any, Any, None]:
         """Bring one *additional* base table under maintenance (a later
@@ -534,17 +493,13 @@ class ViewEngine:
         daemon = self.daemon
         own = daemon.partition_id
         if (own, table) not in self.sources:
-            slice_ = self.mirror.setdefault(table, {})
-            for row in daemon.store.query(table):
-                slice_[row["_key"]] = row
-            self.sources[(own, table)] = (daemon.epoch, daemon.delta_seq(table))
+            self._baseline_own(table)
         for part in sorted(daemon.kernel.db_locations()):
             if part == own or (part, table) in self.sources:
                 continue
             scan = yield from self._scan_source(part, table)
             if scan is not None:
-                rows, watermark = scan
-                self.replace_slice(part, table, rows, watermark)
+                self.replace_slice(part, table, *scan)
 
     # -- housekeeping ---------------------------------------------------------
     def reconcile_own(self, now: float, grace: float) -> int:

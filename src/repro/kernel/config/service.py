@@ -86,7 +86,3 @@ class ConfigServiceDaemon(ServiceDaemon):
                 {"type": ev.CONFIG_CHANGED, "data": {"key": key, "old": old, "new": value}},
             )
         return {"ok": True, "old": old}
-
-    # -- direct (same-address-space) accessors for tests/harnesses ---------
-    def get_local(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)

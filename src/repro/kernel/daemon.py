@@ -93,10 +93,6 @@ class ServiceDaemon:
     def alive(self) -> bool:
         return self.hp is not None and self.hp.alive and self.cluster.node(self.node_id).up
 
-    def require_alive(self) -> None:
-        if not self.alive:
-            raise ServiceUnavailable(f"{self.SERVICE}@{self.node_id} is not running")
-
     # -- plumbing shared by subclasses --------------------------------------
     def bind(self, port: str, handler: Callable[[Message], Any]) -> None:
         """Bind ``port`` on this node, owned by this daemon's process."""

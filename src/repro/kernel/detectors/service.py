@@ -118,7 +118,3 @@ class DetectorDaemon(ServiceDaemon):
         if not record.running:
             # Completed tasks stop being re-exported after this final row.
             self._apps.pop(app_key, None)
-
-    # -- introspection ---------------------------------------------------
-    def local_apps(self) -> list[dict[str, Any]]:
-        return [dict(v) for v in self._apps.values()]

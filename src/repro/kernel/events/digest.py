@@ -7,7 +7,7 @@ partition in the region.  :func:`digest_batch` coalesces each contiguous
 ``db.delta_digest`` event that keeps only the *latest* delta per row key
 — intermediate versions of a hot row are dropped, which is safe because
 the view engine derives old-row values from its own mirror, never from
-the feed (see :meth:`repro.kernel.bulletin.views.ViewEngine.on_delta_digest`).
+the feed (see :meth:`repro.kernel.bulletin.views.ViewEngine.on_feed`).
 
 Everything that is not a ``db.delta`` — including digests produced by an
 earlier hop — passes through untouched, in order, so digestion is

@@ -134,41 +134,34 @@ class SubscriptionIndex:
     types via one dict hit, family wildcards (``"node.*"``) via the dotted
     prefixes of the event type, plus the catch-all set (empty ``types``).
 
-    Hot ``where`` keys (``indexed_keys``, by default ``node`` — the key
-    every per-node monitor filters on) are indexed too: a candidate whose
-    clause pins an indexed key to a different equality value, or whose
-    numeric range constraint (``<``/``<=``/``>``/``>=`` with an int/float
-    bound) the event's value provably fails, is skipped without running
-    its clause.  ``where`` clauses still run per surviving candidate, so
-    the index is exactly equivalent to scanning everything with
-    :meth:`Subscription.matches`.
+    Every ``where`` key some subscription constrains is indexed too, from
+    the first subscription that pins it: a candidate whose clause pins a
+    key to a different equality value, or whose numeric range constraint
+    (``<``/``<=``/``>``/``>=`` with an int/float bound) the event's value
+    provably fails, is skipped without running its clause.  ``where``
+    clauses still run per surviving candidate, so the index is exactly
+    equivalent to scanning everything with :meth:`Subscription.matches`.
 
     Candidates come back in registration order (re-registering an existing
     consumer keeps its original slot), so delivery order is identical to
     iterating the old insertion-ordered dict.
     """
 
-    #: Where-clause keys indexed for equality probes by default.
-    INDEXED_WHERE_KEYS = ("node",)
-
-    def __init__(self, indexed_keys: tuple[str, ...] | None = None) -> None:
+    def __init__(self) -> None:
         self._subs: dict[str, Subscription] = {}
         self._order: dict[str, int] = {}
         self._seq = 0
         self._exact: dict[str, set[str]] = {}
         self._prefix: dict[str, set[str]] = {}
         self._all_types: set[str] = set()
-        self._where_keys = tuple(
-            self.INDEXED_WHERE_KEYS if indexed_keys is None else indexed_keys
-        )
+        # Where keys appear below with their first constrained consumer
+        # and leave with their last.
         #: key -> equality value -> consumers pinned to that value.
-        self._eq: dict[str, dict[Any, set[str]]] = {k: {} for k in self._where_keys}
+        self._eq: dict[str, dict[Any, set[str]]] = {}
         #: key -> all consumers with an indexable equality constraint on it.
-        self._eq_constrained: dict[str, set[str]] = {k: set() for k in self._where_keys}
+        self._eq_constrained: dict[str, set[str]] = {}
         #: key -> consumer -> (op, bound) numeric range constraint.
-        self._range: dict[str, dict[str, tuple[str, float]]] = {
-            k: {} for k in self._where_keys
-        }
+        self._range: dict[str, dict[str, tuple[str, float]]] = {}
 
     def __len__(self) -> int:
         return len(self._subs)
@@ -200,16 +193,15 @@ class SubscriptionIndex:
                 self._prefix.setdefault(pattern[:-1], set()).add(sub.consumer_id)
             else:
                 self._exact.setdefault(pattern, set()).add(sub.consumer_id)
-        for key in self._where_keys:
-            if key in sub.where:
-                value = _equality_value(sub.where[key])
-                if value is not _NO_EQ:
-                    self._eq[key].setdefault(value, set()).add(sub.consumer_id)
-                    self._eq_constrained[key].add(sub.consumer_id)
-                else:
-                    ranged = _range_constraint(sub.where[key])
-                    if ranged is not None:
-                        self._range[key][sub.consumer_id] = ranged
+        for key, condition in sub.where.items():
+            value = _equality_value(condition)
+            if value is not _NO_EQ:
+                self._eq.setdefault(key, {}).setdefault(value, set()).add(sub.consumer_id)
+                self._eq_constrained.setdefault(key, set()).add(sub.consumer_id)
+            else:
+                ranged = _range_constraint(condition)
+                if ranged is not None:
+                    self._range.setdefault(key, {})[sub.consumer_id] = ranged
 
     def remove(self, consumer_id: str) -> Subscription | None:
         """Drop a consumer; returns its subscription or ``None``."""
@@ -226,16 +218,19 @@ class SubscriptionIndex:
                 bucket.discard(consumer_id)
                 if not bucket:
                     del table[key]
-        for key in self._where_keys:
-            if consumer_id in self._eq_constrained[key]:
+        for key, condition in sub.where.items():
+            value = _equality_value(condition)
+            if value is not _NO_EQ:
+                self._eq[key][value].discard(consumer_id)
+                if not self._eq[key][value]:
+                    del self._eq[key][value]
                 self._eq_constrained[key].discard(consumer_id)
-                value = _equality_value(sub.where.get(key, _NO_EQ))
-                bucket = self._eq[key].get(value)
-                if bucket is not None:
-                    bucket.discard(consumer_id)
-                    if not bucket:
-                        del self._eq[key][value]
-            self._range[key].pop(consumer_id, None)
+                if not self._eq_constrained[key]:
+                    del self._eq[key], self._eq_constrained[key]
+            elif consumer_id in self._range.get(key, ()):
+                del self._range[key][consumer_id]
+                if not self._range[key]:
+                    del self._range[key]
         return sub
 
     def candidates(
@@ -245,11 +240,11 @@ class SubscriptionIndex:
         (and, when ``data`` is given, its payload), in registration order.
         Callers still apply ``sub.matches(event)``.
 
-        With ``data``, candidates whose clause pins an indexed where key
-        to a different equality value are pruned via one bucket probe per
+        With ``data``, candidates whose clause pins a where key to a
+        different equality value are pruned via one bucket probe per
         key — e.g. per-node monitors with ``where={"node": ...}`` stop
         being visited for every other node's events.  Numeric range
-        constraints on indexed keys prune the same way: a threshold
+        constraints prune the same way: a threshold
         alarm with ``where={"cpu_pct": {"op": ">", "value": 90}}`` is
         only visited by events whose value clears the bound (missing
         fields and cross-type comparisons never match range operators,
@@ -267,35 +262,28 @@ class SubscriptionIndex:
                     ids |= bucket
                 pos = event_type.find(".", pos + 1)
         if data is not None:
-            for key in self._where_keys:
-                constrained = self._eq_constrained[key]
+            for key, constrained in self._eq_constrained.items():
+                try:
+                    # A missing field never satisfies an equality constraint:
+                    # _NO_EQ (never a bucket key) prunes every pinned sub.
+                    matching = self._eq[key].get(data.get(key, _NO_EQ), ())
+                except TypeError:
+                    # Unhashable event value: it cannot equal any of the
+                    # (hashable) pinned values, so no pinned sub matches.
+                    matching = ()
+                ids = {cid for cid in ids if cid not in constrained or cid in matching}
+            for key, ranged in self._range.items():
                 value = data.get(key, _NO_EQ)
-                if constrained:
-                    try:
-                        matching = (
-                            self._eq[key].get(value, ()) if value is not _NO_EQ else ()
-                        )
-                    except TypeError:
-                        # Unhashable event value: it cannot equal any of the
-                        # (hashable) pinned values, so no pinned sub matches.
-                        matching = ()
-                    # A missing field never satisfies an equality constraint,
-                    # so _NO_EQ (never a bucket key) prunes every pinned sub.
-                    ids = {cid for cid in ids if cid not in constrained or cid in matching}
-                ranged = self._range[key]
-                if ranged:
-                    if value is _NO_EQ:
-                        # Missing field: range operators never match it.
-                        ids = {cid for cid in ids if cid not in ranged}
-                    elif isinstance(value, (int, float)):
-                        ids = {
-                            cid
-                            for cid in ids
-                            if cid not in ranged or _range_admits(*ranged[cid], value)
-                        }
-                    # Non-numeric event values stay unpruned: exotic types
-                    # (Decimal, strings vs numeric bounds) are left to the
-                    # full per-candidate clause.
+                if value is _NO_EQ:
+                    # Missing field: range operators never match it.
+                    ids = {cid for cid in ids if cid not in ranged}
+                elif isinstance(value, (int, float)):
+                    ids = {
+                        cid
+                        for cid in ids
+                        if cid not in ranged or _range_admits(*ranged[cid], value)
+                    }
+                # Non-numeric event values stay unpruned: exotic types
+                # (Decimal, strings vs numeric bounds) are left to the
+                # full per-candidate clause.
         return [self._subs[cid] for cid in sorted(ids, key=self._order.__getitem__)]
-
-

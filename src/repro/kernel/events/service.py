@@ -68,7 +68,7 @@ class EventServiceDaemon(ServiceDaemon):
 
     def __init__(self, kernel, node_id: str) -> None:
         super().__init__(kernel, node_id)
-        self._subs = SubscriptionIndex(indexed_keys=tuple(self.timings.es_indexed_where_keys))
+        self._subs = SubscriptionIndex()
         # The prefix carries an incarnation stamp (start time in us): a
         # restarted instance's counter starts over, and a reused event id
         # would make peers' duplicate suppression swallow a *new* event.

@@ -31,6 +31,8 @@ APP_FAILED = "app.failed"
 CONFIG_CHANGED = "config.changed"
 #: Base-table change feed published by bulletin instances while any
 #: materialized view is registered (see :mod:`repro.kernel.bulletin.views`).
+#: ``op`` is ``put``/``delete`` — or ``epoch`` (``seq`` 0), a restarted
+#: instance announcing its incarnation for a table nothing has written yet.
 DB_DELTA = "db.delta"
 #: A contiguous run of ``db.delta`` events coalesced per ``(table, key)``
 #: for cross-region federation (two-tier mode, DESIGN.md §16).  Carries

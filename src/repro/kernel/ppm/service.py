@@ -224,7 +224,3 @@ class PPMDaemon(ServiceDaemon):
         except Exception as exc:
             return {"ok": False, "error": str(exc)}
         return {"ok": True, "service": service}
-
-    # -- introspection ---------------------------------------------------
-    def running_tasks(self) -> list[TaskRecord]:
-        return [r for r in self.tasks.values() if r.running]

@@ -23,7 +23,7 @@ tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import KernelError
 from repro.units import usec
@@ -139,10 +139,6 @@ class KernelTimings:
     #: disables the per-consumer histograms, keeping trace output
     #: identical for the paper-calibrated benchmarks.
     es_deliver_slo: float | None = None
-    #: Hot equality ``where`` keys bucketed by the ES subscription index
-    #: — per-deployment tunable (e.g. add ``service`` or ``user`` when a
-    #: deployment's monitors filter on them); empty disables the buckets.
-    es_indexed_where_keys: tuple[str, ...] = ("node",)
 
     #: Time-based retention window (seconds) for checkpoint history — the
     #: store that backs bulletin ``AS OF`` time travel.  ``None`` (default)
@@ -189,8 +185,6 @@ class KernelTimings:
             raise KernelError("es_outbox_max must be >= 1")
         if self.es_deliver_slo is not None and self.es_deliver_slo <= 0:
             raise KernelError("es_deliver_slo must be positive (or None)")
-        if any(not key or not isinstance(key, str) for key in self.es_indexed_where_keys):
-            raise KernelError("es_indexed_where_keys must be non-empty strings")
         if self.ckpt_retention_window is not None and self.ckpt_retention_window <= 0:
             raise KernelError("ckpt_retention_window must be positive (or None)")
         if self.health_report_interval is not None and self.health_report_interval <= 0:
@@ -213,10 +207,6 @@ class KernelTimings:
     def service_check_period(self) -> float:
         """GSD's local service-group check period (Table 3 detection)."""
         return self.heartbeat_interval
-
-    def with_interval(self, heartbeat_interval: float) -> "KernelTimings":
-        """Copy with a different heartbeat interval (the paper's tunable)."""
-        return replace(self, heartbeat_interval=heartbeat_interval)
 
     def spawn_time(self, service: str) -> float:
         """Restart cost of a named service (kernel or user environment)."""

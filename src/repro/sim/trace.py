@@ -18,13 +18,13 @@ section 5.4, plus two causal layers:
   distributions keyed by category (``rpc.call``, ``es.deliver``, ...),
   fed automatically by span close, summarized as p50/p95/p99/max.
 
-Tracing is **zero-cost when unobserved**: ``capacity=0`` or
-``counters_only=True`` short-circuits :meth:`Trace.mark` to counter-only
-accounting (no :class:`TraceRecord` is constructed — a shared sentinel is
-returned), and :meth:`Trace.set_record_filter` drops whole category
-families at mark time via a memoized prefix lookup, so a 4096-node sweep
-retains only the records its harness reads.  Counters, histograms, and
-span timing keep working in every mode.
+Tracing is **zero-cost when unobserved**: ``capacity=0`` short-circuits
+:meth:`Trace.mark` to counter-only accounting (no :class:`TraceRecord`
+is constructed — a shared sentinel is returned), and
+:meth:`Trace.set_record_filter` drops whole category families at mark
+time via a memoized prefix lookup, so a 4096-node sweep retains only the
+records its harness reads.  Counters, histograms, and span timing keep
+working in every mode.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class TraceRecord:
 
 
 #: Shared sentinel returned by :meth:`Trace.mark` when record retention is
-#: off (``capacity=0`` / ``counters_only=True``) or the category is
+#: off (``capacity=0``) or the category is
 #: filtered out — callers get a well-formed record without a per-mark
 #: allocation.  Never stored in any trace.
 _NULL_RECORD = TraceRecord(time=0.0, category="", fields={})
@@ -247,16 +247,15 @@ class Trace:
 
     ``capacity=None`` retains everything (fine for experiments that run
     minutes of virtual time); long-running scalability sweeps pass a bound
-    so memory stays flat.  ``capacity=0`` (or ``counters_only=True``) puts
-    :meth:`mark` on a counter-only fast path: no record is constructed and
-    the shared ``_NULL_RECORD`` sentinel is returned.
+    so memory stays flat.  ``capacity=0`` puts :meth:`mark` on a
+    counter-only fast path: no record is constructed and the shared
+    ``_NULL_RECORD`` sentinel is returned.
     """
 
     def __init__(
         self,
         capacity: int | None = None,
         clock: Callable[[], float] | None = None,
-        counters_only: bool = False,
     ) -> None:
         self._records: deque[TraceRecord] = deque(maxlen=capacity)
         self._clock = clock or (lambda: 0.0)
@@ -264,7 +263,7 @@ class Trace:
         self._histograms: dict[str, Histogram] = {}
         self._span_seq = 0
         #: True when marks skip record construction entirely.
-        self._drop_records = counters_only or capacity == 0
+        self._drop_records = capacity == 0
         #: Category-prefix allowlist (None = keep everything) plus a
         #: per-category memo so the prefix scan runs once per category.
         self._record_filter: tuple[str, ...] | None = None
@@ -281,7 +280,7 @@ class Trace:
     def mark(self, category: str, **fields: Any) -> TraceRecord:
         """Append a record stamped at the current virtual time.
 
-        In counter-only mode (``capacity=0`` / ``counters_only=True``) or
+        In counter-only mode (``capacity=0``) or
         when a record filter excludes ``category``, only ``total_marked``
         is bumped and the shared sentinel record is returned.
         """

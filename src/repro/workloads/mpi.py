@@ -99,10 +99,6 @@ class MpiJobResult:
     failed: bool = False
     failed_rank: int | None = None
 
-    @property
-    def mean_iteration(self) -> float:
-        return sum(self.iteration_times) / len(self.iteration_times)
-
 
 class MpiJob:
     """Runs one spec's ranks on a node list; join :attr:`done` for the result."""

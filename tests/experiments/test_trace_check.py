@@ -2,7 +2,7 @@
 
 Synthetic traces prove the checker catches doctored violations (a checker
 that never fires is worthless); a real partition-campaign export proves
-the live kernel passes the same audit with in-process spies removed.
+the live kernel passes the same audit with no in-process state.
 """
 
 import json
@@ -139,7 +139,7 @@ def test_campaign_export_passes_external_audit(exported_trace):
     assert result.ok, result.violations
     assert result.commit_marks > 0, "commit marks missing from the export"
     assert result.claims and result.parked
-    # The external reconstruction agrees with the in-process spies.
+    # The external reconstruction agrees with the campaign's own counts.
     assert campaign.dual_leader_intervals == 0
     assert campaign.minority_placement_writes == 0
 

@@ -1,12 +1,16 @@
-"""Materialized views: subtractable accumulators, rows(), view_report (pure)."""
+"""Materialized views: subtractable accumulators, rows(), view_report,
+and the view engine's one change-feed intake (pure — no simulator)."""
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.bulletin.query import Agg, Query, execute
-from repro.kernel.bulletin.views import MaterializedView, view_report
+from repro.kernel.bulletin.store import BulletinStore
+from repro.kernel.bulletin.views import MaterializedView, ViewEngine, view_report
+from repro.sim.trace import Trace
 
 GROUPED = Query(
     table="nodes",
@@ -153,3 +157,150 @@ def test_property_view_equals_fresh_execution(ops):
         else:
             current[key] = row
     assert rows_close(view.rows(), execute(GROUPED, list(current.values())))
+
+
+# -- ViewEngine intake (one path for deltas, digests and epoch announces) ------
+
+
+class _Owner:
+    """Stand-in for the owning BulletinDaemon on p0.  A resync's scan RPC
+    is answered on the spot with whatever ``self.peer`` holds."""
+
+    partition_id, node_id, epoch = "p0", "p0s0", 1
+
+    def __init__(self):
+        self.sim = SimpleNamespace(trace=Trace(), now=0.0)
+        self.kernel = SimpleNamespace(db_locations=lambda: {"p0": "p0s0", "p1": "p1s0"})
+        self.store = BulletinStore()
+        self.peer = {"rows": [], "watermark": {"epoch": 1, "delta_seq": 0}}
+
+    def delta_seq(self, table):
+        return 0
+
+    def rpc_retry(self, *args, **kwargs):
+        return dict(self.peer)
+
+    def spawn(self, body, name=""):
+        try:
+            reply = next(body)
+            while True:
+                reply = body.send(reply)
+        except StopIteration:
+            pass
+
+
+def _engine():
+    owner = _Owner()
+    engine = ViewEngine(owner)
+    engine.views["jobs"] = MaterializedView(
+        "jobs", Query(table="jobs", group_by=("phase",), aggs=(Agg("count", "*", "n"),))
+    )
+    engine.sources[("p1", "apps")] = (1, 0)
+    engine.ready = True
+    return owner, engine
+
+
+def _delta(seq, key, phase=None, epoch=1, op=None):
+    delta = {
+        "table": "apps", "key": key, "op": op or ("put" if phase else "delete"),
+        "partition": "p1", "epoch": epoch, "seq": seq, "t": float(seq),
+    }
+    if phase:
+        delta["row"] = {"_key": key, "_partition": "p1", "app": "a", "phase": phase}
+    return delta
+
+
+def _as_digest_of_one(delta):
+    return {
+        "table": delta["table"], "partition": delta["partition"], "epoch": delta["epoch"],
+        "seq_lo": delta["seq"], "seq_hi": delta["seq"], "deltas": [delta],
+    }
+
+
+def _snapshot(owner, engine):
+    return (
+        dict(engine.sources), engine.mirror, engine.read("jobs"),
+        engine.views["jobs"].stats(), owner.sim.trace.counters("db.view_"),
+    )
+
+
+def test_plain_delta_is_a_digest_of_one():
+    """The same stream — applies, a duplicate, a gap healed by a resync —
+    fed once as plain deltas and once as ``[seq, seq]`` digests leaves
+    equal watermarks, mirror, view rows, view stats and counters."""
+    stream = [
+        _delta(1, "j1", "running"), _delta(2, "j2", "running"), _delta(3, "j1", "done"),
+        _delta(3, "j1", "done"),  # duplicate: stale
+        _delta(4, "j2"),  # delete
+        _delta(6, "j3", "running"),  # seq 5 lost: resync
+        _delta(7, "j4", "done"),
+    ]
+    snapshots = []
+    for shape in (lambda d: d, _as_digest_of_one):
+        owner, engine = _engine()
+        for delta in stream:
+            if delta["seq"] == 6:
+                owner.peer = {
+                    "rows": [stream[2]["row"], stream[5]["row"]],
+                    "watermark": {"epoch": 1, "delta_seq": 6},
+                }
+            engine.on_feed(shape(delta), now=10.0)
+        snapshots.append(_snapshot(owner, engine))
+    plain, digested = snapshots
+    assert plain == digested
+    sources, _mirror, rows, _stats, counters = plain
+    assert sources[("p1", "apps")] == (1, 7)
+    assert rows == [{"phase": "done", "n": 2}, {"phase": "running", "n": 1}]
+    assert counters["db.view_delta_stale"] == 2  # the duplicate + seq 6 after its resync
+    assert counters["db.view_resyncs"] == 1
+    assert "db.view_digests_applied" not in counters  # counts real digests only
+
+
+def test_multi_delta_digest_applies_unseen_suffix_and_is_counted():
+    owner, engine = _engine()
+    engine.on_feed(_delta(1, "j1", "running"), now=1.0)
+    engine.on_feed({
+        "table": "apps", "partition": "p1", "epoch": 1, "seq_lo": 1, "seq_hi": 3,
+        "deltas": [_delta(1, "j1", "queued"), _delta(3, "j2", "done")],
+    }, now=2.0)
+    assert engine.sources[("p1", "apps")] == (1, 3)
+    assert engine.read("jobs") == [{"phase": "done", "n": 1}, {"phase": "running", "n": 1}]
+    assert owner.sim.trace.counter("db.view_digests_applied") == 1
+
+
+def test_epoch_announce_on_a_quiet_table_drops_the_lost_rows():
+    """A successor bulletin whose table stays quiet announces its epoch
+    with ``seq`` 0: the newer epoch forces a resync whose (empty) scan
+    replaces the dead incarnation's slice; every repeat is stale."""
+    owner, engine = _engine()
+    engine.on_feed(_delta(1, "j2", "running"), now=1.0)
+    assert engine.read("jobs") == [{"phase": "running", "n": 1}]
+    announce = _delta(0, "", epoch=2, op="epoch")
+    owner.peer = {"rows": [], "watermark": {"epoch": 2, "delta_seq": 0}}
+    engine.on_feed(announce, now=30.0)
+    assert engine.sources[("p1", "apps")] == (2, 0)
+    assert engine.read("jobs") == [] and engine.mirror["apps"] == {}
+    engine.on_feed(announce, now=35.0)
+    engine.on_feed(_as_digest_of_one(announce), now=40.0)
+    counters = owner.sim.trace.counters("db.view_")
+    assert counters["db.view_resyncs"] == 1
+    assert counters["db.view_delta_stale"] == 3  # post-resync drain + two repeats
+    # The successor's first real write then applies as seq 1 of epoch 2.
+    engine.on_feed(_delta(1, "j9", "done", epoch=2), now=41.0)
+    assert engine.read("jobs") == [{"phase": "done", "n": 1}]
+
+
+def test_residual_gap_after_a_resync_starts_a_fresh_one():
+    """A payload buffered during a resync that is still ahead of the
+    scan plus one re-triggers the resync instead of spinning."""
+    owner, engine = _engine()
+    scans = iter([
+        {"rows": [], "watermark": {"epoch": 1, "delta_seq": 2}},  # misses 3
+        {"rows": [_delta(4, "j4", "done")["row"]], "watermark": {"epoch": 1, "delta_seq": 4}},
+    ])
+    owner.rpc_retry = lambda *a, **k: next(scans)
+    engine.on_feed(_delta(4, "j4", "done"), now=1.0)
+    assert engine.sources[("p1", "apps")] == (1, 4)
+    assert engine.read("jobs") == [{"phase": "done", "n": 1}]
+    assert owner.sim.trace.counter("db.view_resyncs") == 2
+    assert not engine._resyncing

@@ -258,19 +258,16 @@ def test_outbox_high_water_mark_drops_oldest_on_peer_outage():
     assert report["es"]["outbox_dropped"] == dropped
 
 
-def test_indexed_where_keys_configurable_via_timings():
-    """Deployments whose hot equality ``where`` key is not ``node`` can
-    point the subscription index elsewhere via KernelTimings."""
+def test_where_key_nobody_configured_is_bucketed_from_first_subscription():
+    """The subscription index derives its keys from the subscriptions it
+    sees: ``severity`` is bucketed the moment one consumer pins it."""
     sim = Simulator(seed=11)
     cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=2))
-    kernel = PhoenixKernel(
-        cluster,
-        timings=KernelTimings(es_indexed_where_keys=("node", "severity")),
-    )
+    kernel = PhoenixKernel(cluster)
     kernel.boot()
     sim.run(until=1.0)
     es = kernel.live_daemon("es", kernel.placement[("es", "p0")])
-    assert es._subs._where_keys == ("node", "severity")
+    assert "severity" not in es._subs._eq
 
     inbox = []
     cluster.transport.bind(
@@ -278,8 +275,7 @@ def test_indexed_where_keys_configurable_via_timings():
     reply = drive(sim, kernel.client("p0c0").subscribe(
         "c1", "sink", types=("custom.*",), where={"severity": "high"}, partition="p0"))
     assert reply and reply["ok"]
-    # The custom key landed in an indexed equality slot...
-    assert any(es._subs._eq["severity"].values())
+    assert es._subs._eq["severity"] == {"high": {"c1"}}
     # ...and filtering through it still delivers exactly the matches.
     publish(kernel, sim, "p0c1", "custom.alert", {"severity": "low"}, partition="p0")
     publish(kernel, sim, "p0c1", "custom.alert", {"severity": "high"}, partition="p0")

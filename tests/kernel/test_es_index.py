@@ -109,7 +109,9 @@ def test_index_equivalent_to_linear_scan_on_random_stream():
             )
             via_scan = [s.consumer_id for s in linear.values() if s.matches(event)]
             via_index = [
-                s.consumer_id for s in index.candidates(event.type) if s.matches(event)
+                s.consumer_id
+                for s in index.candidates(event.type, event.data)  # prunes on "k"
+                if s.matches(event)
             ]
             assert via_index == via_scan, f"divergence at step {step} on {event.type!r}"
 
@@ -154,7 +156,7 @@ def test_where_key_unindexable_conditions_are_never_pruned():
 
 
 def test_where_key_numeric_range_pruning():
-    index = SubscriptionIndex(indexed_keys=("cpu_pct",))
+    index = SubscriptionIndex()
     index.add(sub("high", "m.*", where={"cpu_pct": {"op": ">", "value": 90}}))
     index.add(sub("low", "m.*", where={"cpu_pct": {"op": "<=", "value": 50.0}}))
     index.add(sub("any", "m.*"))
@@ -173,7 +175,7 @@ def test_where_key_numeric_range_pruning():
 
 
 def test_where_key_range_boundary_semantics_match_operators():
-    index = SubscriptionIndex(indexed_keys=("v",))
+    index = SubscriptionIndex()
     index.add(sub("lt", "t.a", where={"v": {"op": "<", "value": 10}}))
     index.add(sub("le", "t.a", where={"v": {"op": "<=", "value": 10}}))
     index.add(sub("gt", "t.a", where={"v": {"op": ">", "value": 10}}))
@@ -186,7 +188,7 @@ def test_where_key_range_boundary_semantics_match_operators():
 def test_where_key_non_numeric_event_value_is_not_range_pruned():
     """A non-numeric event value is left to the full clause: the index
     must not guess the outcome of exotic cross-type comparisons."""
-    index = SubscriptionIndex(indexed_keys=("v",))
+    index = SubscriptionIndex()
     index.add(sub("gt", "t.a", where={"v": {"op": ">", "value": 5}}))
     got = [s.consumer_id for s in index.candidates("t.a", {"v": "hot"})]
     assert got == ["gt"]
@@ -199,13 +201,13 @@ def test_where_key_non_numeric_event_value_is_not_range_pruned():
 
 
 def test_where_key_range_tables_cleaned_on_remove_and_readd():
-    index = SubscriptionIndex(indexed_keys=("v",))
+    index = SubscriptionIndex()
     index.add(sub("c", "t.a", where={"v": {"op": ">", "value": 5}}))
     index.add(sub("c", "t.a", where={"v": {"op": "<", "value": 5}}))  # re-add flips
     assert [s.consumer_id for s in index.candidates("t.a", {"v": 3})] == ["c"]
     assert index.candidates("t.a", {"v": 7}) == []
     index.remove("c")
-    assert index._range["v"] == {}
+    assert "v" not in index._range
     assert index.candidates("t.a", {"v": 3}) == []
 
 
@@ -240,7 +242,7 @@ def test_range_pruning_exactly_equivalent_to_scan(clauses, values):
     infinite, non-numeric), pruning never changes the delivered set or
     order relative to the naive full scan."""
     linear: dict[str, Subscription] = {}
-    index = SubscriptionIndex(indexed_keys=("v",))
+    index = SubscriptionIndex()
     for i, clause in enumerate(clauses):
         where = {} if clause is None else {"v": {"op": clause[0], "value": clause[1]}}
         s = Subscription(f"c{i}", "n", "p", types=("ev.*",), where=where)
@@ -277,8 +279,8 @@ def test_where_key_buckets_cleaned_on_remove_and_readd():
     assert index.candidates("t.a", {"node": "n1"}) == []
     assert [s.consumer_id for s in index.candidates("t.a", {"node": "n2"})] == ["c"]
     index.remove("c")
-    assert index._eq["node"] == {}
-    assert index._eq_constrained["node"] == set()
+    # A key leaves with its last constrained consumer.
+    assert "node" not in index._eq and "node" not in index._eq_constrained
 
 
 def test_where_key_index_equivalent_to_scan_on_random_stream():

@@ -121,14 +121,11 @@ def test_two_tier_view_contents_equal_flat_reference(seed, actions):
     ), f"flat={flat!r} two_tier={two_tier!r}"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 0: an `apps` row lost across p2's bulletin failover "
-    "is never retracted from the remote view owner (fails on both topologies: "
-    "an IVM bug, not a digest bug)",
-)
 @pytest.mark.parametrize("region_size", [None, 2])
 def test_regression_put_put_agg_crash_view_keeps_lost_row(region_size):
+    """p2's bulletin restarts with an empty, henceforth quiet ``apps``
+    table: only its epoch announce tells the owner on p0 to drop job2
+    (failed on both topologies before the announce existed)."""
     _run_scenario(0, ["put", "put", "agg_crash"], region_size=region_size)
 
 

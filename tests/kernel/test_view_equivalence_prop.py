@@ -7,7 +7,6 @@ to converge back to exact (float-tolerant) agreement with the full-scan
 reference, and a time-travel read to stay self-consistent.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -62,8 +61,11 @@ def _run_churn(seed, actions):
                 if not cluster.hostos(node).process_alive(svc):
                     kernel.start_service(svc, node)
         elif action == "failover":
+            # Never the partition's last live node: with nobody left to
+            # host the bulletin there is no owner to read the view from.
             owner_node = kernel.placement[("db", "p1")]
-            if cluster.node(owner_node).up:
+            live = [n for n in cluster.partition("p1").all_nodes if cluster.node(n).up]
+            if cluster.node(owner_node).up and len(live) > 1:
                 injector.crash_node(owner_node)
         elif action == "job":
             job_seq += 1
@@ -99,11 +101,8 @@ def test_view_matches_fresh_scan_under_randomized_churn(seed, actions):
     _run_churn(seed, actions)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 0: read_view/exec_query get no answer inside drive's "
-    "budget after four back-to-back owner failovers (availability bug or "
-    "too-tight budget - undecided)",
-)
-def test_regression_four_back_to_back_owner_failovers():
+def test_regression_failovers_down_to_the_last_node_still_serve():
+    """Four back-to-back owner failovers used to take p1 down to zero
+    live nodes (a generator bug: nobody left to answer).  The fourth is
+    now skipped; three leave one node, which must serve view ≡ scan."""
     _run_churn(0, ["failover"] * 4)

@@ -113,12 +113,6 @@ def test_capacity_zero_counts_but_retains_nothing():
     assert trace.histogram("rpc.call").count == 1
 
 
-def test_counters_only_mode_equals_capacity_zero():
-    trace = Trace(counters_only=True)
-    assert trace.mark("x") is trace.mark("y")
-    assert trace.total_marked == 2 and len(trace) == 0
-
-
 def test_record_filter_keeps_only_matching_prefixes():
     trace = Trace()
     trace.set_record_filter(("gridview.", "failure."))

@@ -32,6 +32,8 @@ def test_validate_accepts_good_profile():
     (lambda p: p["kernel"].update(warp=9), "unknown kernel timing"),
     # A calibration constant is not a profile key (it was one until PR 13).
     (lambda p: p["kernel"].update(rpc_timeout=2.0), "unknown kernel timing"),
+    # The ES index derives its where keys; the knob that listed them is gone.
+    (lambda p: p["kernel"].update(es_indexed_where_keys=["node"]), "unknown kernel timing"),
     (lambda p: p["users"].append({"name": "x"}), "user entry"),
     (lambda p: p["environments"].update(slurm={}), "unknown environments"),
     (lambda p: p["environments"]["pws"].update(pools=[]), "at least one pool"),
