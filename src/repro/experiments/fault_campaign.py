@@ -537,21 +537,22 @@ class PartitionCampaignResult:
         return self.covered / self.injected if self.injected else 0.0
 
 
-def _minority_writes(sim, kind: str, nodes: set[str], start: float, end: float) -> int:
-    """Commits the ``nodes`` side made inside ``[start, end]``, counted
-    from the commit marks (the campaign boots with
-    ``trace_commit_marks=True``): ``kind="placement"`` is an accepted
-    meta-group leadership placement, ``kind="ckpt"`` a ``gsd.state.*``
-    checkpoint commit."""
-    if kind == "placement":
-        records = sim.trace.iter_records(
-            "placement.committed", service="metagroup", scope="leader"
-        )
-    else:
-        records = (
-            r for r in sim.trace.iter_records("ckpt.committed")
-            if str(r.get("key", "")).startswith("gsd.state.")
-        )
+def _placement_commits(trace):
+    """Accepted meta-group leadership placements (commit marks; the
+    campaign boots with ``trace_commit_marks=True``)."""
+    return trace.iter_records("placement.committed", service="metagroup", scope="leader")
+
+
+def _gsd_state_commits(trace):
+    """``gsd.state.*`` checkpoint commits (commit marks)."""
+    return (
+        r for r in trace.iter_records("ckpt.committed")
+        if str(r.get("key", "")).startswith("gsd.state.")
+    )
+
+
+def _writes_by(records, nodes: set[str], start: float, end: float) -> int:
+    """How many of ``records`` the ``nodes`` side made inside ``[start, end]``."""
     return sum(1 for r in records if start <= r.time <= end and r.get("node") in nodes)
 
 
@@ -668,11 +669,11 @@ def run_partition_class(
             takeovers = [
                 r for r in sim.trace.iter_records("leader.takeover") if r.time > t0
             ]
-            result.minority_placement_writes += _minority_writes(
-                sim, "placement", minority, t0, heal_t
+            result.minority_placement_writes += _writes_by(
+                _placement_commits(sim.trace), minority, t0, heal_t
             )
-            result.minority_ckpt_writes += _minority_writes(
-                sim, "ckpt", minority, t0 + park_grace, heal_t
+            result.minority_ckpt_writes += _writes_by(
+                _gsd_state_commits(sim.trace), minority, t0 + park_grace, heal_t
             )
             if parks:
                 result.detect.append(parks[0].time - t0)
@@ -722,11 +723,11 @@ def run_partition_class(
             takeovers = [
                 r for r in sim.trace.iter_records("leader.takeover") if r.time > t0
             ]
-            result.minority_placement_writes += _minority_writes(
-                sim, "placement", minority, t0, heal_t
+            result.minority_placement_writes += _writes_by(
+                _placement_commits(sim.trace), minority, t0, heal_t
             )
-            result.minority_ckpt_writes += _minority_writes(
-                sim, "ckpt", minority, t0 + park_grace, heal_t
+            result.minority_ckpt_writes += _writes_by(
+                _gsd_state_commits(sim.trace), minority, t0 + park_grace, heal_t
             )
             if parks:
                 result.detect.append(parks[0].time - t0)
@@ -783,8 +784,8 @@ def run_partition_class(
             span.end()
             injector.current_span = None
             sampler.run_until(sim.now + 8.0 * hb)
-            result.minority_placement_writes += _minority_writes(
-                sim, "placement", minority, t0, heal_t
+            result.minority_placement_writes += _writes_by(
+                _placement_commits(sim.trace), minority, t0, heal_t
             )
             covered = _settled(kernel, len(parts))
 

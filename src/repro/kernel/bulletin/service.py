@@ -26,6 +26,7 @@ subscriptions, no checkpoints.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.cluster.message import Message
@@ -89,6 +90,8 @@ class BulletinDaemon(ServiceDaemon):
         #: Tables whose mutations are published as ``db.delta`` events
         #: (empty until a view registration's DB_MAINT broadcast arrives).
         self._publish_tables: set[str] = set()
+        #: Epoch announces sent per quiet published table (successors only).
+        self._epoch_announces: dict[str, int] = {}
         self.engine: ViewEngine | None = None
         self._tables_ckpt_timer = None
 
@@ -122,11 +125,15 @@ class BulletinDaemon(ServiceDaemon):
                 # A successor whose table stays quiet never publishes a
                 # delta carrying its new epoch, so remote view owners would
                 # keep the dead incarnation's rows forever.  Announce it
-                # with seq 0: the owner resyncs on the newer epoch and every
-                # repeat is stale.  Per tick, not once at start-up — the
-                # partition's ES may be failing over alongside us.
+                # with seq 0: the owner resyncs on the newer epoch.  Not
+                # once at start-up (the partition's ES may be failing over
+                # alongside us) but for enough ticks to outlast that
+                # failover: two heartbeats' worth, three at least.
+                ticks = max(3, math.ceil(2.0 * self.timings.heartbeat_interval / interval))
                 for table in sorted(self._publish_tables):
-                    if not self.delta_seq(table):
+                    sent = self._epoch_announces.get(table, 0)
+                    if not self.delta_seq(table) and sent < ticks:
+                        self._epoch_announces[table] = sent + 1
                         self._publish_delta(table, "", "epoch", 0)
             if self.engine is not None and self.engine.ready:
                 # Collect failover leftovers: checkpoint-seeded mirror rows

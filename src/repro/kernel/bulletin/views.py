@@ -310,7 +310,9 @@ class ViewEngine:
             return
         cur_epoch, cur_seq = known
         if epoch < cur_epoch or (epoch == cur_epoch and hi <= cur_seq):
-            self.daemon.sim.trace.count("db.view_delta_stale")
+            # seq 0 is only ever a successor's epoch announce (repeated on
+            # purpose), not a lost or duplicate delta.
+            self.daemon.sim.trace.count("db.view_delta_stale" if hi else "db.view_epoch_announces")
             return
         if epoch > cur_epoch or lo > cur_seq + 1:
             # New incarnation (failover) or a lost delta ahead of the run

@@ -23,7 +23,7 @@ tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import KernelError
 from repro.units import usec
@@ -135,9 +135,8 @@ class KernelTimings:
     #: (``es.deliver.to.<consumer_id>``) and the monitoring layer's
     #: ``alerts()`` fires a warning for any consumer whose p99 exceeds the
     #: ceiling — so one slow consumer is visible even when the aggregate
-    #: ``es.deliver`` histogram looks healthy.  ``None`` (default)
-    #: disables the per-consumer histograms, keeping trace output
-    #: identical for the paper-calibrated benchmarks.
+    #: ``es.deliver`` histogram looks healthy.  ``None`` (default) disables
+    #: them, keeping paper-calibrated trace output identical.
     es_deliver_slo: float | None = None
 
     #: Time-based retention window (seconds) for checkpoint history — the
@@ -207,6 +206,10 @@ class KernelTimings:
     def service_check_period(self) -> float:
         """GSD's local service-group check period (Table 3 detection)."""
         return self.heartbeat_interval
+
+    def with_interval(self, heartbeat_interval: float) -> "KernelTimings":
+        """Copy with a different heartbeat interval (the paper's tunable)."""
+        return replace(self, heartbeat_interval=heartbeat_interval)
 
     def spawn_time(self, service: str) -> float:
         """Restart cost of a named service (kernel or user environment)."""

@@ -142,3 +142,38 @@ def test_partition_render_and_check(even_split_campaign):
     bad = dataclasses.replace(even_split_campaign, dual_leader_intervals=1)
     problems = check_partition_campaign({"even-split": bad})
     assert any("dual-leader" in p for p in problems)
+
+
+def test_minority_write_counters_fire_on_a_synthetic_trace():
+    """The partition campaign's two minority-write counters read commit
+    marks by split side and time window; a healthy run leaves both at 0,
+    so show on a hand-made trace that each can count."""
+    from repro.experiments.fault_campaign import (
+        _gsd_state_commits,
+        _placement_commits,
+        _writes_by,
+    )
+    from repro.sim.trace import Trace
+
+    clock = [0.0]
+    trace = Trace(clock=lambda: clock[0])
+    marks = [
+        (5.0, "placement.committed", dict(service="metagroup", scope="leader", node="p3s0")),
+        (12.0, "placement.committed", dict(service="metagroup", scope="leader", node="p3s0")),
+        (12.0, "placement.committed", dict(service="metagroup", scope="leader", node="p0s0")),
+        (12.0, "placement.committed", dict(service="es", scope="p3", node="p3s0")),
+        (13.0, "ckpt.committed", dict(key="gsd.state.p3", node="p3s0", version=7)),
+        (13.0, "ckpt.committed", dict(key="es.registry.p3", node="p3s0", version=2)),
+        (13.0, "ckpt.committed", dict(key="gsd.state.p0", node="p0s0", version=9)),
+        (25.0, "ckpt.committed", dict(key="gsd.state.p3", node="p3s0", version=8)),
+    ]
+    for t, category, fields in marks:
+        clock[0] = t
+        trace.mark(category, **fields)
+    minority = {"p3s0", "p3c0"}
+    # One minority leadership placement and one minority gsd.state commit
+    # inside [10, 20]; other sides, services, keys and times do not count.
+    assert _writes_by(_placement_commits(trace), minority, 10.0, 20.0) == 1
+    assert _writes_by(_gsd_state_commits(trace), minority, 10.0, 20.0) == 1
+    assert _writes_by(_gsd_state_commits(trace), minority, 0.0, 30.0) == 2
+    assert _writes_by(_placement_commits(trace), {"p1s0"}, 0.0, 30.0) == 0

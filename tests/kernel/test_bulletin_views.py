@@ -271,7 +271,8 @@ def test_multi_delta_digest_applies_unseen_suffix_and_is_counted():
 def test_epoch_announce_on_a_quiet_table_drops_the_lost_rows():
     """A successor bulletin whose table stays quiet announces its epoch
     with ``seq`` 0: the newer epoch forces a resync whose (empty) scan
-    replaces the dead incarnation's slice; every repeat is stale."""
+    replaces the dead incarnation's slice; repeats change nothing and are
+    counted apart from lost or duplicate deltas."""
     owner, engine = _engine()
     engine.on_feed(_delta(1, "j2", "running"), now=1.0)
     assert engine.read("jobs") == [{"phase": "running", "n": 1}]
@@ -284,7 +285,8 @@ def test_epoch_announce_on_a_quiet_table_drops_the_lost_rows():
     engine.on_feed(_as_digest_of_one(announce), now=40.0)
     counters = owner.sim.trace.counters("db.view_")
     assert counters["db.view_resyncs"] == 1
-    assert counters["db.view_delta_stale"] == 3  # post-resync drain + two repeats
+    assert counters["db.view_epoch_announces"] == 3  # post-resync drain + two repeats
+    assert "db.view_delta_stale" not in counters
     # The successor's first real write then applies as seq 1 of epoch 2.
     engine.on_feed(_delta(1, "j9", "done", epoch=2), now=41.0)
     assert engine.read("jobs") == [{"phase": "done", "n": 1}]

@@ -195,3 +195,25 @@ def test_drop_view_unregisters():
     assert "t.nodes" not in kernel.view_owners
     with pytest.raises(ServiceUnavailable):
         client.read_view("t.nodes")
+
+
+def test_epoch_announce_on_a_quiet_table_is_bounded():
+    """A failed-over bulletin announces its epoch for a published table
+    nothing writes — for a few housekeeping ticks, not forever: after the
+    window the owner's counters stop moving."""
+    sim, kernel, injector = _boot()
+    client = _client(kernel)
+    jobs = Query(table="jobs", group_by=("phase",), aggs=(Agg("count", "*", "n"),))
+    _register(sim, client, "t.jobs", jobs, "p0")
+    injector.crash_node(kernel.placement[("db", "p2")])
+    sim.run(until=sim.now + 60.0)
+    successor = kernel.bulletin("p2")
+    assert successor.epoch == 2 and successor.delta_seq("apps") == 0
+    assert kernel.bulletin("p0").engine.sources[("p2", "apps")] == (2, 0)
+    sent = successor._epoch_announces["apps"]
+    seen = sim.trace.counters("db.view_")
+    assert sent == 3 and 1 <= seen["db.view_resyncs"] <= sent
+    sim.run(until=sim.now + 120.0)
+    assert successor._epoch_announces["apps"] == sent
+    assert sim.trace.counters("db.view_") == seen
+    assert "db.view_delta_stale" not in seen  # announces are not lost deltas
