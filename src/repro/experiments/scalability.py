@@ -51,20 +51,11 @@ def run_point(
     refresh_interval: float = 30.0,
     measure_time: float = 90.0,
     heartbeat_interval: float = 30.0,
-    fast_forward: bool = False,
     region_size: int | None = None,
     allpairs_storm: bool = False,
 ) -> dict:
-    """One sweep point; returns the measured scaling quantities.
-
-    ``fast_forward=True`` enables the engine's quiescence fast-forward
-    (DESIGN.md §13): healthy heartbeat/export cascades are batch-
-    accounted instead of executed, which is what makes the ≥16384-node
-    extension points affordable.  Counters, histograms, and records are
-    observably identical either way — the differential harness in
-    ``tests/sim/test_fast_forward_equivalence.py`` enforces it.
-    """
-    sim = Simulator(seed=seed, trace_capacity=50_000, fast_forward=fast_forward)
+    """One sweep point; returns the measured scaling quantities."""
+    sim = Simulator(seed=seed, trace_capacity=50_000)
     # The harness reads only counters, histograms, and gridview.* records;
     # filtering at mark time keeps the 2048/4096-node points from paying a
     # record allocation per heartbeat/export mark they will never read.
@@ -155,7 +146,6 @@ def run_point(
         "forward_batches": forward_batches,
         "forwarded_events": forwarded_events,
         "events_per_forward_batch": forwarded_events / forward_batches if forward_batches else 0.0,
-        "ff_skipped": sim.ff_skipped,
         "events_executed": sim.events_executed,
         # Spine latency distributions, fed by span close (deterministic).
         "hist": {
@@ -200,17 +190,13 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description="Regenerate the §5.3 scalability evaluation")
     parser.add_argument("--nodes", type=int, nargs="*", default=list(DEFAULT_SWEEP))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fast-forward", action="store_true",
-                        help="batch-account healthy periodic cascades (DESIGN.md §13); "
-                             "observably identical results, far fewer executed events")
     parser.add_argument("--region-size", type=int, default=None,
                         help="partitions per region: two-tier federation "
                              "(DESIGN.md §16); omit for the flat mesh")
     parser.add_argument("--show-snapshot", action="store_true",
                         help="print the Figure 6 style board for the largest point")
     args = parser.parse_args(argv)
-    rows = run_sweep(tuple(args.nodes), seed=args.seed, fast_forward=args.fast_forward,
-                     region_size=args.region_size)
+    rows = run_sweep(tuple(args.nodes), seed=args.seed, region_size=args.region_size)
     print(render_sweep(rows))
     if args.show_snapshot:
         print()

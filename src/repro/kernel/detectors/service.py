@@ -23,7 +23,6 @@ from repro.kernel.bulletin.service import TABLE_APPS, TABLE_NET_STATE, TABLE_NOD
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.ppm.jobs import TaskRecord, TaskState
-from repro.kernel.quiesce import DetectorExportContract
 
 
 class DetectorDaemon(ServiceDaemon):
@@ -37,16 +36,14 @@ class DetectorDaemon(ServiceDaemon):
         self.samples_exported = 0
 
     def on_start(self) -> None:
-        # First export now; see WatchDaemon.on_start for the contract's role.
-        task = self.sim.periodic(
-            self.timings.detector_interval,
-            self._export_once,
-            first_delay=0.0,
-            contract=DetectorExportContract(self),
-        )
-        self.hp.on_kill(task.cancel)
+        self.spawn(self._export_loop(), name=f"{self.node_id}/detector.loop")
 
     # -- periodic export ---------------------------------------------------
+    def _export_loop(self):
+        while True:
+            self._export_once()
+            yield self.timings.detector_interval
+
     def _export_once(self) -> None:
         db_node = self.kernel.placement.get(("db", self.partition_id))
         if db_node is None:

@@ -127,16 +127,8 @@ class HeartbeatMonitor:
         return max(state.last_seen.values())
 
     # -- beats ---------------------------------------------------------------
-    def beat(self, subject: str, network: str, when: float | None = None) -> None:
-        """Record a heartbeat from ``subject`` on ``network``.
-
-        ``when`` is the delivery instant the beat is accounted *as of* —
-        fast-forward batch accounting passes the arrival time a skipped
-        beat would have been delivered at, so ``last_seen`` stamps and the
-        re-armed deadline (``when + interval + grace``) are bit-identical
-        to what the exact engine records at the real delivery event.
-        ``None`` (the normal event-driven path) means "now".
-        """
+    def beat(self, subject: str, network: str) -> None:
+        """Record a heartbeat from ``subject`` on ``network``."""
         if network not in self.networks:
             raise KernelError(f"unknown network {network!r}")
         state = self._subjects.get(subject)
@@ -157,7 +149,7 @@ class HeartbeatMonitor:
             if network in state.nic_stale:
                 state.nic_stale.discard(network)
                 self.on_nic_restore(subject, network)
-        self._arm(subject, state, network, when)
+        self._arm(subject, state, network)
 
     # -- suspension (diagnosis/recovery in progress) -------------------------
     def suspend(self, subject: str) -> None:
@@ -171,31 +163,17 @@ class HeartbeatMonitor:
         state.timers.clear()
 
     # -- internals -----------------------------------------------------------
-    def _arm(
-        self, subject: str, state: _SubjectState, network: str, when: float | None = None
-    ) -> None:
+    def _arm(self, subject: str, state: _SubjectState, network: str) -> None:
+        state.last_seen[network] = self.sim.now
         timer = state.timers.get(network)
-        if when is None:
-            state.last_seen[network] = self.sim.now
-            if timer is None:
-                state.timers[network] = self.sim.timer(
-                    self.interval + self.grace, self._deadline, subject, network
-                )
-            else:
-                # Restartable deadline: each beat re-arms the same timer, and
-                # the simulator compacts the cancelled heap entries.
-                timer.restart(self.interval + self.grace)
-            return
-        # Batch-accounted beat delivered at a (near-future) arrival instant.
-        # The deadline expression mirrors the exact path evaluated with
-        # now == when, keeping the fire time the same float bit-for-bit.
-        state.last_seen[network] = when
-        deadline = when + (self.interval + self.grace)
         if timer is None:
-            raise KernelError(
-                f"batch-accounted beat for {subject!r}/{network!r} without an armed deadline"
+            state.timers[network] = self.sim.timer(
+                self.interval + self.grace, self._deadline, subject, network
             )
-        timer.restart_at(deadline)
+        else:
+            # Restartable deadline: each beat re-arms the same timer, and
+            # the simulator compacts the cancelled heap entries.
+            timer.restart(self.interval + self.grace)
 
     def _deadline(self, subject: str, network: str) -> None:
         state = self._subjects.get(subject)

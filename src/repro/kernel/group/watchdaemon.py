@@ -16,7 +16,6 @@ from typing import Any
 from repro.cluster.message import Message
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
-from repro.kernel.quiesce import WdBeatContract
 from repro.kernel.timings import LOCAL_CHECK_DELAY
 
 
@@ -38,19 +37,13 @@ class WatchDaemon(ServiceDaemon):
 
     def on_start(self) -> None:
         self.bind(ports.WD, self._dispatch)
-        # First beat now, then every interval; the contract lets an engine
-        # that skips healthy firings account them (repro.kernel.quiesce).
-        task = self.sim.periodic(
-            self.timings.heartbeat_interval,
-            self._beat_tick,
-            first_delay=0.0,
-            contract=WdBeatContract(self),
-        )
-        self.hp.on_kill(task.cancel)
+        self.spawn(self._beat_loop(), name=f"{self.node_id}/wd.beat")
 
-    def _beat_tick(self) -> None:
-        self._send_beat()
-        self._check_local_services()
+    def _beat_loop(self):
+        while True:
+            self._send_beat()
+            self._check_local_services()
+            yield self.timings.heartbeat_interval
 
     def _check_local_services(self) -> None:
         hostos = self.cluster.hostos(self.node_id)

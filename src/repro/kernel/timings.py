@@ -23,7 +23,7 @@ tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import KernelError
 from repro.units import usec
@@ -206,10 +206,6 @@ class KernelTimings:
     def service_check_period(self) -> float:
         """GSD's local service-group check period (Table 3 detection)."""
         return self.heartbeat_interval
-
-    def with_interval(self, heartbeat_interval: float) -> "KernelTimings":
-        """Copy with a different heartbeat interval (the paper's tunable)."""
-        return replace(self, heartbeat_interval=heartbeat_interval)
 
     def spawn_time(self, service: str) -> float:
         """Restart cost of a named service (kernel or user environment)."""

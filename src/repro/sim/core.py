@@ -55,26 +55,6 @@ call sites (timer re-arms, process sleeps, network deliveries, RPC
 timeouts) are recycled through a bounded free list instead of being
 reallocated per event.
 
-Quiescence fast-forward (the engine behind the 16384-node sweep)
-----------------------------------------------------------------
-
-After the wheel, the remaining cost of a healthy steady state is the
-sheer volume of periodic maintenance firings (heartbeats, detector
-samples) whose *cascades* dominate event counts even when nothing
-interesting happens.  :meth:`Simulator.periodic` registers a
-:class:`PeriodicTask` on a dedicated side heap the run loop merges with
-the event frontier in exact ``(time, priority, seq)`` order.  With
-``fast_forward=True``, a task carrying a *contract* (an object with
-``can_skip(now)`` / ``account(now)``) is **skipped analytically**: the
-clock jumps to the firing time, ``account`` replays the firing's full
-observable transaction (counters, RNG draws, deadline re-arms, store
-rows) as plain arithmetic, and no event machinery runs at all.  The
-instant ``can_skip`` refuses — a fault, a degraded link, a dead peer —
-the firing executes event-by-event exactly like the reference engine.
-Equivalence is enforced by a twin-engine differential harness
-(``tests/sim/test_fast_forward_equivalence.py``), the same methodology
-that validated the wheel.
-
 The generator-coroutine process layer lives in :mod:`repro.sim.process`.
 """
 
@@ -387,90 +367,9 @@ class Timer:
             return
         self._handle = sim._schedule(time, priority, self._fire, (), True)
 
-    def restart_at(self, time: float) -> None:
-        """Re-arm to fire at absolute virtual ``time``.
-
-        Used by fast-forward accounting hooks: a skipped heartbeat whose
-        delivery would land at ``arrival`` re-arms its deadline as
-        ``restart_at(arrival + window)`` — the *same float expression* the
-        exact engine evaluates at delivery time (``now + window`` with
-        ``now == arrival``), so deadline instants stay bit-identical
-        between engines.  ``_delay`` is left untouched: a later plain
-        ``restart()`` still uses the configured interval.
-        """
-        sim = self._sim
-        if not (time >= sim._now and math.isfinite(time)):
-            raise SimulationError(f"cannot restart at {time!r} (now={sim._now!r})")
-        handle = self._handle
-        if handle is not None and not handle.cancelled and not handle.fired:
-            handle.cancelled = True
-            hsim = handle._sim
-            if hsim is not None:
-                if handle._in_heap:
-                    hsim._note_cancelled(handle)
-                else:
-                    hsim._wheel.live -= 1  # type: ignore[union-attr]
-        self._handle = sim._schedule(time, self._priority, self._fire, (), True)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"active@{self._handle.time:.6f}" if self.active else "idle"
         return f"Timer({state}, cb={getattr(self._callback, '__name__', self._callback)!r})"
-
-
-class PeriodicTask:
-    """A repeating engine-level firing, merged into the event order.
-
-    Registered via :meth:`Simulator.periodic`.  The task lives on a side
-    heap of ``(time, priority, seq, task)`` tuples whose seq comes from
-    the simulator's global counter, so a firing orders against ordinary
-    events *exactly* as the equivalent self-rescheduling process would:
-    the re-arm seq is allocated right after the callback returns, just as
-    a ``yield interval`` allocates it after the process body segment.
-
-    When the owning simulator runs with ``fast_forward=True`` and the
-    task carries a *contract*, a firing may be skipped analytically: if
-    ``contract.can_skip(t)`` returns True the engine advances the clock
-    to ``t`` and calls ``contract.account(t)`` instead of ``callback()``.
-    The contract promises ``account`` replays every observable effect of
-    the real firing (counters, RNG draws in stream order, timer re-arms,
-    rows written) with identical values.  ``can_skip`` must be a pure
-    read of world state.  The contract's ``horizon`` attribute bounds
-    how far past ``t`` its accounted effects reach: the engine never
-    skips a firing within ``horizon`` of ``run``'s ``until``, keeping
-    every run boundary quiescent.  Without a contract — or with
-    ``fast_forward`` off — every firing executes ``callback()`` exactly.
-    """
-
-    __slots__ = ("interval", "callback", "priority", "contract", "_sim", "_cancelled")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        interval: float,
-        callback: Callable[[], Any],
-        priority: int,
-        contract: Any,
-    ) -> None:
-        self.interval = interval
-        self.callback = callback
-        self.priority = priority
-        self.contract = contract
-        self._sim = sim
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Stop the task; the current side-heap entry dies lazily."""
-        if not self._cancelled:
-            self._cancelled = True
-            self._sim._side_live -= 1
-
-    @property
-    def active(self) -> bool:
-        return not self._cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self._cancelled else f"every {self.interval}s"
-        return f"PeriodicTask({state}, cb={getattr(self.callback, '__name__', self.callback)!r})"
 
 
 class Simulator:
@@ -487,20 +386,14 @@ class Simulator:
         ``False`` disables the timer wheel, routing every event through
         the heap — the reference engine for equivalence tests and the
         "before" leg of the throughput benchmark.
-    fast_forward:
-        ``True`` lets :class:`PeriodicTask` firings that carry a contract
-        be skipped analytically (see the module docstring).  Default off:
-        with it off, periodic tasks execute their callbacks exactly and
-        the engine is observably identical to the reference.
     """
 
     # Slotted for hot-path attribute access (every schedule touches
     # _seq/_freelist/_l0/_l1; dict lookups are measurable at storm rates).
     __slots__ = (
         "_now", "_heap", "_seq", "_dead", "_wheel", "_l0", "_l1",
-        "_freelist", "_running", "_stopped", "_side", "_side_live", "_ff",
-        "rngs", "trace", "events_executed", "heap_scheduled",
-        "handles_allocated", "ff_skipped",
+        "_freelist", "_running", "_stopped", "rngs", "trace",
+        "events_executed", "heap_scheduled", "handles_allocated", "ff_skipped",
     )
 
     def __init__(
@@ -508,7 +401,6 @@ class Simulator:
         seed: int = 0,
         trace_capacity: int | None = None,
         wheel: bool = True,
-        fast_forward: bool = False,
     ) -> None:
         self._now = 0.0
         # Heap entries are (time, priority, seq, handle) tuples so heapq
@@ -528,19 +420,12 @@ class Simulator:
         self._freelist: list[EventHandle] = []
         self._running = False
         self._stopped = False
-        # Side heap of (time, priority, seq, PeriodicTask): the periodic
-        # frontier the run loop merges with the event heap.  Seqs share
-        # the global counter, so tuple comparison against heap entries is
-        # the exact (time, priority, seq) order — the task/handle in slot
-        # 4 is never compared because seqs are unique.
-        self._side: list[tuple[float, int, int, PeriodicTask]] = []
-        self._side_live = 0
-        self._ff = fast_forward
         self.rngs = RngRegistry(seed)
         self.trace = Trace(capacity=trace_capacity, clock=lambda: self._now)
         #: Number of events executed so far (monotone; useful in benches).
         self.events_executed = 0
-        #: Periodic firings skipped analytically (fast-forward only).
+        #: Always 0: quiescence fast-forward is gone (DESIGN.md §13), but
+        #: ``benchmarks/perf/run.py`` still reads this on every run.
         self.ff_skipped = 0
         #: Scheduling-path counters — deterministic allocation proxies for
         #: the throughput gate (see benchmarks/bench_engine_throughput.py).
@@ -555,11 +440,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def fast_forward(self) -> bool:
-        """True when contracted periodic firings may be skipped analytically."""
-        return self._ff
 
     # -- scheduling ------------------------------------------------------
     def schedule(
@@ -667,45 +547,6 @@ class Simulator:
         """
         return Timer(self, delay, callback, args, priority=priority)
 
-    def periodic(
-        self,
-        interval: float,
-        callback: Callable[[], Any],
-        *,
-        first_delay: float | None = None,
-        priority: int = 0,
-        contract: Any = None,
-    ) -> PeriodicTask:
-        """Register a :class:`PeriodicTask` firing every ``interval`` s.
-
-        ``first_delay`` (default ``interval``) positions the first firing.
-        A ``first_delay=0.0`` task allocates its registration seq now and
-        its re-arm seq right after each callback — the same seq-allocation
-        instants as ``spawn()``-ing a ``while True: work(); yield interval``
-        process, so the two formulations are observably interchangeable.
-        ``contract`` opts the task into fast-forward skipping (see
-        :class:`PeriodicTask`); it is ignored unless the simulator was
-        built with ``fast_forward=True``.
-        """
-        if not (interval > 0.0 and math.isfinite(interval)):
-            raise SimulationError(f"invalid periodic interval {interval!r}")
-        if first_delay is None:
-            first_delay = interval
-        if not (first_delay >= 0.0 and math.isfinite(first_delay)):
-            raise SimulationError(f"invalid first_delay {first_delay!r}")
-        task = PeriodicTask(self, interval, callback, priority, contract)
-        self._seq += 1
-        heapq.heappush(self._side, (self._now + first_delay, priority, self._seq, task))
-        self._side_live += 1
-        return task
-
-    def _side_top(self) -> tuple[float, int, int, PeriodicTask] | None:
-        """The next live side-heap entry (cancelled tops dropped), or None."""
-        side = self._side
-        while side and side[0][3]._cancelled:
-            heapq.heappop(side)
-        return side[0] if side else None
-
     # -- execution ---------------------------------------------------------
     def _next_entry(self, until: float | None = None) -> tuple[float, int, int, EventHandle] | None:
         """The globally-next live heap entry, after promoting every wheel
@@ -752,33 +593,11 @@ class Simulator:
     def peek(self) -> float | None:
         """Time of the next pending event, or ``None`` if drained."""
         entry = self._next_entry()
-        stop = self._side_top()
-        if stop is not None and (entry is None or stop < entry):
-            return stop[0]
         return entry[0] if entry is not None else None
 
     def step(self) -> bool:
-        """Execute exactly one pending event; return False if none remain.
-
-        Periodic tasks are merged into the order and always execute their
-        callback here — analytic skipping applies only inside :meth:`run`,
-        so single-stepping is always exact.
-        """
+        """Execute exactly one pending event; return False if none remain."""
         entry = self._next_entry()
-        stop = self._side_top()
-        if stop is not None and (entry is None or stop < entry):
-            heapq.heappop(self._side)
-            task = stop[3]
-            self._now = stop[0]
-            self.events_executed += 1
-            task.callback()
-            if not task._cancelled:
-                self._seq += 1
-                heapq.heappush(
-                    self._side,
-                    (stop[0] + task.interval, task.priority, self._seq, task),
-                )
-            return True
         if entry is None:
             return False
         heapq.heappop(self._heap)
@@ -795,15 +614,12 @@ class Simulator:
         """Run events until the queues drain, ``until`` is reached, or
         ``max_events`` have executed in this call.
 
-        When ``until`` is given the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so back-to-back ``run`` calls
-        compose predictably.  Events scheduled *at* ``until`` do fire.
-
-        Periodic tasks are merged into the global order; like a
-        self-rescheduling process, a live task never drains, so a run with
-        ``until=None`` returns only via :meth:`stop` or ``max_events``
-        (which counts *executed* events — analytically skipped firings
-        advance the clock without counting).
+        When ``until`` is given and nothing due at or before it remains,
+        the clock is advanced to exactly ``until`` even if the last event
+        fired earlier, so back-to-back ``run`` calls compose predictably.
+        Events scheduled *at* ``until`` do fire.  A run cut short by
+        ``max_events`` or :meth:`stop` leaves the clock at the last event
+        executed: due events are still queued behind it.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -813,20 +629,15 @@ class Simulator:
         self._stopped = False
         executed = 0
         heap = self._heap
-        side = self._side
         wheel = self._wheel
         freelist = self._freelist
-        ff = self._ff
         heappop = heapq.heappop
-        heappush = heapq.heappush
         try:
             # The _next_entry sweep is inlined here (same logic, same
             # progress argument): one pass serves the cancelled-top drop,
             # the `until` check, and the pop — the old loop's peek() +
             # step() each paid their own sweep plus a call per event.
             while not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
                 while heap and heap[0][3].cancelled:
                     handle = heappop(heap)[3]
                     self._dead -= 1
@@ -834,81 +645,28 @@ class Simulator:
                         handle.callback = None  # type: ignore[assignment]
                         handle.args = ()
                         freelist.append(handle)
-                side_entry = None
-                if side:
-                    while side and side[0][3]._cancelled:
-                        heappop(side)
-                    if side:
-                        side_entry = side[0]
                 if wheel is not None and wheel.live:
-                    # Promote every wheel slot that could order before the
-                    # earliest of (heap top, side top, until): past the
-                    # promotion limit, residents are strictly later than
-                    # the limit, so the winner below is globally next.
                     if heap:
                         limit = heap[0][0]
-                    elif side_entry is not None:
-                        limit = side_entry[0]
+                        if until is not None and limit > until:
+                            limit = until
                     elif until is not None:
                         limit = until
                     else:
                         limit = wheel.earliest_start()
-                    if side_entry is not None and side_entry[0] < limit:
-                        limit = side_entry[0]
-                    if until is not None and limit > until:
-                        limit = until
                     if wheel.promote_due(limit, heap, freelist):
                         continue  # heap top may have changed; re-sweep
                     if not heap:
-                        if side_entry is not None and side_entry[0] <= limit:
-                            pass  # side task fires; wheel residents are later
-                        elif until is not None:
+                        if until is not None:
                             break  # nothing due at or before `until`
-                        else:
-                            continue  # promoted slots held only cancelled entries
-                if side_entry is not None and (not heap or side_entry < heap[0]):
-                    stime = side_entry[0]
-                    if until is not None and stime > until:
-                        break
-                    heappop(side)
-                    task = side_entry[3]
-                    contract = task.contract
-                    # Quiescent-boundary guard: a firing within the
-                    # contract's in-flight horizon of `until` executes
-                    # exactly, so a run boundary never observes
-                    # analytically-committed effects the exact engine
-                    # would still have in flight (see repro.kernel.quiesce).
-                    if (
-                        ff
-                        and contract is not None
-                        and until is not None
-                        and stime + contract.horizon <= until
-                        and contract.can_skip(stime)
-                    ):
-                        # Analytic skip: jump the clock, replay the firing's
-                        # observable transaction, touch no event machinery.
-                        self._now = stime
-                        contract.account(stime)
-                        self.ff_skipped += 1
-                    else:
-                        self._now = stime
-                        self.events_executed += 1
-                        task.callback()
-                        executed += 1
-                    if not task._cancelled:
-                        # Re-arm seq allocated *after* the firing, matching
-                        # a process's `yield interval` allocation instant.
-                        self._seq += 1
-                        heappush(
-                            side,
-                            (stime + task.interval, task.priority, self._seq, task),
-                        )
-                    continue
+                        continue  # promoted slots held only cancelled entries
                 if not heap:
                     break
                 entry = heap[0]
                 if until is not None and entry[0] > until:
                     break
+                if max_events is not None and executed >= max_events:
+                    return  # cut short with this event still due: no clock jump
                 heappop(heap)
                 handle = entry[3]
                 self._now = entry[0]
@@ -931,12 +689,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) scheduled events, in O(1).
-
-        Includes live periodic tasks (each holds exactly one pending
-        firing at a time).
-        """
-        live = len(self._heap) - self._dead + self._side_live
+        """Number of live (non-cancelled) scheduled events, in O(1)."""
+        live = len(self._heap) - self._dead
         if self._wheel is not None:
             live += self._wheel.live
         return live

@@ -99,34 +99,6 @@ class Histogram:
         self.min = min(self.min, value)
         self.max = max(self.max, value)
 
-    def observe_many(self, value: float, n: int) -> None:
-        """Record ``value`` ``n`` times, bit-identical to ``n`` calls to
-        :meth:`observe`.
-
-        The bulk path for fast-forward batch accounting: the bucket scan
-        and min/max updates run once.  The running ``sum`` is still
-        accumulated term-by-term — float addition is not distributive, so
-        ``sum + n*value`` would drift from what ``n`` sequential observes
-        produce, and the equivalence harness compares sums exactly.
-        """
-        if n <= 0:
-            if n == 0:
-                return
-            raise ValueError(f"observe_many needs n >= 0, got {n}")
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.counts[idx] += n
-        self.count += n
-        total = self.sum
-        for _ in range(n):
-            total += value
-        self.sum = total
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` (0-100), bucket resolution."""
         if self.count == 0:
@@ -462,17 +434,6 @@ class Trace:
         if hist is None:
             hist = self._histograms[name] = Histogram(bounds or DEFAULT_BUCKETS)
         hist.observe(value)
-
-    def observe_many(
-        self, name: str, value: float, n: int, bounds: tuple[float, ...] | None = None
-    ) -> None:
-        """Feed ``value`` into histogram ``name`` ``n`` times in bulk —
-        bit-identical to ``n`` calls to :meth:`observe` (see
-        :meth:`Histogram.observe_many`)."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(bounds or DEFAULT_BUCKETS)
-        hist.observe_many(value, n)
 
     def histogram(self, name: str) -> Histogram | None:
         """Histogram ``name``, or ``None`` if never fed."""

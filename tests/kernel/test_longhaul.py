@@ -7,8 +7,6 @@ from repro.kernel import KernelTimings, PhoenixKernel
 from repro.sim import Simulator
 from repro.userenv.monitoring import install_gridview
 
-from tests.sim.engine_equivalence import assert_equivalent
-
 
 def test_two_virtual_hours_with_periodic_faults():
     """The paper testbed runs 2 h of virtual time with a fault every ~7
@@ -59,80 +57,64 @@ def test_two_virtual_hours_with_periodic_faults():
 
 
 @pytest.mark.slow
-def test_simulated_week_fast_forward_zero_drift():
-    """A simulated *week* of chaos under fast-forward.
+def test_simulated_week_of_rotating_chaos():
+    """A simulated *week* of chaos, executed event by event.
 
-    The first hour runs on exact and fast-forward twins through the same
-    boundary-injected fault schedule; the twins must show zero drift in
-    records, counters, and histograms.  The fast-forward world then
-    continues alone through seven days of rotating chaos — process
-    kills, crash/reboot cycles, NIC flaps, gray degradation — which is
-    only affordable because the healthy gaps between faults are
-    batch-accounted rather than executed.
+    One world runs an hour of boundary-injected faults and then seven
+    days of rotating chaos — process kills, crash/reboot cycles, NIC
+    flaps, gray degradation.  At the end every fault has healed, trace
+    memory is bounded, and the beat/export books match a week of
+    healthy uptime.
     """
     WEEK = 604800.0
 
-    def boot_world(fast_forward):
-        sim = Simulator(seed=7, trace_capacity=256, fast_forward=fast_forward)
-        cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=3))
-        kernel = PhoenixKernel(
-            cluster,
-            timings=KernelTimings(heartbeat_interval=60.0, detector_interval=30.0),
-        )
-        kernel.boot()
-        return sim, cluster, kernel
+    sim = Simulator(seed=7, trace_capacity=256)
+    cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=3))
+    kernel = PhoenixKernel(
+        cluster,
+        timings=KernelTimings(heartbeat_interval=60.0, detector_interval=30.0),
+    )
+    kernel.boot()
+    inj = FaultInjector(cluster)
+    computes = cluster.compute_nodes()
 
-    def first_hour(sim, cluster):
-        inj = FaultInjector(cluster)
-        computes = cluster.compute_nodes()
-        schedule = [
-            (600.5, lambda: inj.kill_process(computes[0], "wd")),
-            (1200.3, lambda: inj.fail_nic(computes[1], "data")),
-            (1800.7, lambda: inj.restore_nic(computes[1], "data")),
-            (2400.2, lambda: inj.degrade_link(computes[2], "mgmt", loss=0.25, latency_mult=4.0)),
-            (3000.9, lambda: inj.restore_link(computes[2], "mgmt")),
-        ]
-        for when, action in schedule:
-            sim.run(until=when)
-            action()
-        sim.run(until=3600.0)
+    first_hour = [
+        (600.5, lambda: inj.kill_process(computes[0], "wd")),
+        (1200.3, lambda: inj.fail_nic(computes[1], "data")),
+        (1800.7, lambda: inj.restore_nic(computes[1], "data")),
+        (2400.2, lambda: inj.degrade_link(computes[2], "mgmt", loss=0.25, latency_mult=4.0)),
+        (3000.9, lambda: inj.restore_link(computes[2], "mgmt")),
+    ]
+    for when, action in first_hour:
+        sim.run(until=when)
+        action()
+    sim.run(until=3600.0)
 
-    exact_sim, exact_cluster, _ = boot_world(False)
-    ff_sim, ff_cluster, ff_kernel = boot_world(True)
-    first_hour(exact_sim, exact_cluster)
-    first_hour(ff_sim, ff_cluster)
-    assert_equivalent(exact_sim, ff_sim, context="week: exact one-hour prefix")
-    assert ff_sim.ff_skipped > 0
-    assert ff_sim.events_executed < exact_sim.events_executed
-
-    # Continue only the fast-forward twin.  Chaos rotates an 8-phase diet
-    # over the compute nodes, injected at window boundaries; the final two
-    # hours stay quiet so every fault heals before the end-state audit.
-    inj = FaultInjector(ff_cluster)
-    computes = ff_cluster.compute_nodes()
-
+    # Chaos rotates an 8-phase diet over the compute nodes, injected at
+    # window boundaries; the final two hours stay quiet so every fault
+    # heals before the end-state audit.
     def chaos_step(i):
         node = computes[(i // 8) % len(computes)]
         phase = i % 8
         if phase == 0:
-            if ff_cluster.node(node).up and ff_cluster.hostos(node).process_alive("detector"):
+            if cluster.node(node).up and cluster.hostos(node).process_alive("detector"):
                 inj.kill_process(node, "detector")
         elif phase == 1:
-            if ff_cluster.node(node).up:
+            if cluster.node(node).up:
                 inj.crash_node(node)
         elif phase == 2:
-            if not ff_cluster.node(node).up:
+            if not cluster.node(node).up:
                 # Reboot and restart the node-local daemons, construction-
                 # tool style (node death is recovery-0 for the WD: nobody
                 # migrates or remotely restarts a dead node's daemons).
                 inj.boot_node(node)
                 for svc in ("ppm", "detector", "wd"):
-                    ff_kernel.start_service(svc, node)
+                    kernel.start_service(svc, node)
         elif phase == 3:
-            if ff_cluster.networks["data"].link_up(node):
+            if cluster.networks["data"].link_up(node):
                 inj.fail_nic(node, "data")
         elif phase == 4:
-            if not ff_cluster.networks["data"].link_up(node):
+            if not cluster.networks["data"].link_up(node):
                 inj.restore_nic(node, "data")
         elif phase == 5:
             inj.degrade_link(node, "ipc", loss=0.2, latency_mult=3.0, direction="out")
@@ -141,28 +123,23 @@ def test_simulated_week_fast_forward_zero_drift():
         # phase 7: rest window — pure steady state.
 
     i = 0
-    while ff_sim.now < WEEK:
-        ff_sim.run(until=min(ff_sim.now + 1800.5, WEEK))
-        if ff_sim.now < WEEK - 7200.0:
+    while sim.now < WEEK:
+        sim.run(until=min(sim.now + 1800.5, WEEK))
+        if sim.now < WEEK - 7200.0:
             chaos_step(i)
             i += 1
+    assert sim.now == WEEK
 
-    # The week was overwhelmingly batch-accounted, not executed.
-    assert ff_sim.now == WEEK
-    assert ff_sim.ff_skipped > 50_000
-    assert ff_sim.events_executed < ff_sim.ff_skipped
-
-    # Batch accounting kept the aggregate books: beats and exports land
-    # near their healthy-uptime budgets (10 nodes, minus GSD-host beats
-    # and crash downtime).
-    assert ff_sim.trace.counter("wd.beats") > 60_000
-    assert ff_sim.trace.counter("detector.exports") > 150_000
+    # Beats and exports land near their healthy-uptime budgets (10 nodes,
+    # minus GSD-host beats and crash downtime).
+    assert sim.trace.counter("wd.beats") > 60_000
+    assert sim.trace.counter("detector.exports") > 150_000
 
     # Every fault healed: nodes up, daemons alive, NICs restored.
-    for node in ff_cluster.nodes:
-        assert ff_cluster.node(node).up, node
-        assert ff_cluster.hostos(node).process_alive("wd"), node
-        assert ff_cluster.networks["data"].link_up(node), node
+    for node in cluster.nodes:
+        assert cluster.node(node).up, node
+        assert cluster.hostos(node).process_alive("wd"), node
+        assert cluster.networks["data"].link_up(node), node
 
     # Trace memory stayed bounded across the week.
-    assert len(ff_sim.trace) <= 256
+    assert len(sim.trace) <= 256

@@ -24,12 +24,6 @@ def test_default_timings_match_paper_calibration():
     assert timings.LOCAL_CHECK_DELAY == pytest.approx(12e-6)
 
 
-def test_with_interval_copies():
-    t = KernelTimings(detector_interval=2.5).with_interval(5.0)
-    assert t.heartbeat_interval == 5.0
-    assert t.detector_interval == 2.5  # untouched
-
-
 def test_spawn_time_lookup_and_fallback():
     t = KernelTimings()
     assert t.spawn_time("gsd") == 2.0

@@ -1,24 +1,14 @@
-"""Twin-engine equivalence machinery, shared by the engine test suites.
+"""Twin-engine equivalence driver for the engine test suites.
 
 Two engine configurations are *observably equivalent* when driving them
-through the same workload produces identical firing logs, clocks, trace
-records, counters, and histogram contents.  This module packages the
-machinery that proved the PR 5 timer wheel equivalent to the heap-only
-reference engine — a random-op driver plus a snapshot/differ pair — so
-other suites (the quiescence fast-forward harness, future engine fast
-paths) assert the same contract instead of re-growing their own.
-
-* :func:`drive_ops` — replay a random schedule/cancel/timer/run op list
-  on one engine configuration and return its observable history.
-* :func:`observable_snapshot` — everything an experiment can observe
-  from a simulator: records, counters, histogram payloads, clock.
-* :func:`diff_snapshots` / :func:`assert_equivalent` — readable
-  first-divergence reporting for twin runs.
+through the same workload produces identical firing logs, clocks, and
+pending/executed counts.  :func:`drive_ops` replays a random
+schedule/cancel/timer/run op list on one engine configuration and
+returns that observable history — the machinery that proved the PR 5
+timer wheel equivalent to the heap-only reference engine.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.sim import Simulator
 
@@ -30,14 +20,12 @@ def drive_ops(ops, **sim_kwargs) -> tuple:
     Ops (mirroring the wheel/heap property test's language):
     ``("sched", delay, priority)``, ``("cancel", i)``,
     ``("timer", delay)``, ``("restart", i, delay_or_None)``,
-    ``("tcancel", i)``, ``("run", dt)``, ``("periodic", interval)``,
-    ``("pcancel", i)``.
+    ``("tcancel", i)``, ``("run", dt)``.
     """
     sim = Simulator(seed=0, **sim_kwargs)
     log: list[tuple[int, float]] = []
     handles: list = []
     timers: list = []
-    tasks: list = []
     tag = 0
     for op in ops:
         kind = op[0]
@@ -61,79 +49,8 @@ def drive_ops(ops, **sim_kwargs) -> tuple:
         elif kind == "tcancel":
             if timers:
                 timers[op[1] % len(timers)].cancel()
-        elif kind == "periodic":
-            t = tag
-            tag += 1
-            tasks.append(
-                sim.periodic(op[1], lambda t=t: log.append((t, sim.now)))
-            )
-        elif kind == "pcancel":
-            if tasks:
-                tasks[op[1] % len(tasks)].cancel()
         elif kind == "run":
             sim.run(until=sim.now + op[1])
     mid = (tuple(log), sim.pending_events, sim.events_executed, sim.now)
-    # Live periodic tasks never drain; cancel them so the final unbounded
-    # run terminates (their firings up to this point are already logged).
-    for task in tasks:
-        task.cancel()
     sim.run()  # drain whatever is left, unbounded
     return mid, tuple(log), sim.events_executed, sim.now
-
-
-def observable_snapshot(sim: Simulator) -> dict[str, Any]:
-    """Everything a twin-engine comparison may legitimately observe.
-
-    Deliberately excludes engine internals (seq values, heap/wheel
-    residency, ``events_executed``, ``ff_skipped``) — those *should*
-    differ between configurations; equivalence is about what experiments
-    can measure.
-    """
-    return {
-        "now": sim.now,
-        "records": [(r.time, r.category, dict(r.fields)) for r in sim.trace.records()],
-        "counters": dict(sim.trace.counters()),
-        "histograms": {
-            name: hist.to_payload() for name, hist in sim.trace.histograms().items()
-        },
-    }
-
-
-def diff_snapshots(a: dict[str, Any], b: dict[str, Any]) -> list[str]:
-    """Human-readable divergences between two observable snapshots
-    (first record divergence, per-key counter/histogram deltas)."""
-    problems: list[str] = []
-    if a["now"] != b["now"]:
-        problems.append(f"clock: {a['now']!r} != {b['now']!r}")
-    ra, rb = a["records"], b["records"]
-    if ra != rb:
-        if len(ra) != len(rb):
-            problems.append(f"record count: {len(ra)} != {len(rb)}")
-        for i, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                problems.append(f"record[{i}]: {x!r} != {y!r}")
-                break
-        else:
-            longer = ra if len(ra) > len(rb) else rb
-            idx = min(len(ra), len(rb))
-            problems.append(f"record[{idx}]: only one side has {longer[idx]!r}")
-    ca, cb = a["counters"], b["counters"]
-    if ca != cb:
-        for key in sorted(set(ca) | set(cb)):
-            if ca.get(key) != cb.get(key):
-                problems.append(f"counter[{key}]: {ca.get(key)!r} != {cb.get(key)!r}")
-    ha, hb = a["histograms"], b["histograms"]
-    if ha != hb:
-        for key in sorted(set(ha) | set(hb)):
-            if ha.get(key) != hb.get(key):
-                problems.append(f"histogram[{key}]: {ha.get(key)!r} != {hb.get(key)!r}")
-    return problems
-
-
-def assert_equivalent(sim_a: Simulator, sim_b: Simulator, context: str = "") -> None:
-    """Assert two simulators are observably equivalent, with a readable
-    first-divergence message."""
-    problems = diff_snapshots(observable_snapshot(sim_a), observable_snapshot(sim_b))
-    if problems:
-        prefix = f"{context}: " if context else ""
-        raise AssertionError(prefix + "engines diverged:\n  " + "\n  ".join(problems[:12]))

@@ -135,6 +135,20 @@ def test_max_events_bound():
     assert seen == [0, 1]
 
 
+def test_max_events_cut_does_not_jump_the_clock_past_due_events():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.now))
+    sim.schedule(2.0, lambda: seen.append(sim.now))
+    sim.run(until=10.0, max_events=1)
+    assert seen == [1.0]
+    assert sim.now == 1.0  # the t=2 event is still due: never ahead of it
+    assert sim.peek() == 2.0
+    sim.run(until=10.0)
+    assert seen == [1.0, 2.0]  # fired at its own time, not at a rewound clock
+    assert sim.now == 10.0
+
+
 def test_step_returns_false_when_drained():
     sim = Simulator()
     assert sim.step() is False

@@ -3,12 +3,11 @@ execute the *identical* event sequence as the heap-only reference engine.
 
 The property test drives both engines through random mixes of schedules
 (spanning sub-tick, level-0, level-1, and beyond-horizon delays, with and
-without priorities), handle cancels, timer restarts/cancels, periodic
-tasks, and interleaved bounded runs — then asserts the firing logs,
-clocks, and pending counts never diverge.  The driver itself lives in
-:mod:`tests.sim.engine_equivalence` and is shared with the fast-forward
-differential harness.  The unit tests pin the individual routing and
-recycling behaviors the property test exercises in aggregate.
+without priorities), handle cancels, timer restarts/cancels, and
+interleaved bounded runs — then asserts the firing logs, clocks, and
+pending counts never diverge.  The driver itself lives in
+:mod:`tests.sim.engine_equivalence`.  The unit tests pin the individual
+routing and recycling behaviors the property test exercises in aggregate.
 """
 
 import math
@@ -29,12 +28,6 @@ _DELAYS = st.one_of(
     st.sampled_from([0.0, WHEEL_TICK / 2, WHEEL_TICK, 3.99, 4.0, 1023.0, 1024.0, 1100.0]),
 )
 
-# Periodic intervals must be strictly positive and finite.
-_INTERVALS = st.one_of(
-    st.floats(min_value=0.01, max_value=600.0, allow_nan=False, allow_infinity=False),
-    st.sampled_from([WHEEL_TICK, 4.0, 30.0, 1024.0]),
-)
-
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("sched"), _DELAYS, st.integers(-1, 1)),
@@ -42,8 +35,6 @@ _OPS = st.lists(
         st.tuples(st.just("timer"), _DELAYS),
         st.tuples(st.just("restart"), st.integers(0, 255), st.none() | _DELAYS),
         st.tuples(st.just("tcancel"), st.integers(0, 255)),
-        st.tuples(st.just("periodic"), _INTERVALS),
-        st.tuples(st.just("pcancel"), st.integers(0, 255)),
         st.tuples(st.just("run"), _DELAYS),
     ),
     max_size=60,

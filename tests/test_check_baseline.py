@@ -5,8 +5,8 @@ import json
 from benchmarks.check_baseline import check, load_results, main
 
 
-def bench(mean=1.0, **extra):
-    return {"mean_s": mean, "extra_info": extra}
+def bench(**extra):
+    return {"extra_info": extra}
 
 
 def test_identical_runs_pass():
@@ -43,13 +43,6 @@ def test_extra_benchmarks_in_current_run_are_fine():
     assert check(base, {"a": bench(), "new": bench()}) == []
 
 
-def test_wall_time_loose_tolerance():
-    base = {"a": bench(mean=1.0)}
-    assert check(base, {"a": bench(mean=4.0)}, time_factor=5.0) == []  # slow runner: fine
-    assert check(base, {"a": bench(mean=6.0)}, time_factor=5.0)  # regression: fails
-    assert check(base, {"a": bench(mean=0.01)}, time_factor=5.0) == []  # faster: fine
-
-
 def test_zero_baseline_value_only_matches_zero():
     base = {"a": bench(requeued=0.0)}
     assert check(base, {"a": bench(requeued=0.0)}) == []
@@ -59,7 +52,7 @@ def test_zero_baseline_value_only_matches_zero():
 def write_bench_json(path, benchmarks):
     path.write_text(json.dumps({
         "benchmarks": [
-            {"name": name, "stats": {"mean": b["mean_s"]}, "extra_info": b["extra_info"]}
+            {"name": name, "stats": {"mean": 1.0}, "extra_info": b["extra_info"]}
             for name, b in benchmarks.items()
         ]
     }))
@@ -67,18 +60,18 @@ def write_bench_json(path, benchmarks):
 
 def test_load_results_reduces_pytest_benchmark_json(tmp_path):
     results = tmp_path / "bench.json"
-    write_bench_json(results, {"a": bench(mean=2.0, x=1.0)})
-    assert load_results(results) == {"a": {"mean_s": 2.0, "extra_info": {"x": 1.0}}}
+    write_bench_json(results, {"a": bench(x=1.0)})
+    assert load_results(results) == {"a": {"extra_info": {"x": 1.0}}}  # wall time dropped
 
 
 def test_main_update_then_check_roundtrip(tmp_path, capsys):
     results = tmp_path / "bench.json"
     baseline = tmp_path / "BENCH_BASELINE.json"
-    write_bench_json(results, {"a": bench(mean=2.0, latency=50.0)})
+    write_bench_json(results, {"a": bench(latency=50.0)})
     assert main([str(results), "--baseline", str(baseline), "--update"]) == 0
     assert main([str(results), "--baseline", str(baseline)]) == 0
     # A behavioural regression flips the exit status.
-    write_bench_json(results, {"a": bench(mean=2.0, latency=90.0)})
+    write_bench_json(results, {"a": bench(latency=90.0)})
     assert main([str(results), "--baseline", str(baseline)]) == 1
     out = capsys.readouterr().out
     assert "latency" in out and "FAILED" in out
