@@ -6,18 +6,13 @@ divided into 8 partitions.  The interval for sending heartbeat ... 30
 seconds is set for testing. ... By the means of fault injection, we get
 the information in Table 1-3."
 
-For each component (WD / GSD / ES) and each unhealthy situation
-(process / node / network-interface failure), a fresh deterministic
-simulation boots the paper testbed, warms up past two heartbeat rounds,
-injects the fault *just after a heartbeat* (which is how the paper's
-flat "30 s" detection figures arise), and reads the three latencies off
-the kernel's trace marks.
-
-Note on the ES/node row: when the server node dies, detection happens
-through the meta-group ring — the kernel (correctly) attributes the
-detection mark to the GSD, so this harness reads detection from the GSD
-mark and diagnosis/recovery from the ES marks, matching what the paper's
-measurement would have observed.
+Each (component, situation) cell is a fail-stop row of
+:mod:`repro.experiments.fault_campaign` run once, with a fixed target on
+the paper testbed: a fresh deterministic world boots, warms up past two
+heartbeat rounds, the row's fault is injected *just after a heartbeat*
+(which is how the paper's flat "30 s" detection figures arise), and
+:func:`~repro.experiments.fault_campaign.measure_recovery` reads the
+three latencies off the kernel's trace marks.
 """
 
 from __future__ import annotations
@@ -25,17 +20,13 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-from repro.cluster import Cluster, ClusterSpec, FaultInjector
-from repro.kernel import KernelTimings, PhoenixKernel
-from repro.sim import Simulator
-from repro.units import fmt_time
+from repro.cluster import Cluster, ClusterSpec
+from repro.experiments.fault_campaign import World, failstop_class, measure_recovery
 from repro.experiments.report import format_table
+from repro.units import fmt_time
 
 COMPONENTS = ("wd", "gsd", "es")
 SITUATIONS = ("process", "node", "network")
-
-#: Network interface used for NIC-failure injections.
-TARGET_NETWORK = "data"
 
 
 @dataclass(frozen=True)
@@ -81,66 +72,27 @@ def run_fault_case(
         raise ValueError(f"component must be one of {COMPONENTS}")
     if situation not in SITUATIONS:
         raise ValueError(f"situation must be one of {SITUATIONS}")
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, spec or ClusterSpec.paper_fault_testbed())
-    timings = KernelTimings(heartbeat_interval=heartbeat_interval)
-    kernel = PhoenixKernel(cluster, timings=timings)
-    kernel.boot()
-    injector = FaultInjector(cluster)
-
-    # Warm up past two heartbeat rounds, then inject relative to the beat.
+    row = failstop_class(component, situation)
+    world = World(row, seed, heartbeat_interval, spec or ClusterSpec.paper_fault_testbed())
+    sim = world.sim
+    # Inject relative to the beat the warm-up ended on.
     offset = 0.001 if align_to_heartbeat else 0.37 * heartbeat_interval
     sim.run(until=2.0 * heartbeat_interval + offset)
-    node = _target_node(component, cluster)
-    if situation == "process":
-        injector.kill_process(node, component, case=f"{component}/{situation}")
-    elif situation == "node":
-        injector.crash_node(node, case=f"{component}/{situation}")
-    else:
-        injector.fail_nic(node, TARGET_NETWORK, case=f"{component}/{situation}")
-    t0 = sim.now
-
-    # The component whose *detection* mark applies: a dead server node is
-    # detected via the ring (component gsd), even for the ES row.
-    detect_component = "gsd" if (component == "es" and situation == "node") else component
-
-    def find_marks():
-        match_net = {"network": TARGET_NETWORK} if situation == "network" else {}
-        detected = next(
-            (r for r in sim.trace.iter_records("failure.detected", component=detect_component, **match_net)
-             if r.time > t0),
-            None,
-        )
-        diagnosed = next(
-            (r for r in sim.trace.iter_records(
-                "failure.diagnosed", component=component, kind=situation, **match_net)
-             if r.time > t0),
-            None,
-        )
-        recovered = next(
-            (r for r in sim.trace.iter_records(
-                "failure.recovered", component=component, kind=situation, **match_net)
-             if r.time > t0),
-            None,
-        )
-        return detected, diagnosed, recovered
-
-    deadline = t0 + 6.0 * heartbeat_interval
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + heartbeat_interval, deadline))
-        detected, diagnosed, recovered = find_marks()
-        if detected and diagnosed and recovered:
-            return FaultResult(
-                component=component,
-                situation=situation,
-                detect=detected.time - t0,
-                diagnose=diagnosed.time - detected.time,
-                recover=recovered.time - diagnosed.time,
-            )
-    raise RuntimeError(
-        f"{component}/{situation}: recovery marks missing after {deadline - t0:.0f}s "
-        f"(found detect={detected is not None}, diagnose={diagnosed is not None}, "
-        f"recover={recovered is not None})"
+    world.aim(f"{component}/{situation}", _target_node(component, world.cluster))
+    row.inject(world)
+    t0 = world.t0
+    marks = world.advance(
+        row.hold, lambda: measure_recovery(sim.trace, component, situation, t0))
+    if marks is None:
+        raise RuntimeError(
+            f"{component}/{situation}: recovery marks missing after {sim.now - t0:.0f}s")
+    detected, diagnosed, recovered = marks
+    return FaultResult(
+        component=component,
+        situation=situation,
+        detect=detected - t0,
+        diagnose=diagnosed - detected,
+        recover=recovered - diagnosed,
     )
 
 

@@ -34,9 +34,6 @@ from repro.kernel.ppm.service import PPMDaemon
 from repro.kernel.timings import RPC_TIMEOUT, KernelTimings
 from repro.sim import Signal
 
-#: Services whose placement is tracked per partition id (config/security
-#: are single-instance but recorded under their hosting partition).
-PARTITION_SERVICES = ("gsd", "es", "db", "ckpt", "ckpt.replica", "config", "security")
 #: Services placed on every node.
 NODE_SERVICES = ("wd", "ppm", "detector")
 

@@ -353,10 +353,6 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"select", "from", "where", "and", "group", "by", "order",
-             "limit", "as", "of", "asc", "desc", "in", "contains"}
-
-
 def _tokenize(text: str) -> list[str]:
     tokens, pos = [], 0
     while pos < len(text):

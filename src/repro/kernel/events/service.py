@@ -18,13 +18,13 @@ subscription per event — same delivered set, O(candidates) instead of
 O(consumers) on the publish hot path.
 
 Federation forwards are **batched**: publishes append to a per-peer
-outbox that a timer drains once per ``es_forward_flush`` window, sending
+outbox that a timer drains once per ``ES_FORWARD_FLUSH`` window, sending
 one acked ``es.forward_batch`` datagram per peer instead of one forward
 per event.  A batch the peer never acked is re-queued (in order) and the
 stranded outbox is folded into the state checkpoint, so a migrated
 instance re-delivers it after recovery; an administrative stop drains
 the outbox before the process dies.  Each peer's outbox is capped at
-``es_outbox_max``: a long peer outage drops the *oldest* queued forwards
+``ES_OUTBOX_MAX``: a long peer outage drops the *oldest* queued forwards
 (traced as ``es.outbox_overflow``) instead of growing the checkpoint
 without bound.
 
@@ -46,7 +46,12 @@ from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.digest import digest_batch
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
 from repro.kernel.events.types import Event, batch_to_payload, events_from_batch
-from repro.kernel.timings import ES_CKPT_DEBOUNCE, ES_FORWARD_FLUSH
+from repro.kernel.timings import (
+    ES_CKPT_DEBOUNCE,
+    ES_FORWARD_BATCH_MAX,
+    ES_FORWARD_FLUSH,
+    ES_OUTBOX_MAX,
+)
 from repro.sim import Timer
 from repro.util import IdAllocator
 
@@ -273,11 +278,10 @@ class EventServiceDaemon(ServiceDaemon):
 
     def _trim_outbox(self, part_id: str, pending: deque) -> None:
         """Enforce the per-peer high-water mark: drop the *oldest* queued
-        forwards past ``es_outbox_max`` (a wedge on one peer must not grow
+        forwards past ``ES_OUTBOX_MAX`` (a wedge on one peer must not grow
         the checkpoint payload without bound)."""
-        cap = self.timings.es_outbox_max
         dropped = 0
-        while len(pending) > cap:
+        while len(pending) > ES_OUTBOX_MAX:
             pending.popleft()
             dropped += 1
         if dropped:
@@ -306,11 +310,10 @@ class EventServiceDaemon(ServiceDaemon):
         """Drain the outbox: one size-capped batch per peer partition."""
         if not self.alive:
             return
-        cap = self.timings.es_forward_batch_max
         for part_id, pending in self._outbox.items():
             if not pending or part_id in self._inflight_batch:
                 continue
-            batch = [pending.popleft() for _ in range(min(len(pending), cap))]
+            batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
             if self._cross_region(part_id):
                 # Aggregator-to-aggregator hops carry digested state:
                 # contiguous db.delta runs coalesce per (table, key).
@@ -361,7 +364,6 @@ class EventServiceDaemon(ServiceDaemon):
     def _drain_outbox_final(self) -> None:
         """Best-effort synchronous drain for administrative shutdown: the
         dying process cannot await acks, so send plain batch datagrams."""
-        cap = self.timings.es_forward_batch_max
         for part_id, pending in self._outbox.items():
             # Whatever is awaiting an ack goes out again too — the peer's
             # duplicate suppression absorbs the overlap.
@@ -372,7 +374,7 @@ class EventServiceDaemon(ServiceDaemon):
             if peer is None:
                 continue
             while pending:
-                batch = [pending.popleft() for _ in range(min(len(pending), cap))]
+                batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
                 if self._cross_region(part_id):
                     batch = digest_batch(batch)
                 self.forward_batches += 1

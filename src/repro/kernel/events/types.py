@@ -41,24 +41,6 @@ DB_DELTA = "db.delta"
 #: range in one step.
 DB_DELTA_DIGEST = "db.delta_digest"
 
-ALL_TYPES = (
-    NODE_FAILURE,
-    NODE_RECOVERY,
-    NETWORK_FAILURE,
-    NETWORK_RECOVERY,
-    SERVICE_FAILURE,
-    SERVICE_RECOVERY,
-    MEMBER_JOINED,
-    MEMBER_LEFT,
-    LEADER_CHANGED,
-    QUORUM_LOST,
-    QUORUM_REGAINED,
-    APP_STARTED,
-    APP_EXITED,
-    APP_FAILED,
-    CONFIG_CHANGED,
-)
-
 
 @dataclass(frozen=True)
 class Event:

@@ -17,7 +17,6 @@ DB = "db"  # data bulletin service
 CKPT = "ckpt"  # checkpoint service (primary)
 CKPT_REPLICA = "ckpt.replica"  # checkpoint replica on the backup node
 PPM = "ppm"  # parallel process management
-DETECTOR = "detector"  # detector services bundle
 CONFIG = "config"  # configuration service (single instance)
 SECURITY = "security"  # security service (single instance)
 
@@ -50,7 +49,6 @@ ES_PEERS = "es.peers"  # federation membership refresh
 DB_PUT = "db.put"
 DB_DELETE = "db.delete"
 DB_QUERY = "db.query"
-DB_PEERS = "db.peers"
 # relational layer (typed AST queries + materialized views)
 DB_EXEC = "db.exec"  # ad-hoc relational query (full-scan reference path)
 DB_VIEW_REGISTER = "db.view_register"  # register a materialized view here
@@ -78,7 +76,6 @@ PPM_CLEANUP = "ppm.cleanup"
 PPM_JOB_STATUS = "ppm.job_status"
 PPM_REPORT_LOAD = "ppm.report_load"
 PPM_PCMD = "ppm.pcmd"
-PPM_PCMD_RESULT = "ppm.pcmd_result"
 
 # configuration service
 CONFIG_GET = "config.get"

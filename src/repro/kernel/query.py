@@ -92,8 +92,6 @@ def matches(where: dict[str, Any] | None, row: dict[str, Any]) -> bool:
 
 # -- aggregation (bulletin push-down) -----------------------------------------
 
-AGG_FIELDS = ("sum", "count", "min", "max")
-
 
 def aggregate_rows(rows: list[dict[str, Any]], fields: list[str]) -> dict[str, dict[str, float]]:
     """Partial aggregates of numeric ``fields`` over ``rows``.

@@ -97,6 +97,14 @@ DB_CKPT_DEBOUNCE = 0.05
 #: per remote partition — a small added remote-delivery latency for
 #: O(partitions) instead of O(events x partitions) fan-out traffic.
 ES_FORWARD_FLUSH = 0.02
+#: Cap on events carried by one ES federation forward batch (bounds
+#: datagram size); overflow stays queued for the next flush window.
+ES_FORWARD_BATCH_MAX = 64
+#: High-water mark per peer on the ES federation outbox: a long peer
+#: outage drops the *oldest* queued forwards past this depth (traced as
+#: ``es.outbox_overflow`` + the ``es.outbox_dropped`` counter) instead of
+#: growing the checkpoint payload without bound.
+ES_OUTBOX_MAX = 1024
 
 #: CPU fraction of one node consumed by kernel daemons between
 #: heartbeats (drives Table 4's Linpack overhead model).
@@ -122,14 +130,6 @@ class KernelTimings:
     #: Detector sampling/export period (drives monitoring freshness).
     detector_interval: float = 5.0
 
-    #: Cap on events carried by one ES federation forward batch (bounds
-    #: datagram size); overflow stays queued for the next flush window.
-    es_forward_batch_max: int = 64
-    #: High-water mark per peer on the ES federation outbox: a long peer
-    #: outage drops the *oldest* queued forwards past this depth (traced
-    #: as ``es.outbox_overflow`` + the ``es.outbox_dropped`` counter)
-    #: instead of growing the checkpoint payload without bound.
-    es_outbox_max: int = 1024
     #: Per-consumer delivery SLO, seconds of publish→consumer p99 latency:
     #: when set, each ES daemon feeds a per-subscription latency histogram
     #: (``es.deliver.to.<consumer_id>``) and the monitoring layer's
@@ -178,10 +178,6 @@ class KernelTimings:
             raise KernelError("heartbeat_interval must be positive")
         if self.deadline_grace <= 0:
             raise KernelError("deadline_grace must be positive")
-        if self.es_forward_batch_max < 1:
-            raise KernelError("es_forward_batch_max must be >= 1")
-        if self.es_outbox_max < 1:
-            raise KernelError("es_outbox_max must be >= 1")
         if self.es_deliver_slo is not None and self.es_deliver_slo <= 0:
             raise KernelError("es_deliver_slo must be positive (or None)")
         if self.ckpt_retention_window is not None and self.ckpt_retention_window <= 0:

@@ -19,10 +19,9 @@ MINUTE = 60.0
 #: One hour, in seconds.
 HOUR = 3600.0
 
-#: One kibibyte / mebibyte / gibibyte, in bytes.
+#: One kibibyte / mebibyte, in bytes.
 KIB = 1024
 MIB = 1024 * KIB
-GIB = 1024 * MIB
 
 
 def usec(n: float) -> float:

@@ -173,13 +173,16 @@ class GridView(ServiceDaemon):
                 {"table": TABLE_NODE_STATE, "where": None, "scope": "global"},
                 timeout=30.0,
             )
-            if metrics_reply is None:
+            if metrics_reply is None or state_reply is None:
+                # Without the state rows every dead node would count as
+                # up: a lost reply, either one, is a failed refresh.
+                metrics_reply = None
                 break
             # A bulletin that failed over between the two reads answers
             # them from different incarnations; joining those rows would
             # fabricate a cluster state that never existed.
             torn = torn_partitions(
-                metrics_reply.get("watermarks"), (state_reply or {}).get("watermarks")
+                metrics_reply.get("watermarks"), state_reply.get("watermarks")
             )
             if not torn:
                 break
@@ -192,9 +195,7 @@ class GridView(ServiceDaemon):
             self.sim.trace.mark("gridview.refresh_failed", node=self.node_id)
             return
         rows = metrics_reply.get("rows", [])
-        down = [
-            r["_key"] for r in (state_reply or {}).get("rows", []) if r.get("state") == "down"
-        ]
+        down = [r["_key"] for r in state_reply.get("rows", []) if r.get("state") == "down"]
         reporting = [r for r in rows if r["_key"] not in down]
         n = len(reporting)
         snapshot = ClusterSnapshot(
@@ -285,11 +286,11 @@ class GridView(ServiceDaemon):
             {"table": TABLE_NODE_STATE, "where": {"state": "down"}, "scope": "global"},
             timeout=30.0,
         )
-        if metrics_reply is None or "aggregate" not in metrics_reply:
+        if metrics_reply is None or state_reply is None or "aggregate" not in metrics_reply:
             self.sim.trace.mark("gridview.refresh_failed", node=self.node_id)
             return
         agg = metrics_reply["aggregate"]
-        down = (state_reply or {}).get("rows", [])
+        down = state_reply.get("rows", [])
         snapshot = ClusterSnapshot(
             time=self.sim.now,
             node_count=self.cluster.size,

@@ -10,6 +10,17 @@ from repro.experiments.fault_campaign import (
 )
 
 
+def _trace_with(marks):
+    from repro.sim.trace import Trace
+
+    clock = [0.0]
+    trace = Trace(clock=lambda: clock[0])
+    for t, category, fields in marks:
+        clock[0] = t
+        trace.mark(category, **fields)
+    return trace
+
+
 @pytest.fixture(scope="module")
 def wd_process_campaign():
     return run_campaign_class("wd", "process", injections=5, seed=1)
@@ -61,22 +72,14 @@ def test_classes_table_sane():
 
 def test_campaign_injections_are_spanned(wd_process_campaign):
     """Every injected fault runs inside one closed ``campaign.fault`` span."""
-    # The fixture result object has no trace handle; re-run a tiny class.
+    # The fixture result object has no trace handle; boot a world by hand.
     import repro.experiments.fault_campaign as fc
-    from repro.cluster import Cluster, ClusterSpec, FaultInjector
-    from repro.kernel import KernelTimings, PhoenixKernel
-    from repro.sim import Simulator
 
-    sim = Simulator(seed=4, trace_capacity=None)
-    cluster = Cluster(sim, ClusterSpec.build(partitions=4, computes=6))
-    kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=10.0))
-    kernel.boot()
-    injector = FaultInjector(cluster)
-    rng = sim.rngs.stream("campaign.wd.process")
-    sim.run(until=20.0)
+    world = fc.World(fc.FAILSTOP_ROWS[("wd", "process")], seed=4, hb=10.0)
+    sim, injector = world.sim, world.injector
     span = sim.trace.span("campaign.fault", component="wd", situation="process", case="c0")
     injector.current_span = span
-    target = fc._pick_target(cluster, kernel, "wd", rng)
+    target = fc._pick_target(world.cluster, world.kernel, "wd", world.rng)
     injector.kill_process(target, "wd", case="c0")
     span.end(recovered=True)
     injector.current_span = None
@@ -153,11 +156,7 @@ def test_minority_write_counters_fire_on_a_synthetic_trace():
         _placement_commits,
         _writes_by,
     )
-    from repro.sim.trace import Trace
-
-    clock = [0.0]
-    trace = Trace(clock=lambda: clock[0])
-    marks = [
+    trace = _trace_with([
         (5.0, "placement.committed", dict(service="metagroup", scope="leader", node="p3s0")),
         (12.0, "placement.committed", dict(service="metagroup", scope="leader", node="p3s0")),
         (12.0, "placement.committed", dict(service="metagroup", scope="leader", node="p0s0")),
@@ -166,10 +165,7 @@ def test_minority_write_counters_fire_on_a_synthetic_trace():
         (13.0, "ckpt.committed", dict(key="es.registry.p3", node="p3s0", version=2)),
         (13.0, "ckpt.committed", dict(key="gsd.state.p0", node="p0s0", version=9)),
         (25.0, "ckpt.committed", dict(key="gsd.state.p3", node="p3s0", version=8)),
-    ]
-    for t, category, fields in marks:
-        clock[0] = t
-        trace.mark(category, **fields)
+    ])
     minority = {"p3s0", "p3c0"}
     # One minority leadership placement and one minority gsd.state commit
     # inside [10, 20]; other sides, services, keys and times do not count.
@@ -177,3 +173,117 @@ def test_minority_write_counters_fire_on_a_synthetic_trace():
     assert _writes_by(_gsd_state_commits(trace), minority, 10.0, 20.0) == 1
     assert _writes_by(_gsd_state_commits(trace), minority, 0.0, 30.0) == 2
     assert _writes_by(_placement_commits(trace), {"p1s0"}, 0.0, 30.0) == 0
+
+
+# -- the shared pieces: one mark search, one class table, one --check block ------
+
+
+def test_measure_recovery_needs_all_three_marks_after_t0():
+    from repro.experiments.fault_campaign import measure_recovery
+
+    wd = dict(component="wd", node="p1c0")
+    marks = [
+        (4.0, "failure.detected", wd),  # before t0: an earlier injection's
+        (4.3, "failure.diagnosed", dict(wd, kind="process")),
+        (4.4, "failure.recovered", dict(wd, kind="process")),
+        (15.0, "failure.detected", wd),
+        (15.3, "failure.diagnosed", dict(wd, kind="process")),
+    ]
+    assert measure_recovery(_trace_with(marks), "wd", "process", t0=10.0) is None
+    marks.append((15.4, "failure.recovered", dict(wd, kind="process")))
+    trace = _trace_with(marks)
+    assert measure_recovery(trace, "wd", "process", t0=10.0) == (15.0, 15.3, 15.4)
+    assert measure_recovery(trace, "wd", "process", t0=0.0) == (4.0, 4.3, 4.4)
+    # Another kind of verdict about the same node is not this fault's.
+    assert measure_recovery(trace, "wd", "node", t0=10.0) is None
+
+
+def test_measure_recovery_honours_node_and_network_filters():
+    from repro.experiments.fault_campaign import measure_recovery
+
+    def nic(node, network):
+        return dict(component="wd", kind="network", node=node, network=network)
+
+    faults = ((1.0, "p0c0", "data"), (2.0, "p1c0", "mgmt"), (3.0, "p1c0", "data"))
+    steps = ((0.0, "failure.detected"), (0.1, "failure.diagnosed"), (0.2, "failure.recovered"))
+    trace = _trace_with([
+        (t0 + dt, category, nic(node, network))
+        for t0, node, network in faults for dt, category in steps
+    ])
+    # NIC faults are injected on the data fabric: mgmt marks never count.
+    assert measure_recovery(trace, "wd", "network", t0=0.0) == (1.0, 1.1, 1.2)
+    assert measure_recovery(trace, "wd", "network", t0=0.0, node="p1c0") == (3.0, 3.1, 3.2)
+    assert measure_recovery(trace, "wd", "network", t0=0.0, node="p2c0") is None
+
+
+def test_measure_recovery_reads_es_node_detection_from_the_gsd_mark():
+    """A dead server node is detected through the meta-group ring, so the
+    kernel attributes the detection to the GSD — the one special rule."""
+    from repro.experiments.fault_campaign import measure_recovery
+
+    trace = _trace_with([
+        (30.1, "failure.detected", dict(component="gsd", node="p1s0")),
+        (30.4, "failure.diagnosed", dict(component="es", kind="node", node="p1s0")),
+        (33.6, "failure.recovered", dict(component="es", kind="node", node="p1s0")),
+    ])
+    assert measure_recovery(trace, "es", "node", t0=0.0) == (30.1, 30.4, 33.6)
+    # Only es/node borrows the GSD's detection.
+    assert measure_recovery(trace, "es", "process", t0=0.0) is None
+    assert measure_recovery(trace, "gsd", "node", t0=0.0) is None
+
+
+def test_class_tables_have_the_shape_the_driver_runs():
+    import repro.experiments.fault_campaign as fc
+    from repro.experiments.fault_tables import COMPONENTS, SITUATIONS
+
+    assert (tuple(fc.FAILSTOP_ROWS), tuple(fc.GRAY_ROWS), tuple(fc.PARTITION_ROWS)) == (
+        fc.CLASSES, fc.GRAY_CLASSES, fc.PARTITION_CLASSES)
+    assert (len(fc.CLASSES), len(fc.GRAY_CLASSES), len(fc.PARTITION_CLASSES)) == (5, 3, 6)
+    # The nine Tables 1–3 cells are rows of the same kind.
+    cells = {(c, s): fc.failstop_class(c, s) for c in COMPONENTS for s in SITUATIONS}
+    assert all(cells[kind] is not None for kind in fc.CLASSES)
+    tables = {"fail-stop": cells, "gray": fc.GRAY_ROWS, "partition": fc.PARTITION_ROWS}
+    for family, rows in tables.items():
+        for kind, row in rows.items():
+            assert (row.family, row.kind) == (family, kind)
+            assert all(callable(f) for f in (row.pick, row.inject, row.covered))
+            assert row.heal is None or callable(row.heal)
+            assert row.hold > 0 and row.settle >= 0 and row.gap >= 0 and row.cycles >= 1
+            # Only a fault that ends on its own schedule needs no settle window.
+            assert row.settle > 0 or row.heal is None
+            assert not row.sustained or row.minority is not None
+    partition = fc.PARTITION_ROWS
+    assert {k for k, row in partition.items() if row.sustained} == {
+        "clean-split", "even-split", "asym-inbound"}
+    assert all(partition[k].minority is None for k in ("fabric-gray", "fabric-latency"))
+    assert all(row.minority is None for row in [*fc.GRAY_ROWS.values(), *cells.values()])
+
+
+def test_unknown_class_is_rejected():
+    from repro.experiments.fault_campaign import run_gray_class, run_partition_class
+
+    with pytest.raises(ValueError, match="unknown gray class"):
+        run_gray_class("meteor")
+    with pytest.raises(ValueError, match="unknown partition class"):
+        run_partition_class("meteor")
+
+
+@pytest.mark.parametrize("recovered,code", [(2, None), (1, 1)])
+def test_cli_check_gates_the_failstop_family(monkeypatch, capsys, recovered, code):
+    """``campaign --check`` with no family flag used to print the table
+    and exit 0 whatever it showed."""
+    import repro.experiments.fault_campaign as fc
+
+    results = {("wd", "process"): CampaignResult(injected=2, recovered=recovered)}
+    monkeypatch.setattr(fc, "run_campaign", lambda **options: results)
+    if code is None:
+        fc.main(["--check"])
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            fc.main(["--check"])
+        assert exit_info.value.code == code
+    out = capsys.readouterr().out
+    assert ("FAIL: wd/process: coverage 50% < 100%" in out) == (code == 1)
+    assert ("fail-stop campaign gates: OK" in out) == (code is None)
+    problems = [] if code is None else ["wd/process: coverage 50% < 100%"]
+    assert fc.check_campaign(results) == problems

@@ -49,13 +49,11 @@ def test_publish_burst_coalesces_into_few_batches(kernel, sim):
     assert after["es.forward_duplicates"] == before["es.forward_duplicates"]
 
 
-def test_batch_size_cap_spills_overflow_to_next_window():
+def test_batch_size_cap_spills_overflow_to_next_window(monkeypatch):
+    monkeypatch.setattr("repro.kernel.events.service.ES_FORWARD_BATCH_MAX", 3)
     sim = Simulator(seed=11)
     cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=2))
-    kernel = PhoenixKernel(
-        cluster,
-        timings=KernelTimings(heartbeat_interval=30.0, es_forward_batch_max=3),
-    )
+    kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=30.0))
     kernel.boot()
     sim.run(until=1.0)
     inbox = subscribe_collector(kernel, sim, "p1c0", "c1", types=("custom.*",), partition="p1")
@@ -223,17 +221,18 @@ def test_outbox_survives_es_kill_and_peer_server_crash():
 # -- outbox high-water mark ---------------------------------------------------
 
 
-def test_outbox_high_water_mark_drops_oldest_on_peer_outage():
+def test_outbox_high_water_mark_drops_oldest_on_peer_outage(monkeypatch):
     """A wedged peer must not grow the sender's outbox (and therefore its
-    checkpoint payload) without bound: past ``es_outbox_max`` the oldest
+    checkpoint payload) without bound: past ``ES_OUTBOX_MAX`` the oldest
     queued forwards are dropped, traced, and counted."""
+    monkeypatch.setattr("repro.kernel.events.service.ES_OUTBOX_MAX", 4)
     sim = Simulator(seed=11)
     cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=2))
     kernel = PhoenixKernel(
         cluster,
         # A huge heartbeat interval keeps the GSD from recovering the peer
         # within the test window — the outage stays in effect throughout.
-        timings=KernelTimings(heartbeat_interval=120.0, es_outbox_max=4),
+        timings=KernelTimings(heartbeat_interval=120.0),
     )
     kernel.boot()
     injector = FaultInjector(cluster)

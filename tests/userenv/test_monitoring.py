@@ -78,3 +78,26 @@ def test_render_events(kernel, sim, gridview, injector):
     sim.run(until=sim.now + 15.0)
     text = render_events(gridview.recent_events())
     assert "node.failure" in text
+
+
+@pytest.mark.parametrize("aggregate_mode", [False, True])
+def test_lost_state_reply_is_a_failed_refresh(kernel, sim, injector, aggregate_mode):
+    """A refresh whose ``node_state`` read went unanswered must not publish
+    a snapshot: joined with nothing, every dead node would count as up."""
+    injector.crash_node("p1c0")
+    sim.run(until=sim.now + 30.0)  # detected, diagnosed, state row says down
+    gv = install_gridview(kernel, refresh_interval=10.0, aggregate_mode=aggregate_mode)
+    answered = gv.rpc
+
+    def rpc(dst_node, dst_port, mtype, payload=None, **kwargs):
+        if (payload or {}).get("table") == "node_state":
+            lost = sim.signal()
+            lost.fire(None)  # what a timed-out RPC resolves to
+            return lost
+        return answered(dst_node, dst_port, mtype, payload, **kwargs)
+
+    gv.rpc = rpc
+    sim.run(until=sim.now + 25.0)
+    assert len(sim.trace.records("gridview.refresh_failed")) >= 2
+    assert sim.trace.records("gridview.refresh") == []
+    assert gv.latest is None

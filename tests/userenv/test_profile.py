@@ -34,6 +34,9 @@ def test_validate_accepts_good_profile():
     (lambda p: p["kernel"].update(rpc_timeout=2.0), "unknown kernel timing"),
     # The ES index derives its where keys; the knob that listed them is gone.
     (lambda p: p["kernel"].update(es_indexed_where_keys=["node"]), "unknown kernel timing"),
+    # One value in use anywhere: module constants since PR 18.
+    (lambda p: p["kernel"].update(es_forward_batch_max=8), "unknown kernel timing"),
+    (lambda p: p["kernel"].update(es_outbox_max=16), "unknown kernel timing"),
     (lambda p: p["users"].append({"name": "x"}), "user entry"),
     (lambda p: p["environments"].update(slurm={}), "unknown environments"),
     (lambda p: p["environments"]["pws"].update(pools=[]), "at least one pool"),
