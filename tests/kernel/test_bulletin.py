@@ -1,12 +1,16 @@
 """Data bulletin: store queries + federation single access point (Figure 5)."""
 
+import copy
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.message import estimate_size
 from repro.errors import KernelError
 from repro.kernel import ports
-from repro.kernel.bulletin.store import BulletinStore
+from repro.kernel.bulletin.store import BulletinStore, FrozenRow
 from repro.sim import drive
 
 # -- store unit tests --------------------------------------------------------
@@ -47,11 +51,70 @@ def test_store_put_overwrites_by_key():
     assert store.get("t", "a")["_updated_at"] == 5
 
 
-def test_store_rows_are_copies():
+def test_store_rows_are_values():
+    """A reader cannot corrupt the store — not because it gets a copy, but
+    because the row it gets is immutable (and so safe to share)."""
     store = BulletinStore()
-    store.put("t", "a", {"v": {"deep": 1}}, now=0, partition="p0")
-    store.query("t")[0]["v"]["deep"] = 99
-    assert store.get("t", "a")["v"]["deep"] == 1
+    store.put("t", "a", {"v": {"deep": 1}, "tags": ["x"]}, now=0, partition="p0")
+    row = store.query("t")[0]
+    assert isinstance(row, FrozenRow) and isinstance(row["v"], FrozenRow)
+    for mutate in (
+        lambda: row.__setitem__("v", 2),
+        lambda: row.__delitem__("v"),
+        lambda: row.update(v=2),
+        lambda: row.pop("v"),
+        lambda: row.popitem(),
+        lambda: row.clear(),
+        lambda: row.setdefault("w", 1),
+        lambda: row.__ior__({"w": 1}),
+        lambda: row["v"].__setitem__("deep", 99),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    assert store.get("t", "a")["v"]["deep"] == 1 and "w" not in store.get("t", "a")
+    # it still is a dict to everything that reads one
+    plain = dict(row)
+    assert type(plain) is dict and row == plain
+    assert json.loads(json.dumps(row)) == plain and repr(row) == repr(plain)
+    # the way to edit one: that plain mutable copy
+    plain["v"] = 2
+    assert store.get("t", "a")["v"] == {"deep": 1}
+    # nobody copies: a row is its own copy, and reads share the stored objects
+    assert copy.deepcopy(row) is row and copy.copy(row) is row
+    assert all(a is b for a, b in zip(store.query("t"), store.query("t")))
+    assert store.get("t", "a") is row
+
+
+def test_put_freezes_its_own_copy_of_the_senders_row():
+    """Fails at the parent: ``put`` copied the top level only, so a sender
+    mutating a nested value afterwards changed the stored row."""
+    store = BulletinStore()
+    sent = {"nics": {"eth0": True}, "cores": [{"id": 0, "busy": False}]}
+    store.put("t", "n0", sent, now=0, partition="p0")
+    sent["nics"]["eth0"] = False
+    sent["cores"][0]["busy"] = True
+    sent["cores"].append({"id": 1})
+    assert store.get("t", "n0")["nics"] == {"eth0": True}
+    assert store.get("t", "n0")["cores"] == [{"id": 0, "busy": False}]
+
+
+def test_cached_text_lives_only_while_the_row_is_stored():
+    """``repr`` is rendered once per stored row; replace / delete / expire
+    drop the text so a snapshot holding the old row does not pin it."""
+    store = BulletinStore()
+    for key in "abc":
+        store.put("t", key, {"v": [1.5, {"k": key}]}, now=0, partition="p0")
+    held = {row["_key"]: row for row in store.query("t")}
+    texts = {key: repr(row) for key, row in held.items()}
+    assert all(row._text == texts[key] for key, row in held.items())
+    assert held["a"]["v"][1]._text is None  # nested rows never keep one
+    store.put("t", "a", {"v": 2}, now=20, partition="p0")
+    store.delete("t", "b")
+    assert store.expire("t", max_age=5.0, now=10.0) == 1  # "c"
+    for key, row in held.items():
+        assert row._text is None
+        assert repr(row) == texts[key] == dict.__repr__(row)
+        assert row._text is None  # and a row that left is not cached again
 
 
 def test_store_delete_and_expire():
@@ -87,6 +150,57 @@ def test_property_query_equals_filtered_latest_state(writes):
         expected = sorted(k for k, s in latest.items() if s == state)
         got = [r["_key"] for r in store.query("t", {"state": state})]
         assert got == expected
+
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_ROWS = st.dictionaries(st.text(min_size=1, max_size=6), _VALUES, max_size=5)
+
+
+def _thaw(value):
+    """The plain-``dict`` deep copy of a payload holding frozen rows."""
+    if isinstance(value, dict):
+        return {k: _thaw(v) for k, v in value.items()}
+    return [_thaw(v) for v in value] if isinstance(value, list) else value
+
+
+@given(st.dictionaries(st.sampled_from("abcdef"), _ROWS, min_size=1, max_size=6))
+def test_property_frozen_rows_size_like_plain_dicts(sent):
+    """``estimate_size`` counts the same bytes for a payload of stored rows
+    as for its plain-dict copy, with the rows' text not yet rendered,
+    cached, and dropped again — the unit-level guard for
+    ``sim_bytes_per_op`` and every ``sim_digest``."""
+    store = BulletinStore()
+    for key, row in sent.items():
+        store.put("t", key, row, now=1.5, partition="p0")
+    rows = store.query("t")
+    payloads = [
+        # DB_QUERY reply, es.forward_batch of db.delta events, db.tables.* checkpoint save
+        {"rows": rows, "partitions_missing": [], "watermark": {"epoch": 1, "seq": len(rows)}},
+        {"events": [
+            {"type": "db.delta", "seq": i, "data": {"table": "t", "op": "put", "row": row}}
+            for i, row in enumerate(rows)
+        ]},
+        {"key": "db.tables.p0", "data": {"tables": {"t": {r["_key"]: r for r in rows}}, "t": 2.0}},
+    ]
+    plain = [_thaw(payload) for payload in payloads]
+    assert all(type(row) is dict for row in plain[0]["rows"])
+    expected = [estimate_size(payload) for payload in plain]
+    assert [estimate_size(payload) for payload in payloads] == expected  # rendering
+    assert [estimate_size(payload) for payload in payloads] == expected  # from the cached text
+    first = rows[0]["_key"]
+    store.put("t", first, {"replaced": True}, now=9.0, partition="p0")
+    store.expire("t", max_age=5.0, now=8.0)  # every other row
+    assert store.row_count("t") == 1 and not any(row._text for row in rows)
+    assert [estimate_size(payload) for payload in payloads] == expected  # text dropped
+    reply = {"rows": store.query("t")}
+    assert estimate_size(reply) == estimate_size(_thaw(reply))
 
 
 # -- federation integration -----------------------------------------------

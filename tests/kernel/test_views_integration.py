@@ -6,7 +6,9 @@ from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.errors import ServiceUnavailable
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
+from repro.kernel.bulletin.store import FrozenRow
 from repro.sim import Simulator, drive
+from repro.userenv.monitoring import install_gridview
 from tests.kernel.test_bulletin_views import rows_close
 
 NODES_BY_STATE = Query(
@@ -39,6 +41,15 @@ def _register(sim, client, name, query, partition):
     reply = drive(sim, client.register_view(name, query, partition=partition), max_time=60.0)
     assert reply and reply.get("ok"), reply
     return reply
+
+
+def _put_job(sim, kernel, client, key, row):
+    """Acked ``DB_PUT`` of one ``apps`` row to p0's bulletin."""
+    reply = drive(sim, client._transport.rpc(
+        client.node_id, kernel.placement[("db", "p0")], ports.DB, ports.DB_PUT,
+        {"table": "apps", "key": key, "row": row}, timeout=5.0,
+    ))
+    assert reply == {"ok": True}
 
 
 def _equivalent(sim, client, name, query, attempts=10):
@@ -157,20 +168,11 @@ def test_time_travel_round_trip():
     # Checkpointing of base tables runs only while some view keeps delta
     # maintenance on — the jobs view doubles as the bootstrap.
     _register(sim, client, "t.jobs", Query(table="jobs", aggs=(Agg("count", "*", "n"),)), "p0")
-    db_node = kernel.placement[("db", "p0")]
-
-    def put(key, row):
-        reply = drive(sim, client._transport.rpc(
-            client.node_id, db_node, ports.DB, ports.DB_PUT,
-            {"table": "apps", "key": key, "row": row}, timeout=5.0,
-        ))
-        assert reply == {"ok": True}
-
-    put("job1", {"app": "linpack", "phase": "running"})
+    _put_job(sim, kernel, client, "job1", {"app": "linpack", "phase": "running"})
     sim.run(until=sim.now + 1.0)  # past the checkpoint debounce
     t_between = sim.now
     sim.run(until=sim.now + 0.2)
-    put("job1", {"app": "linpack", "phase": "done"})
+    _put_job(sim, kernel, client, "job1", {"app": "linpack", "phase": "done"})
     sim.run(until=sim.now + 1.0)
 
     probe = Query(table="jobs", where={"_key": "job1"})
@@ -217,3 +219,55 @@ def test_epoch_announce_on_a_quiet_table_is_bounded():
     assert successor._epoch_announces["apps"] == sent
     assert sim.trace.counters("db.view_") == seen
     assert "db.view_delta_stale" not in seen  # announces are not lost deltas
+
+
+def test_every_stored_and_mirrored_row_is_an_intact_value():
+    """Rows are shared by reference between stores, the ``db.delta`` feed,
+    view mirrors, GridView snapshots, checkpoints and ``AS OF`` replies.
+    After a run through all of them every row still is a ``FrozenRow``
+    whose cached text is its content — a nested *list* edited in place,
+    the one mutation the type cannot refuse, would show here."""
+    sim, kernel, injector = _boot(partitions=2)
+    client = _client(kernel)
+    console = install_gridview(kernel, refresh_interval=5.0)  # classic: two global scans
+    _register(sim, client, "t.nodes", NODES_BY_STATE, "p1")
+    sim.run(until=sim.now + 12.0)
+    injector.crash_node(kernel.placement[("db", "p1")])
+    sim.run(until=sim.now + 60.0)  # failover + mirror rebuilt from checkpoint seed and scans
+    _equivalent(sim, client, "t.nodes", NODES_BY_STATE)
+    past = drive(sim, client.exec_query(Query(table="nodes", as_of=sim.now - 1.0)))
+    assert past["rows"] and not past["partitions_missing"]
+    assert console.refreshes >= 10 and console.latest.per_node
+
+    rows = list(console.latest.per_node.values())
+    for part in kernel.cluster.partitions:
+        db = kernel.bulletin(part.partition_id)
+        for tables in (db.store._tables, db.engine.mirror if db.engine else {}):
+            for slice_ in tables.values():
+                rows += slice_.values()
+    assert kernel.bulletin("p1").engine.mirror and len(rows) > 30
+    for row in rows:
+        assert type(row) is FrozenRow
+        assert repr(row) == dict.__repr__(row)
+    # a stored row was sized on its way into replies: its text is cached
+    assert any(row._text for row in rows)
+
+
+def test_a_delta_consumer_cannot_edit_the_publishers_row():
+    """Fails at the parent: the ``db.delta`` feed ships the stored row by
+    reference, so a subscriber assigning into it rewrote the store."""
+    sim, kernel, _ = _boot(partitions=2)
+    client = _client(kernel)
+    _register(sim, client, "t.jobs", Query(table="jobs", aggs=(Agg("count", "*", "n"),)), "p0")
+    seen = []
+    kernel.cluster.transport.bind(client.node_id, "t.deltas", seen.append)
+    assert drive(sim, client.subscribe(
+        "t.consumer", "t.deltas", types=["db.delta"], where={"table": "apps"}))
+    _put_job(sim, kernel, client, "job1", {"app": "linpack", "phase": "running"})
+    sim.run(until=sim.now + 1.0)
+    (event,) = [m.payload["event"] for m in seen]
+    stored = kernel.bulletin("p0").store.get("apps", "job1")
+    assert event["data"]["row"] is stored
+    with pytest.raises(TypeError):
+        event["data"]["row"]["x"] = 1
+    assert "x" not in stored and stored["phase"] == "running"
