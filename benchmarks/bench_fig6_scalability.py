@@ -15,8 +15,7 @@ from repro.experiments.scalability import render_sweep, run_point, run_sweep
 from repro.userenv.monitoring import render_snapshot
 
 #: The paper's machine is the 640-node point; 1024–4096 substantiate §1's
-#: "easily extends to increasing system scale" (the engine's timer-wheel
-#: fast path is what makes the 4096 point affordable in CI).
+#: "easily extends to increasing system scale".
 SWEEP = (64, 128, 256, 640, 1024, 2048, 4096)
 
 #: Extension point — 25.6x the paper's machine; at ≈3.5 min the longest

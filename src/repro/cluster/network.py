@@ -282,7 +282,5 @@ class Network:
         if arrival < prev:
             arrival = prev
         self._flow_clock[flow] = arrival
-        # Delivery handles are fire-and-forget (nothing retains them), so
-        # the engine may recycle them through its free list.
-        self.sim.schedule_at(arrival, _arrive, transient=True)
+        self.sim.schedule_at(arrival, _arrive)
         return True

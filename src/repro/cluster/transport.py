@@ -224,9 +224,8 @@ class Transport:
         )
 
         def finish(value: dict[str, Any] | None) -> None:
-            # Settle exactly once; after that the timeout handle may have
-            # been recycled by the engine (it is scheduled transient), so
-            # the guard must come before any handle access.
+            # Settle exactly once (a request dropped at source with a zero
+            # timeout runs on_timeout twice).
             if signal.fired:
                 return
             self.unbind(src_node, reply_port)
@@ -241,14 +240,14 @@ class Transport:
             finish(None)
 
         self.bind(src_node, reply_port, on_reply, owner=None)
-        timeout_handle = self.sim.schedule(timeout, on_timeout, transient=True)
+        timeout_handle = self.sim.schedule(timeout, on_timeout)
         accepted = self.send(
             src_node, dst_node, dst_port, mtype, payload, network=network, rpc_id=rpc_id
         )
         if not accepted:
             # Fail fast on the next tick; finish() cancels the armed
             # timeout itself, keeping the settle path single.
-            self.sim.schedule(0.0, on_timeout, transient=True)
+            self.sim.schedule(0.0, on_timeout)
         return signal
 
     def rpc_retry(

@@ -30,6 +30,7 @@ import math
 from typing import Any
 
 from repro.cluster.message import Message
+from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.bulletin import query as rel
 from repro.kernel.bulletin.query import (  # noqa: F401 - re-exported
@@ -57,6 +58,15 @@ def _row_order(row: dict[str, Any]) -> tuple[str, str]:
 def _ordered(rows_by_table: dict[str, list[dict[str, Any]]]):
     """Executor row source: a table's gathered rows in canonical order."""
     return lambda table: sorted(rows_by_table.get(table, []), key=_row_order)
+
+
+def _require_names(payload: dict[str, Any], *fields: str) -> None:
+    """Requests come from any node's client: a table or key name that is
+    not a non-empty string is refused here, before it reaches the store."""
+    for field in fields:
+        value = payload.get(field)
+        if not isinstance(value, str) or not value:
+            raise KernelError(f"bulletin request needs a non-empty string {field!r}, got {value!r}")
 
 
 #: Tables whose rows go stale when their producer stops exporting
@@ -229,7 +239,14 @@ class BulletinDaemon(ServiceDaemon):
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, msg: Message) -> dict[str, Any] | None:
+        if msg.mtype == ports.DB_PUT or msg.mtype == ports.DB_DELETE:
+            try:
+                _require_names(msg.payload, "table", "key")
+            except KernelError as exc:
+                return {"ok": False, "error": str(exc)}
         if msg.mtype == ports.DB_PUT:
+            if not isinstance(msg.payload.get("row"), dict):
+                return {"ok": False, "error": "bulletin put needs a dict 'row'"}
             self.store.put(
                 msg.payload["table"],
                 msg.payload["key"],
@@ -264,11 +281,12 @@ class BulletinDaemon(ServiceDaemon):
         return None
 
     def _on_query(self, msg: Message) -> dict[str, Any] | None:
-        table = msg.payload["table"]
+        table = msg.payload.get("table")
         where = msg.payload.get("where")
         scope = msg.payload.get("scope", "global")
         aggregate = msg.payload.get("aggregate")  # list of numeric fields or None
         try:
+            _require_names(msg.payload, "table")
             validate_where(where)
         except Exception as exc:
             return {"error": str(exc), "rows": [], "partitions_missing": []}

@@ -66,7 +66,7 @@ class Signal:
         self.value = value
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
-            proc._wake(value)
+            proc._wake_soon(value)
 
     def _register(self, proc: "Proc") -> None:
         if self.fired:
@@ -107,10 +107,8 @@ class Proc:
         self._pending: EventHandle | None = None
         self._waiting_on: Signal | None = None
         # First step happens as its own event so spawning inside an event
-        # callback cannot reenter arbitrarily deep.  All _pending handles
-        # are transient: _step clears the reference before resuming the
-        # body and _detach clears it on cancel, so the engine may recycle.
-        self._pending = sim.schedule(0.0, self._step, _FIRST, transient=True)
+        # callback cannot reenter arbitrarily deep.
+        self._pending = sim.schedule(0.0, self._step, _FIRST)
 
     # -- public API ----------------------------------------------------------
     @property
@@ -167,7 +165,7 @@ class Proc:
         if isinstance(yielded, (int, float)):
             yielded = Timeout(yielded)
         if isinstance(yielded, Timeout):
-            self._pending = self.sim.schedule(yielded.delay, self._step, None, transient=True)
+            self._pending = self.sim.schedule(yielded.delay, self._step, None)
         elif isinstance(yielded, Proc):
             self._waiting_on = yielded.done
             yielded.done._register(self)
@@ -181,13 +179,10 @@ class Proc:
             self.done.fire(None)
             raise err
 
-    def _wake(self, value: Any) -> None:
-        """Called by a firing signal: resume on the next event slot."""
-        self._wake_soon(value)
-
     def _wake_soon(self, value: Any) -> None:
+        """Called by a fired signal: resume on the next event slot."""
         self._waiting_on = None
-        self._pending = self.sim.schedule(0.0, self._step, value, transient=True)
+        self._pending = self.sim.schedule(0.0, self._step, value)
 
     def _detach(self) -> None:
         if self._pending is not None:

@@ -254,3 +254,44 @@ def test_global_query_with_where_clause(kernel, sim):
     put_row(kernel, sim, "p1", "b", {"state": "down"})
     reply = drive(sim, kernel.client("p0c0").query_bulletin("custom", where={"state": "down"}))
     assert [r["_key"] for r in reply["rows"]] == ["b"]
+
+
+# -- malformed requests: refused, never fatal -----------------------------
+
+_BAD_NAMES = [{"nodes": 1}, ["nodes"], 7, "", None]
+
+
+def _db_rpc(kernel, sim, mtype, payload):
+    return drive(sim, kernel.cluster.transport.rpc(
+        "p0c0", kernel.placement[("db", "p0")], ports.DB, mtype, payload))
+
+
+@pytest.mark.parametrize("table", _BAD_NAMES, ids=repr)
+def test_query_with_a_malformed_table_gets_an_error_reply(kernel, sim, table):
+    for reply in (
+        drive(sim, kernel.client("p0c0").query_bulletin(table)),
+        _db_rpc(kernel, sim, ports.DB_QUERY, {"scope": "local"}),  # no table at all
+    ):
+        assert reply["rows"] == [] and reply["partitions_missing"] == []
+        assert "'table'" in reply["error"]
+    put_row(kernel, sim, "p0", "k", {"v": 1})  # still serving
+    assert [r["_key"] for r in drive(sim, kernel.client("p0c0").query_bulletin("custom"))["rows"]] == ["k"]
+
+
+@pytest.mark.parametrize("field", ["table", "key"])
+@pytest.mark.parametrize("bad", _BAD_NAMES, ids=repr)
+def test_put_and_delete_with_a_malformed_name_are_refused(kernel, sim, field, bad):
+    good = {"table": "custom", "key": "k", "row": {"v": 1}}
+    for mtype in (ports.DB_PUT, ports.DB_DELETE):
+        for payload in ({**good, field: bad}, {k: v for k, v in good.items() if k != field}):
+            reply = _db_rpc(kernel, sim, mtype, payload)
+            assert reply["ok"] is False and repr(field) in reply["error"]
+            # the same message as a plain send: dropped, no reply to route
+            kernel.cluster.transport.send(
+                "p0c0", kernel.placement[("db", "p0")], ports.DB, mtype, payload)
+    sim.run(until=sim.now + 1.0)
+    assert _db_rpc(kernel, sim, ports.DB_PUT, {"table": "custom", "key": "k"})["ok"] is False  # no row
+    # the daemon is still up and serving
+    assert _db_rpc(kernel, sim, ports.DB_PUT, good) == {"ok": True}
+    reply = drive(sim, kernel.client("p0c0").query_bulletin("custom"))
+    assert [r["_key"] for r in reply["rows"]] == ["k"]

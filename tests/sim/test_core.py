@@ -72,6 +72,16 @@ def test_cancel_prevents_execution():
     assert not handle.pending
 
 
+def test_cancel_is_reflected_in_pending_events():
+    sim = Simulator()
+    handle = sim.schedule(1.0, lambda: None)
+    assert sim.pending_events == 1
+    handle.cancel()
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.events_executed == 0
+
+
 def test_run_until_advances_clock_even_without_events():
     sim = Simulator()
     sim.run(until=42.0)
@@ -88,6 +98,17 @@ def test_run_until_is_inclusive():
     assert sim.now == 10.0
     sim.run()
     assert seen == ["at-until", "after"]
+
+
+def test_run_until_leaves_later_events_pending():
+    sim = Simulator()
+    seen = []
+    sim.schedule(2.0, seen.append, "in")
+    sim.schedule(2.5, seen.append, "out")
+    sim.run(until=2.0)  # events *at* until fire; later ones stay queued
+    assert seen == ["in"] and sim.now == 2.0 and sim.pending_events == 1
+    sim.run()
+    assert seen == ["in", "out"] and sim.now == 2.5
 
 
 def test_run_until_in_past_rejected():
@@ -155,6 +176,15 @@ def test_step_returns_false_when_drained():
     sim.schedule(1.0, lambda: None)
     assert sim.step() is True
     assert sim.step() is False
+
+
+def test_step_fires_the_event_peek_announced():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, seen.append, "a")
+    assert sim.peek() == 1.0
+    assert sim.step() is True
+    assert seen == ["a"] and sim.step() is False
 
 
 def test_peek_skips_cancelled():

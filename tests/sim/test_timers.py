@@ -1,5 +1,7 @@
 """Cancellable-timer helper and heap-compaction behaviour."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -78,6 +80,21 @@ def test_timer_rejects_bad_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.timer(-1.0, lambda: None)
+
+
+def test_timer_restart_rejects_bad_delay():
+    """A refused restart changes nothing: the armed deadline still fires."""
+    sim = Simulator()
+    seen = []
+    timer = sim.timer(5.0, lambda: seen.append(sim.now))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(SimulationError):
+            timer.restart(bad)
+        assert timer.active and timer.deadline == 5.0
+    sim.run()
+    assert seen == [5.0]
+    timer.restart()  # and the delay it re-arms with is still the original
+    assert timer.deadline == 10.0
 
 
 def test_pending_events_excludes_cancelled():
