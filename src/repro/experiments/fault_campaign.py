@@ -80,7 +80,7 @@ class ClassResult:
     hazard epoch fencing exists to prevent; it must be zero.
     ``stale_leader_time`` is the (expected, benign) span during which an
     unreachable old leader still *believed* it led at a superseded
-    epoch, before self-demoting or standing down.
+    epoch, before it parked, stepped down or was superseded.
     """
 
     injected: int = 0
@@ -832,30 +832,40 @@ def run_partition_class(
                       trace_export=trace_export)
 
 
-def run_campaign(injections: int = 8, seed: int = 0) -> dict[tuple[str, str], CampaignResult]:
+def _run_family(family: str, injections: int, seed: int, trace_dir: str | None) -> dict:
+    """Every row of one family at the default 10 s heartbeat.  ``trace_dir``
+    exports one ``<family>-<class>.jsonl`` trace per class (``wd/process``
+    → ``fail-stop-wd-process.jsonl``) for the external
+    :mod:`repro.experiments.trace_check` audit."""
+    def export(kind) -> str | None:
+        name = "-".join(kind) if family == "fail-stop" else kind
+        return f"{trace_dir}/{family}-{name}.jsonl" if trace_dir else None
+
+    return {
+        kind: _run_class(row, injections, seed, 10.0, trace_export=export(kind))
+        for kind, row in _FAMILIES[family].rows.items()
+    }
+
+
+def run_campaign(
+    injections: int = 8, seed: int = 0, trace_dir: str | None = None
+) -> dict[tuple[str, str], CampaignResult]:
     """One CampaignResult per fault class in CLASSES."""
-    return {k: run_campaign_class(*k, injections=injections, seed=seed) for k in CLASSES}
+    return _run_family("fail-stop", injections, seed, trace_dir)
 
 
-def run_gray_campaign(injections: int = 4, seed: int = 0) -> dict[str, GrayCampaignResult]:
+def run_gray_campaign(
+    injections: int = 4, seed: int = 0, trace_dir: str | None = None
+) -> dict[str, GrayCampaignResult]:
     """One GrayCampaignResult per class in GRAY_CLASSES."""
-    return {k: run_gray_class(k, injections=injections, seed=seed) for k in GRAY_CLASSES}
+    return _run_family("gray", injections, seed, trace_dir)
 
 
 def run_partition_campaign(
     injections: int = 2, seed: int = 0, trace_dir: str | None = None
 ) -> dict[str, PartitionCampaignResult]:
-    """One PartitionCampaignResult per class in PARTITION_CLASSES.
-
-    ``trace_dir`` exports one ``partition-<kind>.jsonl`` trace per class
-    for the external :mod:`repro.experiments.trace_check` audit."""
-    return {
-        kind: run_partition_class(
-            kind, injections=injections, seed=seed,
-            trace_export=f"{trace_dir}/partition-{kind}.jsonl" if trace_dir else None,
-        )
-        for kind in PARTITION_CLASSES
-    }
+    """One PartitionCampaignResult per class in PARTITION_CLASSES."""
+    return _run_family("partition", injections, seed, trace_dir)
 
 
 # -- report and gates ----------------------------------------------------------------
@@ -939,18 +949,16 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
-        help="with --partition: export one partition-<class>.jsonl trace "
-             "per class for `python -m repro tracecheck`",
+        help="export one <family>-<class>.jsonl trace per class "
+             "for `python -m repro tracecheck`",
     )
     args = parser.parse_args(argv)
     family = "partition" if args.partition else "gray" if args.gray else "fail-stop"
     run = {"fail-stop": run_campaign, "gray": run_gray_campaign,
            "partition": run_partition_campaign}[family]
-    options = {"seed": args.seed}
+    options = {"seed": args.seed, "trace_dir": args.trace_dir}
     if args.injections is not None:
         options["injections"] = args.injections
-    if args.partition:
-        options["trace_dir"] = args.trace_dir
     results = run(**options)
     print(_render(family, results))
     if args.check:

@@ -9,12 +9,12 @@ counts are honest:
 
 1. **Zero dual leader** — no two *same-epoch* leadership claims by
    different nodes may overlap in time.  Claims are reconstructed from
-   ``leader.claimed`` / ``leader.takeover`` / ``leader.reformed`` starts
-   and ``leader.stepdown`` / ``leader.isolated`` / ``gsd.superseded`` /
-   ``quorum.lost`` ends; ``quorum.regained`` resumes a claim suspended by
-   ``quorum.lost`` (the asym-inbound leader parks and resumes without a
-   fresh takeover mark).  Epoch fencing makes the same-epoch restriction
-   the right one: every genuine takeover bumps the epoch, so a deposed
+   six marks — the meta-group's role changes: ``leader.claimed`` /
+   ``leader.takeover`` start one, ``leader.stepdown`` / ``gsd.superseded``
+   end it, ``quorum.lost`` suspends it and ``quorum.regained`` resumes it
+   (the asym-inbound leader parks and resumes without a fresh takeover
+   mark).  Epoch fencing makes the same-epoch restriction the right
+   one: every genuine takeover bumps the epoch, so a deposed
    leader's lingering claim at epoch *e* cannot conflict with its
    successor at *e+1* — only true split-brain produces two same-epoch
    claimants.
@@ -42,10 +42,9 @@ from typing import Any
 _CLAIM_STARTS = {
     "leader.claimed": "node",
     "leader.takeover": "new",
-    "leader.reformed": "node",
 }
 #: Marks that close the named node's claim outright.
-_CLAIM_ENDS = ("leader.stepdown", "leader.isolated", "gsd.superseded")
+_CLAIM_ENDS = ("leader.stepdown", "gsd.superseded")
 
 
 @dataclass

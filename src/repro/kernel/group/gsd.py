@@ -98,21 +98,11 @@ class GSDDaemon(ServiceDaemon):
         #    cannot decide this (a stale full view survives a split), so
         #    when quorum gating is on we run one explicit census first:
         #    a restarted-while-split GSD parks here instead of committing.
-        if self._node_state_dirty and not self.metagroup.parked:
-            mg = self.metagroup
-            quorate = True
-            if mg.quorum_enabled() and not mg._regrouping:
-                mg._regrouping = True
-                try:
-                    live, _best = yield from mg._regroup_round(
-                        "journal_flush", initiate=False
-                    )
-                finally:
-                    mg._regrouping = False
-                quorate = mg.quorum_met(live)
-                if not quorate:
-                    mg._park("journal_flush", live)
-            if quorate and not mg.parked and self._node_state_dirty:
+        mg = self.metagroup
+        if self._node_state_dirty and not mg.parked:
+            if mg.quorum_enabled():
+                yield from mg._census("journal_flush", initiate=False)
+            if not mg.parked and self._node_state_dirty:
                 self._node_state_dirty = False
                 self._commit_node_state()
                 self._export_all_node_state()
@@ -311,18 +301,7 @@ class GSDDaemon(ServiceDaemon):
             return
         root.mark("failure.diagnosed", component="wd", kind=kind, node=subject, by=self.node_id)
         if kind == PROCESS:
-            self.publish(ev.SERVICE_FAILURE, {"service": "wd", "node": subject}, span=root)
-            rec = root.child("gsd.recover", node=subject, action="restart")
-            ok = yield from restart_service_remote(self, subject, "wd", span=rec)
-            rec.end(ok=ok)
-            if ok:
-                root.mark(
-                    "failure.recovered", component="wd", kind="process", node=subject
-                )
-                self.publish(ev.SERVICE_RECOVERY, {"service": "wd", "node": subject}, span=root)
-            else:
-                root.mark("recovery.failed", component="wd", node=subject)
-            root.end(kind=kind, ok=ok)
+            yield from self.restart_in_place("wd", subject, root)
             return
         # Node death: "each WD is the representative of hosting node for
         # sending heartbeat, and migrating WD means nothing" — recovery 0.
@@ -338,6 +317,21 @@ class GSDDaemon(ServiceDaemon):
             # deliberately kept off the GSD's node, so no migration path
             # re-places it. Restore separation before the next failure.
             self.spawn(self._ensure_ckpt_replica(), name=f"{self.node_id}/gsd.ckptreplica")
+
+    def restart_in_place(self, service: str, node: str, root: Span):
+        """Coroutine: restart ``service``, whose process died on a live
+        ``node``, through that node's PPM — the process-failure recovery
+        of a WD (here) and of a ring member's GSD (the meta-group)."""
+        self.publish(ev.SERVICE_FAILURE, {"service": service, "node": node}, span=root)
+        rec = root.child("gsd.recover", node=node, action="restart")
+        ok = yield from restart_service_remote(self, node, service, span=rec)
+        rec.end(ok=ok)
+        if ok:
+            root.mark("failure.recovered", component=service, kind="process", node=node)
+            self.publish(ev.SERVICE_RECOVERY, {"service": service, "node": node}, span=root)
+        else:
+            root.mark("recovery.failed", component=service, node=node)
+        root.end(kind=PROCESS, ok=ok)
 
     def _on_wd_return(self, subject: str) -> None:
         if not self.alive:
@@ -482,9 +476,9 @@ class GSDDaemon(ServiceDaemon):
             self._node_state_dirty = False
             self._commit_node_state()
             self._export_all_node_state()
-        self.spawn(self._rebuild_after_park(), name=f"{self.node_id}/gsd.unpark")
+        self.spawn(self._rebuild_on_unpark(), name=f"{self.node_id}/gsd.unpark")
 
-    def _rebuild_after_park(self):
+    def _rebuild_on_unpark(self):
         yield from self._ensure_services()
         yield from self._ensure_ckpt_replica()
 

@@ -20,40 +20,26 @@ Concretely:
   broadcasts the new view itself — the takeover.
 
 Gray-failure hardening (MSCS-style epochs + fencing): every view carries
-a monotone **leader epoch**, bumped exactly once per takeover.  Views are
-ordered by ``(epoch, view_id)``; a view or membership command stamped
-with an older epoch is *fenced* — rejected with a ``gsd.fenced`` trace
-mark, and the sender is pushed the newer view so the stale side of a
-healed asymmetric split reconciles instead of writing.  A member that
-discovers its partition is now represented by a *different* node (its
-GSD was migrated while it was unreachable-but-alive) stands down: it
-stops itself and any co-located service group members whose placement
-moved — the post-heal reconciliation step that guarantees a heal can
-never leave two writers.
+a monotone **leader epoch**, bumped exactly once per takeover; views are
+ordered by ``(epoch, view_id)`` and an older-epoch view or membership
+command is *fenced* (``gsd.fenced``) and answered with the newer view, so
+the stale side of a healed split reconciles instead of writing.
 
-Quorum-gated regroup (MCS-style, DESIGN.md §15): fencing reconciles a
-split *after* the heal; the regroup protocol keeps the minority side
-from acting *during* it.  Before a member acts on a failure that would
-shrink its live view to half or less of the **configured** partition
-count, it runs a census round — ``GSD_REGROUP_PROBE`` to every
-configured partition's GSD over all fabrics, counting distinct
-partitions that ack within ``regroup_timeout``:
+Quorum-gated regroup (MCS-style): before a member acts on a failure that
+would leave half or less of the **configured** partitions in its view, it
+runs a census (:meth:`MetaGroup._census`): a strict majority proceeds, an
+exact half proceeds only on the side holding the lowest partition id, and
+a minority **parks** until a heal census or a quorate view says
+otherwise.  Census acks carry the responder's view (anti-entropy); a
+one-partition cluster has no peers to lose and never runs a census.
 
-* strict majority reachable → proceed (evict / take over) as usual;
-* exact half reachable → the MCS tie-breaker decides: only the side
-  holding the lowest configured partition id survives, so a 2-vs-2
-  split converges to exactly one leader;
-* minority → **park**: refuse view broadcasts, leadership placement
-  writes, and ``gsd.state`` checkpoint commits (each refusal marked
-  ``regroup.write_refused``), keep ring beats flowing so the group can
-  re-form around us, and re-probe every ``regroup_heal_interval`` until
-  the partition heals — then rejoin through the existing epoch-fenced
-  reconciliation (including re-ensuring the service group and the
-  checkpoint replica the minority hosted).
-
-Census acks carry the responder's view, so the first post-heal round
-doubles as anti-entropy.  A one-partition cluster has no peers to lose
-and skips the census entirely.
+Every member has exactly one **role** (DESIGN.md §10): ``joining`` (not
+in the installed view), ``member``, ``leader``, ``parked`` (refuses view
+broadcasts, leadership writes and ``gsd.state`` commits, each refusal
+marked ``regroup.write_refused``; ring beats keep flowing) or
+``superseded`` (a newer-epoch view shows our partition led from another
+node: this GSD stops).  :meth:`MetaGroup._become` makes every change of
+role and everything that goes with it.
 """
 
 from __future__ import annotations
@@ -74,6 +60,7 @@ from repro.kernel.group.recovery import (
     restart_service_remote,
 )
 from repro.kernel.timings import JOIN_PROCESS_TIME, MIGRATE_SELECT_TIME, NIC_ANALYSIS_DELAY
+from repro.sim import Proc
 from repro.util import Ring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -132,8 +119,12 @@ class View:
         )
 
 
+#: The roles a meta-group member can hold (DESIGN.md §10).
+ROLES = ("joining", "member", "leader", "parked", "superseded")
+
+
 class MetaGroup:
-    """The meta-group role of one GSD."""
+    """The meta-group side of one GSD."""
 
     def __init__(self, gsd: "GSDDaemon") -> None:
         self.gsd = gsd
@@ -152,19 +143,13 @@ class MetaGroup:
             on_return=self._on_return,
         )
         self._recovering: set[str] = set()
-        self._rejoining = False
-        self._standing_down = False
-        #: An isolated leader (every peer evicted) self-demotes: reigning
-        #: alone is indistinguishable from being the wrong side of an
-        #: asymmetric partition, so it probes for the surviving group
-        #: instead of claiming leadership.
-        self.demoted = False
-        #: Quorum-gated regroup state (DESIGN.md §15).  ``parked`` is the
-        #: minority-side refusal state; ``_regrouping`` serializes census
-        #: rounds; the ``_round_*`` slots collect the current round's acks.
-        self.parked = False
+        #: One of ``ROLES``; only :meth:`_become` assigns it.
+        self.role = "joining"
+        #: The heal and rejoin loops by name, while they run (see _spawn_once).
+        self._loops: dict[str, Proc] = {}
+        #: Census state: ``_regrouping`` serializes rounds, the ``_round_*``
+        #: slots collect the current round's acks (only :meth:`_census`).
         self._regrouping = False
-        self._heal_looping = False
         self._round_seq = 0
         self._round_id = 0
         self._round_acks: dict[str, bool] = {}
@@ -177,28 +162,117 @@ class MetaGroup:
 
     @property
     def is_leader(self) -> bool:
-        return (
-            self.view is not None
-            and self.view.leader()[1] == self.me
-            and not self.demoted
-            and not self.parked
-        )
+        return self.role == "leader"
+
+    @property
+    def parked(self) -> bool:
+        return self.role == "parked"
 
     @property
     def is_princess(self) -> bool:
         return self.view is not None and len(self.view.members) > 1 and self.view.princess()[1] == self.me
 
+    def _on_ring(self) -> bool:
+        return self.view is not None and self.me in self._ring and len(self._ring) > 1
+
     def successor(self) -> str | None:
-        if self.view is None or self.me not in self._ring or len(self._ring) < 2:
-            return None
-        return self._ring.successor(self.me)
+        return self._ring.successor(self.me) if self._on_ring() else None
 
     def predecessor(self) -> str | None:
-        if self.view is None or self.me not in self._ring or len(self._ring) < 2:
-            return None
-        return self._ring.predecessor(self.me)
+        return self._ring.predecessor(self.me) if self._on_ring() else None
 
-    # -- quorum-gated regroup (DESIGN.md §15) -----------------------------
+    # -- roles -------------------------------------------------------------
+    def _role_in(self, view: View | None) -> str:
+        """The role ``view`` gives us, refusals aside."""
+        if view is None or not view.contains_node(self.me):
+            # Our partition represented by another node (our GSD was
+            # migrated while we were unreachable-but-alive): superseded.
+            if view is not None and view.node_for(self.gsd.partition_id) is not None:
+                return "superseded"
+            return "joining"
+        return "leader" if view.leader()[1] == self.me else "member"
+
+    def _become(self, role: str, reason: str, live=()) -> None:
+        """The one role transition: every mark, event, monitor change and
+        loop a change of role implies happens here.  ``reason`` and
+        ``live`` only label the ``quorum.*`` marks; ``superseded`` is final
+        (the GSD stops)."""
+        old = self.role
+        if role == old:
+            return
+        self.role = role
+        gsd, view = self.gsd, self.view
+        epoch = view.epoch if view else None
+        if old == "leader" and role != "parked":
+            # A higher-epoch view dethroned us (we were the stale side of a
+            # healed split, or a takeover raced our own view change).
+            self.sim.trace.mark("leader.stepdown", node=self.me, epoch=epoch)
+        if old == "parked" and (role != "superseded" or self._view_quorate(view)):
+            # Quorum regained: a quorate census or view let us out — also
+            # when that view then supersedes us; a minority lineage's does not.
+            self.sim.trace.mark(
+                "quorum.regained", node=self.me, partition=gsd.partition_id,
+                reason=reason, epoch=epoch,
+            )
+            gsd.publish(
+                ev.QUORUM_REGAINED,
+                {"node": self.me, "partition": gsd.partition_id, "reason": reason},
+            )
+            pred = self.predecessor()
+            if pred is not None:
+                self.monitor.expect(pred)
+            gsd.on_unpark()
+        if role == "parked":
+            self.sim.trace.mark(
+                "quorum.lost", node=self.me, partition=gsd.partition_id,
+                reason=reason, live=tuple(sorted(live)), epoch=epoch,
+            )
+            gsd.publish(
+                ev.QUORUM_LOST,
+                {"node": self.me, "partition": gsd.partition_id, "reason": reason,
+                 "live": sorted(live)},
+            )
+            # Stop reacting to ring silence: every cross-side predecessor
+            # would re-enter diagnosis forever.  WD monitoring of our own
+            # partition continues (splits are cross-partition; local repair
+            # stays our job) with its bulletin/ckpt exports deferred.
+            for subject in self.monitor.subjects():
+                self.monitor.forget(subject)
+            self._spawn_once("heal", self._heal_loop)
+        elif role == "joining":
+            # Evicted (e.g. falsely declared dead across a network split):
+            # rejoin through the current leader.
+            self._spawn_once("rejoin", self.join_loop)
+        elif role == "superseded":
+            # Fencing already silences our control messages; stopping
+            # removes the stale *writer* itself, plus any co-located
+            # service-group members whose placement moved away.
+            self.sim.trace.mark(
+                "gsd.superseded", node=self.me, partition=gsd.partition_id,
+                replacement=view.node_for(gsd.partition_id), epoch=epoch,
+            )
+            for monitor in (self.monitor, gsd.wd_monitor):
+                for subject in monitor.subjects():
+                    monitor.forget(subject)
+            kernel = gsd.kernel
+            for svc in gsd.managed_services():
+                placed = kernel.placement.get((svc, gsd.partition_id))
+                if placed is not None and placed != self.me:
+                    local = kernel.live_daemon(svc, self.me)
+                    if local is not None and local.alive:
+                        local.stop()
+            gsd.stop()
+
+    def _spawn_once(self, name: str, body) -> None:
+        """Start loop ``name`` unless it still runs.  The role alone cannot
+        guard it: a park → unpark → park inside one heal period finds the
+        first heal loop asleep, not finished, and a parked member keeps
+        the rejoin loop it started while joining."""
+        proc = self._loops.get(name)
+        if proc is None or not proc.alive:
+            self._loops[name] = self.gsd.spawn(body(), name=f"{self.me}/mg.{name}")
+
+    # -- quorum-gated regroup ----------------------------------------------
     def quorum_enabled(self) -> bool:
         return len(self.gsd.cluster.partitions) > 1
 
@@ -250,14 +324,18 @@ class MetaGroup:
                 targets[pid] = nodes
         return targets
 
-    def _regroup_round(self, reason: str, exclude: set[str] | None = None,
-                       initiate: bool = True):
-        """One census round: probe every configured partition's GSD over
-        all fabrics and collect distinct-partition acks for
-        ``regroup_timeout``.  Returns ``(live_partitions, best_view)``
-        where ``best_view`` is the newest view any responder carried
-        (the anti-entropy payload a healed minority rejoins through)."""
-        exclude = set(exclude or ())
+    def _census(self, reason: str, exclude=(), initiate: bool = True):
+        """One census round — the only one: probe every configured
+        partition's GSD over all fabrics, collect distinct-partition acks
+        for ``regroup_period``, then act on the verdict.  It applies to
+        the role the round started from: a member without quorum parks, a
+        parked member with quorum unparks and adopts the newest view any
+        responder carried.  Returns the verdict, or None without probing
+        while another round is in flight (that round's verdict governs)."""
+        if self._regrouping:
+            return None
+        was_parked = self.parked
+        self._regrouping = True
         self._round_seq += 1
         self._round_id = round_id = self._round_seq
         self._round_acks = {self.gsd.partition_id: True}
@@ -276,15 +354,28 @@ class MetaGroup:
             "round": round_id,
             "initiate": initiate,
         }
-        for nodes in self._probe_targets(exclude).values():
+        for nodes in self._probe_targets(set(exclude)).values():
             for node in nodes:
                 self.gsd.send_all_networks(node, ports.GSD, ports.GSD_REGROUP_PROBE, payload)
-        yield self.gsd.timings.regroup_period
-        self._round_id = 0  # stop collecting
+        try:
+            yield self.gsd.timings.regroup_period
+        finally:
+            self._round_id = 0  # stop collecting
+            self._regrouping = False
         live = set(self._round_acks)
-        best = self._round_best_view
-        span.end(live=len(live), quorum=self.quorum_met(live))
-        return live, best
+        quorate = self.quorum_met(live)
+        span.end(live=len(live), quorum=quorate)
+        if not was_parked and not quorate:
+            self._become("parked", reason, live)
+        elif was_parked and quorate and self.parked:
+            self._become(self._role_in(self.view), reason)
+            # Adopt via a scheduled callback, never inline: installing it
+            # may supersede this GSD, which kills the very process that
+            # is still executing this census.
+            best = self._round_best_view
+            if best is not None and (self.view is None or best.key > self.view.key):
+                self.sim.schedule(0.0, self._install_if_newer, best)
+        return quorate
 
     def on_regroup_probe(self, msg: Message) -> None:
         """Any live GSD answers a census probe — parked members included
@@ -321,99 +412,20 @@ class MetaGroup:
                 self._round_best_view = theirs
 
     def assess_quorum(self, reason: str, initiate: bool = True) -> None:
-        """Kick off an asynchronous census (no-op if one is running,
-        we're parked/standing down, or quorum gating is off)."""
-        if (
-            not self.quorum_enabled()
-            or self._regrouping
-            or self.parked
-            or self._standing_down
-            or not self.gsd.alive
-        ):
+        """Kick off an asynchronous census (no-op if one is running, we
+        are parked or stopped, or quorum gating is off)."""
+        if not self.quorum_enabled() or self._regrouping or self.parked or not self.gsd.alive:
             return
         self.gsd.spawn(self._assess(reason, initiate), name=f"{self.me}/mg.regroup")
 
     def _assess(self, reason: str, initiate: bool):
-        if self._regrouping or self.parked or not self.gsd.alive:
-            return
-        self._regrouping = True
-        try:
-            live, _best = yield from self._regroup_round(reason, initiate=initiate)
-        finally:
-            self._regrouping = False
-        if not self.quorum_met(live):
-            self._park(reason, live)
+        if not self.parked and self.gsd.alive:
+            yield from self._census(reason, initiate=initiate)
 
-    def _park(self, reason: str, live) -> None:
-        """Enter the minority refusal state: no view broadcasts, no
-        leadership writes, no ``gsd.state`` checkpoint commits.  Ring
-        beats keep flowing (a restarted leader re-forms the group from
-        a parked member's beats) and a heal loop keeps probing."""
-        if self.parked or not self.quorum_enabled():
-            return
-        self.parked = True
-        view = self.view
-        self.sim.trace.mark(
-            "quorum.lost", node=self.me, partition=self.gsd.partition_id,
-            reason=reason, live=tuple(sorted(live)),
-            epoch=view.epoch if view else None,
-        )
-        self.gsd.publish(
-            ev.QUORUM_LOST,
-            {
-                "node": self.me,
-                "partition": self.gsd.partition_id,
-                "reason": reason,
-                "live": sorted(live),
-            },
-        )
-        # Stop reacting to ring silence: every cross-side predecessor
-        # would re-enter diagnosis forever.  WD monitoring of our own
-        # partition continues (splits are cross-partition; local repair
-        # stays our job) with its bulletin/ckpt exports deferred.
-        for subject in self.monitor.subjects():
-            self.monitor.forget(subject)
-        if not self._heal_looping:
-            self._heal_looping = True
-            self.gsd.spawn(self._heal_loop(), name=f"{self.me}/mg.heal")
-
-    def _unpark(self, reason: str) -> None:
-        if not self.parked:
-            return
-        self.parked = False
-        view = self.view
-        self.sim.trace.mark(
-            "quorum.regained", node=self.me, partition=self.gsd.partition_id,
-            reason=reason, epoch=view.epoch if view else None,
-        )
-        self.gsd.publish(
-            ev.QUORUM_REGAINED,
-            {"node": self.me, "partition": self.gsd.partition_id, "reason": reason},
-        )
-        pred = self.predecessor()
-        if pred is not None:
-            self.monitor.expect(pred)
-        self.gsd.on_unpark()
-
-    def _heal_probe_now(self):
-        """One immediate heal census (a JOIN reached us while parked)."""
-        if self._regrouping or not self.parked or not self.gsd.alive:
-            return
-        self._regrouping = True
-        try:
-            live, best = yield from self._regroup_round("heal", initiate=False)
-        finally:
-            self._regrouping = False
-        if self.parked and self.quorum_met(live):
-            self._unpark("heal")
-            self._adopt_after_heal(best)
-
-    def _adopt_after_heal(self, best: View | None) -> None:
-        """Adopt the newest view a heal census surfaced — via a scheduled
-        callback, never inline: installing it may stand this GSD down,
-        which kills the very heal process that is still executing."""
-        if best is not None and (self.view is None or best.key > self.view.key):
-            self.sim.schedule(0.0, self._install_if_newer, best)
+    def _heal_probe(self):
+        """One heal census, if still parked."""
+        if self.parked and self.gsd.alive:
+            yield from self._census("heal", initiate=False)
 
     def _install_if_newer(self, view: View) -> None:
         if self.gsd.alive and (self.view is None or view.key > self.view.key):
@@ -421,26 +433,10 @@ class MetaGroup:
 
     def _heal_loop(self):
         """Parked side of the regroup: re-census every
-        ``regroup_heal_interval`` until quorum is reachable again, then
-        rejoin through the newest view any responder carried."""
-        try:
-            while self.gsd.alive and self.parked:
-                yield self.gsd.timings.regroup_heal_period
-                if not self.gsd.alive or not self.parked or self._regrouping:
-                    continue
-                self._regrouping = True
-                try:
-                    live, best = yield from self._regroup_round("heal", initiate=False)
-                finally:
-                    self._regrouping = False
-                if not self.parked:
-                    break
-                if self.quorum_met(live):
-                    self._unpark("heal")
-                    self._adopt_after_heal(best)
-                    break
-        finally:
-            self._heal_looping = False
+        ``regroup_heal_period`` until quorum is reachable again."""
+        while self.gsd.alive and self.parked:
+            yield self.gsd.timings.regroup_heal_period
+            yield from self._heal_probe()
 
     # -- view management -----------------------------------------------------
     def install_view(self, view: View) -> bool:
@@ -460,28 +456,21 @@ class MetaGroup:
                 )
             return False  # stale or duplicate
         old_pred = self.predecessor()
-        was_leader = self.is_leader
-        old_members = len(self.view.members) if self.view is not None else None
+        old_members = len(self.view.members) if self.view is not None else 0
         self.view = view
         self._ring = Ring(view.nodes())
         self._node_partition = {node: part for part, node in view.members}
         new_pred = self.predecessor()
         if old_pred is not None and old_pred != new_pred:
             self.monitor.forget(old_pred)
-        if new_pred is not None and new_pred != old_pred and not self.parked:
-            # While parked, ring monitoring stays off; _unpark re-arms it.
-            self.monitor.expect(new_pred)
-        elif (
-            new_pred is not None
-            and new_pred == old_pred
-            and not self.parked
-            and self.monitor.is_suspended(new_pred)
+        # While parked, ring monitoring stays off; unparking re-arms it.
+        # An unchanged predecessor is re-armed too if we had already declared
+        # it dead and our report went to a leader this view dethroned: the
+        # new lineage asserts the member is alive, so it must prove itself
+        # again within one interval — or its death is never re-reported.
+        if new_pred is not None and not self.parked and (
+            new_pred != old_pred or self.monitor.is_suspended(new_pred)
         ):
-            # Same predecessor, but we had already declared it dead and our
-            # report went to a leader this view dethroned.  The new lineage
-            # asserts the member is alive, so it must prove itself again
-            # within one interval — otherwise its death would never be
-            # re-reported to the new leader.
             self.monitor.expect(new_pred)
         self.sim.trace.mark(
             "view.installed", node=self.me, view_id=view.view_id, epoch=view.epoch,
@@ -491,123 +480,51 @@ class MetaGroup:
         # the host-side region-aggregator map (epoch-fenced, no-op in flat
         # mode) so aggregator handover rides the existing view machinery.
         self.gsd.kernel.note_view(view)
-        if was_leader and not self.is_leader:
-            # A higher-epoch view dethroned us (we were the stale side of
-            # a healed split, or a takeover raced our own view change).
-            self.sim.trace.mark("leader.stepdown", node=self.me, epoch=view.epoch)
-        if self.parked and self._view_quorate(view):
-            # A quorate lineage reached us (its broadcast, a corrective
-            # push, or a ring beat made it through): the partition healed
-            # from their side before our next heal probe.
-            self._unpark("view_adopted")
-        if not view.contains_node(self.me):
-            replacement = view.node_for(self.gsd.partition_id)
-            if replacement is not None and replacement != self.me:
-                # Post-heal reconciliation: our partition is already
-                # represented by a migrated GSD, so we are a superseded
-                # duplicate — stand down rather than rejoin.
-                self._stand_down(view, replacement)
-            elif not self._rejoining:
-                # We were evicted (e.g. falsely declared dead across a
-                # network split); rejoin through the current leader.
-                self._rejoining = True
-                self.gsd.spawn(self._rejoin(), name=f"{self.me}/mg.rejoin")
-        elif len(view.members) > 1:
-            self.demoted = False
-            if (
-                not self.parked
-                and self.quorum_enabled()
-                and old_members is not None
-                and len(view.members) < old_members
-                and 2 * len(view.members) <= len(self.gsd.cluster.partitions)
-            ):
-                # The view shrank to half or less of the configured
-                # partitions: make sure we can still see a quorum before
-                # keeping faith in this membership (the evicted members
-                # may be the reachable majority's side of a split).
-                self.assess_quorum("small_view")
-        elif len(self.gsd.cluster.partitions) > 1 and not self.demoted:
-            # We just evicted our last peer.  A leader that watched every
-            # member vanish is indistinguishable from a leader on the
-            # wrong (outbound-dead) side of an asymmetric partition, so
-            # it must not keep acting on that belief: demote, and probe
-            # for a surviving group to rejoin or stand down into.
-            self.demoted = True
-            self.sim.trace.mark("leader.isolated", node=self.me, epoch=view.epoch)
-            self.gsd.spawn(self._probe_for_group(), name=f"{self.me}/mg.probe")
+        role = self._role_in(view)
+        if self.parked and role != "superseded" and not self._view_quorate(view):
+            role = "parked"  # a minority lineage's view unparks nobody
+        # A quorate view reaching a parked member (its broadcast, a
+        # corrective push, or a ring beat made it through) means the
+        # partition healed from their side before our next heal probe.
+        self._become(role, "view_adopted")
+        if (
+            role in ("leader", "member")
+            and 1 < len(view.members) < old_members
+            and 2 * len(view.members) <= len(self.gsd.cluster.partitions)
+        ):
+            # The view shrank to half or less of the configured
+            # partitions: make sure we can still see a quorum before
+            # keeping faith in this membership (the evicted members
+            # may be the reachable majority's side of a split).
+            self.assess_quorum("small_view")
         return True
 
-    def _stand_down(self, view: View, replacement: str) -> None:
-        """Stop this GSD: a newer-epoch view shows our partition led from
-        ``replacement``.  Fencing already silences our control messages;
-        standing down removes the stale *writer* itself, plus any
-        co-located service-group members whose placement moved away."""
-        if self._standing_down:
-            return
-        self._standing_down = True
-        self.sim.trace.mark(
-            "gsd.superseded", node=self.me, partition=self.gsd.partition_id,
-            replacement=replacement, epoch=view.epoch,
-        )
-        for subject in self.monitor.subjects():
-            self.monitor.forget(subject)
-        for subject in self.gsd.wd_monitor.subjects():
-            self.gsd.wd_monitor.forget(subject)
-        kernel = self.gsd.kernel
-        for svc in self.gsd.managed_services():
-            placed = kernel.placement.get((svc, self.gsd.partition_id))
-            if placed is not None and placed != self.me:
-                local = kernel.live_daemon(svc, self.me)
-                if local is not None and local.alive:
-                    local.stop()
-        self.gsd.stop()
+    def _push_view(self, node: str) -> None:
+        """Send our view to ``node``: a broadcast, or a correction for a
+        sender that is behind or on a superseded lineage."""
+        self.gsd.send(node, ports.GSD, ports.GSD_VIEW, {"view": self.view.to_payload()})
 
-    def _rejoin(self):
-        try:
-            yield from self.join_loop()
-        finally:
-            self._rejoining = False
-
-    def _probe_for_group(self):
-        """Isolated-leader reconciliation: keep sending JOINs toward the
-        recorded leadership placement.  On the stale side of a healed
-        asymmetric split the join eventually lands, gets refused (our
-        partition slot is taken), and the corrective view stands us down;
-        if instead a joiner reaches *us*, ``on_join`` re-promotes."""
-        while self.demoted and self.gsd.alive:
-            leader = self.gsd.kernel.placement.get(("metagroup", "leader"))
-            if leader is not None and leader != self.me:
-                self.gsd.send(
-                    leader, ports.GSD, ports.GSD_JOIN,
-                    {"partition": self.gsd.partition_id, "node": self.me},
-                )
-            yield self.gsd.timings.heartbeat_interval
+    def _refused(self, kind: str, **fields) -> bool:
+        """Minority refusal: a parked member marks ``regroup.write_refused``
+        instead of writing."""
+        if self.parked:
+            self.sim.trace.mark("regroup.write_refused", node=self.me, kind=kind, **fields)
+        return self.parked
 
     def broadcast_view(self) -> None:
         assert self.view is not None
-        if self.parked:
-            # Minority refusal: a parked member's membership opinion must
-            # not leave the node (a broadcast is a write to every peer's
-            # view state).
-            self.sim.trace.mark(
-                "regroup.write_refused", node=self.me, kind="view_broadcast",
-                view_id=self.view.view_id, epoch=self.view.epoch,
-            )
+        # A parked member's membership opinion must not leave the node (a
+        # broadcast is a write to every peer's view state).
+        if self._refused("view_broadcast", view_id=self.view.view_id, epoch=self.view.epoch):
             return
         for _, node in self.view.members:
             if node != self.me:
-                self.gsd.send(node, ports.GSD, ports.GSD_VIEW, {"view": self.view.to_payload()})
+                self._push_view(node)
 
     def _export_leader(self) -> None:
         """Publish the epoch-stamped leadership record to the bulletin, so
         monitoring readers can resolve conflicting claims by epoch."""
-        if self.view is None:
-            return
-        if self.parked:
-            self.sim.trace.mark(
-                "regroup.write_refused", node=self.me, kind="leader_export",
-                epoch=self.view.epoch,
-            )
+        if self.view is None or self._refused("leader_export", epoch=self.view.epoch):
             return
         db_node = self.gsd.kernel.placement.get(("db", self.gsd.partition_id))
         if db_node is not None:
@@ -665,8 +582,7 @@ class MetaGroup:
                 # push our view so its ring re-forms, it rejoins, or a
                 # superseded duplicate stands down.  Parked members skip
                 # the push: their view is a minority opinion.
-                self.gsd.send(sender, ports.GSD, ports.GSD_VIEW,
-                              {"view": self.view.to_payload()})
+                self._push_view(sender)
         if sender == self.predecessor():
             self.monitor.beat(sender, msg.network)
 
@@ -678,19 +594,14 @@ class MetaGroup:
             # is evidence of connectivity, so pull the next heal probe
             # forward instead of making the joiner wait a full period.
             if not self._regrouping:
-                self.gsd.spawn(self._heal_probe_now(), name=f"{self.me}/mg.healnow")
+                self.gsd.spawn(self._heal_probe(), name=f"{self.me}/mg.healnow")
             return
-        if self.demoted and self.view is not None and self.view.leader()[1] == self.me:
-            # An isolated ex-leader that a joiner can still reach: the
-            # group is re-forming around us — resume leadership.
-            self.demoted = False
-            self.sim.trace.mark("leader.reformed", node=self.me, epoch=self.view.epoch)
         if not self.is_leader:
             # Forward to whoever we believe leads (a restarted GSD may have
             # a stale idea of the leader's location).
             leader = self.view.leader()[1] if self.view else None
             if leader is not None and leader != self.me:
-                self.gsd.send(leader, ports.GSD, ports.GSD_JOIN, msg.payload, )
+                self.gsd.send(leader, ports.GSD, ports.GSD_JOIN, msg.payload)
             return
         self.gsd.spawn(self._admit(msg), name=f"{self.me}/mg.admit")
 
@@ -705,12 +616,12 @@ class MetaGroup:
             # The partition already has a representative (e.g. its GSD
             # was migrated while the old host was unreachable-but-alive).
             # Refuse, and push the current view so the stale duplicate
-            # reconciles — its stand-down path fires on installation.
+            # reconciles — installing it supersedes the duplicate.
             self.sim.trace.mark(
                 "gsd.join_refused", partition=partition, node=node,
                 current=current, epoch=self.view.epoch,
             )
-            self.gsd.send(node, ports.GSD, ports.GSD_VIEW, {"view": self.view.to_payload()})
+            self._push_view(node)
             return
         members = [(p, n) for p, n in self.view.members if p != partition]
         members.append((partition, node))
@@ -722,15 +633,12 @@ class MetaGroup:
     def on_view(self, msg: Message) -> None:
         view = View.from_payload(msg.payload["view"])
         installed = self.install_view(view)
-        if not installed and self.view is not None and view.epoch < self.view.epoch and not self.parked:
+        if (not installed and self.view is not None and view.epoch < self.view.epoch
+                and not self.parked and msg.src_node != self.me):
             # The sender is pushing a superseded lineage's view: reply
-            # with the newer one so the stale side demotes, rejoins, or
-            # stands down instead of retrying forever.
-            if msg.src_node != self.me:
-                self.gsd.send(
-                    msg.src_node, ports.GSD, ports.GSD_VIEW,
-                    {"view": self.view.to_payload()},
-                )
+            # with the newer one so the stale side steps down, rejoins,
+            # or is superseded instead of retrying forever.
+            self._push_view(msg.src_node)
 
     def on_member_failed(self, msg: Message) -> None:
         """Leader side: drop a reported-dead member and broadcast."""
@@ -745,10 +653,7 @@ class MetaGroup:
                 epoch=int(claimed_epoch), current_epoch=self.view.epoch,
             )
             if msg.src_node != self.me:
-                self.gsd.send(
-                    msg.src_node, ports.GSD, ports.GSD_VIEW,
-                    {"view": self.view.to_payload()},
-                )
+                self._push_view(msg.src_node)
             return
         node = msg.payload["node"]
         if not self.view.contains_node(node):
@@ -816,13 +721,7 @@ class MetaGroup:
     def _report_watchdog(self, expected_key: tuple[int, int]) -> None:
         """Fires one regroup period after a member-failed report went to a
         remote leader: an unchanged view means nobody acted on it."""
-        if (
-            self.gsd.alive
-            and not self.parked
-            and not self._regrouping
-            and self.view is not None
-            and self.view.key == expected_key
-        ):
+        if self.view is not None and self.view.key == expected_key:
             self.assess_quorum("leader_unreachable")
 
     # -- the takeover path -----------------------------------------------
@@ -865,31 +764,20 @@ class MetaGroup:
             if (
                 self.quorum_enabled()
                 and not self.parked
-                and not self._regrouping
                 and sum(1 for m in self.view.members if m[1] != failed_node) * 2
                 <= len(self.gsd.cluster.partitions)
             ):
-                self._regrouping = True
-                try:
-                    live, _best = yield from self._regroup_round(
-                        "member_failure", exclude={failed_node}
-                    )
-                finally:
-                    self._regrouping = False
-                if not self.quorum_met(live):
-                    self._park("member_failure", live)
+                quorate = yield from self._census("member_failure", exclude={failed_node})
+                if quorate is False:
                     root.end(kind=kind, parked=True)
                     return
-                if (
-                    self.parked
-                    or self.view is None
-                    or not self.view.contains_node(failed_node)
-                ):
-                    # The census took time; a concurrent install already
-                    # resolved this membership change.
-                    root.end(kind=kind, superseded=True)
-                    return
-                was_leader = self.view.leader()[1] == failed_node
+                if quorate:
+                    if not self.view.contains_node(failed_node):
+                        # The census took time; a concurrent install already
+                        # resolved this membership change.
+                        root.end(kind=kind, superseded=True)
+                        return
+                    was_leader = self.view.leader()[1] == failed_node
 
             # Membership first: the ring must close around the gap.
             members = tuple(m for m in self.view.members if m[1] != failed_node)
@@ -932,22 +820,7 @@ class MetaGroup:
                         )
 
             if kind == PROCESS:
-                self.gsd.publish(
-                    ev.SERVICE_FAILURE, {"service": "gsd", "node": failed_node}, span=root
-                )
-                rec = root.child("gsd.recover", node=failed_node, action="restart")
-                ok = yield from restart_service_remote(self.gsd, failed_node, "gsd", span=rec)
-                rec.end(ok=ok)
-                if ok:
-                    root.mark(
-                        "failure.recovered", component="gsd", kind="process", node=failed_node
-                    )
-                    self.gsd.publish(
-                        ev.SERVICE_RECOVERY, {"service": "gsd", "node": failed_node}, span=root
-                    )
-                else:
-                    root.mark("recovery.failed", component="gsd", node=failed_node)
-                root.end(kind=kind, ok=ok)
+                yield from self.gsd.restart_in_place("gsd", failed_node, root)
                 return
 
             # Node death: publish, then migrate the GSD (and with it the

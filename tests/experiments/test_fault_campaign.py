@@ -287,3 +287,43 @@ def test_cli_check_gates_the_failstop_family(monkeypatch, capsys, recovered, cod
     assert ("fail-stop campaign gates: OK" in out) == (code is None)
     problems = [] if code is None else ["wd/process: coverage 50% < 100%"]
     assert fc.check_campaign(results) == problems
+
+
+@pytest.mark.parametrize("family", ["fail-stop", "gray", "partition"])
+def test_cli_trace_dir_names_one_export_per_class_of_any_family(
+        monkeypatch, capsys, tmp_path, family):
+    """``--trace-dir`` used to reach only the partition family."""
+    import repro.experiments.fault_campaign as fc
+
+    flag = {"fail-stop": [], "gray": ["--gray"], "partition": ["--partition"]}[family]
+
+    exports = []
+
+    def run_class(row, injections, seed, hb, spec=None, loss=0.2, trace_export=None):
+        exports.append(trace_export)
+        return fc._FAMILIES[row.family].result()
+
+    monkeypatch.setattr(fc, "_run_class", run_class)
+    fc.main([*flag, "--trace-dir", str(tmp_path)])
+    classes = {"fail-stop": ["-".join(k) for k in CLASSES], "gray": fc.GRAY_CLASSES,
+               "partition": fc.PARTITION_CLASSES}[family]
+    assert exports == [f"{tmp_path}/{family}-{kind}.jsonl" for kind in classes]
+
+
+def test_gray_exports_pass_the_trace_audit(tmp_path, capsys):
+    """The gray family's exports — where ``leader.stepdown`` and
+    ``gsd.superseded`` end stale claims — pass ``tracecheck``, and the
+    printed table is the one an export-less run prints."""
+    from repro.experiments import fault_campaign as fc
+    from repro.experiments import trace_check
+
+    fc.main(["--gray", "--injections", "1"])
+    plain = capsys.readouterr().out
+    fc.main(["--gray", "--injections", "1", "--trace-dir", str(tmp_path)])
+    assert capsys.readouterr().out == plain
+    paths = sorted(str(p) for p in tmp_path.glob("gray-*.jsonl"))
+    assert [p.rsplit("/", 1)[1] for p in paths] == sorted(
+        f"gray-{kind}.jsonl" for kind in fc.GRAY_CLASSES)
+    assert trace_check.main(paths) == 0
+    assert trace_check.check_trace(
+        trace_check.load_records(f"{tmp_path}/gray-asym-split.jsonl")).claims

@@ -54,7 +54,7 @@ def test_touching_intervals_do_not_overlap():
     records = [
         mark(1.0, "leader.claimed", node="a", epoch=1),
         mark(3.0, "leader.stepdown", node="a"),
-        mark(3.0, "leader.reformed", node="b", epoch=1),
+        mark(3.0, "leader.claimed", node="b", epoch=1),
     ]
     assert check_trace(records).ok
 
@@ -74,13 +74,13 @@ def test_quorum_lost_suspends_and_regained_resumes_claim():
     ]
     # A usurper claiming epoch 2 only inside the park window is legal...
     parked_usurper = records[:2] + [
-        mark(5.0, "leader.reformed", node="b", epoch=2),
+        mark(5.0, "leader.claimed", node="b", epoch=2),
         mark(8.0, "leader.stepdown", node="b"),
     ] + records[2:]
     assert check_trace(parked_usurper).ok
     # ...but one still reigning when the claim resumes is split-brain.
     lingering = records[:2] + [
-        mark(5.0, "leader.reformed", node="b", epoch=2),
+        mark(5.0, "leader.claimed", node="b", epoch=2),
     ] + records[2:]
     assert not check_trace(lingering).ok
 

@@ -143,10 +143,11 @@ def test_stale_epoch_view_is_fenced(sim, kernel):
     assert any(sim.trace.iter_records("gsd.fenced", target="view", node=mg.me))
 
 
-def test_asym_split_and_heal_no_overlapping_epochs(sim):
-    """The tentpole regression: leader's outbound dies, a takeover bumps
-    the epoch, the heal reconciles the stale leader — and at no sampled
-    instant do two live GSDs claim leadership at the same epoch."""
+def _asym_split(sim, hold):
+    """Kill the leader's outbound links for ``hold`` heartbeats, then
+    restore them and settle for 12, sampling leadership every second:
+    never two live GSDs claiming the same epoch.  Returns the kernel, the
+    old leader, its epoch, and its GSD's role just before the heal."""
     cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))
     timings = KernelTimings(heartbeat_interval=5.0, deadline_grace=0.1)
     kernel = PhoenixKernel(cluster, timings=timings)
@@ -154,6 +155,7 @@ def test_asym_split_and_heal_no_overlapping_epochs(sim):
     sim.run(until=10.0)
     injector = FaultInjector(cluster)
     (leader_node, epoch0), = _leader_claims(kernel)
+    old_leader = kernel._live[("gsd", leader_node)].metagroup
 
     for net in cluster.networks:
         injector.degrade_link(leader_node, net, loss=1.0, direction="out")
@@ -165,14 +167,23 @@ def test_asym_split_and_heal_no_overlapping_epochs(sim):
             epochs = [e for _, e in claims]
             assert len(epochs) == len(set(epochs)), f"same-epoch dual leaders: {claims}"
 
-    sample_until(sim.now + 12 * timings.heartbeat_interval)
+    sample_until(sim.now + hold * timings.heartbeat_interval)
     takeovers = list(sim.trace.iter_records("leader.takeover"))
     assert len(takeovers) == 1
     assert takeovers[0].get("epoch") == epoch0 + 1
+    role_at_heal = old_leader.role
 
     for net in cluster.networks:
         injector.restore_link(leader_node, net)
     sample_until(sim.now + 12 * timings.heartbeat_interval)
+    return kernel, leader_node, epoch0, role_at_heal
+
+
+def test_asym_split_and_heal_no_overlapping_epochs(sim):
+    """The tentpole regression: leader's outbound dies, a takeover bumps
+    the epoch, the heal reconciles the stale leader — and at no sampled
+    instant do two live GSDs claim leadership at the same epoch."""
+    kernel, leader_node, epoch0, _ = _asym_split(sim, hold=12)
 
     # Post-heal: exactly one leader, on the new lineage, and the stale
     # leader reconciled (stood down after its join was refused).
@@ -187,3 +198,35 @@ def test_asym_split_and_heal_no_overlapping_epochs(sim):
         if svc == "gsd" and d.alive and d.metagroup.view is not None
     }
     assert len(views) == 1
+
+
+# -- roles: the exits of a stale leader ----------------------------------------
+def test_role_stale_leader_steps_down_when_the_new_lineage_reaches_it(sim):
+    """stepdown: healed three beats in, before it could lose its quorum,
+    the old leader still holds ``leader`` — the newer-epoch view it then
+    receives dethrones it (``leader.stepdown``) and, its partition being
+    led from the migrated GSD, supersedes it in the same install."""
+    kernel, leader_node, _, role_at_heal = _asym_split(sim, hold=3)
+    mg = kernel._live[("gsd", leader_node)].metagroup
+    assert role_at_heal == "leader"
+    assert mg.role == "superseded" and not mg.is_leader
+    (stepdown,) = sim.trace.records("leader.stepdown", node=leader_node)
+    (superseded,) = sim.trace.records("gsd.superseded", node=leader_node)
+    assert stepdown.time == superseded.time
+    assert sim.trace.records("quorum.lost", node=leader_node) == []
+
+
+def test_role_parked_leader_is_superseded_after_regaining_quorum(sim):
+    """superseded: held twelve beats, the old leader parked first; the
+    quorate view that reaches it after the heal regains its quorum
+    (``quorum.regained``) and supersedes it (``gsd.superseded``) — no
+    ``leader.stepdown``, since parking had already suspended its claim."""
+    kernel, leader_node, _, role_at_heal = _asym_split(sim, hold=12)
+    mg = kernel._live[("gsd", leader_node)].metagroup
+    assert role_at_heal == "parked"
+    assert mg.role == "superseded" and not mg.gsd.alive
+    marks = [r.category for r in sim.trace.records()
+             if r.get("node") == leader_node
+             and r.category in ("quorum.lost", "quorum.regained", "gsd.superseded",
+                                "leader.stepdown")]
+    assert marks == ["quorum.lost", "quorum.regained", "gsd.superseded"]

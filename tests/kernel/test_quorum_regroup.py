@@ -1,9 +1,10 @@
-"""Quorum-gated regroup: tie-breaker, minority refusal, bounded demotion.
+"""Quorum-gated regroup: tie-breaker, minority refusal, bounded parking.
 
 Covers DESIGN.md §15: the MCS-style census protocol that parks any GSD
 whose reachable set drops to half or less of the configured partitions,
 the deterministic lowest-partition tie-breaker for exact-half splits,
-and the minority side's write refusals while parked.
+the minority side's write refusals while parked, and the roles
+(DESIGN.md §10) a member passes through on the way out and back.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel
+from repro.kernel.group.metagroup import ROLES
 from repro.sim import Simulator
 
 HB = 10.0
@@ -59,6 +61,17 @@ def gsd_on(kernel, node):
     return kernel._live.get(("gsd", node))
 
 
+def split_evenly(hold):
+    """Boot, warm up, and hold a 2-vs-2 split (p2, p3 cut off) for
+    ``hold`` heartbeats."""
+    sim, cluster, kernel = build()
+    injector = FaultInjector(cluster)
+    sim.run(until=20.001)
+    split_all(cluster, injector, *sides(cluster))
+    sim.run(until=sim.now + hold * HB)
+    return sim, cluster, kernel, injector
+
+
 # -- quorum rule unit tests ---------------------------------------------------
 
 def test_quorum_met_rule():
@@ -97,12 +110,7 @@ def test_even_split_tie_breaker_one_leader():
     """A 2-vs-2 split converges to exactly one leader: the side holding
     the lowest configured partition id evicts the other; the other side
     parks instead of evicting back."""
-    sim, cluster, kernel = build()
-    injector = FaultInjector(cluster)
-    sim.run(until=20.001)
-    side_a, side_b = sides(cluster)
-    split_all(cluster, injector, side_a, side_b)
-    sim.run(until=sim.now + 12 * HB)
+    sim, cluster, kernel, injector = split_evenly(12)
 
     # Tie-break side kept its leader and evicted the other side.
     view_a = kernel.gsd("p0").metagroup.view
@@ -135,12 +143,7 @@ def test_even_split_tie_breaker_one_leader():
 def test_minority_refuses_writes_while_parked():
     """A parked GSD defers ``gsd.state`` checkpoint commits and bulletin
     exports (marked ``regroup.write_refused``), then flushes on unpark."""
-    sim, cluster, kernel = build()
-    injector = FaultInjector(cluster)
-    sim.run(until=20.001)
-    side_a, side_b = sides(cluster)
-    split_all(cluster, injector, side_a, side_b)
-    sim.run(until=sim.now + 10 * HB)
+    sim, cluster, kernel, injector = split_evenly(10)
     assert kernel.gsd("p3").metagroup.parked
 
     # A real state change on the parked side: one of p3's computes dies.
@@ -162,12 +165,14 @@ def test_minority_refuses_writes_while_parked():
     assert entry is not None and entry.data["node_state"]["p3c0"] == "down"
 
 
-@pytest.mark.parametrize("partitions", [4, 1])
-def test_isolated_leader_parks_only_when_it_has_peers_to_lose(partitions):
-    """Cut the leader off from every other node.  With peers configured
-    it parks (``quorum.lost``) while they are still in its view — it never
-    evicts its way down to reigning alone.  A one-partition cluster has no
-    quorum to lose: the census never runs and the leader keeps leading."""
+@pytest.mark.parametrize("partitions", [4, 2, 1])
+def test_cut_off_leader_obeys_the_quorum_rule(partitions):
+    """Cut the leader's partition off from every other node; the quorum
+    rule alone decides what it does.  With four partitions it is a
+    minority: it parks (``quorum.lost``) while its peers are still in its
+    view — it never evicts its way down to reigning alone.  With two it
+    holds the tie-break and keeps leading, alone, while p1 parks.  A
+    one-partition cluster has no quorum to lose: no census ever runs."""
     sim, cluster, kernel = build(partitions=partitions)
     injector = FaultInjector(cluster)
     sim.run(until=20.001)
@@ -177,19 +182,66 @@ def test_isolated_leader_parks_only_when_it_has_peers_to_lose(partitions):
     sim.run(until=sim.now + 20 * HB)
     mg = kernel.gsd("p0").metagroup
     assert sim.trace.records("leader.isolated") == []
-    if partitions > 1:
+    if partitions == 4:
         assert sim.trace.records("quorum.lost", node="p0s0")
         assert mg.parked and not mg.is_leader
         assert len(mg.view.members) >= 2  # parked before the view emptied
-    else:
-        assert sim.trace.records("quorum.lost") == []
-        assert sim.trace.records("gsd.regroup") == []
-        assert mg.is_leader and not mg.parked
-        assert kernel.placement[("metagroup", "leader")] == "p0s0"
-        assert all(kernel.gsd("p0").node_state.get(n) == "down" for n in everyone - cut)
+        return
+    assert mg.is_leader and not mg.parked
+    assert kernel.placement[("metagroup", "leader")] == "p0s0"
+    if partitions == 2:
+        assert mg.view.members == (("p0", "p0s0"),)
+        assert sim.trace.records("quorum.lost", node="p0s0") == []
+        assert kernel.gsd("p1").metagroup.parked
         heal_all(cluster, injector)
         sim.run(until=sim.now + 6 * HB)
-        assert all(kernel.gsd("p0").node_state.get(n, "up") == "up" for n in everyone - cut)
+        assert len({kernel.gsd(p.partition_id).metagroup.view.key
+                    for p in cluster.partitions}) == 1
+        assert [node for node, _ in leader_claims(kernel)] == ["p0s0"]
+        assert not kernel.gsd("p1").metagroup.parked
+        return
+    assert sim.trace.records("quorum.lost") == []
+    assert sim.trace.records("gsd.regroup") == []
+    assert all(kernel.gsd("p0").node_state.get(n) == "down" for n in everyone - cut)
+    heal_all(cluster, injector)
+    sim.run(until=sim.now + 6 * HB)
+    assert all(kernel.gsd("p0").node_state.get(n, "up") == "up" for n in everyone - cut)
+
+
+# -- roles: the exits of the minority side -------------------------------------
+
+def test_role_parked_member_unparks_on_heal():
+    """park → unpark: a cut-off member's role is ``parked`` while the split
+    holds and a view member again after the heal, with one
+    ``quorum.lost`` / ``quorum.regained`` pair marking the way."""
+    sim, cluster, kernel, injector = split_evenly(12)
+    mg = kernel.gsd("p3").metagroup
+    assert mg.role == "parked" and mg.parked and not mg.is_leader
+    heal_all(cluster, injector)
+    sim.run(until=sim.now + 15 * HB)
+    assert mg.role == "member" and not mg.parked
+    assert len(sim.trace.records("quorum.lost", node="p3s0")) == 1
+    assert len(sim.trace.records("quorum.regained", node="p3s0")) == 1
+
+
+def test_role_evicted_member_is_joining_until_readmitted():
+    """evicted → joining: the quorate side evicted p2 during the split;
+    when its view reaches p2 after the heal, p2 leaves ``parked`` for
+    ``joining`` (it is not in that view) and is a member once the leader
+    readmits it (``member.joined``)."""
+    sim, cluster, kernel, injector = split_evenly(12)
+    mg = kernel.gsd("p2").metagroup
+    assert mg.role == "parked"
+    assert not kernel.gsd("p0").metagroup.view.contains_node("p2s0")
+    heal_all(cluster, injector)
+    end = sim.now + 15 * HB
+    while mg.role != "joining" and sim.now < end:
+        sim.step()
+    assert mg.role == "joining" and not mg.view.contains_node("p2s0")
+    sim.run(until=end)
+    assert mg.role == "member" and mg.view.contains_node("p2s0")
+    assert sim.trace.records("member.joined", node="p2s0")
+    assert {kernel.gsd(p.partition_id).metagroup.role for p in cluster.partitions} <= set(ROLES)
 
 
 def test_time_to_park_is_bounded():
@@ -210,12 +262,7 @@ def test_time_to_park_is_bounded():
 def test_regroup_census_spans_and_marks():
     """Census rounds are spanned (``gsd.regroup``) and probe marks carry
     the round id; parks pair with unparks across a heal."""
-    sim, cluster, kernel = build()
-    injector = FaultInjector(cluster)
-    sim.run(until=20.001)
-    side_a, side_b = sides(cluster)
-    split_all(cluster, injector, side_a, side_b)
-    sim.run(until=sim.now + 12 * HB)
+    sim, cluster, kernel, injector = split_evenly(12)
     heal_all(cluster, injector)
     sim.run(until=sim.now + 15 * HB)
     spans = [r for r in sim.trace.records("gsd.regroup") if r.get("duration") is not None]
