@@ -34,7 +34,9 @@ class HostProcess:
         self.name = name
         self.alive = True
         self.started_at = sim.now
-        self._procs: list[Proc] = []
+        #: The running coroutines, in adoption order (a dict for O(1)
+        #: removal: each one leaves as it finishes).
+        self._procs: dict[Proc, None] = {}
         #: Optional cleanup hooks run on kill (daemon-level bookkeeping).
         self._on_kill: list[Callable[[], None]] = []
 
@@ -42,9 +44,13 @@ class HostProcess:
         """Spawn a coroutine owned by this process."""
         if not self.alive:
             raise ClusterError(f"{self.node_id}/{self.name}: process is dead")
-        proc = self.sim.spawn(body, name=name or f"{self.node_id}/{self.name}")
-        self._procs.append(proc)
+        proc = Proc(self.sim, body, name=name or f"{self.node_id}/{self.name}",
+                    on_exit=self._release)
+        self._procs[proc] = None
         return proc
+
+    def _release(self, proc: Proc) -> None:
+        self._procs.pop(proc, None)
 
     def on_kill(self, hook: Callable[[], None]) -> None:
         self._on_kill.append(hook)
@@ -54,9 +60,8 @@ class HostProcess:
         if not self.alive:
             return
         self.alive = False
-        for proc in self._procs:
+        for proc in list(self._procs):  # each one leaves the dict as it dies
             proc.kill()
-        self._procs.clear()
         hooks, self._on_kill = self._on_kill, []
         for hook in hooks:
             hook()

@@ -25,7 +25,7 @@ def estimate_size(payload: dict[str, Any]) -> int:
     return HEADER_BYTES + len(repr(payload))
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One datagram in flight (or delivered)."""
 

@@ -13,6 +13,7 @@ the monitoring and scheduling stacks see realistic load movement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,19 @@ from repro.cluster.node import Node, NodeMetrics
 from repro.sim import Simulator
 
 
+#: Standard normals drawn per refill of the noise block (five per sample).
+_NOISE_BLOCK = 5 * 256
+
+
 def _clamp(x: float, lo: float = 0.0, hi: float = 100.0) -> float:
-    return max(lo, min(hi, x))
+    """``x`` limited to ``[lo, hi]``: an ``np.float64`` strictly inside,
+    the Python-float bound where it clamps.  Those are the types the rows
+    have always carried, and the wire size counts their ``repr``."""
+    if x >= hi:
+        return hi
+    if x > lo:
+        return np.float64(x)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,14 @@ class LoadProfile:
 
 
 class ResourceModel:
-    """Per-node metric sampler with smooth (AR(1)) noise."""
+    """Per-node metric sampler with smooth (AR(1)) noise.
+
+    Each sample takes five standard normals, scaled by the profile's noise
+    scales, from the simulator's ``metrics`` stream.  They are drawn a
+    block at a time: the stream is this model's alone, so consuming a
+    block five values at a time yields exactly what a five-wide draw per
+    sample would.
+    """
 
     def __init__(self, sim: Simulator, profile: LoadProfile | None = None, smoothing: float = 0.8) -> None:
         if not 0.0 <= smoothing < 1.0:
@@ -58,27 +77,38 @@ class ResourceModel:
         self.sim = sim
         self.profile = profile or LoadProfile.common_load()
         self.smoothing = smoothing
-        self._state: dict[str, np.ndarray] = {}
+        self._state: dict[str, tuple[float, float, float, float, float]] = {}
         self._rng = sim.rngs.stream("metrics")
+        self._normals: list[float] = []
+        self._next = 0
 
     def sample(self, node: Node) -> NodeMetrics:
         """One metrics sample for ``node`` at the current instant."""
         p = self.profile
+        z, i = self._normals, self._next
+        if i == len(z):
+            z = self._normals = self._rng.standard_normal(_NOISE_BLOCK).tolist()
+            i = 0
+        self._next = i + 5
+        cpu, mem, swap, disk, net = (p.cpu_noise * z[i], p.mem_noise * z[i + 1],
+                                     p.swap_noise * z[i + 2], p.io_noise * z[i + 3],
+                                     p.io_noise * z[i + 4])
         prev = self._state.get(node.node_id)
-        noise_scales = np.array([p.cpu_noise, p.mem_noise, p.swap_noise, p.io_noise, p.io_noise])
-        shock = self._rng.normal(0.0, noise_scales)
-        if prev is None:
-            state = shock
-        else:
-            state = self.smoothing * prev + (1.0 - self.smoothing) * shock
-        self._state[node.node_id] = state
+        if prev is not None:
+            keep = self.smoothing
+            new = 1.0 - keep
+            cpu = keep * prev[0] + new * cpu
+            mem = keep * prev[1] + new * mem
+            swap = keep * prev[2] + new * swap
+            disk = keep * prev[3] + new * disk
+            net = keep * prev[4] + new * net
+        self._state[node.node_id] = (cpu, mem, swap, disk, net)
 
         busy_frac = node.busy_cpus / node.spec.cpus if node.spec.cpus else 0.0
-        cpu = _clamp(p.cpu_base + busy_frac * 92.0 + state[0])
-        mem = _clamp(p.mem_base + busy_frac * 45.0 + state[1])
-        swap = _clamp(p.swap_base + max(0.0, busy_frac - 0.8) * 20.0 + state[2], 0.0, 100.0)
-        disk = max(0.0, p.disk_io_base + busy_frac * 15.0 + state[3])
-        net = max(0.0, p.net_io_base + busy_frac * 30.0 + state[4])
         return NodeMetrics(
-            cpu_pct=cpu, mem_pct=mem, swap_pct=swap, disk_io_mbps=disk, net_io_mbps=net
+            cpu_pct=_clamp(p.cpu_base + busy_frac * 92.0 + cpu),
+            mem_pct=_clamp(p.mem_base + busy_frac * 45.0 + mem),
+            swap_pct=_clamp(p.swap_base + max(0.0, busy_frac - 0.8) * 20.0 + swap),
+            disk_io_mbps=_clamp(p.disk_io_base + busy_frac * 15.0 + disk, hi=math.inf),
+            net_io_mbps=_clamp(p.net_io_base + busy_frac * 30.0 + net, hi=math.inf),
         )

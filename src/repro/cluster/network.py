@@ -23,6 +23,7 @@ heartbeats/timeouts exactly as the real system would.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -51,9 +52,9 @@ class LinkDegradation:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss <= 1.0:
             raise ClusterError(f"degradation loss must be in [0, 1], got {self.loss}")
-        if self.latency_mult < 1.0:
+        if not 1.0 <= self.latency_mult < math.inf:
             raise ClusterError(
-                f"degradation latency_mult must be >= 1, got {self.latency_mult}"
+                f"degradation latency_mult must be finite and >= 1, got {self.latency_mult}"
             )
 
 
@@ -87,6 +88,10 @@ class Network:
         #: per-link degradation.  None = healthy switch.
         self._fabric_profile: LinkDegradation | None = None
         self._rng = sim.rngs.stream(f"net.{self.name}")
+        #: Trace counter names, built once instead of once per message.
+        self._msgs_key = f"net.{self.name}.msgs"
+        self._bytes_key = f"net.{self.name}.bytes"
+        self._drops_key = f"net.{self.name}.drops"
         #: Per-(src, dst) FIFO clock: latest scheduled arrival on the flow.
         self._flow_clock: dict[tuple[str, str], float] = {}
         #: Messages delivered / dropped (also mirrored into trace counters).
@@ -219,20 +224,20 @@ class Network:
 
         The path is checked at **two points**: once here at send time
         (closed path or sampled loss → immediate False), and once again in
-        ``_arrive`` after the sampled latency — a link or fabric that fails
-        while the message is in flight drops it with an ``in_flight=True``
-        ``net.drop`` trace mark.  This approximates store-and-forward
-        fabrics without modelling per-hop occupancy.
+        :meth:`_arrive` after the sampled latency — a link or fabric that
+        fails while the message is in flight drops it with an
+        ``in_flight=True`` ``net.drop`` trace mark.  This approximates
+        store-and-forward fabrics without modelling per-hop occupancy.
         """
         trace = self.sim.trace
         if not self.path_open(msg.src_node, msg.dst_node):
             self.dropped += 1
-            trace.count(f"net.{self.name}.drops")
+            trace.count(self._drops_key)
             trace.mark("net.drop", network=self.name, src=msg.src_node, dst=msg.dst_node, mtype=msg.mtype)
             return False
         if self.spec.loss_rate > 0 and self._rng.random() < self.spec.loss_rate:
             self.dropped += 1
-            trace.count(f"net.{self.name}.drops")
+            trace.count(self._drops_key)
             trace.mark("net.loss", network=self.name, src=msg.src_node, dst=msg.dst_node, mtype=msg.mtype)
             return False
         # Gray degradation: the fabric-wide profile (bad switch), sender's
@@ -247,7 +252,7 @@ class Network:
                 continue
             if profile.loss > 0 and self._rng.random() < profile.loss:
                 self.dropped += 1
-                trace.count(f"net.{self.name}.drops")
+                trace.count(self._drops_key)
                 trace.count(f"net.{self.name}.degraded_drops")
                 trace.mark(
                     "net.loss", network=self.name, src=msg.src_node, dst=msg.dst_node,
@@ -255,26 +260,14 @@ class Network:
                 )
                 return False
             latency_mult *= profile.latency_mult
-        trace.count(f"net.{self.name}.msgs")
-        trace.count(f"net.{self.name}.bytes", msg.size)
-
-        def _arrive() -> None:
-            # The destination link may have failed while in flight.
-            if not self.path_open(msg.src_node, msg.dst_node):
-                self.dropped += 1
-                trace.count(f"net.{self.name}.drops")
-                trace.mark(
-                    "net.drop", network=self.name, src=msg.src_node, dst=msg.dst_node,
-                    mtype=msg.mtype, in_flight=True,
-                )
-                return
-            self.delivered += 1
-            deliver(msg)
+        trace.count(self._msgs_key)
+        trace.count(self._bytes_key, msg.size)
 
         # FIFO per (src, dst) flow: jitter never reorders two messages on
         # the same path, as on a real store-and-forward fabric (a later
         # send may arrive together with, but not before, an earlier one).
-        arrival = self.sim.now + latency_mult * self.latency_sample(
+        sim = self.sim
+        arrival = sim.now + latency_mult * self.latency_sample(
             msg.src_node, msg.dst_node, msg.size
         )
         flow = (msg.src_node, msg.dst_node)
@@ -282,5 +275,22 @@ class Network:
         if arrival < prev:
             arrival = prev
         self._flow_clock[flow] = arrival
-        self.sim.schedule_at(arrival, _arrive)
+        # The spec and the degradation profiles refuse infinite latencies
+        # and the flow clock only moves ``arrival`` later, so it is finite
+        # and >= now: the unchecked scheduling entry point is safe here.
+        sim._schedule(arrival, 0, self._arrive, (msg, deliver))
         return True
+
+    def _arrive(self, msg: Message, deliver: Callable[[Message], None]) -> None:
+        # The destination link may have failed while in flight.
+        if not self.path_open(msg.src_node, msg.dst_node):
+            self.dropped += 1
+            trace = self.sim.trace
+            trace.count(self._drops_key)
+            trace.mark(
+                "net.drop", network=self.name, src=msg.src_node, dst=msg.dst_node,
+                mtype=msg.mtype, in_flight=True,
+            )
+            return
+        self.delivered += 1
+        deliver(msg)

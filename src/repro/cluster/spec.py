@@ -14,6 +14,7 @@ nodes per partition counting the backup, which also runs jobs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,14 +70,14 @@ class NetworkSpec:
     bandwidth: float | None = None  # bytes/s
 
     def __post_init__(self) -> None:
-        if self.base_latency < 0 or self.jitter < 0:
-            raise ClusterError(f"network {self.name}: negative latency")
+        if not (0 <= self.base_latency < math.inf and 0 <= self.jitter < math.inf):
+            raise ClusterError(f"network {self.name}: latency must be finite and non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ClusterError(f"network {self.name}: loss_rate must be in [0, 1)")
         if self.topology not in ("flat", "two_level"):
             raise ClusterError(f"network {self.name}: unknown topology {self.topology!r}")
-        if self.uplink_latency < 0:
-            raise ClusterError(f"network {self.name}: negative uplink latency")
+        if not 0 <= self.uplink_latency < math.inf:
+            raise ClusterError(f"network {self.name}: uplink latency must be finite and non-negative")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ClusterError(f"network {self.name}: bandwidth must be positive")
 

@@ -63,6 +63,44 @@ class Endpoint:
         return self.owner is None or self.owner.alive
 
 
+class _Call:
+    """One outstanding :meth:`Transport.rpc`, settled once by its reply or
+    its timeout.
+
+    The armed timeout's handle points back here through ``on_timeout``, so
+    the call drops the handle when it settles: a finished call is freed by
+    reference counting alone, with no cycle left for the collector.
+    """
+
+    __slots__ = ("transport", "node_id", "port", "signal", "span", "timeout")
+
+    def __init__(self, transport: "Transport", node_id: str, port: str, signal: Signal,
+                 span: Any) -> None:
+        self.transport = transport
+        self.node_id = node_id
+        self.port = port
+        self.signal = signal
+        self.span = span
+        self.timeout: Any = None
+
+    def settle(self, value: dict[str, Any] | None) -> None:
+        # Settle exactly once (a request dropped at source with a zero
+        # timeout runs on_timeout twice).
+        if self.signal.fired:
+            return
+        self.transport.unbind(self.node_id, self.port)
+        self.timeout.cancel()
+        self.timeout = None
+        self.span.end(ok=value is not None)
+        self.signal.fire(value)
+
+    def on_reply(self, msg: Message) -> None:
+        self.settle(msg.payload)
+
+    def on_timeout(self) -> None:
+        self.settle(None)
+
+
 class Transport:
     """Cluster-wide message router."""
 
@@ -217,38 +255,23 @@ class Transport:
         decompose into the RPCs they actually waited on.
         """
         rpc_id = self._rpc_ids.next()
-        reply_port = f"_rpc.{rpc_id}"
-        signal = self.sim.signal(name=f"rpc.{rpc_id}")
-        call_span = self.sim.trace.span(
-            "rpc.call", parent=span, src=src_node, dst=dst_node, mtype=mtype
+        call = _Call(
+            self,
+            src_node,
+            f"_rpc.{rpc_id}",
+            self.sim.signal(name=f"rpc.{rpc_id}"),
+            self.sim.trace.span("rpc.call", parent=span, src=src_node, dst=dst_node, mtype=mtype),
         )
-
-        def finish(value: dict[str, Any] | None) -> None:
-            # Settle exactly once (a request dropped at source with a zero
-            # timeout runs on_timeout twice).
-            if signal.fired:
-                return
-            self.unbind(src_node, reply_port)
-            timeout_handle.cancel()
-            call_span.end(ok=value is not None)
-            signal.fire(value)
-
-        def on_reply(msg: Message) -> None:
-            finish(msg.payload)
-
-        def on_timeout() -> None:
-            finish(None)
-
-        self.bind(src_node, reply_port, on_reply, owner=None)
-        timeout_handle = self.sim.schedule(timeout, on_timeout)
+        self.bind(src_node, call.port, call.on_reply, owner=None)
+        call.timeout = self.sim.schedule(timeout, call.on_timeout)
         accepted = self.send(
             src_node, dst_node, dst_port, mtype, payload, network=network, rpc_id=rpc_id
         )
         if not accepted:
-            # Fail fast on the next tick; finish() cancels the armed
+            # Fail fast on the next tick; settling cancels the armed
             # timeout itself, keeping the settle path single.
-            self.sim.schedule(0.0, on_timeout)
-        return signal
+            self.sim.schedule(0.0, call.on_timeout)
+        return call.signal
 
     def rpc_retry(
         self,

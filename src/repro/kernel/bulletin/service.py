@@ -107,6 +107,10 @@ class BulletinDaemon(ServiceDaemon):
 
     def on_start(self) -> None:
         self.epoch = self.kernel.next_db_epoch(self.partition_id)
+        # The store's mutation callback and the debounce timer both call
+        # back into this daemon: a dead incarnation drops them, or it would
+        # stay alive in a cycle only the collector could free.
+        self.hp.on_kill(self._release_self_references)
         self.bind(ports.DB, self._dispatch)
         self.bind(VIEW_EVENTS_PORT, self._on_view_event)
         self.spawn(self._housekeeping(), name=f"{self.node_id}/db.housekeeping")
@@ -116,6 +120,10 @@ class BulletinDaemon(ServiceDaemon):
             # checkpoint service.  Gating on the kernel-wide latch keeps
             # runs that never register a view byte-identical.
             self.spawn(self._recover_maintenance(), name=f"{self.node_id}/db.view_recovery")
+
+    def _release_self_references(self) -> None:
+        self.store.on_mutation = None
+        self._tables_ckpt_timer = None
 
     def delta_seq(self, table: str) -> int:
         return self._delta_seqs.get(table, 0)

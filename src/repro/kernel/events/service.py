@@ -97,8 +97,14 @@ class EventServiceDaemon(ServiceDaemon):
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
+        # Both timers call back into this daemon: a dead incarnation drops
+        # them, or it would stay alive in a cycle only the collector could free.
+        self.hp.on_kill(self._release_timers)
         self.bind(ports.ES, self._dispatch)
         self.spawn(self._recover_state(), name=f"{self.node_id}/es.recover")
+
+    def _release_timers(self) -> None:
+        self._flush_timer = self._ckpt_timer = None
 
     def stop(self) -> None:
         """Administrative stop/migration: drain the federation outbox

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.errors import SimulationError
@@ -91,9 +91,15 @@ class ProcState(enum.Enum):
 
 
 class Proc:
-    """A running simulated process wrapping a generator body."""
+    """A running simulated process wrapping a generator body.
 
-    def __init__(self, sim: Simulator, body: Generator[Any, Any, Any], name: str = "") -> None:
+    ``on_exit`` is called once with the process when it ends for any
+    reason, right after :attr:`done` fires — how an owner (a host process)
+    lets go of the processes that finished.
+    """
+
+    def __init__(self, sim: Simulator, body: Generator[Any, Any, Any], name: str = "",
+                 on_exit: Callable[["Proc"], None] | None = None) -> None:
         if not isinstance(body, Generator):
             raise SimulationError(f"process body must be a generator, got {type(body).__name__}")
         self.sim = sim
@@ -104,6 +110,7 @@ class Proc:
         self.exception: BaseException | None = None
         #: Fires (with the return value) when the process ends for any reason.
         self.done = Signal(sim, name=f"{self.name}.done")
+        self._on_exit = on_exit
         self._pending: EventHandle | None = None
         self._waiting_on: Signal | None = None
         # First step happens as its own event so spawning inside an event
@@ -129,7 +136,7 @@ class Proc:
             raise
         finally:
             if not self.done.fired:
-                self.done.fire(None)
+                self._finish(None)
 
     def join(self) -> Signal:
         """Signal suitable for ``yield proc.join()`` — fires with the result."""
@@ -152,14 +159,20 @@ class Proc:
         except StopIteration as stop:
             self.state = ProcState.DONE
             self.result = stop.value
-            self.done.fire(stop.value)
+            self._finish(stop.value)
             return
         except BaseException as exc:
             self.state = ProcState.FAILED
             self.exception = exc
-            self.done.fire(None)
+            self._finish(None)
             raise
         self._park(yielded)
+
+    def _finish(self, value: Any) -> None:
+        self.done.fire(value)
+        on_exit, self._on_exit = self._on_exit, None
+        if on_exit is not None:
+            on_exit(self)
 
     def _park(self, yielded: Any) -> None:
         if isinstance(yielded, (int, float)):
@@ -176,7 +189,7 @@ class Proc:
             self.state = ProcState.FAILED
             err = SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
             self.exception = err
-            self.done.fire(None)
+            self._finish(None)
             raise err
 
     def _wake_soon(self, value: Any) -> None:

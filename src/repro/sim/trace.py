@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -81,6 +82,8 @@ class Histogram:
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         self.bounds = tuple(bounds)
+        if list(self.bounds) != sorted(self.bounds):
+            raise ValueError(f"histogram bounds must be ascending, got {self.bounds!r}")
         self.counts = [0] * (len(self.bounds) + 1)  # +1: overflow
         self.count = 0
         self.sum = 0.0
@@ -88,11 +91,9 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
+        # The first bucket whose bound is >= value; NaN, which compares
+        # false with every bound, goes to the overflow bucket.
+        idx = bisect_left(self.bounds, value) if value == value else len(self.bounds)
         self.counts[idx] += 1
         self.count += 1
         self.sum += value

@@ -1,9 +1,15 @@
 """Unit tests for fault injection and the synthetic resource model."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.cluster import FaultInjector, LoadProfile, ResourceModel
+from repro.cluster import Cluster, ClusterSpec, FaultInjector, LoadProfile, ResourceModel
+from repro.cluster.metrics import _clamp
+from repro.cluster.node import NodeMetrics
 from repro.errors import ClusterError
+from repro.sim import Simulator
 
 
 @pytest.fixture()
@@ -191,6 +197,77 @@ def test_metrics_deterministic_across_runs(small_spec):
         return [cluster.resources.sample(node).cpu_pct for _ in range(20)]
 
     assert sample_series() == sample_series()
+
+
+def _vector_draw_sampler(profile, smoothing, rng):
+    """The reference: ``ResourceModel.sample`` as one five-wide
+    ``normal(0, scales)`` draw per sample, AR(1) state kept as arrays."""
+    state = {}
+
+    def clamp(x, lo=0.0, hi=100.0):
+        return max(lo, min(hi, x))
+
+    def sample(node):
+        p = profile
+        prev = state.get(node.node_id)
+        noise_scales = np.array([p.cpu_noise, p.mem_noise, p.swap_noise, p.io_noise, p.io_noise])
+        shock = rng.normal(0.0, noise_scales)
+        if prev is None:
+            now = shock
+        else:
+            now = smoothing * prev + (1.0 - smoothing) * shock
+        state[node.node_id] = now
+        busy_frac = node.busy_cpus / node.spec.cpus if node.spec.cpus else 0.0
+        return NodeMetrics(
+            cpu_pct=clamp(p.cpu_base + busy_frac * 92.0 + now[0]),
+            mem_pct=clamp(p.mem_base + busy_frac * 45.0 + now[1]),
+            swap_pct=clamp(p.swap_base + max(0.0, busy_frac - 0.8) * 20.0 + now[2], 0.0, 100.0),
+            disk_io_mbps=max(0.0, p.disk_io_base + busy_frac * 15.0 + now[3]),
+            net_io_mbps=max(0.0, p.net_io_base + busy_frac * 30.0 + now[4]),
+        )
+
+    return sample
+
+
+#: Bases on the bounds, so both clamps and both floors fire.
+_EDGE_LOAD = LoadProfile(cpu_base=8.0, mem_base=0.0, swap_base=0.0, disk_io_base=0.0,
+                         net_io_base=0.0)
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5, 0.8])
+@pytest.mark.parametrize("profile", [LoadProfile.common_load(), LoadProfile.heavy_load(),
+                                     _EDGE_LOAD], ids=["common", "heavy", "edge"])
+def test_block_sampler_equals_the_vector_draw_value_and_type(profile, smoothing):
+    """Every value and its type (``np.float64`` inside the bounds, the
+    Python-float bound where it clamps: the wire size counts their
+    ``repr``) across many nodes, several noise blocks and busy levels up
+    to every CPU."""
+    cluster = Cluster(Simulator(seed=9), ClusterSpec.build(partitions=4, computes=14))
+    model = ResourceModel(cluster.sim, profile=profile, smoothing=smoothing)
+    reference = _vector_draw_sampler(profile, smoothing, Simulator(seed=9).rngs.stream("metrics"))
+    nodes = [cluster.node(n) for n in sorted(cluster.nodes)]
+    types_seen = set()
+    for rnd in range(24):
+        for k, node in enumerate(nodes):
+            node.busy_cpus = (k + rnd) % (node.spec.cpus + 1)
+            got, want = model.sample(node).as_dict(), reference(node).as_dict()
+            for field, value in want.items():
+                assert type(got[field]) is type(value) and got[field] == value, (rnd, k, field)
+                types_seen.add((field, type(value)))
+    if profile is _EDGE_LOAD:
+        assert {type_ for _, type_ in types_seen} == {float, np.float64}
+        assert all((field, float) in types_seen for field in want)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 100.0), (0.0, math.inf)])
+def test_clamp_matches_min_max_on_the_bounds(lo, hi):
+    """Random draws never land exactly on a bound; the edges are checked
+    here against the reference ``max(lo, min(hi, np.float64(x)))``."""
+    for x in (lo, -0.0, math.nextafter(lo, -1.0), math.nextafter(lo, 1.0), 50.0, 100.0,
+              math.nextafter(100.0, 0.0), math.nextafter(100.0, 200.0), 1e300):
+        want = max(lo, min(hi, np.float64(x)))
+        got = _clamp(x, lo, hi)
+        assert type(got) is type(want) and got == want, x
 
 
 def test_invalid_smoothing_rejected(sim):

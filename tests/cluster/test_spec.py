@@ -61,6 +61,11 @@ def test_network_spec_validation():
         NetworkSpec(name="x", base_latency=-1)
     with pytest.raises(ClusterError):
         NetworkSpec(name="x", loss_rate=1.0)
+    # Transmit schedules arrivals unchecked: every latency must be finite.
+    for field in ("base_latency", "jitter", "uplink_latency"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ClusterError):
+                NetworkSpec(name="x", **{field: value})
 
 
 def test_build_validation():

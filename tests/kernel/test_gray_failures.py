@@ -55,6 +55,10 @@ def test_degradation_profile_validation():
         LinkDegradation(loss=1.5)
     with pytest.raises(ClusterError):
         LinkDegradation(latency_mult=0.5)
+    # Transmit schedules arrivals unchecked: a multiplier must keep them finite.
+    for mult in (float("inf"), float("nan")):
+        with pytest.raises(ClusterError):
+            LinkDegradation(latency_mult=mult)
 
 
 def test_flap_link_emits_paired_edge_marks(sim, kernel, injector):

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event core."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -220,3 +222,69 @@ def test_events_executed_counter():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_executed == 4
+
+
+# -- the cyclic collector: paused inside run(), untouched by step() ----------
+
+
+@pytest.fixture()
+def collector_state():
+    """Hand each test the collector as found and put it back afterwards."""
+    was_enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_the_callers_state(collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_run_restores_the_collector_when_a_callback_raises(collector_state):
+    gc.enable()
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert gc.isenabled()
+
+
+def test_nested_runs_of_two_simulators_restore_the_collector(collector_state):
+    gc.enable()
+    outer, inner = Simulator(), Simulator()
+    seen = []
+    inner.schedule(1.0, lambda: seen.append(("inner", gc.isenabled())))
+
+    def run_inner():
+        inner.run()
+        seen.append(("after inner", gc.isenabled()))
+
+    outer.schedule(1.0, run_inner)
+    outer.run()
+    assert seen == [("inner", False), ("after inner", False)]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_step_never_changes_the_collector(collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    sim = Simulator()
+    seen = []
+    for delay in (1.0, 2.0):
+        sim.schedule(delay, lambda: seen.append(gc.isenabled()))
+    while sim.step():
+        pass
+    assert seen == [enabled, enabled]
+    assert gc.isenabled() is enabled

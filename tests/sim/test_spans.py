@@ -1,9 +1,13 @@
 """Spans and latency histograms on the trace."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Histogram, Simulator
-from repro.sim.trace import Trace
+from repro.sim.trace import DEFAULT_BUCKETS, Trace
 
 
 def test_span_ids_are_deterministic_and_monotone():
@@ -96,6 +100,52 @@ def test_histogram_percentiles_bucket_resolution():
     assert hist.percentile(50) == 1.0  # bucket upper bound
     assert hist.percentile(99) == 50.0  # clamped to the true max
     assert hist.summary()["count"] == 4
+
+
+def _linear_scan_observe(hist: Histogram, value: float) -> None:
+    """The reference: ``Histogram.observe`` as a scan for the first bound
+    ``>= value`` (no bound matches NaN: overflow)."""
+    idx = len(hist.bounds)
+    for i, bound in enumerate(hist.bounds):
+        if value <= bound:
+            idx = i
+            break
+    hist.counts[idx] += 1
+    hist.count += 1
+    hist.sum += value
+    hist.min = min(hist.min, value)
+    hist.max = max(hist.max, value)
+
+
+_BOUND = st.floats(allow_nan=False, allow_infinity=True)
+
+
+@settings(max_examples=300)
+@given(
+    bounds=st.one_of(st.just(DEFAULT_BUCKETS), st.lists(_BOUND, max_size=8).map(sorted)),
+    data=st.data(),
+)
+def test_property_observe_buckets_like_a_linear_scan(bounds, data):
+    """Exact bound values, values between and beyond them, ±inf and NaN all
+    land in the bucket the linear scan picks."""
+    value = st.one_of(
+        st.sampled_from([*bounds, math.inf, -math.inf, math.nan]) if bounds
+        else st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    values = data.draw(st.lists(value, max_size=30))
+    fast, reference = Histogram(tuple(bounds)), Histogram(tuple(bounds))
+    for v in values:
+        fast.observe(v)
+        _linear_scan_observe(reference, v)
+    assert fast.counts == reference.counts
+    assert repr((fast.count, fast.sum, fast.min, fast.max)) == repr(
+        (reference.count, reference.sum, reference.min, reference.max))
+
+
+def test_histogram_rejects_unordered_bounds():
+    with pytest.raises(ValueError):
+        Histogram(bounds=(1.0, 0.5))
 
 
 def test_histogram_overflow_bucket_reports_true_max():
