@@ -26,7 +26,11 @@ instance re-delivers it after recovery; an administrative stop drains
 the outbox before the process dies.  Each peer's outbox is capped at
 ``ES_OUTBOX_MAX``: a long peer outage drops the *oldest* queued forwards
 (traced as ``es.outbox_overflow``) instead of growing the checkpoint
-without bound.
+without bound.  A batch that fails *sooner* than its ``RPC_TIMEOUT``
+budget (a send refused at source, as across a network split) *holds* its
+peer until the budget has passed since the batch left, so an unreachable
+peer costs one batch per budget, as a crashed one does; a batch that
+timed out has spent its budget and holds nothing.
 
 Observability: every publish opens an ``es.publish`` span (parented on
 the supplier's span when the publish payload carries ``_span``); its id
@@ -51,6 +55,7 @@ from repro.kernel.timings import (
     ES_FORWARD_BATCH_MAX,
     ES_FORWARD_FLUSH,
     ES_OUTBOX_MAX,
+    RPC_TIMEOUT,
 )
 from repro.sim import Timer
 from repro.util import IdAllocator
@@ -85,6 +90,9 @@ class EventServiceDaemon(ServiceDaemon):
         #: Peers with a batch awaiting its ack (one in flight per peer,
         #: so forwards stay FIFO per partition even across retries).
         self._inflight_batch: dict[str, list[dict[str, Any]]] = {}
+        #: Peers whose last batch failed before its RPC budget ran out:
+        #: no flush to them until that budget has passed.
+        self._held: set[str] = set()
         self._flush_timer: Timer | None = None
         #: Duplicate suppression for re-received forwards (set + FIFO).
         self._seen_ids: set[str] = set()
@@ -302,8 +310,10 @@ class EventServiceDaemon(ServiceDaemon):
 
     def _arm_flush(self) -> None:
         """Arm the outbox flush timer (no-op while one is already armed,
-        so a publish burst shares a single flush)."""
-        if not any(self._outbox.values()):
+        so a publish burst shares a single flush, or while every peer
+        with pending forwards is held)."""
+        if not any(pending for part_id, pending in self._outbox.items()
+                   if part_id not in self._held):
             return
         if self._flush_timer is not None and self._flush_timer.active:
             return
@@ -317,7 +327,7 @@ class EventServiceDaemon(ServiceDaemon):
         if not self.alive:
             return
         for part_id, pending in self._outbox.items():
-            if not pending or part_id in self._inflight_batch:
+            if not pending or part_id in self._inflight_batch or part_id in self._held:
                 continue
             batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
             if self._cross_region(part_id):
@@ -337,6 +347,7 @@ class EventServiceDaemon(ServiceDaemon):
         span = self.sim.trace.span(
             "es.forward_batch", node=self.node_id, peer=part_id, events=len(batch)
         )
+        budget_end = self.sim.now + RPC_TIMEOUT
         try:
             reply = None
             peer = self.kernel.placement.get(("es", part_id))
@@ -361,10 +372,22 @@ class EventServiceDaemon(ServiceDaemon):
                 self._trim_outbox(part_id, pending)
                 self.sim.trace.count("es.forward_requeued", len(batch))
                 self._checkpoint_state()
+                if self.sim.now < budget_end:
+                    # Failed fast (refused at source, e.g. across a split):
+                    # pace the peer to one batch per budget, as a timeout
+                    # would.  The handle is not kept, so no cycle forms.
+                    self._held.add(part_id)
+                    self.sim.schedule_at(budget_end, self._release, part_id)
             span.end(ok=reply is not None)
         finally:
             span.end(ok=False)  # no-op unless the sender died mid-flight
             self._inflight_batch.pop(part_id, None)
+            self._arm_flush()
+
+    def _release(self, part_id: str) -> None:
+        """A held peer's budget has passed: it may be flushed again."""
+        self._held.discard(part_id)
+        if self.alive:
             self._arm_flush()
 
     def _drain_outbox_final(self) -> None:

@@ -7,6 +7,7 @@ from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.events.filters import Subscription
 from repro.kernel.events.types import Event
+from repro.kernel.timings import RPC_TIMEOUT
 from repro.sim import Simulator, drive
 from repro.userenv.monitoring import messaging_report
 from tests.kernel.test_events import publish, subscribe_collector
@@ -184,7 +185,19 @@ def test_outbox_survives_es_kill_and_peer_server_crash():
     killed with the outbox stranded.  The restarted sender recovers the
     outbox from its checkpoint and the flush re-delivers once the peer's
     ES has migrated to the backup node — no accepted event is lost and no
-    forward counter goes backwards."""
+    forward counter goes backwards.
+
+    A crashed peer is found by timeout, so every failed batch has already
+    spent its RPC budget: the sender never holds p1 (checked after every
+    event), which keeps the crash-driven artefacts on their cadence."""
+
+    def run_never_holding_p1(until):
+        while (due := sim.peek()) is not None and due <= until:
+            sim.step()
+            sender = kernel.live_daemon("es", kernel.placement[("es", "p0")])
+            assert sender is None or "p1" not in sender._held, f"p1 held at {sim.now}"
+        sim.run(until=until)
+
     sim = Simulator(seed=13)
     cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))
     kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=5.0))
@@ -199,7 +212,7 @@ def test_outbox_survives_es_kill_and_peer_server_crash():
     injector.crash_node("p1s0")  # peer partition's server (hosts p1's ES)
     for i in range(6):
         publish(kernel, sim, "p0c0", "custom.tick", {"i": i}, partition="p0")
-    sim.run(until=sim.now + 3.0)  # batch to p1 fails, requeues, checkpoints
+    run_never_holding_p1(sim.now + 3.0)  # batch to p1 fails, requeues, checkpoints
     samples.append(forward_counters(sim))
     assert sim.trace.counter("es.forward_requeued") > 0
     sender = kernel.live_daemon("es", kernel.placement[("es", "p0")])
@@ -207,7 +220,7 @@ def test_outbox_survives_es_kill_and_peer_server_crash():
 
     t_kill = sim.now
     injector.kill_process("p0s0", "es")  # sender dies with the outbox stranded
-    sim.run(until=sim.now + 40.0)  # GSD restarts sender; peer ES migrates
+    run_never_holding_p1(sim.now + 40.0)  # GSD restarts sender; peer ES migrates
     samples.append(forward_counters(sim))
 
     recovered = [r for r in sim.trace.records("es.state_recovered") if r.time > t_kill]
@@ -216,6 +229,46 @@ def test_outbox_survives_es_kill_and_peer_server_crash():
     assert [e.data["i"] for e in inbox] == list(range(6))  # delivered once, in order
     for before, after in zip(samples, samples[1:]):
         assert_monotone(before, after)
+
+
+def test_split_is_quiet_and_loses_nothing():
+    """While a split cuts p0 off, every batch to p1 and p2 is refused at
+    source.  The sender paces each peer to one batch (and one requeue
+    checkpoint) per RPC budget instead of one per flush window, and once
+    the split heals the held forwards arrive once, in order, within a
+    budget."""
+    hb = 5.0
+    sim = Simulator(seed=13)
+    cluster = Cluster(sim, ClusterSpec.build(partitions=3, computes=2))
+    kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=hb))
+    kernel.boot()
+    injector = FaultInjector(cluster)
+    sim.run(until=2 * hb)
+    inbox = subscribe_collector(kernel, sim, "p1c0", "c1", types=("custom.*",), partition="p1")
+    sim.run(until=sim.now + 1.0)
+    sender = kernel.live_daemon("es", kernel.placement[("es", "p0")])
+
+    cut = set(cluster.partitions[0].all_nodes)
+    rest = {n for part in cluster.partitions[1:] for n in part.all_nodes}
+    for net in cluster.networks:
+        injector.split_network(net, [cut, rest])
+    t0, batches, ckpts = sim.now, sender.forward_batches, sender.ckpt_writes
+    k = 8
+    for i in range(k):
+        publish(kernel, sim, "p0c0", "custom.tick", {"i": i}, partition="p0")
+    sim.run(until=t0 + 3 * hb)
+    hold = sim.now - t0
+    bound = 2 * (hold / RPC_TIMEOUT + 1)  # two peers, one batch per budget each
+    assert sim.trace.counter("es.forward_requeued") > 0  # the split did refuse them
+    assert sender.forward_batches - batches <= bound
+    assert sender.ckpt_writes - ckpts <= bound
+    assert inbox == []
+
+    for net in cluster.networks:
+        injector.heal_network(net)
+    sim.run(until=sim.now + RPC_TIMEOUT + 1.0)
+    assert [e.data["i"] for e in inbox] == list(range(k))  # once each, in order
+    assert sender.alive and kernel.placement[("es", "p0")] == sender.node_id
 
 
 # -- outbox high-water mark ---------------------------------------------------

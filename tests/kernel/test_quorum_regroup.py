@@ -279,7 +279,7 @@ def test_regroup_census_spans_and_marks():
 
 @pytest.mark.slow
 @settings(
-    max_examples=6,
+    max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
