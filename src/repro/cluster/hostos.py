@@ -85,8 +85,7 @@ class HostOS:
         #: Local stable storage (the node's disk): survives process death
         #: and node crash/boot — only losing the physical node loses it.
         #: Daemons journal here what must outlive their own incarnation
-        #: (e.g. a parked GSD's deferred state commits, spilled aged
-        #: checkpoint versions).
+        #: (e.g. a parked GSD's deferred state commits).
         self.stable_store: dict[str, Any] = {}
         node.hostos = self
 

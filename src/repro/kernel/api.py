@@ -357,24 +357,15 @@ class KernelClient:
         where: dict[str, Any] | None = None,
         partition: str | None = None,
         timeout: float = 5.0,
-        aggregate: list[str] | None = None,
     ) -> Signal:
         """Query cluster-wide state through *any* bulletin instance.
 
-        With ``aggregate=[fields...]``, the federation computes mergeable
-        partial aggregates member-side and returns ``{"aggregate": {field:
-        {sum, count, min, max}}, "row_count": N}`` instead of rows —
-        O(partitions) bytes at the access point instead of O(nodes).
+        Returns the matching rows; an aggregate is a typed query
+        (:meth:`exec_query`) or a registered view (:meth:`register_view`).
         """
-        part = partition or self._own_partition()
-        db_node = self.kernel.placement.get(("db", part))
-        if db_node is None:
-            raise ServiceUnavailable(f"no bulletin placed for partition {part}")
-        payload: dict[str, Any] = {"table": table, "where": where, "scope": "global"}
-        if aggregate:
-            payload["aggregate"] = list(aggregate)
         return self._transport.rpc_retry(
-            self.node_id, db_node, ports.DB, ports.DB_QUERY, payload, timeout=timeout,
+            self.node_id, self._db_node(partition), ports.DB, ports.DB_QUERY,
+            {"table": table, "where": where, "scope": "global"}, timeout=timeout,
         )
 
     # -- relational layer (typed queries + materialized views) -----------

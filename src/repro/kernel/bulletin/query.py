@@ -49,8 +49,8 @@ class Agg:
     """One aggregate term: ``func(field) AS alias``.
 
     ``count`` accepts the ``*`` field (row count); the numeric functions
-    skip non-numeric / missing values, matching
-    :func:`repro.kernel.query.aggregate_rows` semantics (bools excluded).
+    skip missing values and values :func:`is_numeric` refuses (bools
+    among them).
     """
 
     func: str
@@ -267,7 +267,9 @@ def base_tables(logical: str) -> tuple[str, ...]:
 
 
 # -- executor ----------------------------------------------------------------
-def _numeric(value: Any) -> bool:
+def is_numeric(value: Any) -> bool:
+    """The one rule for what an aggregate counts: an int or a float, never
+    a bool.  Views and GridView's classic refresh skip values the same way."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -276,7 +278,7 @@ def _sort_key(value: Any) -> tuple:
     strings) so ORDER BY is deterministic whatever the rows hold."""
     if value is None:
         return (3, "")
-    if _numeric(value):
+    if is_numeric(value):
         return (0, float(value), "")
     if isinstance(value, str):
         return (1, 0.0, value)
@@ -294,7 +296,7 @@ def _agg_value(agg: Agg, rows: list[dict[str, Any]]) -> Any:
         if agg.field == "*":
             return len(rows)
         return sum(1 for r in rows if r.get(agg.field) is not None)
-    values = [r[agg.field] for r in rows if _numeric(r.get(agg.field))]
+    values = [r[agg.field] for r in rows if is_numeric(r.get(agg.field))]
     if agg.func == "sum":
         return float(sum(values))
     if not values:

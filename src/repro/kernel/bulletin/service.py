@@ -43,7 +43,7 @@ from repro.kernel.bulletin.store import BulletinStore
 from repro.kernel.bulletin.views import MaterializedView, ViewEngine
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.types import DB_DELTA, DB_DELTA_DIGEST
-from repro.kernel.query import aggregate_rows, merge_aggregates, validate_where
+from repro.kernel.query import validate_where
 from repro.kernel.timings import DB_CKPT_DEBOUNCE
 
 #: Port where a view-owning instance receives its ``db.delta`` feed.
@@ -292,7 +292,6 @@ class BulletinDaemon(ServiceDaemon):
         table = msg.payload.get("table")
         where = msg.payload.get("where")
         scope = msg.payload.get("scope", "global")
-        aggregate = msg.payload.get("aggregate")  # list of numeric fields or None
         try:
             _require_names(msg.payload, "table")
             validate_where(where)
@@ -306,14 +305,6 @@ class BulletinDaemon(ServiceDaemon):
                 "seq": self._seq,
                 "delta_seq": self.delta_seq(table),
             }
-            if aggregate:
-                # Push-down: ship mergeable partials, not rows.
-                return {
-                    "aggregate": aggregate_rows(local_rows, aggregate),
-                    "row_count": len(local_rows),
-                    "partitions_missing": [],
-                    "watermark": watermark,
-                }
             return {"rows": local_rows, "partitions_missing": [], "watermark": watermark}
         # Global scope: fan out to peers asynchronously, then answer the RPC
         # ourselves (the handler returns None so the transport does not
@@ -324,9 +315,7 @@ class BulletinDaemon(ServiceDaemon):
             "db.query", parent=msg.payload.get("_span", ""), node=self.node_id, table=table
         )
         self.spawn(
-            self._global_query(
-                msg, table, where, aggregate, local_rows, span, self._query_peers(scope)
-            ),
+            self._global_query(msg, table, where, local_rows, span, self._query_peers(scope)),
             name=f"{self.node_id}/db.fanout",
         )
         return None
@@ -383,39 +372,24 @@ class BulletinDaemon(ServiceDaemon):
             replies.append((table, reply))
         return replies, missing, watermarks
 
-    def _global_query(self, msg: Message, table: str, where, aggregate, local_rows, span, peers):
-        request = {"table": table, "where": where, "scope": "local"}
-        if aggregate:
-            request["aggregate"] = aggregate
+    def _global_query(self, msg: Message, table: str, where, local_rows, span, peers):
         replies, missing, watermarks = yield from self._scatter_gather(
-            peers.items(), [request], span  # configured (federation-edge) order
+            peers.items(),  # configured (federation-edge) order
+            [{"table": table, "where": where, "scope": "local"}],
+            span,
         )
         rows = list(local_rows)
-        partials = [aggregate_rows(local_rows, aggregate)] if aggregate else []
-        row_count = len(local_rows)
         for _table, reply in replies:
-            if aggregate:
-                partials.append(reply.get("aggregate", {}))
-                row_count += int(reply.get("row_count", 0))
-            else:
-                rows.extend(reply.get("rows", []))
+            rows.extend(reply.get("rows", []))
         if msg.rpc_id:
-            if aggregate:
-                payload = {
-                    "aggregate": merge_aggregates(partials),
-                    "row_count": row_count,
-                    "partitions_missing": sorted(missing),
-                    "watermarks": watermarks,
-                }
-            else:
-                rows.sort(key=_row_order)
-                payload = {
-                    "rows": rows,
-                    "partitions_missing": sorted(missing),
-                    "watermarks": watermarks,
-                }
+            rows.sort(key=_row_order)
+            payload = {
+                "rows": rows,
+                "partitions_missing": sorted(missing),
+                "watermarks": watermarks,
+            }
             self.send(msg.src_node, f"_rpc.{msg.rpc_id}", f"{ports.DB_QUERY}.reply", payload)
-        span.end(rows=row_count if aggregate else len(rows), missing=len(missing))
+        span.end(rows=len(rows), missing=len(missing))
 
     # -- relational queries (DB_EXEC) --------------------------------------
     def _on_exec(self, msg: Message) -> dict[str, Any] | None:

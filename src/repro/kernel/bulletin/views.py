@@ -38,6 +38,7 @@ from repro.kernel.bulletin.query import (
     Query,
     _project,
     _sort_key,
+    is_numeric,
 )
 from repro.kernel.query import matches
 from repro.sim import Signal
@@ -47,10 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 # -- accumulators -------------------------------------------------------------
-def _numeric(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class _Group:
     """One group's cached member keys plus per-aggregate accumulators."""
 
@@ -130,7 +127,7 @@ class MaterializedView:
             if agg.func == "count":
                 if value is not None:
                     acc["c"] += 1
-            elif _numeric(value):
+            elif is_numeric(value):
                 acc["c"] += 1
                 acc["s"] += value
                 if agg.func == "min":
@@ -151,7 +148,7 @@ class MaterializedView:
             if agg.func == "count":
                 if value is not None:
                     acc["c"] -= 1
-            elif _numeric(value):
+            elif is_numeric(value):
                 acc["c"] -= 1
                 acc["s"] -= value
                 if agg.func in ("min", "max") and acc["c"] > 0:
@@ -169,7 +166,7 @@ class MaterializedView:
         values = [
             float(self._members[k][agg.field])
             for k in group.keys
-            if _numeric(self._members.get(k, {}).get(agg.field))
+            if is_numeric(self._members.get(k, {}).get(agg.field))
         ]
         if not values:
             return None

@@ -24,14 +24,6 @@ from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.timings import ckpt_write_cost
 
 
-def _spill_tier(kernel, node_id: str, slot: str) -> dict:
-    """Aged-version spill tier on the node's local disk: a dict slot in
-    the HostOS stable store, so spilled history survives daemon restarts
-    and node crash/boot cycles and a restarted instance on the same node
-    finds its old spill."""
-    return kernel.cluster.hostos(node_id).stable_store.setdefault(slot, {})
-
-
 class CheckpointDaemon(ServiceDaemon):
     """Primary checkpoint service instance of one partition."""
 
@@ -39,10 +31,7 @@ class CheckpointDaemon(ServiceDaemon):
 
     def __init__(self, kernel, node_id: str) -> None:
         super().__init__(kernel, node_id)
-        self.store = CheckpointStore(
-            retention_window=self.timings.ckpt_retention_window,
-            spill=_spill_tier(kernel, node_id, "ckpt.spill") if self.timings.ckpt_spill_aged else None,
-        )
+        self.store = CheckpointStore()
         #: Per-key FIFO of pending saves: commits must follow arrival order,
         #: or a small (cheaper-to-write) stale save can overtake and clobber
         #: a larger fresh one while both pay the storage commit delay.
@@ -152,11 +141,7 @@ class CheckpointReplicaDaemon(ServiceDaemon):
 
     def __init__(self, kernel, node_id: str) -> None:
         super().__init__(kernel, node_id)
-        self.store = CheckpointStore(
-            retention_window=self.timings.ckpt_retention_window,
-            spill=_spill_tier(kernel, node_id, "ckpt.replica.spill")
-            if self.timings.ckpt_spill_aged else None,
-        )
+        self.store = CheckpointStore()
 
     def on_start(self) -> None:
         self.bind(ports.CKPT_REPLICA, self._dispatch)

@@ -32,33 +32,12 @@ class CheckpointStore:
     after saving, exactly like serializing to disk would isolate it).
     """
 
-    def __init__(
-        self,
-        history: int = 4,
-        retention_window: float | None = None,
-        spill: dict[str, list[dict[str, Any]]] | None = None,
-    ) -> None:
-        """``history`` caps retained versions per key (default 4 — the
-        legacy bound that also bounds bulletin ``AS OF`` reach).  A
-        ``retention_window`` (seconds) replaces the count cap with a
-        time-based policy: every version younger than the window is kept
-        (plus always the latest), so time travel reaches the whole
-        configured span back regardless of save rate.
-
-        ``spill`` (optional) is a dict-shaped stable tier — typically a
-        slot inside the node's :attr:`HostOS.stable_store` — that aged
-        versions are moved to instead of dropped; :meth:`load` falls back
-        to it when the in-memory window cannot satisfy an ``at_time`` or
-        ``version`` read, so ``AS OF`` reaches past the window."""
+    def __init__(self, history: int = 4) -> None:
+        """``history`` caps retained versions per key (default 4, which
+        also bounds bulletin ``AS OF`` reach)."""
         if history < 1:
             raise CheckpointError("history depth must be >= 1")
-        if retention_window is not None and retention_window <= 0:
-            raise CheckpointError("retention_window must be positive (or None)")
         self.history = history
-        self.retention_window = retention_window
-        self.spill = spill
-        maxlen = None if retention_window is not None else history
-        self._maxlen = maxlen
         self._entries: dict[str, deque[CheckpointEntry]] = {}
 
     def _latest(self, key: str) -> CheckpointEntry | None:
@@ -81,49 +60,12 @@ class CheckpointStore:
                 f"stale write for {key!r}: version {version} < {current.version}"
             )
         entry = CheckpointEntry(key=key, data=copy.deepcopy(data), version=version, saved_at=now)
-        versions = self._entries.setdefault(key, deque(maxlen=self._maxlen))
+        versions = self._entries.setdefault(key, deque(maxlen=self.history))
         if current is not None and version == current.version:
             versions[-1] = entry  # idempotent re-write of the same version
         else:
             versions.append(entry)
-        if self.retention_window is not None:
-            # Time-based retention: age out versions older than the
-            # window, always keeping the latest.
-            horizon = now - self.retention_window
-            while len(versions) > 1 and versions[0].saved_at < horizon:
-                aged = versions.popleft()
-                if self.spill is not None:
-                    self._spill_entry(aged)
         return version
-
-    def _spill_entry(self, entry: CheckpointEntry) -> None:
-        blobs = self.spill.setdefault(entry.key, [])
-        if blobs and blobs[-1]["version"] >= entry.version:
-            return  # already spilled (idempotent re-prune after absorb)
-        blobs.append({
-            "data": entry.data,  # already an isolated copy (deep-copied on save)
-            "version": entry.version,
-            "saved_at": entry.saved_at,
-        })
-
-    def _spill_load(
-        self, key: str, version: int | None = None, at_time: float | None = None
-    ) -> CheckpointEntry | None:
-        blobs = (self.spill or {}).get(key)
-        if not blobs:
-            return None
-        if at_time is not None:
-            blob = next((b for b in reversed(blobs) if b["saved_at"] <= at_time), None)
-        else:
-            blob = next((b for b in blobs if b["version"] == version), None)
-        if blob is None:
-            return None
-        return CheckpointEntry(
-            key=key,
-            data=copy.deepcopy(blob["data"]),
-            version=blob["version"],
-            saved_at=blob["saved_at"],
-        )
 
     def load(
         self, key: str, version: int | None = None, at_time: float | None = None
@@ -142,15 +84,12 @@ class CheckpointStore:
             entry = next(
                 (e for e in reversed(versions) if e.saved_at <= at_time), None
             )
-            if entry is None:
-                # Aged out of the in-memory window: try the spill tier.
-                return self._spill_load(key, at_time=at_time)
         elif version is None:
             entry = versions[-1]
         else:
             entry = next((e for e in versions if e.version == version), None)
-            if entry is None:
-                return self._spill_load(key, version=version)
+        if entry is None:
+            return None
         return CheckpointEntry(
             key=entry.key,
             data=copy.deepcopy(entry.data),
@@ -159,14 +98,10 @@ class CheckpointStore:
         )
 
     def versions(self, key: str) -> list[int]:
-        """Retained version numbers of ``key``, oldest first (spilled
-        aged versions included when a spill tier is configured)."""
-        spilled = [b["version"] for b in (self.spill or {}).get(key, ())]
-        return spilled + [e.version for e in self._entries.get(key, ())]
+        """Retained version numbers of ``key``, oldest first."""
+        return [e.version for e in self._entries.get(key, ())]
 
     def delete(self, key: str) -> bool:
-        if self.spill is not None:
-            self.spill.pop(key, None)
         return self._entries.pop(key, None) is not None
 
     def keys(self) -> list[str]:

@@ -446,13 +446,6 @@ class EventServiceDaemon(ServiceDaemon):
                 )
                 sent = self.send(sub.node, sub.port, ports.ES_EVENT, {"event": event.to_payload()})
                 span.end(ok=sent)
-                # Per-consumer SLO tracking (opt-in): the same publish→
-                # consumer latency, bucketed per subscription so one slow
-                # consumer stands out from the aggregate histogram.
-                if self.timings.es_deliver_slo is not None:
-                    self.sim.trace.observe(
-                        f"es.deliver.to.{sub.consumer_id}", self.sim.now - event.time
-                    )
 
     def _ckpt_key(self) -> str:
         return f"{CKPT_KEY}.{self.partition_id}"
@@ -507,10 +500,4 @@ class EventServiceDaemon(ServiceDaemon):
         row["outbox_depth"] = self.outbox_depth()
         row["published"] = self.published
         row["delivered"] = self.delivered
-        # Per-consumer delivery histograms ride along when SLO tracking is
-        # on, so health_report/alerts() see each subscription's tail.
-        if self.timings.es_deliver_slo is not None:
-            for name, hist in self.sim.trace.histograms("es.deliver.to.").items():
-                if hist.count:
-                    row["hist"][name] = hist.summary()
         return row

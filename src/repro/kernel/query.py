@@ -89,54 +89,3 @@ def matches(where: dict[str, Any] | None, row: dict[str, Any]) -> bool:
             return False
     return True
 
-
-# -- aggregation (bulletin push-down) -----------------------------------------
-
-
-def aggregate_rows(rows: list[dict[str, Any]], fields: list[str]) -> dict[str, dict[str, float]]:
-    """Partial aggregates of numeric ``fields`` over ``rows``.
-
-    Returns ``{field: {sum, count, min, max}}`` — a mergeable partial, so
-    federation members can aggregate locally and the access point combines
-    without shipping rows (the push-down the §5.3 ablation measures).
-    Non-numeric or missing values are skipped.
-    """
-    out: dict[str, dict[str, float]] = {}
-    for field in fields:
-        values = [
-            row[field] for row in rows
-            if isinstance(row.get(field), (int, float)) and not isinstance(row.get(field), bool)
-        ]
-        if values:
-            out[field] = {
-                "sum": float(sum(values)),
-                "count": float(len(values)),
-                "min": float(min(values)),
-                "max": float(max(values)),
-            }
-        else:
-            out[field] = {"sum": 0.0, "count": 0.0, "min": float("inf"), "max": float("-inf")}
-    return out
-
-
-def merge_aggregates(
-    parts: list[dict[str, dict[str, float]]]
-) -> dict[str, dict[str, float]]:
-    """Combine partial aggregates from several federation members."""
-    merged: dict[str, dict[str, float]] = {}
-    for part in parts:
-        for field, agg in part.items():
-            if field not in merged:
-                merged[field] = dict(agg)
-            else:
-                m = merged[field]
-                m["sum"] += agg["sum"]
-                m["count"] += agg["count"]
-                m["min"] = min(m["min"], agg["min"])
-                m["max"] = max(m["max"], agg["max"])
-    return merged
-
-
-def aggregate_mean(agg: dict[str, float]) -> float:
-    """Mean from one field's merged partial (nan when empty)."""
-    return agg["sum"] / agg["count"] if agg["count"] else float("nan")

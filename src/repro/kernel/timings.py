@@ -130,29 +130,6 @@ class KernelTimings:
     #: Detector sampling/export period (drives monitoring freshness).
     detector_interval: float = 5.0
 
-    #: Per-consumer delivery SLO, seconds of publish→consumer p99 latency:
-    #: when set, each ES daemon feeds a per-subscription latency histogram
-    #: (``es.deliver.to.<consumer_id>``) and the monitoring layer's
-    #: ``alerts()`` fires a warning for any consumer whose p99 exceeds the
-    #: ceiling — so one slow consumer is visible even when the aggregate
-    #: ``es.deliver`` histogram looks healthy.  ``None`` (default) disables
-    #: them, keeping paper-calibrated trace output identical.
-    es_deliver_slo: float | None = None
-
-    #: Time-based retention window (seconds) for checkpoint history — the
-    #: store that backs bulletin ``AS OF`` time travel.  ``None`` (default)
-    #: keeps the legacy fixed cap of 4 versions per key; a window keeps
-    #: every version younger than the window (plus always the latest), so
-    #: ``AS OF`` reaches the full configured span back.
-    ckpt_retention_window: float | None = None
-    #: Spill versions aged past ``ckpt_retention_window`` to the
-    #: checkpoint service's stable store instead of dropping them, so
-    #: ``AS OF`` reads reach back beyond the in-memory window (the spilled
-    #: tier is consulted only when the in-memory history cannot satisfy a
-    #: read).  Off by default: the in-memory-only history keeps the
-    #: paper-calibrated benchmarks byte-identical.
-    ckpt_spill_aged: bool = False
-
     #: Emit ``placement.committed`` / ``ckpt.committed`` /
     #: ``leader.claimed`` trace marks on every *accepted* leadership
     #: placement write, ``gsd.state`` checkpoint commit, and boot-time
@@ -178,10 +155,6 @@ class KernelTimings:
             raise KernelError("heartbeat_interval must be positive")
         if self.deadline_grace <= 0:
             raise KernelError("deadline_grace must be positive")
-        if self.es_deliver_slo is not None and self.es_deliver_slo <= 0:
-            raise KernelError("es_deliver_slo must be positive (or None)")
-        if self.ckpt_retention_window is not None and self.ckpt_retention_window <= 0:
-            raise KernelError("ckpt_retention_window must be positive (or None)")
         if self.health_report_interval is not None and self.health_report_interval <= 0:
             raise KernelError("health_report_interval must be positive (or None)")
 

@@ -67,6 +67,9 @@ def validate_profile(profile: dict[str, Any]) -> None:
     bad = set(envs) - {"gridview", "pws", "business"}
     if bad:
         raise UserEnvError(f"unknown environments: {sorted(bad)}")
+    bad = set(envs.get("gridview") or {}) - {"refresh_interval"}
+    if bad:
+        raise UserEnvError(f"unknown gridview keys: {sorted(bad)}")
     pws = envs.get("pws")
     if pws is not None:
         pools = pws.get("pools")
@@ -120,9 +123,7 @@ def deploy_profile(
 
         cfg = envs["gridview"]
         handles["gridview"] = install_gridview(
-            kernel,
-            refresh_interval=float(cfg.get("refresh_interval", 30.0)),
-            aggregate_mode=bool(cfg.get("aggregate", False)),
+            kernel, refresh_interval=float(cfg.get("refresh_interval", 30.0)),
         )
     if "pws" in envs:
         from repro.userenv.pws import PoolSpec, install_pws

@@ -291,8 +291,8 @@ class Alert:
     """One fired alert rule."""
 
     severity: str  # "warning" | "critical"
-    rule: str  # "health.stale" | "latency.p99" | "es.deliver.slo"
-    subject: str  # daemon name, histogram name, or consumer id
+    rule: str  # "health.stale" | "latency.p99" | "bizreq.slo" | ...
+    subject: str  # daemon name, histogram name, request class, ...
     value: float
     message: str
 
@@ -305,10 +305,6 @@ DEFAULT_P99_LIMITS = {
     "rpc.call": 1.0,
     "db.query": 1.0,
 }
-
-#: Histogram-name prefix of the per-subscription delivery latency
-#: distributions fed when ``KernelTimings.es_deliver_slo`` is set.
-CONSUMER_SLO_PREFIX = "es.deliver.to."
 
 #: Histogram-name prefix of the per-class business-request latency
 #: distributions fed by the serving tier's traffic generator.
@@ -323,7 +319,6 @@ DEFAULT_VIEW_STALENESS_LIMIT = 1.0
 def alerts(
     report: dict[str, Any],
     p99_limits: dict[str, float] | None = None,
-    consumer_slo: float | None = None,
     class_slos: dict[str, float] | None = None,
     view_stats: dict[str, dict[str, Any]] | None = None,
     view_staleness_limit: float | None = None,
@@ -331,18 +326,13 @@ def alerts(
 ) -> list[Alert]:
     """Evaluate alert rules over a :func:`health_report` dict.
 
-    Six rule families:
+    Five rule families:
 
     * ``health.stale`` (critical) — a daemon's last ``kernel.health``
       self-report is older than the report's staleness threshold (its
       heartbeat analog at the monitoring layer);
     * ``latency.p99`` (warning) — a spine latency histogram's p99 exceeds
       its ceiling from ``p99_limits`` (default :data:`DEFAULT_P99_LIMITS`);
-    * ``es.deliver.slo`` (warning) — a *per-consumer* delivery histogram
-      (``es.deliver.to.<consumer_id>``, fed when
-      ``KernelTimings.es_deliver_slo`` is set) has a p99 past
-      ``consumer_slo`` (default: the aggregate ``es.deliver`` ceiling), so
-      one slow subscription pages even when the aggregate looks healthy;
     * ``bizreq.slo`` (warning) — a per-request-class latency histogram
       (``bizreq.latency.<class>``, fed by the serving tier) has a p99
       past that class's objective in ``class_slos``;
@@ -389,25 +379,6 @@ def alerts(
                     subject=hist_name,
                     value=p99,
                     message=f"{hist_name} p99 {p99 * 1e3:.1f}ms exceeds {limit * 1e3:.0f}ms",
-                )
-            )
-    slo = limits.get("es.deliver", 0.5) if consumer_slo is None else consumer_slo
-    for hist_name, summary in sorted(report.get("latency", {}).items()):
-        if not hist_name.startswith(CONSUMER_SLO_PREFIX) or not summary:
-            continue
-        p99 = float(summary.get("p99", 0.0))
-        if p99 > slo:
-            consumer = hist_name[len(CONSUMER_SLO_PREFIX):]
-            fired.append(
-                Alert(
-                    severity="warning",
-                    rule="es.deliver.slo",
-                    subject=consumer,
-                    value=p99,
-                    message=(
-                        f"consumer {consumer} delivery p99 {p99 * 1e3:.1f}ms "
-                        f"exceeds SLO {slo * 1e3:.0f}ms"
-                    ),
                 )
             )
     for cls, cls_slo in sorted((class_slos or {}).items()):

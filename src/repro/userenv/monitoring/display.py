@@ -8,6 +8,7 @@ matrix — as text.
 
 from __future__ import annotations
 
+from repro.kernel.bulletin.query import is_numeric
 from repro.kernel.events.types import Event
 from repro.userenv.monitoring.gridview import ClusterSnapshot
 
@@ -29,8 +30,9 @@ def render_snapshot(snapshot: ClusterSnapshot, columns: int = 8) -> str:
     lines.append("")
     cells = []
     for node_id in sorted(snapshot.per_node):
-        row = snapshot.per_node[node_id]
-        cells.append(f"{node_id:>6}:{row['cpu_pct']:5.1f}%")
+        cpu = snapshot.per_node[node_id].get("cpu_pct")
+        if is_numeric(cpu):  # a malformed row has no cell, as in the banner
+            cells.append(f"{node_id:>6}:{cpu:5.1f}%")
     for i in range(0, len(cells), columns):
         lines.append("  ".join(cells[i : i + columns]))
     return "\n".join(lines)

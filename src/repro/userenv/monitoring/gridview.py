@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.cluster.message import Message
 from repro.kernel import ports
+from repro.kernel.bulletin.query import Agg, Query, is_numeric
 from repro.kernel.bulletin.service import TABLE_NODE_METRICS, TABLE_NODE_STATE
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
@@ -39,8 +40,6 @@ CLUSTER_VIEW = "gridview.cluster"
 def cluster_view_query():
     """The console's one registered view: per-state node counts plus the
     mergeable sums/counts behind the banner averages."""
-    from repro.kernel.bulletin.query import Agg, Query
-
     return Query(
         table="nodes",
         group_by=("state",),
@@ -66,6 +65,14 @@ def torn_partitions(a: dict[str, int] | None, b: dict[str, int] | None) -> list[
     return sorted(p for p in a.keys() & b.keys() if a[p] != b[p])
 
 
+def _mean(rows: list[dict[str, Any]], field_name: str) -> float:
+    """Mean of one metric over the rows that carry a number for it: any
+    node can put into ``node_metrics``, and one malformed row must not
+    take the console (or the simulation) down."""
+    values = [r[field_name] for r in rows if is_numeric(r.get(field_name))]
+    return sum(values) / len(values) if values else 0.0
+
+
 @dataclass
 class ClusterSnapshot:
     """One refresh's aggregated view (what Figure 6 renders)."""
@@ -88,17 +95,12 @@ class GridView(ServiceDaemon):
 
     def __init__(self, kernel, node_id: str, refresh_interval: float = 10.0,
                  keep_snapshots: int = 16, event_log_size: int = 200,
-                 aggregate_mode: bool = False, view_mode: bool = False) -> None:
+                 view_mode: bool = False) -> None:
         super().__init__(kernel, node_id)
         self.refresh_interval = refresh_interval
         self.snapshots: deque[ClusterSnapshot] = deque(maxlen=keep_snapshots)
         self.event_log: deque[Event] = deque(maxlen=event_log_size)
         self.refreshes = 0
-        #: With aggregate_mode, the banner averages are computed by the
-        #: bulletin federation itself (aggregate push-down): O(partitions)
-        #: bytes per refresh instead of O(nodes), at the cost of losing
-        #: the per-node grid.
-        self.aggregate_mode = aggregate_mode
         #: With view_mode, the console registers one materialized view
         #: (:data:`CLUSTER_VIEW`) at startup and each refresh is a single
         #: O(groups) read of it — no fan-out, no torn reads by
@@ -158,9 +160,6 @@ class GridView(ServiceDaemon):
         if self.view_mode:
             yield from self._refresh_view(started)
             return
-        if self.aggregate_mode:
-            yield from self._refresh_aggregate(started, db_node)
-            return
         metrics_reply = state_reply = None
         for attempt in range(3):
             metrics_reply = yield self.rpc(
@@ -197,15 +196,14 @@ class GridView(ServiceDaemon):
         rows = metrics_reply.get("rows", [])
         down = [r["_key"] for r in state_reply.get("rows", []) if r.get("state") == "down"]
         reporting = [r for r in rows if r["_key"] not in down]
-        n = len(reporting)
         snapshot = ClusterSnapshot(
             time=self.sim.now,
             node_count=self.cluster.size,
-            nodes_reporting=n,
+            nodes_reporting=len(reporting),
             nodes_down=len(down),
-            avg_cpu_pct=sum(r["cpu_pct"] for r in reporting) / n if n else 0.0,
-            avg_mem_pct=sum(r["mem_pct"] for r in reporting) / n if n else 0.0,
-            avg_swap_pct=sum(r["swap_pct"] for r in reporting) / n if n else 0.0,
+            avg_cpu_pct=_mean(reporting, "cpu_pct"),
+            avg_mem_pct=_mean(reporting, "mem_pct"),
+            avg_swap_pct=_mean(reporting, "swap_pct"),
             partitions_missing=list(metrics_reply.get("partitions_missing", [])),
             per_node={r["_key"]: r for r in rows},
         )
@@ -270,47 +268,6 @@ class GridView(ServiceDaemon):
             view=True,
         )
 
-    def _refresh_aggregate(self, started: float, db_node: str):
-        from repro.kernel.query import aggregate_mean
-
-        metrics_reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_QUERY,
-            {
-                "table": TABLE_NODE_METRICS, "where": None, "scope": "global",
-                "aggregate": ["cpu_pct", "mem_pct", "swap_pct"],
-            },
-            timeout=30.0,
-        )
-        state_reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_QUERY,
-            {"table": TABLE_NODE_STATE, "where": {"state": "down"}, "scope": "global"},
-            timeout=30.0,
-        )
-        if metrics_reply is None or state_reply is None or "aggregate" not in metrics_reply:
-            self.sim.trace.mark("gridview.refresh_failed", node=self.node_id)
-            return
-        agg = metrics_reply["aggregate"]
-        down = state_reply.get("rows", [])
-        snapshot = ClusterSnapshot(
-            time=self.sim.now,
-            node_count=self.cluster.size,
-            nodes_reporting=int(metrics_reply.get("row_count", 0)),
-            nodes_down=len(down),
-            avg_cpu_pct=aggregate_mean(agg["cpu_pct"]),
-            avg_mem_pct=aggregate_mean(agg["mem_pct"]),
-            avg_swap_pct=aggregate_mean(agg["swap_pct"]),
-            partitions_missing=list(metrics_reply.get("partitions_missing", [])),
-        )
-        self.snapshots.append(snapshot)
-        self.refreshes += 1
-        self.sim.trace.mark(
-            "gridview.refresh",
-            latency=self.sim.now - started,
-            rows=snapshot.nodes_reporting,
-            missing=len(snapshot.partitions_missing),
-            aggregate=True,
-        )
-
     # -- accessors -----------------------------------------------------------
     @property
     def latest(self) -> ClusterSnapshot | None:
@@ -321,14 +278,13 @@ class GridView(ServiceDaemon):
 
 
 def install_gridview(kernel, node_id: str | None = None, refresh_interval: float = 10.0,
-                     aggregate_mode: bool = False, view_mode: bool = False) -> GridView:
+                     view_mode: bool = False) -> GridView:
     """Start GridView on ``node_id`` (default: first partition's backup node,
     a stand-in for the operator console)."""
     target = node_id or kernel.cluster.partitions[0].backups[0]
 
     def factory(k, node):
-        return GridView(k, node, refresh_interval=refresh_interval,
-                        aggregate_mode=aggregate_mode, view_mode=view_mode)
+        return GridView(k, node, refresh_interval=refresh_interval, view_mode=view_mode)
 
     kernel.registry.register("gridview", factory)
     return kernel.start_service("gridview", target)

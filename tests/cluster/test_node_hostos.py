@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.cluster import Cluster, ClusterSpec, FaultInjector
+from repro.cluster.hostos import HostOS
 from repro.errors import ClusterError, NodeDown
+from repro.kernel import PhoenixKernel
+from repro.sim import Simulator
 
 
 def test_node_starts_up_with_free_cpus(cluster):
@@ -150,3 +154,34 @@ def test_adopt_on_dead_process_rejected(cluster):
 
     with pytest.raises(ClusterError, match="dead"):
         hp.adopt(loop())
+
+
+def test_hostos_stable_store_roundtrip_is_isolated():
+    sim = Simulator(seed=1)
+    cluster = Cluster(sim, ClusterSpec.build(partitions=1, computes=1))
+    host = cluster.hostos("p0c0")
+    assert isinstance(host, HostOS)
+    payload = {"inner": [1, 2]}
+    host.stable_write("slot", payload)
+    payload["inner"].append(3)  # caller's copy mutating must not leak in
+    first = host.stable_read("slot")
+    assert first == {"inner": [1, 2]}
+    first["inner"].append(4)  # nor the reader's copy leak back
+    assert host.stable_read("slot") == {"inner": [1, 2]}
+    host.stable_delete("slot")
+    assert host.stable_read("slot", default="gone") == "gone"
+
+
+def test_stable_store_survives_node_crash_and_boot():
+    sim = Simulator(seed=1)
+    cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=2))
+    kernel = PhoenixKernel(cluster)
+    kernel.boot()
+    sim.run(until=5.0)
+    cluster.hostos("p0c0").stable_write("marker", {"epoch": 7})
+    injector = FaultInjector(cluster)
+    injector.crash_node("p0c0")
+    sim.run(until=sim.now + 5.0)
+    injector.boot_node("p0c0")
+    sim.run(until=sim.now + 5.0)
+    assert cluster.hostos("p0c0").stable_read("marker") == {"epoch": 7}

@@ -147,33 +147,3 @@ def test_delivery_counters(kernel, sim):
     assert sim.trace.counter("es.published") >= 1
     assert sim.trace.counter("es.delivered") >= 1
 
-
-# -- per-consumer delivery SLO (engine fast-path PR) --------------------------
-
-
-def test_per_consumer_slo_histograms_off_by_default(kernel, sim):
-    subscribe_collector(kernel, sim, "p0c0", "c1", types=(ev.NODE_FAILURE,))
-    publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "x"})
-    sim.run(until=sim.now + 0.5)
-    assert sim.trace.histograms("es.deliver.to.") == {}
-
-
-def test_per_consumer_slo_histograms_and_health_snapshot(sim):
-    from repro.cluster import Cluster, ClusterSpec
-    from repro.kernel import KernelTimings, PhoenixKernel
-
-    cluster = Cluster(sim, ClusterSpec.build(partitions=1, computes=2))
-    kernel = PhoenixKernel(cluster, timings=KernelTimings(es_deliver_slo=0.05))
-    kernel.boot()
-    sim.run(until=1.0)
-    inbox = subscribe_collector(kernel, sim, "p0c0", "c1", types=(ev.NODE_FAILURE,))
-    publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "x"})
-    sim.run(until=sim.now + 0.5)
-    assert len(inbox) == 1
-    hists = sim.trace.histograms("es.deliver.to.")
-    assert list(hists) == ["es.deliver.to.c1"]
-    assert hists["es.deliver.to.c1"].count == 1
-    # The ES health snapshot carries the per-consumer tail for alerts().
-    row = kernel.es("p0").health_snapshot()
-    assert "es.deliver.to.c1" in row["hist"]
-    assert row["hist"]["es.deliver.to.c1"]["count"] == 1

@@ -1,19 +1,11 @@
-"""Predicate language + aggregation unit and integration tests."""
-
-import math
+"""Predicate language unit and integration tests."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import KernelError
-from repro.kernel.query import (
-    aggregate_mean,
-    aggregate_rows,
-    matches,
-    merge_aggregates,
-    validate_where,
-)
+from repro.kernel.query import matches, validate_where
 from repro.sim import drive
 
 # -- matcher unit tests --------------------------------------------------------
@@ -85,47 +77,7 @@ def test_property_comparison_ops_consistent(actual, threshold):
     assert matches({"v": {"op": "<=", "value": threshold}}, row) == (actual <= threshold)
 
 
-# -- aggregation unit tests ----------------------------------------------------
-
-
-def test_aggregate_rows_basic():
-    rows = [{"cpu": 10.0}, {"cpu": 30.0}, {"cpu": 20.0, "mem": 5.0}]
-    agg = aggregate_rows(rows, ["cpu", "mem"])
-    assert agg["cpu"] == {"sum": 60.0, "count": 3.0, "min": 10.0, "max": 30.0}
-    assert agg["mem"]["count"] == 1.0
-
-
-def test_aggregate_skips_non_numeric_and_bools():
-    rows = [{"v": 1}, {"v": "x"}, {"v": True}, {"v": 2.5}]
-    agg = aggregate_rows(rows, ["v"])
-    assert agg["v"]["count"] == 2.0
-    assert agg["v"]["sum"] == 3.5
-
-
-def test_aggregate_empty():
-    agg = aggregate_rows([], ["v"])
-    assert agg["v"]["count"] == 0.0
-    assert math.isnan(aggregate_mean(agg["v"]))
-
-
-def test_merge_aggregates():
-    a = aggregate_rows([{"v": 1.0}, {"v": 3.0}], ["v"])
-    b = aggregate_rows([{"v": 5.0}], ["v"])
-    merged = merge_aggregates([a, b])
-    assert merged["v"] == {"sum": 9.0, "count": 3.0, "min": 1.0, "max": 5.0}
-    assert aggregate_mean(merged["v"]) == pytest.approx(3.0)
-
-
-@given(st.lists(st.lists(st.floats(-1e6, 1e6), max_size=10), min_size=1, max_size=5))
-def test_property_merge_equals_flat_aggregate(groups):
-    parts = [aggregate_rows([{"v": x} for x in group], ["v"]) for group in groups]
-    merged = merge_aggregates(parts)
-    flat = aggregate_rows([{"v": x} for group in groups for x in group], ["v"])
-    for key in ("sum", "count", "min", "max"):
-        assert merged["v"][key] == pytest.approx(flat["v"][key])
-
-
-# -- integration: operators + aggregate push-down over the federation ---------
+# -- integration: operators over the federation -------------------------------
 
 
 def test_bulletin_query_with_operator_where(kernel, sim):
@@ -139,18 +91,6 @@ def test_bulletin_query_with_operator_where(kernel, sim):
     reply = drive(sim, kernel.client("p0c0").query_bulletin(
         "load", where={"cpu": {"op": ">", "value": 50}}))
     assert sorted(r["_key"] for r in reply["rows"]) == ["b", "c"]
-
-
-def test_bulletin_aggregate_pushdown(kernel, sim):
-    sim.run(until=sim.now + 6.0)  # detectors exported node_metrics
-    reply = drive(sim, kernel.client("p0c0").query_bulletin(
-        "node_metrics", aggregate=["cpu_pct", "mem_pct"]))
-    assert reply is not None and "aggregate" in reply
-    assert reply["row_count"] == kernel.cluster.size
-    assert "rows" not in reply
-    mean_cpu = aggregate_mean(reply["aggregate"]["cpu_pct"])
-    assert 0.0 < mean_cpu < 30.0
-    assert reply["aggregate"]["cpu_pct"]["count"] == kernel.cluster.size
 
 
 def test_bulletin_invalid_where_rejected_cleanly(kernel, sim):

@@ -228,18 +228,6 @@ def test_global_query_full_coverage_through_region_fanout():
     assert set(reply["watermarks"]) == {f"p{i}" for i in range(6)}
 
 
-def test_global_aggregate_composes_across_regions():
-    sim, cluster, kernel = boot_two_tier(until=35.0)
-    client = kernel.client("p0c0")
-    reply = drive(
-        sim, client.query_bulletin("node_metrics", aggregate=("cpu_pct",)), max_time=30.0
-    )
-    assert reply is not None and reply["partitions_missing"] == []
-    agg = reply["aggregate"]["cpu_pct"]
-    assert agg["count"] == cluster.size
-    assert agg["min"] <= agg["sum"] / agg["count"] <= agg["max"]
-
-
 def test_exec_query_group_by_covers_all_partitions():
     sim, cluster, kernel = boot_two_tier(until=35.0)
     client = kernel.client("p5c0")

@@ -85,22 +85,6 @@ def test_trace_command_custom_root_category(tmp_path, capsys):
     assert "no closed 'gsd.failover'" not in out
 
 
-def test_trace_command_surfaces_per_consumer_slo_alert(tmp_path, capsys):
-    """`python -m repro trace` pages on a slow ES subscription from an
-    exported trace (the per-consumer `es.deliver.slo` rule)."""
-    from repro.sim.trace import Trace
-
-    trace = Trace()
-    for _ in range(20):
-        trace.observe("es.deliver", 0.01)  # aggregate healthy
-        trace.observe("es.deliver.to.slowpoke", 0.9)  # one consumer is not
-    path = tmp_path / "export.jsonl"
-    trace.export_jsonl(str(path))
-    assert main(["trace", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "es.deliver.slo" in out and "slowpoke" in out
-
-
 def test_query_command_default(capsys):
     assert main(["query", "--warm", "20", "--partitions", "2", "--computes", "2"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.kernel import ports
+from repro.sim import drive
 from repro.userenv.monitoring import install_gridview, render_events, render_snapshot
 
 
@@ -80,13 +82,12 @@ def test_render_events(kernel, sim, gridview, injector):
     assert "node.failure" in text
 
 
-@pytest.mark.parametrize("aggregate_mode", [False, True])
-def test_lost_state_reply_is_a_failed_refresh(kernel, sim, injector, aggregate_mode):
+def test_lost_state_reply_is_a_failed_refresh(kernel, sim, injector):
     """A refresh whose ``node_state`` read went unanswered must not publish
     a snapshot: joined with nothing, every dead node would count as up."""
     injector.crash_node("p1c0")
     sim.run(until=sim.now + 30.0)  # detected, diagnosed, state row says down
-    gv = install_gridview(kernel, refresh_interval=10.0, aggregate_mode=aggregate_mode)
+    gv = install_gridview(kernel, refresh_interval=10.0)
     answered = gv.rpc
 
     def rpc(dst_node, dst_port, mtype, payload=None, **kwargs):
@@ -101,3 +102,24 @@ def test_lost_state_reply_is_a_failed_refresh(kernel, sim, injector, aggregate_m
     assert len(sim.trace.records("gridview.refresh_failed")) >= 2
     assert sim.trace.records("gridview.refresh") == []
     assert gv.latest is None
+
+
+def test_malformed_metrics_rows_do_not_stop_the_refresh(kernel, sim, gridview):
+    """Any node may put into ``node_metrics``: a row without numbers is
+    skipped by the banner averages instead of raising out of the run."""
+    db = kernel.placement[("db", "p0")]
+    for key, row in (("junk", {"note": "hi"}),
+                     ("odd", {"cpu_pct": True, "mem_pct": "x", "swap_pct": None})):
+        drive(sim, kernel.cluster.transport.rpc(
+            "p0c0", db, ports.DB, ports.DB_PUT,
+            {"table": "node_metrics", "key": key, "row": row}))
+    before = gridview.refreshes
+    sim.run(until=sim.now + 10.0)
+    assert gridview.refreshes == before + 1
+    snap = gridview.latest
+    assert {"junk", "odd"} <= set(snap.per_node)
+    nodes = [snap.per_node[n] for n in kernel.cluster.nodes]
+    for field, avg in (("cpu_pct", snap.avg_cpu_pct), ("mem_pct", snap.avg_mem_pct),
+                       ("swap_pct", snap.avg_swap_pct)):
+        assert avg == pytest.approx(sum(r[field] for r in nodes) / len(nodes))
+    assert "junk" not in render_snapshot(snap)

@@ -237,34 +237,6 @@ def test_alerts_custom_limits_and_latency_only_report():
     assert len(fired) == 1 and fired[0].rule == "latency.p99"
 
 
-def test_alerts_per_consumer_slo_rule():
-    """One slow subscription pages even when the aggregate looks healthy."""
-    report = {"latency": {
-        "es.deliver": {"count": 100, "p50": 0.01, "p95": 0.05, "p99": 0.1},
-        "es.deliver.to.slowpoke": {"count": 10, "p50": 0.2, "p95": 0.8, "p99": 0.9},
-        "es.deliver.to.ok": {"count": 10, "p50": 0.01, "p95": 0.05, "p99": 0.1},
-    }}
-    fired = alerts(report)
-    assert [(a.severity, a.rule, a.subject) for a in fired] == [
-        ("warning", "es.deliver.slo", "slowpoke"),
-    ]
-    assert fired[0].value == pytest.approx(0.9)
-    # A tighter explicit SLO catches both consumers; a loose one, neither.
-    assert len(alerts(report, consumer_slo=0.05)) == 2
-    assert alerts(report, consumer_slo=2.0) == []
-
-
-def test_consumer_slo_defaults_to_aggregate_ceiling():
-    """With no explicit SLO, the per-consumer ceiling follows the
-    ``es.deliver`` entry of ``p99_limits``."""
-    report = {"latency": {
-        "es.deliver.to.c1": {"count": 5, "p50": 0.1, "p95": 0.2, "p99": 0.3},
-    }}
-    assert alerts(report) == []  # default aggregate ceiling is 0.5 s
-    fired = alerts(report, p99_limits={"es.deliver": 0.25})
-    assert [(a.rule, a.subject) for a in fired] == [("es.deliver.slo", "c1")]
-
-
 def test_alerts_view_staleness_rule():
     """A lagging materialized view pages; a current one stays quiet."""
     report = {"latency": {}}

@@ -37,8 +37,13 @@ def test_validate_accepts_good_profile():
     # One value in use anywhere: module constants since PR 18.
     (lambda p: p["kernel"].update(es_forward_batch_max=8), "unknown kernel timing"),
     (lambda p: p["kernel"].update(es_outbox_max=16), "unknown kernel timing"),
+    # Knobs only tests turned went with their features.
+    (lambda p: p["kernel"].update(es_deliver_slo=0.05, ckpt_retention_window=6.0,
+                                  ckpt_spill_aged=True), "unknown kernel timing"),
     (lambda p: p["users"].append({"name": "x"}), "user entry"),
     (lambda p: p["environments"].update(slurm={}), "unknown environments"),
+    # GridView aggregates through the bulletin's one query path; no push-down key.
+    (lambda p: p["environments"]["gridview"].update(aggregate=True), "unknown gridview keys"),
     (lambda p: p["environments"]["pws"].update(pools=[]), "at least one pool"),
     (lambda p: p["environments"]["pws"]["pools"].append({"name": "bad"}), "partitions/nodes"),
 ])
