@@ -15,7 +15,8 @@ Acceptance gates (``--check``):
 * zero lost-capacity drift: after the kill/heal/recover churn,
   ``capacity == free + placed`` reconciles exactly on every up worker
   (:meth:`BusinessRuntime.capacity_audit`),
-* the SLA event pair (violated/restored) is never left dangling.
+* the SLA event pair (violated/restored) is never left dangling,
+* no request is still queued or in service once the drain ends.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class ServeResult:
     sla_restores: int = 0
     killed_node: str | None = None
     events_executed: int = 0
+    #: Requests still queued or in service after the drain.
+    unfinished: int = 0
 
 
 def run_serve_campaign(
@@ -152,7 +155,7 @@ def run_serve_campaign(
     if kill:
         sim.run(until=kill_at)
         state = runtime.apps[APP]
-        victim = next(r.node for r in state.tier_replicas("web") if r.healthy)
+        victim = state.routes["web"][0].node
         injector.crash_node(victim)
         sim.run(until=recover_at)
         injector.boot_node(victim)
@@ -175,6 +178,7 @@ def run_serve_campaign(
         classes=generator.class_summary(),
         killed_node=victim,
         events_executed=sim.events_executed,
+        unfinished=generator.inflight,
     )
     for entry in result.classes.values():
         result.completed += entry["completed"]
@@ -237,6 +241,9 @@ def check_serve(result: ServeResult) -> list[str]:
     if result.generated and result.completed / result.generated < 0.97:
         problems.append(
             f"completed {result.completed}/{result.generated} < 97%")
+    if result.unfinished:
+        problems.append(
+            f"{result.unfinished} requests still queued or in service after the drain")
     for name, entry in sorted(result.classes.items()):
         if not entry["completed"]:
             problems.append(f"class {name}: no completions")

@@ -175,22 +175,38 @@ class Proc:
             on_exit(self)
 
     def _park(self, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            yielded = Timeout(yielded)
-        if isinstance(yielded, Timeout):
-            self._pending = self.sim.schedule(yielded.delay, self._step, None)
-        elif isinstance(yielded, Proc):
-            self._waiting_on = yielded.done
-            yielded.done._register(self)
+        # A plain number (the hot case) is recognised by its exact type and
+        # scheduled without building a Timeout.
+        kind = type(yielded)
+        if kind is float or kind is int:
+            delay = yielded
         elif isinstance(yielded, Signal):
             self._waiting_on = yielded
             yielded._register(self)
+            return
+        elif isinstance(yielded, Proc):
+            self._waiting_on = yielded.done
+            yielded.done._register(self)
+            return
+        elif isinstance(yielded, Timeout):
+            delay = yielded.delay
+        elif isinstance(yielded, (int, float)):  # bool, NumPy scalars
+            delay = float(yielded)
         else:
-            self.state = ProcState.FAILED
-            err = SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
-            self.exception = err
-            self._finish(None)
-            raise err
+            self._fail(SimulationError(
+                f"process {self.name!r} yielded unsupported {yielded!r}"))
+        if not 0.0 <= delay < math.inf:  # NaN fails both
+            self._fail(SimulationError(
+                f"process {self.name!r} yielded invalid sleep {yielded!r}"))
+        sim = self.sim
+        self._pending = sim._schedule(sim._now + delay, 0, self._step, (None,))
+
+    def _fail(self, err: SimulationError) -> None:
+        """End the process as FAILED with ``err`` and raise it."""
+        self.state = ProcState.FAILED
+        self.exception = err
+        self._finish(None)
+        raise err
 
     def _wake_soon(self, value: Any) -> None:
         """Called by a fired signal: resume on the next event slot."""

@@ -109,8 +109,8 @@ class RequestDriver:
     def _pick(self, tier: str) -> ReplicaServer | None:
         healthy = [
             self._servers[r.job_id]
-            for r in self.runtime.apps[self.app].tier_replicas(tier)
-            if r.healthy and r.job_id in self._servers
+            for r in self.runtime.apps[self.app].routes.get(tier, ())
+            if r.job_id in self._servers
         ]
         if not healthy:
             return None

@@ -99,15 +99,43 @@ class AppState:
     _down_since: float | None = None
     #: Has a violated-SLA alert been raised and not yet cleared?
     alerted_down: bool = False
+    #: Per tier, its healthy replicas in ``replicas`` order: what requests
+    #: are routed over and admitted against.  Derived state, written only
+    #: by :meth:`set_replica`; each list is updated in place, so a holder
+    #: of one always reads the current set.
+    routes: dict[str, list[Replica]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.routes = {t.name: [] for t in self.spec.tiers}
+        for tier in self.routes:
+            self._reroute(tier)
+
+    def set_replica(self, replica: Replica, healthy: bool, member: bool = True) -> bool:
+        """The one writer of replica health and membership.
+
+        Sets ``replica.healthy``, appends the replica to ``replicas``
+        (``member`` and not there yet) or removes it (not ``member``), and
+        rebuilds its tier's routing list.  Returns True when that list grew.
+        """
+        replica.healthy = healthy and member
+        at = next((i for i, r in enumerate(self.replicas) if r is replica), None)
+        if member and at is None:
+            self.replicas.append(replica)
+        elif not member and at is not None:
+            del self.replicas[at]
+        return self._reroute(replica.tier)
+
+    def _reroute(self, tier: str) -> bool:
+        route = self.routes[tier]
+        before = len(route)
+        route[:] = [r for r in self.replicas if r.tier == tier and r.healthy]
+        return len(route) > before
 
     def tier_replicas(self, tier: str) -> list[Replica]:
         return [r for r in self.replicas if r.tier == tier]
 
-    def healthy_tier(self, tier: str) -> bool:
-        return any(r.healthy for r in self.tier_replicas(tier))
-
     def serving(self) -> bool:
-        return all(self.healthy_tier(t.name) for t in self.spec.tiers)
+        return all(self.routes.values())
 
     def note_state(self, now: float) -> str | None:
         """Update downtime accounting after any replica state change.
@@ -145,6 +173,8 @@ class BusinessRuntime(ServiceDaemon):
         self._capacity: dict[str, int] = {}
         self._node_up: dict[str, bool] = {}
         self._rr: dict[tuple[str, str], int] = {}
+        #: ``bizrt.requests.<app>.<tier>`` per (app, tier), built once.
+        self._request_keys: dict[tuple[str, str], str] = {}
         #: Optional TrafficGenerator surfacing admission state in health rows.
         self._traffic = None
 
@@ -269,17 +299,17 @@ class BusinessRuntime(ServiceDaemon):
             # restarting it at recovery time would over-report availability.
             state._down_since = blob.get("down_since")
             state.alerted_down = bool(blob.get("alerted_down", False))
-            state.replicas = [Replica.from_payload(p) for p in blob["replicas"]]
-            # A replica only counts as healthy if its process actually
-            # survived our outage (node up + task process alive).
-            for replica in state.replicas:
-                if replica.healthy and replica.node is not None:
-                    alive = (
-                        self.cluster.node(replica.node).up
+            for payload in blob["replicas"]:
+                replica = Replica.from_payload(payload)
+                # A replica only counts as healthy if its process actually
+                # survived our outage (node up + task process alive).
+                healthy = replica.healthy and (
+                    replica.node is None
+                    or (self.cluster.node(replica.node).up
                         and self.cluster.hostos(replica.node).process_alive(
-                            f"job.{replica.job_id}")
-                    )
-                    replica.healthy = alive
+                            f"job.{replica.job_id}"))
+                )
+                state.set_replica(replica, healthy)
             state.note_state(self.sim.now)
             self.apps[spec.name] = state
         self.sim.trace.mark("bizrt.state_recovered", apps=len(self.apps))
@@ -317,7 +347,7 @@ class BusinessRuntime(ServiceDaemon):
         for tier in spec.tiers:
             for index in range(tier.replicas):
                 replica = Replica(app=spec.name, tier=tier.name, index=index)
-                state.replicas.append(replica)
+                self._set_replica(state, replica, False)
                 self._place(replica, tier.cpus)
         state.note_state(self.sim.now)
         self._checkpoint()
@@ -344,7 +374,7 @@ class BusinessRuntime(ServiceDaemon):
             next_index = max(r.index for r in current) + 1
             for index in range(next_index, next_index + replicas - len(current)):
                 replica = Replica(app=app, tier=tier, index=index)
-                state.replicas.append(replica)
+                self._set_replica(state, replica, False)
                 self._place(replica, cpus)
         elif replicas < len(current):
             for replica in sorted(current, key=lambda r: -r.index)[: len(current) - replicas]:
@@ -353,12 +383,20 @@ class BusinessRuntime(ServiceDaemon):
                               {"job_id": replica.job_id})
                     if self._node_up.get(replica.node):
                         self._free[replica.node] = self._free.get(replica.node, 0) + cpus
-                replica.healthy = False
-                state.replicas.remove(replica)
+                self._set_replica(state, replica, False, member=False)
         self._note_and_alert(state)
         self._checkpoint()
         self.sim.trace.mark("bizrt.scaled", app=app, tier=tier, replicas=replicas)
         return len(state.tier_replicas(tier))
+
+    def _set_replica(self, state: AppState, replica: Replica, healthy: bool,
+                     member: bool = True) -> None:
+        """Every health or membership change of a replica goes through
+        :meth:`AppState.set_replica` here; when it grows a tier's routing
+        list, requests queued at that tier's admission gate are granted
+        now rather than at the gate's next arrival or release."""
+        if state.set_replica(replica, healthy, member) and self._traffic is not None:
+            self._traffic.tier_grew(state.spec.name, replica.tier)
 
     # -- placement / recovery ------------------------------------------------
     def _pick_node(self, cpus: int, avoid: str | None = None) -> str | None:
@@ -373,10 +411,11 @@ class BusinessRuntime(ServiceDaemon):
         return candidates[0][1]
 
     def _place(self, replica: Replica, cpus: int, avoid: str | None = None) -> None:
+        # Only unhealthy replicas are placed: new ones, healed ones and
+        # failed spawns.
         node = self._pick_node(cpus, avoid=avoid)
         if node is None:
             replica.node = None
-            replica.healthy = False
             self.sim.trace.mark("bizrt.placement_failed", replica=replica.job_id)
             return
         replica.node = node
@@ -405,18 +444,18 @@ class BusinessRuntime(ServiceDaemon):
                     self._free[replica.node] = self._free.get(replica.node, 0) + cpus
                 replica.node = None
                 return
-            replica.healthy = True
+            self._set_replica(state, replica, True)
             self.sim.trace.count("bizrt.replicas_started")
         else:
             # Refund only while the node is up (the guard scale()/_heal()
             # already use): a node that died mid-spawn rebuilds its free
             # count from capacity at NODE_RECOVERY, so an unguarded
-            # refund would be double-counted after recovery.
+            # refund would be double-counted after recovery.  The replica
+            # was unhealthy for the whole spawn and stays so.
             failed_node = replica.node
             if failed_node is not None and self._node_up.get(failed_node):
                 self._free[failed_node] = self._free.get(failed_node, 0) + cpus
             replica.node = None
-            replica.healthy = False
             if not retired:
                 self.sim.trace.count("bizrt.spawn_failed")
                 self._place(replica, cpus, avoid=failed_node)
@@ -478,7 +517,7 @@ class BusinessRuntime(ServiceDaemon):
         cpus = self._tier_cpus(replica.app, replica.tier)
         if replica.node is not None and self._node_up.get(replica.node):
             self._free[replica.node] = self._free.get(replica.node, 0) + cpus
-        replica.healthy = False
+        self._set_replica(state, replica, False)
         self._note_and_alert(state)
         self.sim.trace.count("bizrt.heals")
         self._place(replica, cpus, avoid=failed_node)
@@ -517,7 +556,7 @@ class BusinessRuntime(ServiceDaemon):
 
     # -- load balancing --------------------------------------------------
     def route_replica(self, app: str, tier: str, span=None) -> Replica:
-        """Round-robin a request to a healthy replica.
+        """Round-robin a request over the tier's routing list.
 
         Raises :class:`UserEnvError` when the tier is entirely down —
         callers count that as a failed request.  When ``span`` is given
@@ -527,13 +566,16 @@ class BusinessRuntime(ServiceDaemon):
         state = self.apps.get(app)
         if state is None:
             raise UserEnvError(f"unknown application {app!r}")
-        healthy = [r for r in state.tier_replicas(tier) if r.healthy]
+        healthy = state.routes.get(tier)
         if not healthy:
             raise UserEnvError(f"{app}/{tier}: no healthy replica")
         key = (app, tier)
-        self._rr[key] = (self._rr.get(key, -1) + 1) % len(healthy)
-        replica = healthy[self._rr[key]]
-        self.sim.trace.count(f"bizrt.requests.{app}.{tier}")
+        self._rr[key] = at = (self._rr.get(key, -1) + 1) % len(healthy)
+        replica = healthy[at]
+        counter = self._request_keys.get(key)
+        if counter is None:
+            counter = self._request_keys[key] = f"bizrt.requests.{app}.{tier}"
+        self.sim.trace.count(counter)
         if span is not None:
             span.mark("bizrt.route", tier=tier, replica=replica.job_id,
                       node=replica.node)
@@ -549,10 +591,7 @@ class BusinessRuntime(ServiceDaemon):
         return {
             "serving": state.serving(),
             "availability": state.availability(self.sim.now),
-            "tiers": {
-                t.name: sum(1 for r in state.tier_replicas(t.name) if r.healthy)
-                for t in state.spec.tiers
-            },
+            "tiers": {t.name: len(state.routes[t.name]) for t in state.spec.tiers},
         }
 
     def capacity_audit(self) -> dict[str, Any]:
@@ -589,7 +628,8 @@ class BusinessRuntime(ServiceDaemon):
     # -- kernel health -------------------------------------------------------
     def attach_traffic(self, generator) -> None:
         """Surface a TrafficGenerator's admission state through this
-        daemon's ``kernel.health`` row (what the autoscaler consumes)."""
+        daemon's ``kernel.health`` row (what the autoscaler consumes), and
+        tell it when a tier gains a healthy replica."""
         self._traffic = generator
 
     def health_snapshot(self) -> dict[str, Any]:
@@ -600,10 +640,7 @@ class BusinessRuntime(ServiceDaemon):
         row["apps"] = {
             name: {
                 "serving": state.serving(),
-                "tiers": {
-                    t.name: sum(1 for r in state.tier_replicas(t.name) if r.healthy)
-                    for t in state.spec.tiers
-                },
+                "tiers": {t.name: len(state.routes[t.name]) for t in state.spec.tiers},
             }
             for name, state in sorted(self.apps.items())
         }

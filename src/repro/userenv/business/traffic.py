@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 from repro.errors import UserEnvError
 from repro.sim.process import Signal
-from repro.userenv.business.runtime import BusinessRuntime
+from repro.userenv.business.runtime import BusinessRuntime, Replica
 
 #: ES event types published on admission-queue watermark crossings.
 BACKPRESSURE_ON = "bizrt.backpressure_on"
@@ -107,8 +107,11 @@ class ArrivalProfile:
 class AdmissionQueue:
     """Bounded FIFO admission gate in front of one tier.
 
-    ``limit()`` is re-evaluated on every grant, so the tier's effective
-    concurrency follows replica churn without any re-wiring.  The wait
+    At most ``limit()`` admitted requests hold a slot at once; the caller
+    keeps ``limit`` cheap (the serving tier reads the length of the
+    runtime's routing list).  Waiters are granted, in order, when a slot
+    is released, when an arrival finds the limit risen, and when the
+    owner calls :meth:`grant` because it knows the limit grew.  The wait
     queue is hard-capped at ``queue_cap``: arrivals beyond it are
     rejected immediately (counted, never parked), which is what bounds
     both memory and queueing latency under overload.  Watermark
@@ -141,35 +144,44 @@ class AdmissionQueue:
         self.rejected = 0
         self.backpressure = False
         self._waiters: deque[Signal] = deque()
+        self._signal_name = f"admit.{tier}"
+        self._rejected_key = f"bizreq.rejected.tier.{tier}"
+        #: What every immediate admission returns: one signal, fired once.
+        self._admitted_now = Signal(sim, name=self._signal_name)
+        self._admitted_now.fire(True)
 
     @property
     def depth(self) -> int:
         return len(self._waiters)
 
     def try_enter(self) -> Signal | None:
-        """Request admission.  Returns a Signal that fires when a slot is
-        granted, or None when the queue is full (rejected)."""
-        self._grant()  # the limit may have risen since the last release
-        signal = Signal(self.sim, name=f"admit.{self.tier}")
-        if not self._waiters and self.busy < self.limit():
+        """Request admission.  Returns an already-fired Signal when a slot
+        is free now (the same one on every such call: nothing is
+        allocated), a fresh Signal that fires when a slot is granted, or
+        None when the queue is full (rejected)."""
+        waiters = self._waiters
+        if waiters:
+            self.grant()  # the limit may have risen since the last release
+        if not waiters and self.busy < self.limit():
             self.busy += 1
             self.admitted += 1
-            signal.fire(True)
-            return signal
-        if len(self._waiters) >= self.queue_cap:
+            return self._admitted_now
+        if len(waiters) >= self.queue_cap:
             self.rejected += 1
-            self.sim.trace.count(f"bizreq.rejected.tier.{self.tier}")
+            self.sim.trace.count(self._rejected_key)
             return None
-        self._waiters.append(signal)
+        signal = Signal(self.sim, name=self._signal_name)
+        waiters.append(signal)
         self._note_watermark()
         return signal
 
     def leave(self) -> None:
         """Release a granted slot (always call once per granted Signal)."""
         self.busy -= 1
-        self._grant()
+        self.grant()
 
-    def _grant(self) -> None:
+    def grant(self) -> None:
+        """Grant waiters, in order, while ``limit()`` leaves a slot free."""
         granted = False
         while self._waiters and self.busy < self.limit():
             self.busy += 1
@@ -257,23 +269,26 @@ class TrafficGenerator:
         self.queues: dict[str, AdmissionQueue] = {
             t.name: AdmissionQueue(
                 self.sim, t.name,
-                limit=self._tier_limit(t.name),
+                limit=self._tier_limit(state.routes[t.name]),
                 queue_cap=queue_cap,
                 on_backpressure=self._publish_backpressure(t.name),
             )
             for t in state.spec.tiers
         }
+        #: The tiers a request walks, in order, each with its queue.
+        self._walk = [(t.name, self.queues[t.name]) for t in state.spec.tiers]
+        #: Per class: its rejected / failed counter and latency histogram names.
+        self._keys = {
+            c.name: (f"bizreq.rejected.{c.name}", f"bizreq.failed.{c.name}",
+                     f"bizreq.latency.{c.name}")
+            for c in classes
+        }
         runtime.attach_traffic(self)
 
     # -- wiring ----------------------------------------------------------
-    def _tier_limit(self, tier: str) -> Callable[[], int]:
-        def limit() -> int:
-            state = self.runtime.apps.get(self.app)
-            if state is None:
-                return 0
-            healthy = sum(1 for r in state.tier_replicas(tier) if r.healthy)
-            return healthy * self.slots_per_replica
-        return limit
+    def _tier_limit(self, route: list[Replica]) -> Callable[[], int]:
+        slots = self.slots_per_replica
+        return lambda: len(route) * slots
 
     def _publish_backpressure(self, tier: str) -> Callable[[bool, int], None]:
         def publish(engaged: bool, depth: int) -> None:
@@ -282,6 +297,12 @@ class TrafficGenerator:
                 {"app": self.app, "tier": tier, "depth": depth},
             )
         return publish
+
+    def tier_grew(self, app: str, tier: str) -> None:
+        """The runtime's routing list for ``tier`` of ``app`` gained a
+        replica: grant the requests that queued while it was shorter."""
+        if app == self.app:
+            self.queues[tier].grant()
 
     def admission_snapshot(self) -> dict[str, dict[str, int]]:
         """Per-tier admission state, embedded in kernel.health rows."""
@@ -326,23 +347,22 @@ class TrafficGenerator:
     def _request(self, cls: RequestClass, seq: int):
         sim = self.sim
         started = sim.now
+        stats = self.stats[cls.name]
+        rejected_key, failed_key, latency_key = self._keys[cls.name]
         span = None
         if self.span_sample and seq % self.span_sample == 0:
             span = sim.trace.span("bizreq.request", cls=cls.name)
         self.inflight += 1
         try:
-            state = self.runtime.apps.get(self.app)
-            tiers = state.spec.tiers if state is not None else ()
-            for tier in tiers:
-                queue = self.queues[tier.name]
+            for tier, queue in self._walk:
                 signal = queue.try_enter()
                 if signal is None:
-                    self.stats[cls.name].rejected += 1
-                    sim.trace.count(f"bizreq.rejected.{cls.name}")
+                    stats.rejected += 1
+                    sim.trace.count(rejected_key)
                     if span is not None:
-                        span.end(outcome="rejected", tier=tier.name)
+                        span.end(outcome="rejected", tier=tier)
                     return
-                queue_span = (span.child("bizreq.queue", tier=tier.name)
+                queue_span = (span.child("bizreq.queue", tier=tier)
                               if span is not None else None)
                 if not signal.fired:
                     yield signal
@@ -350,33 +370,31 @@ class TrafficGenerator:
                     queue_span.end()
                 try:
                     try:
-                        replica = self.runtime.route_replica(
-                            self.app, tier.name, span=span)
+                        replica = self.runtime.route_replica(self.app, tier, span=span)
                     except UserEnvError:
-                        self.stats[cls.name].failed += 1
-                        sim.trace.count(f"bizreq.failed.{cls.name}")
+                        stats.failed += 1
+                        sim.trace.count(failed_key)
                         if span is not None:
-                            span.end(outcome="failed", tier=tier.name)
+                            span.end(outcome="failed", tier=tier)
                         return
-                    service_span = (span.child("bizreq.service", tier=tier.name,
+                    service_span = (span.child("bizreq.service", tier=tier,
                                                node=replica.node)
                                     if span is not None else None)
-                    yield self._service_time(cls, tier.name)
+                    yield self._service_time(cls, tier)
                     if service_span is not None:
                         service_span.end()
                     if not replica.healthy:
                         # The replica died under us: the request is lost.
-                        self.stats[cls.name].failed += 1
-                        sim.trace.count(f"bizreq.failed.{cls.name}")
+                        stats.failed += 1
+                        sim.trace.count(failed_key)
                         if span is not None:
-                            span.end(outcome="failed", tier=tier.name)
+                            span.end(outcome="failed", tier=tier)
                         return
                 finally:
                     queue.leave()
-            latency = sim.now - started
-            self.stats[cls.name].completed += 1
+            stats.completed += 1
             sim.trace.count("bizreq.completed")
-            sim.trace.observe(f"bizreq.latency.{cls.name}", latency)
+            sim.trace.observe(latency_key, sim.now - started)
             if span is not None:
                 span.end(outcome="ok")
         finally:

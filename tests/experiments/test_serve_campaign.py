@@ -1,9 +1,12 @@
 """Serving campaign harness tests (reduced request budget)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.serve_campaign import (
     REQUEST_CLASSES,
+    ServeResult,
     build_profile,
     check_serve,
     render_serve,
@@ -50,6 +53,17 @@ def test_check_flags_violations(small_campaign):
     problems = check_serve(broken)
     assert any("drift" in p for p in problems)
     assert any("generated" in p for p in problems)
+
+
+def test_check_flags_requests_left_after_the_drain():
+    """Requests stranded in a queue fail the gate even when 97 % completed."""
+    result = ServeResult(
+        requests=100, generated=100, completed=97, drift=0, unfinished=3,
+        classes={"browse": {"completed": 97, "slo_p99": 0.5, "p99": 0.1}},
+    )
+    assert check_serve(result) == [
+        "3 requests still queued or in service after the drain"]
+    assert check_serve(dataclasses.replace(result, unfinished=0)) == []
 
 
 def test_profiles_preserve_mean_rate():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import ProcState, Simulator, Timeout
+from repro.sim import Proc, ProcState, Simulator, Timeout
 
 
 @pytest.fixture()
@@ -199,6 +199,24 @@ def test_yielding_garbage_fails_the_process(sim):
     with pytest.raises(SimulationError):
         sim.run()
     assert proc.state is ProcState.FAILED
+
+
+@pytest.mark.parametrize("bad", [-1, float("nan"), float("inf")])
+def test_invalid_sleep_fails_the_process(sim, bad):
+    """Like an unsupported yield: FAILED, exception set, done fired and
+    the owner released through on_exit — and the error still raised."""
+    exits = []
+
+    def body():
+        yield bad
+
+    proc = Proc(sim, body(), on_exit=exits.append)
+    with pytest.raises(SimulationError, match="invalid sleep"):
+        sim.run()
+    assert proc.state is ProcState.FAILED
+    assert isinstance(proc.exception, SimulationError)
+    assert proc.done.fired
+    assert exits == [proc]
 
 
 def test_non_generator_body_rejected(sim):

@@ -1,11 +1,11 @@
-"""Serving tier: admission control, routing fairness, traffic + spans,
-backpressure events, and the SLO autoscaler."""
+"""Serving tier: admission control, routing fairness, the routing list's
+one writer, traffic + spans, backpressure events, and the SLO autoscaler."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSpec
+from repro.cluster import ClusterSpec, FaultInjector
 from repro.errors import UserEnvError
 from repro.kernel import KernelTimings
 from repro.sim import Simulator
@@ -21,7 +21,7 @@ from repro.userenv.business import (
     TrafficGenerator,
     install_business_runtime,
 )
-from repro.userenv.business.runtime import BusinessRuntime, Replica
+from repro.userenv.business.runtime import AppState, BusinessRuntime, Replica
 from repro.userenv.business.traffic import BACKPRESSURE_ON
 from repro.userenv.construction import ConstructionTool
 from tests.kernel.test_events import subscribe_collector
@@ -82,7 +82,7 @@ def test_admission_queue_is_bounded(ops, cap):
         assert fired + len(parked) + rejected == arrivals
     # Once the limit is positive again and slots drain, the queue empties.
     limit_box[0] = max(limit_box[0], 1)
-    queue._grant()
+    queue.grant()
     while queue.busy:
         queue.leave()
     assert queue.depth == 0
@@ -109,22 +109,12 @@ def _stub_runtime(sim, healthy_mask):
     rt = BusinessRuntime.__new__(BusinessRuntime)
     rt.sim = sim
     rt._rr = {}
-    replicas = [
-        Replica(app="shop", tier="web", index=i, node=f"n{i}", healthy=up)
-        for i, up in enumerate(healthy_mask)
-    ]
-    state = BizAppSpec(name="shop", tiers=(TierSpec("web", len(replicas)),))
-    rt.apps = {"shop": _AppStateStub(state, replicas)}
+    rt._request_keys = {}
+    state = AppState(spec=BizAppSpec(name="shop", tiers=(TierSpec("web", len(healthy_mask)),)))
+    for i, up in enumerate(healthy_mask):
+        state.set_replica(Replica(app="shop", tier="web", index=i, node=f"n{i}"), up)
+    rt.apps = {"shop": state}
     return rt
-
-
-class _AppStateStub:
-    def __init__(self, spec, replicas):
-        self.spec = spec
-        self.replicas = replicas
-
-    def tier_replicas(self, tier):
-        return [r for r in self.replicas if r.tier == tier]
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,14 +133,14 @@ def test_route_round_robin_fairness_under_churn(masks, rounds):
     rt = _stub_runtime(sim, masks[0])
     state = rt.apps["shop"]
     for mask in masks:
-        # Churn: reshape the healthy set (indices persist, health flips).
+        # Churn through the one writer: indices persist, health flips.
         while len(state.replicas) < len(mask):
-            state.replicas.append(Replica(
-                app="shop", tier="web", index=len(state.replicas),
-                node=f"n{len(state.replicas)}", healthy=False))
+            n = len(state.replicas)
+            state.set_replica(Replica(app="shop", tier="web", index=n, node=f"n{n}"), False)
         for i, replica in enumerate(state.replicas):
-            replica.healthy = mask[i] if i < len(mask) else False
+            state.set_replica(replica, mask[i] if i < len(mask) else False)
         healthy = [r for r in state.replicas if r.healthy]
+        assert [id(r) for r in state.routes["web"]] == [id(r) for r in healthy]
         hits = {r.job_id: 0 for r in healthy}
         for _ in range(rounds * len(healthy)):
             hits[rt.route_replica("shop", "web").job_id] += 1
@@ -164,6 +154,126 @@ def test_route_raises_when_tier_down():
         rt.route_replica("shop", "web")
     with pytest.raises(UserEnvError):
         rt.route_replica("nosuch", "web")
+
+
+# -- routing list == scan under real churn ---------------------------------
+
+def _scan(state, tier):
+    """The oracle: what the routing list replaced, a scan per request."""
+    return [r for r in state.replicas if r.tier == tier and r.healthy]
+
+
+def _repair_node(kernel, injector, node):
+    """Boot a crashed node and restart its per-node kernel services."""
+    injector.boot_node(node)
+    for svc in ("ppm", "detector", "wd"):
+        if not kernel.cluster.hostos(node).process_alive(svc):
+            kernel.start_service(svc, node)
+
+
+CHURN = st.lists(
+    st.sampled_from(["scale_up", "scale_down", "kill_node", "heal_nodes",
+                     "spawn_fail", "reload"]),
+    min_size=1, max_size=5,
+)
+SLOTS = 4
+ONE_CLASS = [RequestClass(name="get", service_times={"web": 0.01, "db": 0.01})]
+
+
+@settings(max_examples=8, deadline=None)
+@given(ops=CHURN)
+def test_routing_list_equals_the_scan_under_churn(ops):
+    """After any sequence of deploy, scale up/down, node kill + heal, a
+    spawn that fails with its node, and a runtime restart that reloads
+    the registry from its checkpoint, every tier's routing list is the
+    scan of ``state.replicas`` (same replicas, same order) and each
+    admission limit is its length times the slots per replica."""
+    sim = Simulator(seed=7)
+    tool = ConstructionTool(sim)
+    kernel = tool.build(
+        ClusterSpec.build(partitions=2, computes=3),
+        timings=KernelTimings(heartbeat_interval=5.0, extra={"spawn.bizapp": 1.0}),
+    )
+    injector = FaultInjector(kernel.cluster)
+    sim.run(until=6.0)
+    workers = [n for n in kernel.cluster.compute_nodes() if n.startswith("p0")]
+    rt = install_business_runtime(kernel, worker_nodes=workers, partition_id="p0")
+    sim.run(until=sim.now + 2.0)
+    rt.deploy(BizAppSpec(name="shop", tiers=(TierSpec("web", 2), TierSpec("db", 1))))
+    gen = TrafficGenerator(rt, "shop", ONE_CLASS, slots_per_replica=SLOTS)
+    crashed: list[str] = []
+
+    def settle(seconds):
+        for _ in range(int(seconds)):
+            sim.run(until=sim.now + 1.0)
+            state = rt.apps["shop"]
+            for tier in ("web", "db"):
+                scan = _scan(state, tier)
+                assert [id(r) for r in state.routes[tier]] == [id(r) for r in scan]
+                assert gen.queues[tier].limit() == len(scan) * SLOTS
+
+    settle(4)
+    for op in ops:
+        state = rt.apps["shop"]
+        web = len(state.tier_replicas("web"))
+        up = [n for n in workers if n not in crashed]
+        if op == "scale_up":
+            rt.scale("shop", "web", web + 1)
+        elif op == "scale_down" and web > 1:
+            rt.scale("shop", "web", web - 1)
+        elif op == "kill_node" and len(up) > 1:
+            victim = next((r.node for r in state.replicas
+                           if r.healthy and r.node in up), None)
+            if victim is not None:
+                injector.crash_node(victim)
+                crashed.append(victim)
+        elif op == "heal_nodes":
+            for node in crashed:
+                _repair_node(kernel, injector, node)
+            crashed.clear()
+        elif op == "spawn_fail" and len(up) > 1:
+            rt.scale("shop", "web", web + 1)
+            spawning = next((r.node for r in state.replicas
+                             if not r.healthy and r.node is not None), None)
+            if spawning is not None:  # dies under its replica's spawn
+                injector.crash_node(spawning)
+                crashed.append(spawning)
+        elif op == "reload":
+            injector.kill_process(rt.node_id, "bizrt")
+            sim.run(until=sim.now + 12.0)
+            rt = kernel.live_daemon("bizrt", kernel.placement[("bizrt", "p0")])
+            assert rt.alive and "shop" in rt.apps
+            gen = TrafficGenerator(rt, "shop", ONE_CLASS, slots_per_replica=SLOTS)
+        settle(10)
+
+
+def test_requests_queued_while_a_tier_is_down_are_served_once_it_heals():
+    """Requests that queue while a tier has no healthy replica are
+    granted when the runtime heals it, not only at the next arrival or
+    release — after the last arrival there is none."""
+    sim = Simulator(seed=5)
+    tool = ConstructionTool(sim)
+    kernel = tool.build(ClusterSpec.build(partitions=2, computes=4),
+                        timings=KernelTimings(heartbeat_interval=5.0))
+    sim.run(until=6.0)
+    workers = [n for n in kernel.cluster.compute_nodes() if n.startswith("p0")]
+    rt = install_business_runtime(kernel, worker_nodes=workers, partition_id="p0")
+    sim.run(until=sim.now + 2.0)
+    rt.deploy(BizAppSpec(name="shop", tiers=(TierSpec("web", 1, cpus=1),)))
+    sim.run(until=sim.now + 2.0)
+    get = [RequestClass(name="get", service_times={"web": 0.01})]
+    gen = TrafficGenerator(rt, "shop", get, profile=ArrivalProfile("poisson", rate=5000.0))
+    replica = rt.apps["shop"].replicas[0]
+    FaultInjector(kernel.cluster).crash_node(replica.node)
+    deadline = sim.now + 60.0
+    while replica.healthy and sim.now < deadline:  # until the runtime marks it down
+        sim.step()
+    assert not replica.healthy and gen.queues["web"].limit() == 0
+    gen.start(max_requests=20)
+    sim.run(until=sim.now + 120.0)
+    assert replica.healthy
+    assert gen.stats["get"].completed == 20
+    assert gen.queues["web"].depth == 0 and gen.inflight == 0
 
 
 # -- integration: generator, spans, backpressure, autoscaler ---------------
