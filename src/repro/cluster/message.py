@@ -2,9 +2,26 @@
 
 Messages are fire-and-forget datagrams; reliability, ordering across
 networks, and request/reply correlation are built above this layer (see
-:mod:`repro.cluster.transport`).  Sizes are estimated deterministically
-from the payload so bandwidth comparisons (§5.4, PBS polling vs PWS
-events) are stable across runs.
+:mod:`repro.cluster.transport`).
+
+Every message carries a byte count, because §5.4 (PBS polling vs PWS
+events) and the traffic columns of the scalability runs are bandwidth
+arguments.  It is ``HEADER_BYTES`` plus the *wire size* of the payload: a
+structural model of its text, computed without rendering it.
+
+* a string: its length plus two quotes;
+* a float: ``FLOAT_BYTES`` whatever its value (any ``float`` subclass,
+  NumPy's ``float64`` included, is a float); an int: ``INT_BYTES``;
+* ``None`` or a bool: ``FLAG_BYTES``;
+* a dict: two braces, ``ENTRY_BYTES`` of framing per entry, plus its keys
+  and values; a list or tuple: two brackets, ``ELEMENT_BYTES`` per
+  element, plus its elements;
+* any other type: the length of its ``repr``.
+
+The widths are the means of a survey of the payloads the perf workloads
+send.  The model is deterministic, so byte counts repeat exactly for a
+seed, and additive, so a dict that never changes (:class:`SizedDict`) is
+sized once, when it is built.
 """
 
 from __future__ import annotations
@@ -14,15 +31,102 @@ from typing import Any
 
 #: Fixed per-message framing overhead, bytes (headers, addressing).
 HEADER_BYTES = 64
+#: A float on the wire (shortest round-trip text of a double: 17–20 chars).
+FLOAT_BYTES = 18
+#: An int on the wire (counters, sequence numbers, epochs: 1–3 digits).
+INT_BYTES = 2
+#: ``None`` or a bool.
+FLAG_BYTES = 4
+#: Per dict entry: the ``": "`` after its key and the ``", "`` after its value.
+ENTRY_BYTES = 4
+#: Per list element: the ``", "`` after it.
+ELEMENT_BYTES = 2
+
+
+class SizedDict(dict):
+    """A dict that is never changed after it is built, and so carries its
+    wire size: its builder calls :meth:`seal` once, and every message that
+    carries it adds that number instead of walking it again."""
+
+    __slots__ = ("_size",)
+
+    def seal(self) -> None:
+        """Size the entries as they are now; call once, after the last change."""
+        self._size = _dict_size(self)
+
+
+def wire_size(value: Any) -> int:
+    """Modelled bytes of ``value`` on the wire (see the module docstring).
+
+    The exact built-in types are tested inline, so sizing a row costs one
+    loop over its entries and no call per scalar.
+    """
+    t = type(value)
+    if t is dict:
+        return _dict_size(value)
+    if t is list or t is tuple:
+        return _list_size(value)
+    if t is str:
+        return len(value) + 2
+    if t is float:
+        return FLOAT_BYTES
+    if t is int:
+        return INT_BYTES
+    if value is None or t is bool:
+        return FLAG_BYTES
+    if isinstance(value, SizedDict):
+        return value._size
+    if isinstance(value, float):
+        return FLOAT_BYTES
+    return len(repr(value))
+
+
+def _dict_size(entries: dict) -> int:
+    size = 2 + ENTRY_BYTES * len(entries)
+    for key, value in entries.items():
+        size += len(key) + 2 if type(key) is str else wire_size(key)
+        t = type(value)
+        if t is str:
+            size += len(value) + 2
+        elif t is float:
+            size += FLOAT_BYTES
+        elif t is int:
+            size += INT_BYTES
+        elif t is dict:
+            size += _dict_size(value)
+        elif t is bool or value is None:
+            size += FLAG_BYTES
+        elif isinstance(value, SizedDict):
+            size += value._size
+        elif t is list:
+            size += _list_size(value)
+        else:
+            size += wire_size(value)
+    return size
+
+
+def _list_size(items: list | tuple) -> int:
+    size = 2 + ELEMENT_BYTES * len(items)
+    for value in items:
+        t = type(value)
+        if t is str:
+            size += len(value) + 2
+        elif t is float:
+            size += FLOAT_BYTES
+        elif t is int:
+            size += INT_BYTES
+        elif t is dict:
+            size += _dict_size(value)
+        elif isinstance(value, SizedDict):
+            size += value._size
+        else:
+            size += wire_size(value)
+    return size
 
 
 def estimate_size(payload: dict[str, Any]) -> int:
-    """Deterministic size model: header plus repr-length of the payload.
-
-    ``repr`` of dicts of plain data is stable for a given insertion order,
-    which our deterministic protocols guarantee.
-    """
-    return HEADER_BYTES + len(repr(payload))
+    """Bytes of a message carrying ``payload``: header plus its wire size."""
+    return HEADER_BYTES + (_dict_size(payload) if type(payload) is dict else wire_size(payload))
 
 
 @dataclass(slots=True)
@@ -35,6 +139,7 @@ class Message:
     mtype: str
     payload: dict[str, Any] = field(default_factory=dict)
     network: str = ""
+    #: Sender's port; an RPC request's is its caller's reply port.
     src_port: str = ""
     size: int = 0
     #: Virtual time the message was handed to the network.

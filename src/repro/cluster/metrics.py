@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.node import Node, NodeMetrics
 from repro.sim import Simulator
 
@@ -27,13 +25,11 @@ _NOISE_BLOCK = 5 * 256
 
 
 def _clamp(x: float, lo: float = 0.0, hi: float = 100.0) -> float:
-    """``x`` limited to ``[lo, hi]``: an ``np.float64`` strictly inside,
-    the Python-float bound where it clamps.  Those are the types the rows
-    have always carried, and the wire size counts their ``repr``."""
+    """``x`` limited to ``[lo, hi]`` (``lo`` for NaN)."""
     if x >= hi:
         return hi
     if x > lo:
-        return np.float64(x)
+        return x
     return lo
 
 

@@ -119,6 +119,10 @@ class Transport:
         self._inflight: dict[str, int] = {}
         self._inflight_gates: dict[str, deque[Any]] = {}
         self._retry_rng = sim.rngs.stream("transport.retry")
+        #: Delivery counter key per node and reply type per request type,
+        #: built once rather than formatted per message.
+        self._rx_keys = {node_id: f"rx.{node_id}" for node_id in nodes}
+        self._reply_mtypes: dict[str, str] = {}
         for node_id in nodes:
             # The host OS answers pings as long as the node is up, daemon or not.
             self.bind(node_id, OS_PING_PORT, lambda msg: {"pong": True}, owner=None)
@@ -265,7 +269,8 @@ class Transport:
         self.bind(src_node, call.port, call.on_reply, owner=None)
         call.timeout = self.sim.schedule(timeout, call.on_timeout)
         accepted = self.send(
-            src_node, dst_node, dst_port, mtype, payload, network=network, rpc_id=rpc_id
+            src_node, dst_node, dst_port, mtype, payload, network=network, rpc_id=rpc_id,
+            src_port=call.port,
         )
         if not accepted:
             # Fail fast on the next tick; settling cancels the armed
@@ -408,14 +413,12 @@ class Transport:
         if ep is None or not ep.receiving:
             trace.mark("net.unbound", dst=msg.dst_node, port=msg.dst_port, mtype=msg.mtype)
             return
-        trace.count(f"rx.{msg.dst_node}")
+        trace.count(self._rx_keys[msg.dst_node])
         result = ep.handler(msg)
         if msg.rpc_id and isinstance(result, dict):
-            self.send(
-                msg.dst_node,
-                msg.src_node,
-                f"_rpc.{msg.rpc_id}",
-                f"{msg.mtype}.reply",
-                result,
-                network=msg.network,
-            )
+            reply_mtype = self._reply_mtypes.get(msg.mtype)
+            if reply_mtype is None:
+                reply_mtype = self._reply_mtypes[msg.mtype] = f"{msg.mtype}.reply"
+            # An RPC request's source port is its caller's reply port.
+            self.send(msg.dst_node, msg.src_node, msg.src_port, reply_mtype, result,
+                      network=msg.network)

@@ -388,7 +388,7 @@ class BulletinDaemon(ServiceDaemon):
                 "partitions_missing": sorted(missing),
                 "watermarks": watermarks,
             }
-            self.send(msg.src_node, f"_rpc.{msg.rpc_id}", f"{ports.DB_QUERY}.reply", payload)
+            self.send(msg.src_node, msg.src_port, f"{ports.DB_QUERY}.reply", payload)
         span.end(rows=len(rows), missing=len(missing))
 
     # -- relational queries (DB_EXEC) --------------------------------------

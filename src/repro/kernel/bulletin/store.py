@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.cluster.message import SizedDict
 from repro.errors import KernelError
 from repro.kernel.query import matches as where_matches
 
@@ -12,14 +13,17 @@ def _refuse(self, *args, **kwargs):
     raise TypeError("a bulletin row is a value: edit dict(row) and put that")
 
 
+_CONTAINERS = frozenset((dict, list))
+
+
 def _frozen(value):
     """A dict as a :class:`FrozenRow`; a list as a copy, containers inside frozen."""
     if type(value) is dict:
         return FrozenRow(value)
-    return [_frozen(v) if type(v) in (dict, list) else v for v in value]
+    return [_frozen(v) if type(v) in _CONTAINERS else v for v in value]
 
 
-class FrozenRow(dict):
+class FrozenRow(SizedDict):
     """A stored bulletin row: a ``dict`` that is a value, not an object.
 
     Built once by :meth:`BulletinStore.put` (nested dicts frozen the same
@@ -30,26 +34,22 @@ class FrozenRow(dict):
     corrupt the store; ``dict(row)`` is the mutable copy to edit and put
     back.  Only an in-place edit of a nested *list* cannot be refused.
 
-    ``repr`` is ``dict.__repr__`` text, so the message size model
-    (``cluster.message.estimate_size``) counts the same bytes as for a
-    plain dict.  A stored row renders it once and keeps it; the store
-    drops it when the row is replaced, deleted or expired, because
-    snapshot histories and checkpoints outlive the row and would pin the
-    text with it (+5 % peak RSS on a 1024-node GridView run when they did).
+    Being immutable, a row is sized for the wire once, when it is frozen
+    (:class:`~repro.cluster.message.SizedDict`): a reply of N stored rows
+    costs N additions, the same bytes as its plain-dict copy.
     """
 
-    __slots__ = ("_text",)
+    __slots__ = ()
 
     def __init__(self, row: dict[str, Any], **meta: Any) -> None:
         dict.__init__(self, row, **meta)
-        # Type test inline, no call per leaf: health rows carry nested
-        # counter blobs and this runs on every put.
-        for field, value in row.items():
-            if type(value) in (dict, list):
-                dict.__setitem__(self, field, _frozen(value))
-        #: ``None``: render on every ``repr`` (nested, or no longer
-        #: stored); ``""``: stored, not rendered yet; else the text.
-        self._text: str | None = None
+        # Most rows hold scalars only: one C-level type test skips the
+        # per-field loop for them.
+        if not _CONTAINERS.isdisjoint(map(type, row.values())):
+            for field, value in row.items():
+                if type(value) in _CONTAINERS:
+                    dict.__setitem__(self, field, _frozen(value))
+        self.seal()
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     update = pop = popitem = clear = setdefault = _refuse
@@ -59,15 +59,6 @@ class FrozenRow(dict):
 
     def __deepcopy__(self, memo: dict) -> "FrozenRow":
         return self
-
-    def __repr__(self) -> str:
-        text = self._text
-        if text:
-            return text
-        rendered = dict.__repr__(self)
-        if text is not None:
-            self._text = rendered
-        return rendered
 
 
 class BulletinStore:
@@ -94,17 +85,12 @@ class BulletinStore:
         if not table or not key:
             raise KernelError("bulletin put needs a table and a key")
         stored = FrozenRow(row, _key=key, _partition=partition, _updated_at=now)
-        stored._text = ""
-        rows = self._tables.setdefault(table, {})
-        replaced = rows.get(key)
-        if replaced is not None:
-            replaced._text = None
-        rows[key] = stored
+        self._tables.setdefault(table, {})[key] = stored
         if self.on_mutation is not None:
             self.on_mutation(table, key, "put", stored)
 
     def _remove(self, table: str, key: str) -> None:
-        self._tables[table].pop(key)._text = None
+        del self._tables[table][key]
         if self.on_mutation is not None:
             self.on_mutation(table, key, "delete", None)
 

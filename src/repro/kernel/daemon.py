@@ -176,7 +176,7 @@ class ServiceDaemon:
         """Answer an RPC later than its handler (for async handlers that
         returned ``None`` and finish in a spawned coroutine)."""
         if msg.rpc_id:
-            self.send(msg.src_node, f"_rpc.{msg.rpc_id}", f"{msg.mtype}.reply", payload)
+            self.send(msg.src_node, msg.src_port, f"{msg.mtype}.reply", payload)
 
     @property
     def partition_id(self) -> str:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.message import estimate_size
+from repro.cluster import message
+from repro.cluster.message import estimate_size, wire_size
 from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.bulletin.store import BulletinStore, FrozenRow
@@ -98,23 +99,30 @@ def test_put_freezes_its_own_copy_of_the_senders_row():
     assert store.get("t", "n0")["cores"] == [{"id": 0, "busy": False}]
 
 
-def test_cached_text_lives_only_while_the_row_is_stored():
-    """``repr`` is rendered once per stored row; replace / delete / expire
-    drop the text so a snapshot holding the old row does not pin it."""
+def test_a_row_is_sized_once_and_keeps_its_size(monkeypatch):
+    """A stored row (and every row nested in it) is sized when it is
+    frozen and keeps that size for its lifetime: replace / delete / expire
+    leave a held row as it was, and sizing a reply of stored rows walks
+    none of them."""
     store = BulletinStore()
     for key in "abc":
-        store.put("t", key, {"v": [1.5, {"k": key}]}, now=0, partition="p0")
+        store.put("t", key, {"v": [1.5, {"k": key}], "n": 3}, now=0, partition="p0")
     held = {row["_key"]: row for row in store.query("t")}
-    texts = {key: repr(row) for key, row in held.items()}
-    assert all(row._text == texts[key] for key, row in held.items())
-    assert held["a"]["v"][1]._text is None  # nested rows never keep one
+    sizes = {key: wire_size(_thaw(row)) for key, row in held.items()}
+    assert all(row._size == sizes[key] for key, row in held.items())
+    nested = held["a"]["v"][1]
+    assert type(nested) is FrozenRow and nested._size == wire_size({"k": "a"})
     store.put("t", "a", {"v": 2}, now=20, partition="p0")
     store.delete("t", "b")
     assert store.expire("t", max_age=5.0, now=10.0) == 1  # "c"
-    for key, row in held.items():
-        assert row._text is None
-        assert repr(row) == texts[key] == dict.__repr__(row)
-        assert row._text is None  # and a row that left is not cached again
+    assert all(row._size == sizes[key] for key, row in held.items())
+    walked = []
+    real = message._dict_size
+    monkeypatch.setattr(message, "_dict_size", lambda entries: walked.append(entries) or
+                        real(entries))
+    rows = list(held.values())
+    assert estimate_size({"rows": rows}) == estimate_size({"rows": [_thaw(r) for r in rows]})
+    assert walked[0] == {"rows": rows} and all(type(w) is dict for w in walked)
 
 
 def test_store_delete_and_expire():
@@ -161,6 +169,14 @@ _VALUES = st.recursive(
     max_leaves=8,
 )
 _ROWS = st.dictionaries(st.text(min_size=1, max_size=6), _VALUES, max_size=5)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from("abcdef"), _ROWS),
+        st.tuples(st.just("delete"), st.sampled_from("abcdef"), st.none()),
+        st.tuples(st.just("expire"), st.floats(0.0, 4.0), st.none()),
+    ),
+    min_size=1, max_size=12,
+)
 
 
 def _thaw(value):
@@ -170,18 +186,10 @@ def _thaw(value):
     return [_thaw(v) for v in value] if isinstance(value, list) else value
 
 
-@given(st.dictionaries(st.sampled_from("abcdef"), _ROWS, min_size=1, max_size=6))
-def test_property_frozen_rows_size_like_plain_dicts(sent):
-    """``estimate_size`` counts the same bytes for a payload of stored rows
-    as for its plain-dict copy, with the rows' text not yet rendered,
-    cached, and dropped again — the unit-level guard for
-    ``sim_bytes_per_op`` and every ``sim_digest``."""
-    store = BulletinStore()
-    for key, row in sent.items():
-        store.put("t", key, row, now=1.5, partition="p0")
-    rows = store.query("t")
-    payloads = [
-        # DB_QUERY reply, es.forward_batch of db.delta events, db.tables.* checkpoint save
+def _shapes(rows):
+    """The messages stored rows travel in: a DB_QUERY reply, an
+    es.forward_batch of db.delta events, a db.tables.* checkpoint save."""
+    return [
         {"rows": rows, "partitions_missing": [], "watermark": {"epoch": 1, "seq": len(rows)}},
         {"events": [
             {"type": "db.delta", "seq": i, "data": {"table": "t", "op": "put", "row": row}}
@@ -189,18 +197,32 @@ def test_property_frozen_rows_size_like_plain_dicts(sent):
         ]},
         {"key": "db.tables.p0", "data": {"tables": {"t": {r["_key"]: r for r in rows}}, "t": 2.0}},
     ]
-    plain = [_thaw(payload) for payload in payloads]
-    assert all(type(row) is dict for row in plain[0]["rows"])
-    expected = [estimate_size(payload) for payload in plain]
-    assert [estimate_size(payload) for payload in payloads] == expected  # rendering
-    assert [estimate_size(payload) for payload in payloads] == expected  # from the cached text
-    first = rows[0]["_key"]
-    store.put("t", first, {"replaced": True}, now=9.0, partition="p0")
-    store.expire("t", max_age=5.0, now=8.0)  # every other row
-    assert store.row_count("t") == 1 and not any(row._text for row in rows)
-    assert [estimate_size(payload) for payload in payloads] == expected  # text dropped
-    reply = {"rows": store.query("t")}
-    assert estimate_size(reply) == estimate_size(_thaw(reply))
+
+
+@given(_OPS)
+def test_property_frozen_rows_size_like_plain_dicts(ops):
+    """``estimate_size`` counts the same bytes for a payload of stored rows
+    as for its plain-dict copy, after every put, replace, delete and
+    expire, for the rows still stored and for rows held after they left —
+    the unit-level guard for ``sim_bytes_per_op`` and every
+    ``sim_digest``."""
+    store = BulletinStore()
+    held = []
+    for step, (op, arg, row) in enumerate(ops):
+        now = float(step)
+        if op == "put":
+            store.put("t", arg, row, now=now, partition="p0")
+        elif op == "delete":
+            store.delete("t", arg)
+        else:
+            store.expire("t", max_age=arg, now=now)
+        rows = store.query("t")
+        held = list({id(r): r for r in held + rows}.values())
+        for shape in (rows, held):
+            for payload in _shapes(shape):
+                plain = _thaw(payload)
+                assert not any(type(r) is FrozenRow for r in plain.get("rows", ()))
+                assert estimate_size(payload) == estimate_size(plain)
 
 
 # -- federation integration -----------------------------------------------

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
+from repro.cluster.message import wire_size
 from repro.errors import ServiceUnavailable
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
 from repro.kernel.bulletin.store import FrozenRow
 from repro.sim import Simulator, drive
 from repro.userenv.monitoring import install_gridview
+from tests.kernel.test_bulletin import _thaw
 from tests.kernel.test_bulletin_views import rows_close
 
 NODES_BY_STATE = Query(
@@ -225,8 +227,9 @@ def test_every_stored_and_mirrored_row_is_an_intact_value():
     """Rows are shared by reference between stores, the ``db.delta`` feed,
     view mirrors, GridView snapshots, checkpoints and ``AS OF`` replies.
     After a run through all of them every row still is a ``FrozenRow``
-    whose cached text is its content — a nested *list* edited in place,
-    the one mutation the type cannot refuse, would show here."""
+    whose wire size, taken when it was frozen, is its content's — a
+    nested *list* edited in place, the one mutation the type cannot
+    refuse, would show here."""
     sim, kernel, injector = _boot(partitions=2)
     client = _client(kernel)
     console = install_gridview(kernel, refresh_interval=5.0)  # classic: two global scans
@@ -248,9 +251,7 @@ def test_every_stored_and_mirrored_row_is_an_intact_value():
     assert kernel.bulletin("p1").engine.mirror and len(rows) > 30
     for row in rows:
         assert type(row) is FrozenRow
-        assert repr(row) == dict.__repr__(row)
-    # a stored row was sized on its way into replies: its text is cached
-    assert any(row._text for row in rows)
+        assert row._size == wire_size(_thaw(row))
 
 
 def test_a_delta_consumer_cannot_edit_the_publishers_row():
