@@ -43,16 +43,49 @@ ENTRY_BYTES = 4
 ELEMENT_BYTES = 2
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError("a sealed dict is a value: edit dict(it) and send that")
+
+
+_CONTAINERS = frozenset((dict, list))
+
+
+def _frozen(value):
+    """A dict as a :class:`SizedDict`; a list as a copy, containers inside frozen."""
+    if type(value) is dict:
+        return SizedDict(value)
+    return [_frozen(v) if type(v) in _CONTAINERS else v for v in value]
+
+
 class SizedDict(dict):
-    """A dict that is never changed after it is built, and so carries its
-    wire size: its builder calls :meth:`seal` once, and every message that
-    carries it adds that number instead of walking it again."""
+    """A ``dict`` that is a value, not an object: a stored bulletin row, an event.
+
+    Built once (nested dicts frozen alike, nested lists copied), then
+    shared by every reader.  Mutators raise ``TypeError`` and ``copy`` /
+    ``deepcopy`` return the dict itself; ``dict(it)`` is the mutable copy.
+    Only an in-place edit of a nested *list* cannot be refused.  It is
+    sized once, when built: a message that carries it adds that number.
+    """
 
     __slots__ = ("_size",)
 
-    def seal(self) -> None:
-        """Size the entries as they are now; call once, after the last change."""
+    def __init__(self, entries: Any = (), **extra: Any) -> None:
+        dict.__init__(self, entries, **extra)
+        # Most dicts hold scalars only: one C-level type test skips the
+        # per-entry loop for them.
+        if not _CONTAINERS.isdisjoint(map(type, self.values())):
+            for key, value in tuple(self.items()):
+                if type(value) in _CONTAINERS:
+                    dict.__setitem__(self, key, _frozen(value))
         self._size = _dict_size(self)
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = pop = popitem = clear = setdefault = _refuse
+
+    def __deepcopy__(self, memo: dict | None = None) -> "SizedDict":
+        return self
+
+    __copy__ = __deepcopy__
 
 
 def wire_size(value: Any) -> int:

@@ -9,56 +9,10 @@ from repro.errors import KernelError
 from repro.kernel.query import matches as where_matches
 
 
-def _refuse(self, *args, **kwargs):
-    raise TypeError("a bulletin row is a value: edit dict(row) and put that")
-
-
-_CONTAINERS = frozenset((dict, list))
-
-
-def _frozen(value):
-    """A dict as a :class:`FrozenRow`; a list as a copy, containers inside frozen."""
-    if type(value) is dict:
-        return FrozenRow(value)
-    return [_frozen(v) if type(v) in _CONTAINERS else v for v in value]
-
-
-class FrozenRow(SizedDict):
-    """A stored bulletin row: a ``dict`` that is a value, not an object.
-
-    Built once by :meth:`BulletinStore.put` (nested dicts frozen the same
-    way, nested lists copied), then handed by reference to every reader:
-    query replies, the ``db.delta`` feed, view mirrors, GridView
-    snapshots, checkpoints.  Mutators raise ``TypeError`` and ``copy`` /
-    ``deepcopy`` return the row itself, so nobody copies and nobody can
-    corrupt the store; ``dict(row)`` is the mutable copy to edit and put
-    back.  Only an in-place edit of a nested *list* cannot be refused.
-
-    Being immutable, a row is sized for the wire once, when it is frozen
-    (:class:`~repro.cluster.message.SizedDict`): a reply of N stored rows
-    costs N additions, the same bytes as its plain-dict copy.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, row: dict[str, Any], **meta: Any) -> None:
-        dict.__init__(self, row, **meta)
-        # Most rows hold scalars only: one C-level type test skips the
-        # per-field loop for them.
-        if not _CONTAINERS.isdisjoint(map(type, row.values())):
-            for field, value in row.items():
-                if type(value) in _CONTAINERS:
-                    dict.__setitem__(self, field, _frozen(value))
-        self.seal()
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    update = pop = popitem = clear = setdefault = _refuse
-
-    def __copy__(self) -> "FrozenRow":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "FrozenRow":
-        return self
+#: A stored row: a :class:`~repro.cluster.message.SizedDict` that every reader
+#: (replies, the ``db.delta`` feed, view mirrors, checkpoints) shares;
+#: ``dict(row)`` is the copy to edit and put back.
+FrozenRow = SizedDict
 
 
 class BulletinStore:

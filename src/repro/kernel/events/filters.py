@@ -250,6 +250,8 @@ class SubscriptionIndex:
         fields and cross-type comparisons never match range operators,
         so those prune too).
         """
+        if not self._subs:
+            return []
         ids: set[str] = set(self._all_types)
         exact = self._exact.get(event_type)
         if exact:

@@ -17,16 +17,17 @@ Delivery uses the :class:`~repro.kernel.events.filters.SubscriptionIndex`
 subscription per event — same delivered set, O(candidates) instead of
 O(consumers) on the publish hot path.
 
-Federation forwards are **batched**: publishes append to a per-peer
-outbox that a timer drains once per ``ES_FORWARD_FLUSH`` window, sending
-one acked ``es.forward_batch`` datagram per peer instead of one forward
-per event.  A batch the peer never acked is re-queued (in order) and the
-stranded outbox is folded into the state checkpoint, so a migrated
-instance re-delivers it after recovery; an administrative stop drains
-the outbox before the process dies.  Each peer's outbox is capped at
-``ES_OUTBOX_MAX``: a long peer outage drops the *oldest* queued forwards
-(traced as ``es.outbox_overflow``) instead of growing the checkpoint
-without bound.  A batch that fails *sooner* than its ``RPC_TIMEOUT``
+Federation forwards are **batched**: a publish builds its event value
+(:class:`~repro.kernel.events.types.Event`) once and appends it to each
+peer's outbox, drained once per ``ES_FORWARD_FLUSH`` window into one
+acked ``es.forward_batch`` per peer; receivers share that object and
+decide relays once per batch.  A batch the peer never acked is re-queued
+(in order) and the stranded outbox is folded into the state checkpoint,
+so a migrated instance re-delivers it after recovery; an administrative
+stop drains the outbox before the process dies.  Each peer's outbox is
+capped at ``ES_OUTBOX_MAX``: a long peer outage drops the *oldest* queued
+forwards (traced as ``es.outbox_overflow``) instead of growing the
+checkpoint without bound.  A batch that fails *sooner* than its ``RPC_TIMEOUT``
 budget (a send refused at source, as across a network split) *holds* its
 peer until the budget has passed since the batch left, so an unreachable
 peer costs one batch per budget, as a crashed one does; a batch that
@@ -49,7 +50,7 @@ from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.digest import digest_batch
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
-from repro.kernel.events.types import Event, batch_to_payload, events_from_batch
+from repro.kernel.events.types import Event, batch_to_payload
 from repro.kernel.timings import (
     ES_CKPT_DEBOUNCE,
     ES_FORWARD_BATCH_MAX,
@@ -85,7 +86,8 @@ class EventServiceDaemon(ServiceDaemon):
         self._ids = IdAllocator(f"ev.{self.partition_id}.{round(self.sim.now * 1e6)}")
         self._history: deque[Event] = deque(maxlen=self.HISTORY)
         self._ckpt_timer: Timer | None = None
-        #: Federation outbox: peer partition id -> pending event payloads.
+        #: Federation outbox: peer partition id -> pending events (or the
+        #: plain dicts of a digest or an old checkpoint).
         self._outbox: dict[str, deque[dict[str, Any]]] = {}
         #: Peers with a batch awaiting its ack (one in flight per peer,
         #: so forwards stay FIFO per partition even across retries).
@@ -183,8 +185,7 @@ class EventServiceDaemon(ServiceDaemon):
             for event in matching:
                 self.delivered += 1
                 self.sim.trace.count("es.replayed")
-                self.send(sub.node, sub.port, ports.ES_EVENT,
-                          {"event": event.to_payload(), "replayed": True})
+                self.send(sub.node, sub.port, ports.ES_EVENT, {"event": event, "replayed": True})
         return {"ok": True, "consumer_id": sub.consumer_id}
 
     def _on_unsubscribe(self, msg: Message) -> dict[str, Any]:
@@ -206,16 +207,15 @@ class EventServiceDaemon(ServiceDaemon):
             source=msg.src_node,
             partition=self.partition_id,
             time=self.sim.now,
-            data=dict(msg.payload.get("data", {})),
+            data=msg.payload.get("data", {}),
             span=pub_span.span_id,
         )
         self.published += 1
         self.sim.trace.count("es.published")
         self._history.append(event)
         self._deliver_local(event)
-        payload = event.to_payload()
         for part_id in self._federation_peers():
-            self._enqueue_forward(part_id, payload)
+            self._enqueue_forward(part_id, event)
         self._arm_flush()
         pub_span.end(event_id=event.event_id)
         return {"ok": True, "event_id": event.event_id}
@@ -233,15 +233,22 @@ class EventServiceDaemon(ServiceDaemon):
 
     def _on_forward_batch(self, msg: Message) -> dict[str, Any]:
         origin = str(msg.payload.get("origin", ""))
+        ingress, home = self._relay_roles(origin)
         accepted = 0
-        for event in events_from_batch(msg.payload):
+        for event in msg.payload.get("events", ()):
+            if type(event) is not Event:
+                event = Event.from_payload(event)
             if self._accept_forward(event):
                 accepted += 1
-                self._relay_forward(event, origin)
+                if ingress or (home is not None
+                               and self.kernel.region_of(event.partition) == home):
+                    self._relay_forward(event, ingress)
         return {"ok": True, "accepted": accepted}
 
-    def _relay_forward(self, event: Event, origin_part: str) -> None:
-        """Relay rules, applied on first acceptance of a forward.
+    def _relay_roles(self, origin_part: str) -> tuple[bool, int | None]:
+        """Relay rules for one forward batch, applied to each event on its
+        first acceptance: ``(ingress, home)``, ``home`` being this region
+        when this partition is its aggregator, else ``None``.
 
         *Ingress*: a batch arriving from another region (necessarily via
         an aggregator funnel) is fanned out to this region's mesh, so
@@ -256,18 +263,16 @@ class EventServiceDaemon(ServiceDaemon):
         """
         kernel = self.kernel
         if not origin_part:
-            return
+            return False, None
         my_region = kernel.region_of(self.partition_id)
-        ingress = kernel.region_of(origin_part) != my_region
-        if not ingress and not (
-            kernel.region_of(event.partition) == my_region
-            and kernel.is_aggregator(self.partition_id)
-        ):
-            return
-        payload = event.to_payload()
-        for pid, _node, remote in kernel.federation_edges("es", self.partition_id):
+        if kernel.region_of(origin_part) != my_region:
+            return True, None
+        return False, my_region if kernel.is_aggregator(self.partition_id) else None
+
+    def _relay_forward(self, event: Event, ingress: bool) -> None:
+        for pid, _node, remote in self.kernel.federation_edges("es", self.partition_id):
             if remote != ingress:  # ingress -> own mesh, egress -> remote aggregators
-                self._enqueue_forward(pid, payload)
+                self._enqueue_forward(pid, event)
         self._arm_flush()
 
     def _accept_forward(self, event: Event) -> bool:
@@ -329,15 +334,20 @@ class EventServiceDaemon(ServiceDaemon):
         for part_id, pending in self._outbox.items():
             if not pending or part_id in self._inflight_batch or part_id in self._held:
                 continue
-            batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
-            if self._cross_region(part_id):
-                # Aggregator-to-aggregator hops carry digested state:
-                # contiguous db.delta runs coalesce per (table, key).
-                batch = digest_batch(batch)
+            batch = self._take_batch(part_id, pending)
             self._inflight_batch[part_id] = batch
             self.spawn(self._send_batch(part_id, batch),
                        name=f"{self.node_id}/es.fwd.{part_id}")
         self._arm_flush()  # overflow past the cap waits for the next window
+
+    def _take_batch(self, part_id: str, pending: deque) -> list[dict[str, Any]]:
+        """The next size-capped batch off ``pending`` for ``part_id``."""
+        batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
+        if self._cross_region(part_id):
+            # Aggregator-to-aggregator hops carry digested state:
+            # contiguous db.delta runs coalesce per (table, key).
+            batch = digest_batch(batch)
+        return batch
 
     def _cross_region(self, part_id: str) -> bool:
         """Does the hop to ``part_id`` cross a region boundary?"""
@@ -352,11 +362,7 @@ class EventServiceDaemon(ServiceDaemon):
             reply = None
             peer = self.kernel.placement.get(("es", part_id))
             if peer is not None:
-                self.forward_batches += 1
-                self.forward_batched_events += len(batch)
-                self.sim.trace.count("es.forward_batches")
-                self.sim.trace.count("es.forward_batched_events", len(batch))
-                self._count_tier(part_id, len(batch))
+                self._count_batch(part_id, len(batch))
                 reply = yield self.rpc_retry(
                     peer, ports.ES, ports.ES_FORWARD_BATCH,
                     batch_to_payload(self.partition_id, batch),
@@ -403,19 +409,18 @@ class EventServiceDaemon(ServiceDaemon):
             if peer is None:
                 continue
             while pending:
-                batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
-                if self._cross_region(part_id):
-                    batch = digest_batch(batch)
-                self.forward_batches += 1
-                self.forward_batched_events += len(batch)
-                self.sim.trace.count("es.forward_batches")
-                self.sim.trace.count("es.forward_batched_events", len(batch))
-                self._count_tier(part_id, len(batch))
+                batch = self._take_batch(part_id, pending)
+                self._count_batch(part_id, len(batch))
                 self.send(peer, ports.ES, ports.ES_FORWARD_BATCH,
                           batch_to_payload(self.partition_id, batch))
 
-    def _count_tier(self, part_id: str, events: int) -> None:
-        """Intra/cross-region breakdown of federation traffic."""
+    def _count_batch(self, part_id: str, events: int) -> None:
+        """Count one batch of ``events`` sent to ``part_id``, with the
+        intra/cross-region breakdown of federation traffic."""
+        self.forward_batches += 1
+        self.forward_batched_events += events
+        self.sim.trace.count("es.forward_batches")
+        self.sim.trace.count("es.forward_batched_events", events)
         # One region would mint ``_intra`` keys the paper-calibrated
         # counter sets (Tables 1-3, fig4 trace, sim_digest) never had.
         if not self.kernel.multi_region:
@@ -444,7 +449,7 @@ class EventServiceDaemon(ServiceDaemon):
                     type=event.type,
                     consumer=sub.consumer_id,
                 )
-                sent = self.send(sub.node, sub.port, ports.ES_EVENT, {"event": event.to_payload()})
+                sent = self.send(sub.node, sub.port, ports.ES_EVENT, {"event": event})
                 span.end(ok=sent)
 
     def _ckpt_key(self) -> str:

@@ -7,8 +7,10 @@ for the types they care about (paper §4.2/§5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter, methodcaller
 from typing import Any
+
+from repro.cluster.message import SizedDict
 
 # -- well-known event types --------------------------------------------------
 NODE_FAILURE = "node.failure"
@@ -42,44 +44,53 @@ DB_DELTA = "db.delta"
 DB_DELTA_DIGEST = "db.delta_digest"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One event flowing through the event service."""
+class Event(SizedDict):
+    """One event flowing through the event service, and its own wire payload:
+    a :class:`~repro.cluster.message.SizedDict` value whose keys read as
+    attributes (``span`` is absent when unset).  The instance that accepts
+    a publish builds it once; every outbox, batch, relay, history slot,
+    delivery and checkpoint on every partition holds that one object.
+    """
 
-    event_id: str
-    type: str
-    source: str  # supplier node id
-    partition: str  # partition whose ES first accepted it
-    time: float  # virtual time of publication
-    data: dict[str, Any] = field(default_factory=dict, hash=False)
-    #: Tracing span id of the accepting instance's publish span — carried
-    #: across federation so remote deliveries join the publish's causal
-    #: tree ("" when tracing spans were not in play).
-    span: str = ""
+    __slots__ = ()
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = {
-            "event_id": self.event_id,
-            "type": self.type,
-            "source": self.source,
-            "partition": self.partition,
-            "time": self.time,
-            "data": dict(self.data),
+    def __init__(
+        self, event_id: str, type: str, source: str, partition: str, time: float,
+        data: dict[str, Any] | None = None, span: str = "",
+    ) -> None:
+        fields = {
+            "event_id": event_id,
+            "type": type,
+            "source": source,  # supplier node id
+            "partition": partition,  # partition whose ES first accepted it
+            "time": time,  # virtual time of publication
+            "data": {} if data is None else data,
         }
-        if self.span:
-            payload["span"] = self.span
-        return payload
+        # The accepting instance's publish span: remote deliveries join its tree.
+        if span:
+            fields["span"] = span
+        SizedDict.__init__(self, fields)
+
+    event_id = property(itemgetter("event_id"))
+    type = property(itemgetter("type"))
+    source = property(itemgetter("source"))
+    partition = property(itemgetter("partition"))
+    time = property(itemgetter("time"))
+    data = property(itemgetter("data"))
+    span = property(methodcaller("get", "span", ""))
+
+    def to_payload(self) -> "Event":
+        return self
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "Event":
+        """The event itself, or one decoded from a plain dict (an old
+        checkpoint's outbox, a cross-region digest)."""
+        if isinstance(payload, Event):
+            return payload
         return cls(
-            event_id=payload["event_id"],
-            type=payload["type"],
-            source=payload["source"],
-            partition=payload["partition"],
-            time=payload["time"],
-            data=dict(payload.get("data", {})),
-            span=payload.get("span", ""),
+            payload["event_id"], payload["type"], payload["source"], payload["partition"],
+            payload["time"], payload.get("data", {}), payload.get("span", ""),
         )
 
 
@@ -88,8 +99,3 @@ def batch_to_payload(origin: str, events: list[dict[str, Any]]) -> dict[str, Any
     """``es.forward_batch`` payload: one datagram carrying every event a
     partition's instance accumulated for one peer during a flush window."""
     return {"origin": origin, "events": list(events)}
-
-
-def events_from_batch(payload: dict[str, Any]) -> list[Event]:
-    """Decode a forward batch back into events, preserving publish order."""
-    return [Event.from_payload(p) for p in payload.get("events", [])]

@@ -1,5 +1,13 @@
 """Event service: filtering, federation, state checkpoint + recovery."""
 
+import copy
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.cluster import message
+from repro.cluster.message import wire_size
 from repro.kernel import ports
 from repro.kernel.events import types as ev
 from repro.kernel.events.filters import Subscription
@@ -41,6 +49,63 @@ def test_subscription_payload_roundtrip():
 def test_event_payload_roundtrip():
     event = make_event()
     assert Event.from_payload(event.to_payload()) == event
+
+
+def _thaw(value):
+    """The plain-``dict`` deep copy of an event or anything nested in one."""
+    if isinstance(value, dict):
+        return {k: _thaw(v) for k, v in value.items()}
+    return [_thaw(v) for v in value] if isinstance(value, list) else value
+
+
+def test_an_event_is_a_value():
+    """Shared by every outbox, peer and consumer, so nobody may change it —
+    and nobody needs to copy it."""
+    event = make_event(data={"node": "p0c0", "nics": {"eth0": True}, "tags": ["a"]})
+    for mutate in (
+        lambda: event.__setitem__("type", "x"),
+        lambda: event.__delitem__("type"),
+        lambda: event.update(type="x"),
+        lambda: event.pop("type"),
+        lambda: event.popitem(),
+        lambda: event.clear(),
+        lambda: event.setdefault("w", 1),
+        lambda: event.__ior__({"w": 1}),
+        lambda: event.data.__setitem__("node", "x"),
+        lambda: event.data["nics"].__setitem__("eth0", False),
+    ):
+        with pytest.raises(TypeError):
+            mutate()
+    with pytest.raises(AttributeError):
+        event.type = "x"
+    assert event.type == ev.NODE_FAILURE and event.data["nics"] == {"eth0": True}
+    assert copy.deepcopy(event) is event and copy.copy(event) is event
+    assert event.to_payload() is event and Event.from_payload(event) is event
+    # A plain dict (an old checkpoint's outbox, a digest) still decodes.
+    plain = dict(event)
+    assert type(plain) is dict and Event.from_payload(plain) == event
+    assert Event.from_payload(_thaw(event)) == event
+
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_DATA = st.dictionaries(st.text(max_size=4), st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+), max_size=4)
+
+
+@given(_DATA, st.text(max_size=6), st.floats(allow_nan=False))
+def test_property_an_event_sizes_like_its_plain_copy(data, span, t):
+    """Sized once when it is built: the same bytes as the plain payload it
+    replaces, with and without a span, whatever the data nests."""
+    event = Event(event_id="ev.p0.0.1", type=ev.DB_DELTA, source="p0s0", partition="p0",
+                  time=t, data=data, span=span)
+    plain = _thaw(event)
+    assert ("span" in plain) == bool(span) and plain["data"] == data
+    assert event._size == wire_size(plain)
+    assert wire_size({"origin": "p0", "events": [event, event]}) == \
+        wire_size({"origin": "p0", "events": [plain, plain]})
 
 
 # -- integration helpers ------------------------------------------------------
@@ -147,3 +212,25 @@ def test_delivery_counters(kernel, sim):
     assert sim.trace.counter("es.published") >= 1
     assert sim.trace.counter("es.delivered") >= 1
 
+
+def test_a_published_event_is_one_object_on_every_peer(kernel, sim, monkeypatch):
+    """Built and sized once at publish: every peer's history and every
+    consumer holds that object, and sizing the K forward batches walks
+    no event."""
+    inbox = subscribe_collector(kernel, sim, "p1c0", "c1", partition="p1")
+    publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "p0c0", "nics": {"eth0": False}},
+            partition="p0")
+    source = kernel.live_daemon("es", kernel.placement[("es", "p0")])
+    event = source._history[-1]
+    assert type(event) is Event and any(source._outbox.values())  # queued, not yet sent
+    walked = []
+    real = message._dict_size
+    monkeypatch.setattr(message, "_dict_size", lambda entries: walked.append(entries) or
+                        real(entries))
+    sim.run(until=sim.now + 0.5)
+    peers = [kernel.live_daemon("es", kernel.placement[("es", p)]) for p in ("p1", "p2")]
+    assert all(peer._history[-1] is event for peer in peers)
+    assert len(inbox) == 1 and inbox[0] is event
+    batches = [w for w in walked if "events" in w]
+    assert len(batches) == len(peers)
+    assert not any(isinstance(w, Event) or "event_id" in w for w in walked)
