@@ -10,7 +10,8 @@ forms with uniformed semantics (such as Socket, RPC and ORB)" (paper
   queries, checkpoint save, parallel command calls);
 * :meth:`Transport.rpc_retry` — the same request/reply hardened with
   bounded attempts, exponential backoff with jitter, and a
-  per-destination in-flight cap (for idempotent control-plane calls).
+  per-destination in-flight cap (for idempotent control-plane calls);
+  each call is one event-driven :class:`_Retry`, not a process.
 
 Network selection mirrors reality: a sender picks the first fabric that is
 *locally* usable (its own NIC + carrier); remote failures only surface as
@@ -101,11 +102,104 @@ class _Call:
         self.settle(None)
 
 
+class _Retry:
+    """One :meth:`Transport.rpc_retry` call, a signal waiter stepped by
+    events: gate → attempt → reply, or pause → attempt → … → gave up.
+
+    It schedules the events a process running the same loop would: first
+    step and every wake at ``+0``, one sleep per non-zero pause.
+    ``deadline`` is ``None`` until it holds an in-flight slot.
+    """
+
+    __slots__ = ("transport", "request", "timeout", "jitter", "cap", "slices", "span", "signal",
+                 "attempt", "deadline")
+
+    def __init__(self, transport: "Transport", request: tuple[Any, ...], timeout: float,
+                 jitter: float, cap: int, slices: list[float], span: Any) -> None:
+        self.transport = transport
+        #: ``(src_node, dst_node, dst_port, mtype, payload, network)``, as rpc() takes them.
+        self.request = request
+        self.timeout = timeout
+        self.jitter = jitter
+        self.cap = cap
+        self.slices = slices
+        self.span = span
+        self.signal = transport.sim.signal(name=f"rpc_retry.{request[1]}.{request[3]}")
+        self.attempt = 0
+        self.deadline: float | None = None
+        self._wake_soon(None)
+
+    def _wake_soon(self, value: Any) -> None:
+        sim = self.transport.sim
+        sim._schedule(sim._now, 0, self._step, (value,))
+
+    def _step(self, reply: dict[str, Any] | None) -> None:
+        transport = self.transport
+        sim = transport.sim
+        if self.deadline is None:  # first step, or woken at the head of the gate queue
+            dst_node = self.request[1]
+            inflight = transport._inflight
+            if inflight.get(dst_node, 0) >= self.cap:
+                transport._inflight_gates.setdefault(dst_node, deque()).append(self)
+                sim.trace.count("rpc.inflight_queued")
+                return
+            inflight[dst_node] = inflight.get(dst_node, 0) + 1
+            self.deadline = sim._now + self.timeout
+            self._attempt()
+            return
+        attempt = self.attempt
+        if reply is not None or attempt + 1 == len(self.slices):
+            self._finish(reply, attempt + 1)
+            return
+        sim.trace.count("rpc.retries")
+        pause = self.jitter * self.slices[attempt] * float(transport._retry_rng.random())
+        pause = min(pause, max(0.0, self.deadline - sim._now))
+        self.attempt = attempt + 1
+        if pause > 0:
+            sim._schedule(sim._now + pause, 0, self._attempt, ())
+        else:
+            self._attempt()
+
+    def _attempt(self) -> None:
+        remaining = self.deadline - self.transport.sim._now
+        if remaining <= 0:
+            self._finish(None, len(self.slices))
+            return
+        try:
+            signal = self.transport.rpc(
+                *self.request, timeout=min(self.slices[self.attempt], remaining), span=self.span)
+        except BaseException:
+            self._release()
+            raise
+        signal._register(self)
+
+    def _finish(self, reply: dict[str, Any] | None, attempts_used: int) -> None:
+        if reply is None:
+            src_node, dst_node, _, mtype, _, _ = self.request
+            self.transport.sim.trace.mark("rpc.gave_up", src=src_node, dst=dst_node, mtype=mtype,
+                                          attempts=len(self.slices))
+        self.span.end(ok=reply is not None, attempts_used=attempts_used)
+        self.signal.fire(reply)
+        self._release()
+
+    def _release(self) -> None:
+        """Give the slot back and wake the destination's head waiter."""
+        transport, dst_node = self.transport, self.request[1]
+        count = transport._inflight.pop(dst_node) - 1
+        if count:
+            transport._inflight[dst_node] = count
+        gates = transport._inflight_gates.get(dst_node)
+        if gates:
+            gates.popleft()._wake_soon(None)
+            if not gates:
+                del transport._inflight_gates[dst_node]
+
+
 class Transport:
     """Cluster-wide message router."""
 
     #: Per-destination cap on concurrent ``rpc_retry`` calls (excess calls
-    #: queue FIFO at the sender instead of piling onto a struggling node).
+    #: queue at the sender instead of piling onto a struggling node).
     DEFAULT_INFLIGHT_CAP = 32
 
     def __init__(self, sim: Simulator, networks: dict[str, Network], nodes: dict[str, Node]) -> None:
@@ -117,7 +211,7 @@ class Transport:
         self._rpc_ids = IdAllocator("rpc")
         self.max_inflight_per_dest = self.DEFAULT_INFLIGHT_CAP
         self._inflight: dict[str, int] = {}
-        self._inflight_gates: dict[str, deque[Any]] = {}
+        self._inflight_gates: dict[str, deque[_Retry]] = {}
         self._retry_rng = sim.rngs.stream("transport.retry")
         #: Delivery counter key per node and reply type per request type,
         #: built once rather than formatted per message.
@@ -160,10 +254,6 @@ class Transport:
 
     def unbind(self, node_id: str, port: str) -> None:
         self._endpoints.pop((node_id, port), None)
-
-    def bound(self, node_id: str, port: str) -> bool:
-        ep = self._endpoints.get((node_id, port))
-        return ep is not None and ep.receiving
 
     # -- datagrams ---------------------------------------------------------
     def send(
@@ -307,74 +397,24 @@ class Transport:
 
         A per-destination in-flight cap (``inflight_cap``, defaulting to
         :attr:`max_inflight_per_dest`) bounds concurrent retrying calls to
-        one destination: excess calls queue FIFO instead of piling
-        correlated retry storms onto a struggling node.
+        one destination: excess calls queue instead of piling correlated
+        retry storms onto a struggling node.  A cap below 1 is refused: no
+        call could ever take a slot.  The call is one :class:`_Retry`.
         """
         if attempts < 1:
             raise TransportError(f"rpc_retry needs attempts >= 1, got {attempts}")
         if backoff < 1.0:
             raise TransportError(f"rpc_retry backoff must be >= 1.0, got {backoff}")
         cap = self.max_inflight_per_dest if inflight_cap is None else inflight_cap
-        outer = self.sim.signal(name=f"rpc_retry.{dst_node}.{mtype}")
-        retry_span = self.sim.trace.span(
-            "rpc.retry", parent=span, src=src_node, dst=dst_node, mtype=mtype
-        )
+        if cap < 1:
+            raise TransportError(f"rpc_retry needs an in-flight cap >= 1, got {cap}")
         # Geometric split of the budget: weights backoff**i, summing to 1.
         total_weight = sum(backoff**i for i in range(attempts))
-        slices = [timeout * (backoff**i) / total_weight for i in range(attempts)]
-
-        def body():
-            while self._inflight.get(dst_node, 0) >= cap:
-                gate = self.sim.signal(name=f"rpc_gate.{dst_node}")
-                self._inflight_gates.setdefault(dst_node, deque()).append(gate)
-                self.sim.trace.count("rpc.inflight_queued")
-                yield gate
-            self._inflight[dst_node] = self._inflight.get(dst_node, 0) + 1
-            try:
-                deadline = self.sim.now + timeout
-                for attempt, attempt_timeout in enumerate(slices):
-                    remaining = deadline - self.sim.now
-                    if remaining <= 0:
-                        break
-                    reply = yield self.rpc(
-                        src_node,
-                        dst_node,
-                        dst_port,
-                        mtype,
-                        payload,
-                        network=network,
-                        timeout=min(attempt_timeout, remaining),
-                        span=retry_span,
-                    )
-                    if reply is not None:
-                        retry_span.end(ok=True, attempts_used=attempt + 1)
-                        outer.fire(reply)
-                        return
-                    if attempt + 1 < len(slices):
-                        self.sim.trace.count("rpc.retries")
-                        pause = jitter * attempt_timeout * float(self._retry_rng.random())
-                        pause = min(pause, max(0.0, deadline - self.sim.now))
-                        if pause > 0:
-                            yield pause
-                self.sim.trace.mark(
-                    "rpc.gave_up", src=src_node, dst=dst_node, mtype=mtype, attempts=attempts
-                )
-                retry_span.end(ok=False, attempts_used=attempts)
-                outer.fire(None)
-            finally:
-                count = self._inflight.get(dst_node, 0) - 1
-                if count <= 0:
-                    self._inflight.pop(dst_node, None)
-                else:
-                    self._inflight[dst_node] = count
-                gates = self._inflight_gates.get(dst_node)
-                if gates:
-                    gates.popleft().fire(None)
-                    if not gates:
-                        del self._inflight_gates[dst_node]
-
-        self.sim.spawn(body(), name=f"rpc_retry.{src_node}->{dst_node}")
-        return outer
+        return _Retry(
+            self, (src_node, dst_node, dst_port, mtype, payload, network), timeout, jitter, cap,
+            [timeout * (backoff**i) / total_weight for i in range(attempts)],
+            self.sim.trace.span("rpc.retry", parent=span, src=src_node, dst=dst_node, mtype=mtype),
+        ).signal
 
     def ping(
         self, src_node: str, dst_node: str, network: str, timeout: float = 0.25, span: Any = None

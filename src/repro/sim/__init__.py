@@ -11,7 +11,7 @@ Public surface:
 """
 
 from repro.sim.core import EventHandle, Simulator, Timer
-from repro.sim.process import Proc, ProcState, Signal, Timeout, all_of, any_of, drive, spawn
+from repro.sim.process import Proc, ProcState, Signal, Timeout, all_of, any_of, drive
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Histogram, Span, Trace, TraceRecord
 
@@ -26,7 +26,6 @@ __all__ = [
     "all_of",
     "any_of",
     "drive",
-    "spawn",
     "RngRegistry",
     "Histogram",
     "Span",

@@ -7,6 +7,8 @@ that ``yield`` what they wait for:
 * a :class:`Signal` — park until someone fires it (receiving its value);
 * another :class:`Proc` — join it (receiving its result).
 
+A :class:`Signal` wakes any :class:`Waiter`: a process, or an event-driven call object.
+
 Killing a process (``proc.kill()``) closes the generator, so ``finally``
 blocks run; this models a Unix process being killed and is what the fault
 injector uses for "failure of the X process".
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Generator
-from typing import Any
+from typing import Any, Protocol
 
 from repro.errors import SimulationError
 from repro.sim.core import EventHandle, Simulator
@@ -41,6 +43,12 @@ class Timeout:
         return f"Timeout({self.delay!r})"
 
 
+class Waiter(Protocol):
+    """What a :class:`Signal` wakes: ``_wake_soon(value)`` schedules its next step at ``+0``."""
+
+    def _wake_soon(self, value: Any) -> None: ...
+
+
 class Signal:
     """One-shot wake-up primitive.
 
@@ -56,7 +64,7 @@ class Signal:
         self.name = name
         self.fired = False
         self.value: Any = None
-        self._waiters: list[Proc] = []
+        self._waiters: list[Waiter] = []
 
     def fire(self, value: Any = None) -> None:
         """Fire the signal, waking all current and future waiters."""
@@ -65,18 +73,18 @@ class Signal:
         self.fired = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc._wake_soon(value)
+        for waiter in waiters:
+            waiter._wake_soon(value)
 
-    def _register(self, proc: "Proc") -> None:
+    def _register(self, waiter: Waiter) -> None:
         if self.fired:
-            proc._wake_soon(self.value)
+            waiter._wake_soon(self.value)
         else:
-            self._waiters.append(proc)
+            self._waiters.append(waiter)
 
-    def _unregister(self, proc: "Proc") -> None:
-        if proc in self._waiters:
-            self._waiters.remove(proc)
+    def _unregister(self, waiter: Waiter) -> None:
+        if waiter in self._waiters:
+            self._waiters.remove(waiter)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self.fired else f"{len(self._waiters)} waiting"
@@ -137,10 +145,6 @@ class Proc:
         finally:
             if not self.done.fired:
                 self._finish(None)
-
-    def join(self) -> Signal:
-        """Signal suitable for ``yield proc.join()`` — fires with the result."""
-        return self.done
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Proc({self.name!r}, {self.state.value})"
@@ -228,11 +232,6 @@ class _FirstStep:
 
 
 _FIRST = _FirstStep()
-
-
-def spawn(sim: Simulator, body: Generator[Any, Any, Any], name: str = "") -> Proc:
-    """Start a process on ``sim`` (function form of ``Simulator.spawn``)."""
-    return Proc(sim, body, name=name)
 
 
 def drive(sim: Simulator, signal: Signal, max_time: float | None = None) -> Any:

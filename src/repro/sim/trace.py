@@ -11,20 +11,19 @@ bytes polled, events delivered) used by the bandwidth comparisons in
 section 5.4, plus two causal layers:
 
 * **Spans** (:meth:`Trace.span`) — durations with stable ids and parent
-  links.  Closing a span appends one record carrying ``span_id`` /
+  links.  A closed span is its own record, carrying ``span_id`` /
   ``parent_id`` / ``start`` / ``duration``, so a failover decomposes
   into a causal tree instead of flat, uncorrelated marks.
 * **Latency histograms** (:meth:`Trace.observe`) — fixed-bucket
   distributions keyed by category (``rpc.call``, ``es.deliver``, ...),
   fed automatically by span close, summarized as p50/p95/p99/max.
 
-Tracing is **zero-cost when unobserved**: ``capacity=0`` short-circuits
-:meth:`Trace.mark` to counter-only accounting (no :class:`TraceRecord`
-is constructed — a shared sentinel is returned), and
-:meth:`Trace.set_record_filter` drops whole category families at mark
-time via a memoized prefix lookup, so a 4096-node sweep retains only the
-records its harness reads.  Counters, histograms, and span timing keep
-working in every mode.
+Tracing is **zero-cost when unobserved**: marks and closed spans share
+one memoized retention rule, under which ``capacity=0`` keeps nothing
+(no :class:`TraceRecord` is constructed — a shared sentinel is returned)
+and :meth:`Trace.set_record_filter` drops whole category families, so a
+4096-node sweep retains only the records its harness reads.  Counters,
+histograms, and span timing keep working in every mode.
 """
 
 from __future__ import annotations
@@ -97,8 +96,10 @@ class Histogram:
         self.counts[idx] += 1
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:  # what min()/max() keep, NaN included
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def percentile(self, p: float) -> float:
         """Value at percentile ``p`` (0-100), bucket resolution."""
@@ -153,15 +154,16 @@ class Histogram:
 class Span:
     """One causally-linked duration on the trace.
 
-    Created via :meth:`Trace.span`; closing with :meth:`end` appends a
-    record (category = the span's category) whose fields carry
-    ``span_id`` / ``parent_id`` / ``start`` / ``duration`` plus anything
-    given at open or close time, and feeds the category's latency
-    histogram.  Ids are small monotone strings, so runs stay
-    deterministic and exports stay diffable.
+    Created via :meth:`Trace.span`; :meth:`end` feeds the category's
+    latency histogram and makes the span its own record (the surface of a
+    :class:`TraceRecord`): ``span_id`` / ``parent_id`` / ``start`` /
+    ``duration``, then the open fields updated by the close fields.  Ids
+    are small monotone strings, so runs stay deterministic and exports
+    stay diffable.
     """
 
-    __slots__ = ("_trace", "span_id", "parent_id", "category", "start", "fields", "closed")
+    __slots__ = ("_trace", "span_id", "parent_id", "category", "start", "_fields", "time",
+                 "duration")
 
     def __init__(
         self,
@@ -177,8 +179,25 @@ class Span:
         self.parent_id = parent_id
         self.category = category
         self.start = start
-        self.fields = fields
-        self.closed = False
+        self._fields = fields  # owned by this span: end() merges the close fields in
+        self.time: float | None = None
+        self.duration: float | None = None
+
+    @property
+    def closed(self) -> bool:
+        return self.duration is not None
+
+    @property
+    def fields(self) -> dict[str, Any]:
+        """The record's fields, built on each read."""
+        return {"span_id": self.span_id, "parent_id": self.parent_id, "start": self.start,
+                "duration": self.duration, **self._fields}
+
+    def __getitem__(self, key: str) -> Any:
+        return self.fields[key]
+
+    def get(self, key: str, default: Any = None) -> Any:
+        return self.fields.get(key, default)
 
     def child(self, category: str, **fields: Any) -> "Span":
         """Open a child span (parent link set to this span)."""
@@ -188,27 +207,25 @@ class Span:
         """A point event correlated to this span (carries its span_id)."""
         return self._trace.mark(category, span_id=self.span_id, **fields)
 
-    def end(self, **fields: Any) -> TraceRecord | None:
-        """Close the span: one record + one histogram observation.
+    def end(self, **fields: Any) -> "Span | TraceRecord | None":
+        """Close the span: one histogram observation, and the span appended
+        as its own record (``_NULL_RECORD`` when the trace keeps none).
 
-        Idempotent — a second close is a no-op, so error paths may close
-        defensively in ``finally`` blocks.
+        Idempotent — a second close is a no-op returning ``None``, so
+        error paths may close defensively in ``finally`` blocks.
         """
-        if self.closed:
+        if self.duration is not None:
             return None
-        self.closed = True
-        end_time = self._trace._clock()
-        duration = end_time - self.start
-        record = self._trace.mark(
-            self.category,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            start=self.start,
-            duration=duration,
-            **{**self.fields, **fields},
-        )
-        self._trace.observe(self.category, duration)
-        return record
+        trace = self._trace
+        self.time = now = trace._clock()
+        self.duration = duration = now - self.start
+        self._fields.update(fields)
+        trace.total_marked += 1
+        trace.observe(self.category, duration)
+        if not trace._keeps(self.category):
+            return _NULL_RECORD
+        trace._records.append(self)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "closed" if self.closed else "open"
@@ -230,16 +247,15 @@ class Trace:
         capacity: int | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        self._records: deque[TraceRecord] = deque(maxlen=capacity)
+        self._records: deque[TraceRecord | Span] = deque(maxlen=capacity)
         self._clock = clock or (lambda: 0.0)
         self._counters: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._span_seq = 0
-        #: True when marks skip record construction entirely.
-        self._drop_records = capacity == 0
-        #: Category-prefix allowlist (None = keep everything) plus a
-        #: per-category memo so the prefix scan runs once per category.
-        self._record_filter: tuple[str, ...] | None = None
+        #: Category-prefix allowlist (None = keep everything, ``()`` at
+        #: ``capacity=0`` = keep nothing) plus a per-category memo so the
+        #: prefix scan runs once per category.
+        self._record_filter: tuple[str, ...] | None = () if capacity == 0 else None
         self._filter_memo: dict[str, bool] = {}
         #: Total records ever marked (not capped by capacity or filters).
         self.total_marked = 0
@@ -258,19 +274,19 @@ class Trace:
         is bumped and the shared sentinel record is returned.
         """
         self.total_marked += 1
-        if self._drop_records:
+        if not self._keeps(category):
             return _NULL_RECORD
-        record_filter = self._record_filter
-        if record_filter is not None:
-            keep = self._filter_memo.get(category)
-            if keep is None:
-                keep = category.startswith(record_filter)
-                self._filter_memo[category] = keep
-            if not keep:
-                return _NULL_RECORD
-        record = TraceRecord(time=self._clock(), category=category, fields=fields)
+        record = TraceRecord(self._clock(), category, fields)
         self._records.append(record)
         return record
+
+    def _keeps(self, category: str) -> bool:
+        """The one retention rule for marks and closed spans."""
+        keep = self._filter_memo.get(category)
+        if keep is None:
+            prefixes = self._record_filter
+            keep = self._filter_memo[category] = prefixes is None or category.startswith(prefixes)
+        return keep
 
     def set_record_filter(self, prefixes: "tuple[str, ...] | list[str] | None") -> None:
         """Retain only future records whose category starts with one of
@@ -278,10 +294,12 @@ class Trace:
 
         Filtering happens at mark time — excluded categories never
         construct a record — and does not touch counters, histograms, or
-        ``total_marked``.  Already-retained records are kept.
+        ``total_marked``.  Already-retained records are kept.  A trace of
+        ``capacity=0`` keeps nothing, whatever the filter.
         """
-        self._record_filter = tuple(prefixes) if prefixes is not None else None
-        self._filter_memo = {}
+        if self._records.maxlen != 0:
+            self._record_filter = tuple(prefixes) if prefixes is not None else None
+            self._filter_memo = {}
 
     def records(self, category: str | None = None, **match: Any) -> list[TraceRecord]:
         """All retained records, optionally filtered.
@@ -314,20 +332,6 @@ class Trace:
         for rec in self.iter_records(category, **match):
             found = rec
         return found
-
-    def delta(self, from_category: str, to_category: str, **match: Any) -> float:
-        """Time between the first occurrences of two categories.
-
-        Raises ``LookupError`` when either mark is missing — a missing
-        milestone is an experiment bug, not a zero.
-        """
-        start = self.first(from_category, **match)
-        end = self.first(to_category, **match)
-        if start is None:
-            raise LookupError(f"no record {from_category!r} matching {match!r}")
-        if end is None:
-            raise LookupError(f"no record {to_category!r} matching {match!r}")
-        return end.time - start.time
 
     # -- spans -----------------------------------------------------------
     def span(
@@ -419,9 +423,6 @@ class Trace:
     def counters(self, prefix: str = "") -> dict[str, float]:
         """Snapshot of all counters whose name starts with ``prefix``."""
         return {k: v for k, v in self._counters.items() if k.startswith(prefix)}
-
-    def reset_counter(self, name: str) -> None:
-        self._counters.pop(name, None)
 
     # -- histograms ----------------------------------------------------------
     def observe(self, name: str, value: float, bounds: tuple[float, ...] | None = None) -> None:

@@ -104,7 +104,8 @@ def test_rebind_after_owner_death_allowed(cluster):
     hp.kill()
     hp2 = hostos.start_process("svc")
     cluster.transport.bind("p0c1", "svc", lambda m: None, owner=hp2)
-    assert cluster.transport.bound("p0c1", "svc")
+    endpoint = cluster.transport._endpoints[("p0c1", "svc")]
+    assert endpoint.owner is hp2 and endpoint.receiving
 
 
 def test_send_all_networks_duplicates_on_usable_fabrics(cluster, sim):

@@ -177,3 +177,41 @@ def test_trace_observe_autocreates_and_prefix_filter():
     trace.observe("rpc.call", 0.1)
     assert trace.histogram("db.put").count == 2
     assert set(trace.histograms("db.")) == {"db.put"}
+
+
+def test_closed_span_is_its_own_record():
+    sim = Simulator()
+    span = sim.trace.span("gsd.failover", parent="sp9", node="n1", ok=None)
+    sim.run(until=2.5)
+    rec = span.end(ok=True, kind="process")
+    assert rec is span and sim.trace.records() == [span]
+    assert (span.time, span.category, span.duration) == (2.5, "gsd.failover", 2.5)
+    # The record view: ids and timing first, then the open fields updated
+    # in place by the close fields.
+    assert list(span.fields.items()) == [
+        ("span_id", "sp1"), ("parent_id", "sp9"), ("start", 0.0), ("duration", 2.5),
+        ("node", "n1"), ("ok", True), ("kind", "process"),
+    ]
+    assert span["ok"] is True and span.get("missing", "dflt") == "dflt"
+    with pytest.raises(KeyError):
+        span["missing"]
+    assert sim.trace.first("gsd.failover", node="n1") is span
+    assert span.end() is None and span.end(ok=False) is None
+    assert span["ok"] is True and len(sim.trace) == 1 and sim.trace.total_marked == 1
+
+
+@pytest.mark.parametrize("setup", ["capacity0", "filtered"])
+def test_span_not_retained_returns_the_sentinel_but_still_counts(setup):
+    from repro.sim.trace import _NULL_RECORD
+
+    trace = Trace(capacity=0 if setup == "capacity0" else None)
+    if setup == "filtered":
+        trace.set_record_filter(("gridview.",))
+    span = trace.span("rpc.call", dst="n2")
+    assert span.end(ok=True) is _NULL_RECORD
+    assert span.closed and span["ok"] is True
+    assert span.end() is None
+    assert len(trace) == 0 and trace.total_marked == 1
+    assert trace.histogram("rpc.call").count == 1
+    trace.set_record_filter(None)  # a capacity-0 trace keeps nothing, whatever the filter
+    assert (trace.span("rpc.call").end() is _NULL_RECORD) == (setup == "capacity0")

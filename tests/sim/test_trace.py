@@ -43,20 +43,24 @@ def test_first_and_last():
 
 
 def test_delta_between_marks():
-    times = iter([10.0, 42.5])
+    times = iter([10.0, 42.5, 50.0])
     trace = Trace(clock=lambda: next(times))
     trace.mark("fault.injected", case=1)
     trace.mark("failure.detected", case=1)
-    assert trace.delta("fault.injected", "failure.detected", case=1) == 32.5
+    trace.mark("failure.detected", case=2)
+    detected = trace.first("failure.detected", case=1)
+    assert detected.time - trace.first("fault.injected", case=1).time == 32.5
 
 
 def test_delta_missing_mark_raises():
+    """A missing milestone is ``None`` from ``first()``, so the delta raises
+    instead of reading as zero."""
     trace = Trace()
     trace.mark("fault.injected")
-    with pytest.raises(LookupError):
-        trace.delta("fault.injected", "failure.detected")
-    with pytest.raises(LookupError):
-        trace.delta("never", "fault.injected")
+    with pytest.raises(AttributeError):
+        trace.first("failure.detected").time - trace.first("fault.injected").time
+    with pytest.raises(AttributeError):
+        trace.first("fault.injected").time - trace.first("never").time
 
 
 def test_capacity_evicts_oldest_but_total_keeps_counting():
@@ -75,8 +79,9 @@ def test_counters():
     assert trace.counter("net.mgmt.bytes") == 150
     assert trace.counter("unknown") == 0
     assert trace.counters("net.") == {"net.mgmt.bytes": 150.0, "net.data.bytes": 7.0}
-    trace.reset_counter("net.mgmt.bytes")
-    assert trace.counter("net.mgmt.bytes") == 0
+    assert trace.counters("net.mgmt") == {"net.mgmt.bytes": 150.0}
+    assert trace.counters() == {"net.mgmt.bytes": 150.0, "net.data.bytes": 7.0}
+    assert trace.counters("zzz") == {}
 
 
 def test_clear_keeps_counters():

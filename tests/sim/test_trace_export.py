@@ -73,3 +73,45 @@ def test_bounded_capacity_evicts_but_total_marked_is_exact():
     assert trace.total_marked == 25
     # Only the newest records are retained, oldest evicted first.
     assert [r["seq"] for r in trace.records("tick")] == list(range(15, 25))
+
+
+def _mark_built_span_line(tmp_path, category, start, end, open_fields, close_fields):
+    """The line a closed span exported as when closing it called
+    ``mark(category, span_id=..., parent_id=..., start=..., duration=...,
+    **{**open_fields, **close_fields})``."""
+    from repro.sim.trace import Trace
+
+    trace = Trace(clock=lambda: end)
+    trace.mark(category, span_id="sp1", parent_id="sp0", start=start, duration=end - start,
+               **{**open_fields, **close_fields})
+    path = tmp_path / "marked.jsonl"
+    trace.export_jsonl(str(path), include_counters=False)
+    return path.read_bytes()
+
+
+def test_span_exports_byte_identical_to_its_mark_built_record(tmp_path):
+    open_fields = {"src": "p0c0", "ok": None, "payload": {"k": [1, 2]}, "odd": {3}}
+    close_fields = {"ok": True, "attempts_used": 2, "when": 0.1 + 0.2}
+    sim = Simulator()
+    sim.run(until=0.75)
+    span = sim.trace.span("rpc.retry", parent="sp0", **open_fields)
+    sim.run(until=1.0 / 3.0 + 1.0)
+    span.end(**close_fields)
+    path = tmp_path / "span.jsonl"
+    sim.trace.export_jsonl(str(path), include_counters=False)
+    assert path.read_bytes() == _mark_built_span_line(
+        tmp_path, "rpc.retry", 0.75, 1.0 / 3.0 + 1.0, open_fields, close_fields)
+
+
+def test_load_jsonl_round_trips_a_span_into_an_equal_record(tmp_path):
+    from repro.sim.trace import Trace, TraceRecord
+
+    sim = Simulator()
+    span = sim.trace.span("es.deliver", parent="sp7", topic="t")
+    sim.run(until=0.5)
+    span.end(ok=True)
+    path = tmp_path / "trace.jsonl"
+    sim.trace.export_jsonl(str(path))
+    (back,) = Trace.load_jsonl(str(path)).records()
+    assert isinstance(back, TraceRecord)
+    assert back == TraceRecord(span.time, span.category, span.fields)
