@@ -90,6 +90,17 @@ class Replica:
         )
 
 
+class TierRoute(list):
+    """One tier's routing list (its healthy replicas), the round-robin
+    cursor over it and the name of its request counter."""
+
+    __slots__ = ("cursor", "counter")
+
+    def __init__(self, app: str, tier: str) -> None:
+        super().__init__()
+        self.cursor, self.counter = -1, f"bizrt.requests.{app}.{tier}"
+
+
 @dataclass
 class AppState:
     spec: BizAppSpec
@@ -103,10 +114,10 @@ class AppState:
     #: are routed over and admitted against.  Derived state, written only
     #: by :meth:`set_replica`; each list is updated in place, so a holder
     #: of one always reads the current set.
-    routes: dict[str, list[Replica]] = field(init=False, repr=False, compare=False)
+    routes: dict[str, TierRoute] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.routes = {t.name: [] for t in self.spec.tiers}
+        self.routes = {t.name: TierRoute(self.spec.name, t.name) for t in self.spec.tiers}
         for tier in self.routes:
             self._reroute(tier)
 
@@ -172,9 +183,6 @@ class BusinessRuntime(ServiceDaemon):
         self._free: dict[str, int] = {}
         self._capacity: dict[str, int] = {}
         self._node_up: dict[str, bool] = {}
-        self._rr: dict[tuple[str, str], int] = {}
-        #: ``bizrt.requests.<app>.<tier>`` per (app, tier), built once.
-        self._request_keys: dict[tuple[str, str], str] = {}
         #: Optional TrafficGenerator surfacing admission state in health rows.
         self._traffic = None
 
@@ -569,13 +577,9 @@ class BusinessRuntime(ServiceDaemon):
         healthy = state.routes.get(tier)
         if not healthy:
             raise UserEnvError(f"{app}/{tier}: no healthy replica")
-        key = (app, tier)
-        self._rr[key] = at = (self._rr.get(key, -1) + 1) % len(healthy)
+        healthy.cursor = at = (healthy.cursor + 1) % len(healthy)
         replica = healthy[at]
-        counter = self._request_keys.get(key)
-        if counter is None:
-            counter = self._request_keys[key] = f"bizrt.requests.{app}.{tier}"
-        self.sim.trace.count(counter)
+        self.sim.trace.count(healthy.counter)
         if span is not None:
             span.mark("bizrt.route", tier=tier, replica=replica.job_id,
                       node=replica.node)

@@ -17,8 +17,9 @@ load.  This module supplies that missing half: an *open-loop* generator
 
 Each admitted request walks the app's tiers in order: admission queue →
 :meth:`BusinessRuntime.route_replica` → service time on the chosen
-replica.  A sampled fraction of requests opens a ``bizreq.request`` span
-that decomposes into ``bizreq.queue`` / ``bizreq.service`` children, so
+replica, as one event-driven call (:class:`_Request`), not a process.
+A sampled fraction of requests opens a ``bizreq.request`` span that
+decomposes into ``bizreq.queue`` / ``bizreq.service`` children, so
 individual slow requests stay explainable without paying per-request
 record cost at millions of requests.
 """
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import UserEnvError
 from repro.sim.process import Signal
@@ -60,8 +62,8 @@ class RequestClass:
             raise UserEnvError("request class needs a name")
         if self.weight <= 0:
             raise UserEnvError(f"class {self.name}: weight must be positive")
-        if not self.service_times or any(v <= 0 for v in self.service_times.values()):
-            raise UserEnvError(f"class {self.name}: service times must be positive")
+        if not self.service_times or any(not 0 < v < math.inf for v in self.service_times.values()):
+            raise UserEnvError(f"class {self.name}: service times must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ class ArrivalProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("poisson", "bursty", "diurnal"):
             raise UserEnvError(f"unknown arrival profile {self.kind!r}")
-        if self.rate <= 0 or self.period <= 0:
-            raise UserEnvError("rate and period must be positive")
-        if not 0 < self.duty < 1 or self.burst_factor < 1 or not 0 <= self.amplitude < 1:
+        if not 0 < self.rate < math.inf or not 0 < self.period < math.inf:
+            raise UserEnvError("rate and period must be positive and finite")
+        if not 0 < self.duty < 1 or not 1 <= self.burst_factor < math.inf or not 0 <= self.amplitude < 1:
             raise UserEnvError("bursty/diurnal shape parameters out of range")
 
     def rate_at(self, t: float) -> float:
@@ -223,6 +225,17 @@ class ClassStats:
     failed: int = 0
 
 
+class _ClassPlan(NamedTuple):
+    """A class's stats, counter and histogram names, and per tier its draw."""
+
+    name: str
+    stats: ClassStats
+    rejected_key: str
+    failed_key: str
+    latency_key: str
+    draws: tuple[Callable[[], float], ...]
+
+
 class TrafficGenerator:
     """Open-loop request load against one hosted application."""
 
@@ -260,12 +273,20 @@ class TrafficGenerator:
         self.inflight = 0
         self.done = False
         self._rng = self.sim.rngs.stream(rng_name)
+        #: Arrival clock origin; start() sets it with the end time and budget.
+        self._t0: float | None = None
         total = sum(c.weight for c in classes)
-        self._cdf = []
+        self._cdf: list[tuple[float, _ClassPlan]] = []
         acc = 0.0
         for cls in classes:
             acc += cls.weight / total
-            self._cdf.append((acc, cls))
+            sigma, n = cls.heavy_tail_sigma, cls.name
+            draws = tuple(  # per tier in walk order; a lognormal keeps the tier's mean
+                partial(self._rng.exponential, mean) if sigma <= 0
+                else partial(self._rng.lognormal, math.log(mean) - 0.5 * sigma * sigma, sigma)
+                for mean in (cls.service_times[t.name] for t in state.spec.tiers))
+            self._cdf.append((acc, _ClassPlan(n, self.stats[n], f"bizreq.rejected.{n}",
+                                              f"bizreq.failed.{n}", f"bizreq.latency.{n}", draws)))
         self.queues: dict[str, AdmissionQueue] = {
             t.name: AdmissionQueue(
                 self.sim, t.name,
@@ -277,12 +298,6 @@ class TrafficGenerator:
         }
         #: The tiers a request walks, in order, each with its queue.
         self._walk = [(t.name, self.queues[t.name]) for t in state.spec.tiers]
-        #: Per class: its rejected / failed counter and latency histogram names.
-        self._keys = {
-            c.name: (f"bizreq.rejected.{c.name}", f"bizreq.failed.{c.name}",
-                     f"bizreq.latency.{c.name}")
-            for c in classes
-        }
         runtime.attach_traffic(self)
 
     # -- wiring ----------------------------------------------------------
@@ -309,96 +324,37 @@ class TrafficGenerator:
         return {tier: q.snapshot() for tier, q in sorted(self.queues.items())}
 
     # -- load generation -------------------------------------------------
-    def start(self, duration: float | None = None,
-              max_requests: int | None = None):
-        """Spawn the open-loop arrival process; returns its Proc."""
+    def start(self, duration: float | None = None, max_requests: int | None = None) -> None:
+        """Start the open-loop arrivals: the first gap is drawn at ``+0``,
+        and each arrival starts one :class:`_Request` and draws the next."""
         if duration is None and max_requests is None:
             raise UserEnvError("need a duration or a request budget")
-        return self.sim.spawn(
-            self._arrivals(duration, max_requests),
-            name=f"biztraffic.{self.app}",
-        )
-
-    def _arrivals(self, duration: float | None, max_requests: int | None):
-        t0 = self.sim.now
-        end = None if duration is None else t0 + duration
-        while True:
-            if max_requests is not None and self.generated >= max_requests:
-                break
-            rate = self.profile.rate_at(self.sim.now - t0)
-            yield float(self._rng.exponential(1.0 / rate))
-            if end is not None and self.sim.now >= end:
-                break
-            pick = float(self._rng.random())
-            cls = next(c for edge, c in self._cdf if pick <= edge)
-            self.generated += 1
-            self.stats[cls.name].generated += 1
-            self.sim.spawn(self._request(cls, self.generated), name="bizreq")
-        self.done = True
-
-    def _service_time(self, cls: RequestClass, tier: str) -> float:
-        mean = cls.service_times[tier]
-        if cls.heavy_tail_sigma <= 0:
-            return float(self._rng.exponential(mean))
-        sigma = cls.heavy_tail_sigma
-        mu = math.log(mean) - 0.5 * sigma * sigma  # lognormal with given mean
-        return float(self._rng.lognormal(mu, sigma))
-
-    def _request(self, cls: RequestClass, seq: int):
+        if self._t0 is not None:
+            raise UserEnvError(f"traffic for {self.app} already started")
         sim = self.sim
-        started = sim.now
-        stats = self.stats[cls.name]
-        rejected_key, failed_key, latency_key = self._keys[cls.name]
-        span = None
-        if self.span_sample and seq % self.span_sample == 0:
-            span = sim.trace.span("bizreq.request", cls=cls.name)
-        self.inflight += 1
-        try:
-            for tier, queue in self._walk:
-                signal = queue.try_enter()
-                if signal is None:
-                    stats.rejected += 1
-                    sim.trace.count(rejected_key)
-                    if span is not None:
-                        span.end(outcome="rejected", tier=tier)
-                    return
-                queue_span = (span.child("bizreq.queue", tier=tier)
-                              if span is not None else None)
-                if not signal.fired:
-                    yield signal
-                if queue_span is not None:
-                    queue_span.end()
-                try:
-                    try:
-                        replica = self.runtime.route_replica(self.app, tier, span=span)
-                    except UserEnvError:
-                        stats.failed += 1
-                        sim.trace.count(failed_key)
-                        if span is not None:
-                            span.end(outcome="failed", tier=tier)
-                        return
-                    service_span = (span.child("bizreq.service", tier=tier,
-                                               node=replica.node)
-                                    if span is not None else None)
-                    yield self._service_time(cls, tier)
-                    if service_span is not None:
-                        service_span.end()
-                    if not replica.healthy:
-                        # The replica died under us: the request is lost.
-                        stats.failed += 1
-                        sim.trace.count(failed_key)
-                        if span is not None:
-                            span.end(outcome="failed", tier=tier)
-                        return
-                finally:
-                    queue.leave()
-            stats.completed += 1
-            sim.trace.count("bizreq.completed")
-            sim.trace.observe(latency_key, sim.now - started)
-            if span is not None:
-                span.end(outcome="ok")
-        finally:
-            self.inflight -= 1
+        self._t0 = sim._now
+        self._end = math.inf if duration is None else sim._now + duration
+        self._budget = math.inf if max_requests is None else max_requests
+        sim._schedule(sim._now, 0, self._next_gap, ())
+
+    def _next_gap(self) -> None:
+        if self.generated >= self._budget:
+            self.done = True
+            return
+        sim = self.sim
+        rate = self.profile.rate_at(sim._now - self._t0)
+        sim._schedule(sim._now + float(self._rng.exponential(1.0 / rate)), 0, self._arrive, ())
+
+    def _arrive(self) -> None:
+        if self.sim._now >= self._end:
+            self.done = True
+            return
+        pick = float(self._rng.random())
+        plan = next(p for edge, p in self._cdf if pick <= edge)
+        self.generated += 1
+        plan.stats.generated += 1
+        _Request(self, plan, self.generated)
+        self._next_gap()
 
     # -- results ---------------------------------------------------------
     def class_summary(self) -> dict[str, dict[str, Any]]:
@@ -421,3 +377,83 @@ class TrafficGenerator:
                     entry["slo_ok"] = entry["p99"] <= cls.slo_p99
             out[cls.name] = entry
         return out
+
+
+class _Request:
+    """One served request, a signal waiter stepped by events: per tier,
+    admission (parked unless admitted at once) → route → one service sleep
+    → leave, with the events a process would schedule (first step and a
+    granted wake at ``+0``).  It holds no bound method of itself."""
+
+    __slots__ = ("gen", "plan", "span", "child", "started", "at", "replica")
+
+    def __init__(self, gen: TrafficGenerator, plan: _ClassPlan, seq: int) -> None:
+        self.gen, self.plan = gen, plan
+        gen.sim._schedule(gen.sim._now, 0, self._start, (seq,))
+
+    def _start(self, seq: int) -> None:
+        gen = self.gen
+        self.started, self.at, self.span, self.child = gen.sim._now, 0, None, None
+        if gen.span_sample and seq % gen.span_sample == 0:
+            self.span = gen.sim.trace.span("bizreq.request", cls=self.plan.name)
+        gen.inflight += 1
+        self._enter()
+
+    def _enter(self) -> None:
+        tier, queue = self.gen._walk[self.at]
+        signal = queue.try_enter()
+        if signal is None:
+            self.plan.stats.rejected += 1
+            self._close(self.plan.rejected_key, None, outcome="rejected", tier=tier)
+            return
+        if self.span is not None:
+            self.child = self.span.child("bizreq.queue", tier=tier)
+        if signal.fired:
+            self._admitted(True)
+        else:
+            signal._register(self)
+
+    def _wake_soon(self, value: Any) -> None:
+        self.gen.sim._schedule(self.gen.sim._now, 0, self._admitted, (value,))
+
+    def _admitted(self, _value: Any) -> None:
+        gen, span = self.gen, self.span
+        tier, queue = gen._walk[self.at]
+        if span is not None:
+            self.child.end()
+        try:
+            self.replica = gen.runtime.route_replica(gen.app, tier, span=span)
+        except UserEnvError:
+            self.plan.stats.failed += 1
+            self._close(self.plan.failed_key, queue, outcome="failed", tier=tier)
+            return
+        if span is not None:
+            self.child = span.child("bizreq.service", tier=tier, node=self.replica.node)
+        gen.sim._schedule(gen.sim._now + float(self.plan.draws[self.at]()), 0, self._served, ())
+
+    def _served(self) -> None:
+        if self.span is not None:
+            self.child.end()
+        gen, plan = self.gen, self.plan
+        tier, queue = gen._walk[self.at]
+        if not self.replica.healthy:  # the replica died under it: the request is lost
+            plan.stats.failed += 1
+            self._close(plan.failed_key, queue, outcome="failed", tier=tier)
+            return
+        queue.leave()
+        self.at += 1
+        if self.at < len(gen._walk):
+            self._enter()
+            return
+        plan.stats.completed += 1
+        gen.sim.trace.observe(plan.latency_key, gen.sim._now - self.started)
+        self._close("bizreq.completed", None, outcome="ok")
+
+    def _close(self, key: str, queue: AdmissionQueue | None, **fields: Any) -> None:
+        """Count the outcome, close the span, free ``queue``'s slot, and end."""
+        self.gen.sim.trace.count(key)
+        if self.span is not None:
+            self.span.end(**fields)
+        if queue is not None:
+            queue.leave()
+        self.gen.inflight -= 1

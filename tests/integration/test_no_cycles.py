@@ -17,15 +17,23 @@ from repro.cluster import ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings
 from repro.kernel.bulletin.query import Agg, Query
 from repro.sim import Simulator, drive
-from repro.userenv.business import BizAppSpec, TierSpec, install_business_runtime
+from repro.userenv.business import (
+    ArrivalProfile,
+    BizAppSpec,
+    RequestClass,
+    TierSpec,
+    TrafficGenerator,
+    install_business_runtime,
+)
 from repro.userenv.construction import ConstructionTool
 from repro.userenv.monitoring import install_gridview
 
 
 def _crossed_world():
-    """GridView, a registered view, a business runtime losing a worker and
-    then itself, a bulletin process kill, a server node crash and boot, a
-    split and its heal, on lossy fabrics."""
+    """GridView, a registered view, a business runtime serving traffic
+    while it loses a worker and then losing itself, a bulletin process
+    kill, a server node crash and boot, a split and its heal, on lossy
+    fabrics."""
     sim = Simulator(seed=3)
     tool = ConstructionTool(sim)
     kernel = tool.build(ClusterSpec.build(partitions=3, computes=3, loss_rate=0.01),
@@ -42,9 +50,20 @@ def _crossed_world():
     sim.run(until=sim.now + 2.0)
     runtime.deploy(BizAppSpec(name="shop", tiers=(TierSpec("web", 3, cpus=1),)))
     sim.run(until=sim.now + 5.0)
+    # Traffic through the worker kill, on a tier small enough to queue and
+    # reject, every request traced: calls parked, woken, lost and served.
+    traffic = TrafficGenerator(
+        runtime, "shop", [RequestClass(name="get", service_times={"web": 0.02})],
+        profile=ArrivalProfile("poisson", rate=300.0), queue_cap=8, slots_per_replica=2,
+        span_sample=1)
+    traffic.start(duration=8.0)
+    sim.run(until=sim.now + 1.0)
     worker = runtime.apps["shop"].replicas[0]
     injector.kill_process(worker.node, f"job.{worker.job_id}")
     sim.run(until=sim.now + 10.0)
+    assert traffic.done and traffic.inflight == 0
+    summary = traffic.class_summary()["get"]
+    assert summary["rejected"] and summary["failed"] and summary["completed"], summary
     injector.kill_process(runtime.node_id, "bizrt")
     sim.run(until=sim.now + 15.0)
     injector.kill_process(kernel.placement[("db", "p0")], "db")
@@ -60,7 +79,7 @@ def _crossed_world():
     for network in cluster.networks:
         injector.heal_network(network)
     sim.run(until=sim.now + 40.0)
-    return kernel
+    return kernel, traffic
 
 
 def _describe(garbage):
@@ -85,7 +104,12 @@ def crossed_run():
     gc.collect()
     gc.disable()
     try:
-        kernel = _crossed_world()
+        # The traffic generator stays held, as its caller holds it (its
+        # queues' backpressure callbacks point back at it), but not the
+        # runtime it served through: that daemon was killed and replaced,
+        # and like every dead daemon it must go by reference counting.
+        kernel, traffic = _crossed_world()
+        traffic.runtime = None
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             unreachable = gc.collect()

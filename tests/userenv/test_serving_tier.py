@@ -1,14 +1,19 @@
 """Serving tier: admission control, routing fairness, the routing list's
-one writer, traffic + spans, backpressure events, and the SLO autoscaler."""
+one writer, traffic + spans, backpressure events, the SLO autoscaler, and
+requests as event-driven calls held to the process model."""
+
+import os
+import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, FaultInjector
 from repro.errors import UserEnvError
 from repro.kernel import KernelTimings
-from repro.sim import Simulator
+from repro.sim import Proc, Simulator
 from repro.userenv.business import (
     AdmissionQueue,
     ArrivalProfile,
@@ -25,6 +30,7 @@ from repro.userenv.business.runtime import AppState, BusinessRuntime, Replica
 from repro.userenv.business.traffic import BACKPRESSURE_ON
 from repro.userenv.construction import ConstructionTool
 from tests.kernel.test_events import subscribe_collector
+from tests.userenv.request_model import start_model
 
 
 # -- admission queue: boundedness property --------------------------------
@@ -102,19 +108,38 @@ def test_admission_queue_rejects_when_full():
     assert queue.depth == 1
 
 
-# -- routing fairness property --------------------------------------------
+# -- a runtime without a kernel; routing fairness property ----------------
 
-def _stub_runtime(sim, healthy_mask):
-    """A BusinessRuntime with just enough state to exercise routing."""
-    rt = BusinessRuntime.__new__(BusinessRuntime)
-    rt.sim = sim
-    rt._rr = {}
-    rt._request_keys = {}
-    state = AppState(spec=BizAppSpec(name="shop", tiers=(TierSpec("web", len(healthy_mask)),)))
-    for i, up in enumerate(healthy_mask):
-        state.set_replica(Replica(app="shop", tier="web", index=i, node=f"n{i}"), up)
-    rt.apps = {"shop": state}
-    return rt
+class _StubRuntime(BusinessRuntime):
+    """The runtime's routing state and its one health writer, without a
+    kernel: backpressure events are logged instead of published.  Every
+    tier of ``spec`` gets one replica per entry of ``healthy``, up or down
+    as it says."""
+
+    def __init__(self, sim, spec, healthy):
+        self.sim = sim
+        self.apps = {spec.name: AppState(spec=spec)}
+        self._traffic = None
+        self.published = []
+        for tier in spec.tiers:
+            for i, up in enumerate(healthy):
+                self.apps[spec.name].set_replica(
+                    Replica(app=spec.name, tier=tier.name, index=i, node=f"{tier.name}{i}"), up)
+
+    def publish_event(self, event_type, data):
+        self.published.append((self.sim.now, event_type, dict(data)))
+
+    def set_health(self, tier, index, healthy):
+        state = self.apps["shop"]
+        replica = state.tier_replicas(tier)[index]
+        if replica.healthy != healthy:
+            self._set_replica(state, replica, healthy)
+
+
+def _web_shop(sim, healthy):
+    """A one-tier ``shop`` whose ``web`` replicas are up as ``healthy`` says."""
+    return _StubRuntime(sim, BizAppSpec(name="shop", tiers=(TierSpec("web", len(healthy)),)),
+                        healthy)
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,7 +155,7 @@ def test_route_round_robin_fairness_under_churn(masks, rounds):
     requests lands exactly k times on every healthy replica — the
     paper's load-balancing promise, kill/heal churn included."""
     sim = Simulator(seed=0, trace_capacity=0)
-    rt = _stub_runtime(sim, masks[0])
+    rt = _web_shop(sim, masks[0])
     state = rt.apps["shop"]
     for mask in masks:
         # Churn through the one writer: indices persist, health flips.
@@ -149,7 +174,7 @@ def test_route_round_robin_fairness_under_churn(masks, rounds):
 
 def test_route_raises_when_tier_down():
     sim = Simulator(seed=0, trace_capacity=0)
-    rt = _stub_runtime(sim, [False, False])
+    rt = _web_shop(sim, [False, False])
     with pytest.raises(UserEnvError):
         rt.route_replica("shop", "web")
     with pytest.raises(UserEnvError):
@@ -394,3 +419,175 @@ def test_autoscaler_grows_tier_under_pressure():
     assert len(rt.apps["shop"].tier_replicas("web")) > 1
     assert any(a["direction"] == "up" for a in scaler.actions)
     assert rt.capacity_audit()["drift"] == 0
+
+
+# -- requests are calls: the event-driven walk equals the process model ----
+
+_CLASS = st.builds(
+    lambda i, web, app, db, sigma, weight: RequestClass(
+        name=f"c{i}", service_times={"web": web, "app": app, "db": db},
+        heavy_tail_sigma=sigma, weight=weight),
+    i=st.integers(0, 9),
+    web=st.floats(0.001, 0.05), app=st.floats(0.001, 0.05), db=st.floats(0.001, 0.05),
+    sigma=st.sampled_from([0.0, 0.0, 0.4, 1.2]),
+    weight=st.floats(0.1, 3.0),
+)
+#: (at, op, tier, replica): ``kill`` one replica for good; ``outage``: the
+#: whole tier down for 0.3 s; ``flap``: the same, except that the heal and
+#: a second outage share an instant, so a request granted on the heal
+#: finds no replica to route to (healed for good 0.2 s later).
+_CHURN = st.lists(st.tuples(
+    st.floats(0.0, 1.5),
+    st.sampled_from(["kill", "outage", "flap"]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+), max_size=4)
+_SCENARIO = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "profile": st.builds(ArrivalProfile, kind=st.sampled_from(["poisson", "bursty", "diurnal"]),
+                         rate=st.floats(50.0, 800.0), period=st.floats(0.2, 2.0)),
+    "classes": st.lists(_CLASS, min_size=1, max_size=3, unique_by=lambda c: c.name),
+    "tiers": st.integers(1, 3),
+    "replicas": st.integers(1, 3),
+    "queue_cap": st.integers(1, 6),
+    "slots": st.integers(1, 3),
+    "span_sample": st.sampled_from([0, 1, 3]),
+    "stop": st.one_of(st.tuples(st.just("duration"), st.floats(0.05, 1.0)),
+                      st.tuples(st.just("budget"), st.integers(0, 200))),
+    "churn": _CHURN,
+})
+_TIERS = ("web", "app", "db")
+
+
+def _serve_scenario(start, sc):
+    """Serve ``sc`` through ``start(gen, duration, max_requests)`` (the
+    production generator or the process model), observing every 0.1 s;
+    return everything observable."""
+    sim = Simulator(seed=sc["seed"])
+    spec = BizAppSpec(name="shop", tiers=tuple(TierSpec(t, sc["replicas"])
+                                               for t in _TIERS[:sc["tiers"]]))
+    rt = _StubRuntime(sim, spec, [True] * sc["replicas"])
+    gen = TrafficGenerator(rt, "shop", sc["classes"], profile=sc["profile"],
+                           queue_cap=sc["queue_cap"], slots_per_replica=sc["slots"],
+                           span_sample=sc["span_sample"])
+    for at, op, tier, index in sc["churn"]:
+        tier = _TIERS[tier % sc["tiers"]]
+        if op == "kill":
+            sim.schedule(at, rt.set_health, tier, index % sc["replicas"], False)
+            continue
+        flips = [(at, False), (at + 0.3, True)]
+        if op == "flap":
+            flips += [(at + 0.3, False), (at + 0.5, True)]
+        for when, healthy in flips:
+            for i in range(sc["replicas"]):
+                sim.schedule(when, rt.set_health, tier, i, healthy)
+    kind, amount = sc["stop"]
+    start(gen, **({"duration": amount} if kind == "duration" else {"max_requests": amount}))
+    slices = []
+    for k in range(1, 31):
+        sim.run(until=k * 0.1)
+        slices.append((sim.events_executed, gen.generated, gen.inflight, gen.done,
+                       gen.admission_snapshot()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        sim.trace.export_jsonl(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read()
+    return {
+        "slices": slices,
+        "stats": {name: vars(s) for name, s in gen.stats.items()},
+        "counters": sim.trace.counters(),
+        "histograms": {n: h.to_payload() for n, h in sim.trace.histograms("").items()},
+        "lines": lines,
+        "published": rt.published,
+        "cursors": {t: r.cursor for t, r in rt.apps["shop"].routes.items()},
+    }
+
+
+def _count_procs():
+    """Patch ``Proc.__init__`` to log every process built; returns (log, patch)."""
+    built = []
+    real_init = Proc.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("name") or (args[2] if len(args) > 2 else ""))
+        real_init(self, *args, **kwargs)
+
+    return built, mock.patch.object(Proc, "__init__", counting_init)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=_SCENARIO)
+# A request lost on the killed replica frees the slot that drains the
+# one-deep queue: its span closes before the backpressure-off mark.
+@example(sc={
+    "seed": 0, "profile": ArrivalProfile("poisson", rate=521.0),
+    "classes": [RequestClass(name=f"c{i}", service_times={"web": web, "app": 0.03125,
+                                                          "db": 0.03125})
+                for i, web in enumerate((0.046875, 0.03125))],
+    "tiers": 1, "replicas": 2, "queue_cap": 1, "slots": 1, "span_sample": 1,
+    "stop": ("duration", 1.0), "churn": [(0.5, "kill", 0, 0)],
+})
+def test_property_request_calls_equal_the_process_model(sc):
+    """The event-driven requests and arrival callback schedule the events,
+    draw the service times and leave the counters, histograms, records,
+    admission state and routing cursors the spawned generators do — across
+    arrival profiles, queueing and rejection, heavy tails, a replica killed
+    mid-service, a tier down and healed, and both ways of stopping — and
+    build no process."""
+    built, patch = _count_procs()
+    with patch:
+        got = _serve_scenario(lambda gen, **stop: gen.start(**stop), sc)
+    assert built == []
+    want = _serve_scenario(start_model, sc)
+    assert got == want
+
+
+def test_a_served_request_builds_no_process():
+    """Neither a request nor an arrival is a process: serving 2 000
+    requests through a queueing, rejecting, churning tier builds none."""
+    sim = Simulator(seed=1)
+    spec = BizAppSpec(name="shop", tiers=(TierSpec("web", 2), TierSpec("db", 2)))
+    rt = _StubRuntime(sim, spec, [True, True])
+    gen = TrafficGenerator(rt, "shop", CLASSES, profile=ArrivalProfile("bursty", rate=400.0),
+                           queue_cap=4, slots_per_replica=1, span_sample=3)
+    sim.schedule(1.0, rt.set_health, "db", 0, False)
+    sim.schedule(2.0, rt.set_health, "db", 0, True)
+    built, patch = _count_procs()
+    with patch:
+        gen.start(max_requests=2000)
+        sim.run(until=60.0)
+    assert built == []
+    assert gen.generated == 2000 and gen.done and gen.inflight == 0
+    summary = gen.class_summary()
+    assert sum(c["rejected"] for c in summary.values()) > 0
+    assert sum(c["completed"] for c in summary.values()) > 0
+
+
+def test_a_second_start_is_refused():
+    """Starting a generator twice would run two arrival loops sharing one
+    ``generated`` counter and ``done`` flag: double the offered load."""
+    sim = Simulator(seed=0)
+    rt = _web_shop(sim, [True])
+    gen = TrafficGenerator(rt, "shop", [RequestClass(name="get", service_times={"web": 0.001})],
+                           profile=ArrivalProfile("poisson", rate=100.0))
+    with pytest.raises(UserEnvError, match="need a duration"):
+        gen.start()
+    gen.start(duration=1.0)
+    with pytest.raises(UserEnvError, match="already started"):
+        gen.start(duration=1.0)
+    sim.run(until=3.0)
+    assert gen.done and 60 < gen.generated < 140
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_service_times_and_rates_are_refused(bad):
+    """A NaN or infinite mean would put a NaN or infinite sleep on the
+    event heap (or, as a rate, a zero gap forever): refused on entry."""
+    with pytest.raises(UserEnvError, match="finite"):
+        RequestClass(name="get", service_times={"web": bad}, heavy_tail_sigma=0.5)
+    for field_name in ("rate", "period"):
+        with pytest.raises(UserEnvError, match="finite"):
+            ArrivalProfile("diurnal", **{field_name: bad})
+    with pytest.raises(UserEnvError):
+        ArrivalProfile("bursty", burst_factor=bad)
