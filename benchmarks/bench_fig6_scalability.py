@@ -112,12 +112,12 @@ def test_fig6_two_tier_federation(benchmark, save_artifact):
 
     flat, two = once(benchmark, work)
 
-    # Full machine visibility survives the digested cross-region path.
+    # Full machine visibility survives the aggregator-relayed cross-region path.
     for nodes, region_size in TWO_TIER_POINTS:
         point = two[nodes]
         assert point["rows_per_refresh"] == nodes
         assert point["regions"] == point["partitions"] // region_size
-        assert point["allpairs"]["cross"] > 0  # digests actually crossed regions
+        assert point["allpairs"]["cross"] > 0  # batches actually crossed regions
 
     # At matched scales the two-tier all-pairs storm costs each
     # partition strictly fewer federation datagrams than the flat mesh.

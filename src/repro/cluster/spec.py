@@ -118,7 +118,7 @@ class ClusterSpec:
     grouped into *regions* of at most ``region_size`` partitions.
     Within a region the kernel services keep the flat full-mesh
     federation; across regions only each region's elected *aggregator*
-    partition exchanges digested state.  ``None`` (the default) keeps
+    partition talks to the other regions.  ``None`` (the default) keeps
     the original flat all-pairs federation, byte-identical to before
     the knob existed.
     """

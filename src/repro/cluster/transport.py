@@ -130,8 +130,7 @@ class _Retry:
         self._wake_soon(None)
 
     def _wake_soon(self, value: Any) -> None:
-        sim = self.transport.sim
-        sim._schedule(sim._now, 0, self._step, (value,))
+        self.transport.sim.schedule(0.0, self._step, value)
 
     def _step(self, reply: dict[str, Any] | None) -> None:
         transport = self.transport
@@ -156,7 +155,7 @@ class _Retry:
         pause = min(pause, max(0.0, self.deadline - sim._now))
         self.attempt = attempt + 1
         if pause > 0:
-            sim._schedule(sim._now + pause, 0, self._attempt, ())
+            sim.schedule(pause, self._attempt)
         else:
             self._attempt()
 

@@ -42,7 +42,7 @@ from repro.kernel.bulletin.query import (  # noqa: F401 - re-exported
 from repro.kernel.bulletin.store import BulletinStore
 from repro.kernel.bulletin.views import MaterializedView, ViewEngine
 from repro.kernel.daemon import ServiceDaemon
-from repro.kernel.events.types import DB_DELTA, DB_DELTA_DIGEST
+from repro.kernel.events.types import DB_DELTA
 from repro.kernel.query import validate_where
 from repro.kernel.timings import DB_CKPT_DEBOUNCE
 
@@ -283,8 +283,6 @@ class BulletinDaemon(ServiceDaemon):
             return self._on_view_list(msg)
         if msg.mtype == ports.DB_MAINT:
             return self._on_maint(msg)
-        if msg.mtype == ports.DB_ASOF:
-            return self._on_asof(msg)
         self.sim.trace.mark("db.unknown_mtype", mtype=msg.mtype)
         return None
 
@@ -428,67 +426,38 @@ class BulletinDaemon(ServiceDaemon):
         self.reply(msg, {"rows": result, "partitions_missing": missing, "watermarks": watermarks})
         span.end(rows=len(result), missing=len(missing))
 
-    def _pull_region_tables(self, at_time, span=None):
-        """Checkpoint pull shared by ``AS OF`` and its aggregator-side
-        summary: fire ``CKPT_LOAD db.tables.<pid> at_time=...`` at every
-        partition of this region *now*, and return a generator that folds
-        the replies into ``(rows by table, versions, missing)`` — so the
-        caller can put more probes on the wire before it waits."""
-        region = sorted(self.kernel.region_partitions(self.partition_id))
-        signals = {}
-        for part_id in region:
-            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
-            if ckpt_node is not None:
-                signals[part_id] = self.rpc_retry(
-                    ckpt_node, ports.CKPT, ports.CKPT_LOAD,
-                    {"key": f"db.tables.{part_id}", "at_time": at_time},
-                    span=span, call_class="ckpt.pull",
-                )
-        missing = [p for p in region if p not in signals]
-
-        def fold():
-            tables: dict[str, list[dict[str, Any]]] = {}
-            versions: dict[str, dict[str, Any]] = {}
-            for part_id, signal in signals.items():
-                reply = yield signal
-                if reply is None or not reply.get("found"):
-                    missing.append(part_id)
-                    continue
-                data = reply.get("data") or {}
-                versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
-                for table, rows in (data.get("tables") or {}).items():
-                    tables.setdefault(table, []).extend(rows.values())
-            return tables, versions, missing
-
-        return fold()
-
     def _exec_as_of(self, msg: Message, q: "rel.Query", span):
         """Time-travel: answer from checkpointed base tables instead of
         live stores — "what did the cluster look like at t" (§time-travel
         in DESIGN.md §14).  Requires view maintenance to have been on
         around ``t`` (that is what checkpoints the base tables).
 
-        Pulls its own region's checkpoint directories directly and asks
-        each remote aggregator for a ``DB_ASOF`` summary of its region."""
-        pull = self._pull_region_tables(q.as_of, span)
-        agg_signals = {
-            agg: self.rpc_retry(
-                node, ports.DB, ports.DB_ASOF, {"as_of": q.as_of},
-                span=span, call_class="bulletin.fanout",
-            )
-            for agg, node, remote in self.kernel.federation_edges("db", self.partition_id)
-            if remote
-        }
-        rows_by_table, versions, missing = yield from pull
-        for agg, signal in agg_signals.items():
-            reply = yield signal
-            if reply is None:
-                missing.extend(self.kernel.region_partitions(agg))
+        Every ``CKPT_LOAD db.tables.<pid> at_time=...`` pull goes on the
+        wire, in ``sorted()`` partition order, before the first reply is
+        folded."""
+        signals = {}
+        missing = []
+        for part_id in sorted(p.partition_id for p in self.kernel.cluster.partitions):
+            ckpt_node = self.kernel.placement.get(("ckpt", part_id))
+            if ckpt_node is None:
+                missing.append(part_id)
                 continue
-            missing.extend(reply.get("partitions_missing", ()))
-            versions.update(reply.get("versions") or {})
-            for table, rows in (reply.get("tables") or {}).items():
-                rows_by_table.setdefault(table, []).extend(rows)
+            signals[part_id] = self.rpc_retry(
+                ckpt_node, ports.CKPT, ports.CKPT_LOAD,
+                {"key": f"db.tables.{part_id}", "at_time": q.as_of},
+                span=span, call_class="ckpt.pull",
+            )
+        rows_by_table: dict[str, list[dict[str, Any]]] = {}
+        versions: dict[str, dict[str, Any]] = {}
+        for part_id, signal in signals.items():
+            reply = yield signal
+            if reply is None or not reply.get("found"):
+                missing.append(part_id)
+                continue
+            data = reply.get("data") or {}
+            versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
+            for table, rows in (data.get("tables") or {}).items():
+                rows_by_table.setdefault(table, []).extend(rows.values())
         result = rel.execute_on(q, _ordered(rows_by_table))
         self.reply(msg, {
             "rows": result,
@@ -497,23 +466,6 @@ class BulletinDaemon(ServiceDaemon):
             "versions": versions,
         })
         span.end(rows=len(result), missing=len(missing), as_of=q.as_of)
-
-    def _on_asof(self, msg: Message) -> None:
-        """Aggregator-side AS OF summary: pull this region's checkpointed
-        base-table directories at ``as_of`` and ship the merged rows, so a
-        remote querier needs one RPC per region instead of one checkpoint
-        pull per partition."""
-        self.sim.trace.count("db.asof_summaries")
-        self.spawn(self._asof_flow(msg), name=f"{self.node_id}/db.asof")
-        return None
-
-    def _asof_flow(self, msg: Message):
-        tables, versions, missing = yield from self._pull_region_tables(msg.payload.get("as_of"))
-        self.reply(msg, {
-            "tables": tables,
-            "versions": versions,
-            "partitions_missing": sorted(missing),
-        })
 
     # -- materialized views -------------------------------------------------
     def _adopt_view(self, name: str, query: dict[str, Any]) -> MaterializedView:
@@ -566,12 +518,6 @@ class BulletinDaemon(ServiceDaemon):
         es_node = self.kernel.placement.get(("es", self.partition_id))
         if es_node is None:
             return
-        # Cross-region delta runs arrive coalesced as db.delta_digest
-        # events.  One region never sees one, and listing the type would
-        # change its ES_SUBSCRIBE payload and registry-checkpoint bytes.
-        types = [DB_DELTA]
-        if self.kernel.multi_region:
-            types.append(DB_DELTA_DIGEST)
         for table in sorted(tables):
             yield self.rpc_retry(
                 es_node, ports.ES, ports.ES_SUBSCRIBE,
@@ -579,7 +525,7 @@ class BulletinDaemon(ServiceDaemon):
                     "consumer_id": f"db.views.{self.partition_id}.{table}",
                     "node": self.node_id,
                     "port": VIEW_EVENTS_PORT,
-                    "types": types,
+                    "types": [DB_DELTA],
                     "where": {"table": table},
                     "replay": 0,
                 },

@@ -219,6 +219,20 @@ class MaterializedView:
 
 
 # -- owner-side coordinator ---------------------------------------------------
+def _well_formed(delta: Any) -> bool:
+    """Is ``delta`` a ``db.delta`` payload the engine can admit?"""
+    if not isinstance(delta, dict):
+        return False
+    op = delta.get("op")
+    return (
+        all(isinstance(delta.get(f), str) for f in ("table", "partition", "key"))
+        and all(type(delta.get(f)) is int for f in ("epoch", "seq"))
+        and op in ("put", "delete", "epoch")
+        and (op != "put" or isinstance(delta.get("row"), dict))
+        and isinstance(delta.get("t", 0.0), (int, float))
+    )
+
+
 class ViewEngine:
     """Keeps an owner's views current from the ``db.delta`` feed.
 
@@ -241,7 +255,7 @@ class ViewEngine:
         #: double-apply an update.
         self.ready = False
         self.building = False
-        #: Normalized feeds ``(part, table, epoch, lo, hi, deltas)``.
+        #: Admitted feeds ``(part, table, epoch, seq, delta)``.
         self._startup_buffer: list[tuple] = []
         self._resyncing: dict[tuple[str, str], list[tuple]] = {}
 
@@ -269,32 +283,27 @@ class ViewEngine:
         return self.views[name].rows()
 
     # -- delta intake --------------------------------------------------------
-    def on_feed(self, payload: dict[str, Any], now: float) -> None:
-        """Entry point for one change-feed payload: a ``db.delta``, or a
-        ``db.delta_digest`` (two-tier federation) carrying the per-key
-        latest deltas of a contiguous ``[seq_lo, seq_hi]`` run of one
-        source's stream.  A plain delta is the digest ``[seq, seq]``
-        holding itself.  Buffered while the initial build is in flight."""
-        table = payload.get("table", "")
+    def on_feed(self, payload: Any, now: float) -> None:
+        """Entry point for one ``db.delta`` payload; buffered while the
+        initial build is in flight.  Any client may publish a ``db.delta``,
+        so a payload that is not a well-formed delta is refused (counted
+        as ``db.view_feed_refused``) rather than raised out of the run."""
+        if not _well_formed(payload):
+            self.daemon.sim.trace.count("db.view_feed_refused")
+            return
+        table = payload["table"]
         if table not in self.tables():
             return  # subscription lagging a view drop
-        if "seq_hi" in payload:
-            lo, hi = int(payload["seq_lo"]), int(payload["seq_hi"])
-            deltas = payload.get("deltas", [])
-        else:
-            lo = hi = int(payload["seq"])
-            deltas = [payload]
-        feed = (payload["partition"], table, int(payload["epoch"]), lo, hi, deltas)
+        feed = (payload["partition"], table, payload["epoch"], payload["seq"], payload)
         if self.ready:
             self._admit(*feed, now)
         else:
             self._startup_buffer.append(feed)
 
     def _admit(
-        self, part: str, table: str, epoch: int, lo: int, hi: int,
-        deltas: list[dict[str, Any]], now: float,
+        self, part: str, table: str, epoch: int, seq: int, delta: dict[str, Any], now: float,
     ) -> None:
-        feed = (part, table, epoch, lo, hi, deltas)
+        feed = (part, table, epoch, seq, delta)
         pending = self._resyncing.get((part, table))
         if pending is not None:
             pending.append(feed)
@@ -306,31 +315,22 @@ class ViewEngine:
             self._start_resync(part, table, first=feed)
             return
         cur_epoch, cur_seq = known
-        if epoch < cur_epoch or (epoch == cur_epoch and hi <= cur_seq):
+        if epoch < cur_epoch or (epoch == cur_epoch and seq <= cur_seq):
             # seq 0 is only ever a successor's epoch announce (repeated on
             # purpose), not a lost or duplicate delta.
-            self.daemon.sim.trace.count("db.view_delta_stale" if hi else "db.view_epoch_announces")
+            self.daemon.sim.trace.count("db.view_delta_stale" if seq else "db.view_epoch_announces")
             return
-        if epoch > cur_epoch or lo > cur_seq + 1:
-            # New incarnation (failover) or a lost delta ahead of the run
+        if epoch > cur_epoch or seq > cur_seq + 1:
+            # New incarnation (failover) or a lost delta ahead of this one
             # (outbox overflow, subscribe race): the slice is
             # untrustworthy — rescan it.
             self._start_resync(part, table, first=feed)
             return
-        # Contiguous (possibly overlapping an already-applied prefix):
-        # apply the unseen suffix.  Dropped intermediate versions of a key
-        # are safe — _apply derives old rows from the mirror, so folding
-        # (old->v1, v1->v2) into (old->v2) is the same transition.
-        self.sources[(part, table)] = (epoch, hi)
-        if hi > lo:
-            self.daemon.sim.trace.count("db.view_digests_applied")
-        for delta in deltas:
-            if int(delta["seq"]) > cur_seq:
-                self._apply(
-                    table, delta["key"],
-                    delta.get("row") if delta["op"] == "put" else None,
-                    float(delta.get("t", now)), now,
-                )
+        self.sources[(part, table)] = (epoch, seq)
+        self._apply(
+            table, delta["key"], delta["row"] if delta["op"] == "put" else None,
+            float(delta.get("t", now)), now,
+        )
 
     def _apply(
         self, table: str, key: str, new_base_row: dict[str, Any] | None,

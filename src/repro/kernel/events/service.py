@@ -48,7 +48,6 @@ from typing import Any
 from repro.cluster.message import Message
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
-from repro.kernel.events.digest import digest_batch
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
 from repro.kernel.events.types import Event, batch_to_payload
 from repro.kernel.timings import (
@@ -86,12 +85,11 @@ class EventServiceDaemon(ServiceDaemon):
         self._ids = IdAllocator(f"ev.{self.partition_id}.{round(self.sim.now * 1e6)}")
         self._history: deque[Event] = deque(maxlen=self.HISTORY)
         self._ckpt_timer: Timer | None = None
-        #: Federation outbox: peer partition id -> pending events (or the
-        #: plain dicts of a digest or an old checkpoint).
-        self._outbox: dict[str, deque[dict[str, Any]]] = {}
+        #: Federation outbox: peer partition id -> pending events.
+        self._outbox: dict[str, deque[Event]] = {}
         #: Peers with a batch awaiting its ack (one in flight per peer,
         #: so forwards stay FIFO per partition even across retries).
-        self._inflight_batch: dict[str, list[dict[str, Any]]] = {}
+        self._inflight_batch: dict[str, list[Event]] = {}
         #: Peers whose last batch failed before its RPC budget ran out:
         #: no flush to them until that budget has passed.
         self._held: set[str] = set()
@@ -195,6 +193,12 @@ class EventServiceDaemon(ServiceDaemon):
         return {"ok": removed is not None}
 
     def _on_publish(self, msg: Message) -> dict[str, Any]:
+        # Any client publishes: an event no subscription index can file
+        # is refused here, not raised out of the run.
+        data = msg.payload.get("data")
+        if not isinstance(msg.payload.get("type"), str) or not isinstance(data, (dict, type(None))):
+            self.sim.trace.count("es.publish_refused")
+            return {"ok": False, "error": "an event needs a string type and dict data"}
         pub_span = self.sim.trace.span(
             "es.publish",
             parent=msg.payload.get("_span", ""),
@@ -207,7 +211,7 @@ class EventServiceDaemon(ServiceDaemon):
             source=msg.src_node,
             partition=self.partition_id,
             time=self.sim.now,
-            data=msg.payload.get("data", {}),
+            data=data,
             span=pub_span.span_id,
         )
         self.published += 1
@@ -236,8 +240,6 @@ class EventServiceDaemon(ServiceDaemon):
         ingress, home = self._relay_roles(origin)
         accepted = 0
         for event in msg.payload.get("events", ()):
-            if type(event) is not Event:
-                event = Event.from_payload(event)
             if self._accept_forward(event):
                 accepted += 1
                 if ingress or (home is not None
@@ -334,26 +336,18 @@ class EventServiceDaemon(ServiceDaemon):
         for part_id, pending in self._outbox.items():
             if not pending or part_id in self._inflight_batch or part_id in self._held:
                 continue
-            batch = self._take_batch(part_id, pending)
+            batch = self._take_batch(pending)
             self._inflight_batch[part_id] = batch
             self.spawn(self._send_batch(part_id, batch),
                        name=f"{self.node_id}/es.fwd.{part_id}")
         self._arm_flush()  # overflow past the cap waits for the next window
 
-    def _take_batch(self, part_id: str, pending: deque) -> list[dict[str, Any]]:
-        """The next size-capped batch off ``pending`` for ``part_id``."""
-        batch = [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
-        if self._cross_region(part_id):
-            # Aggregator-to-aggregator hops carry digested state:
-            # contiguous db.delta runs coalesce per (table, key).
-            batch = digest_batch(batch)
-        return batch
+    @staticmethod
+    def _take_batch(pending: deque) -> list[Event]:
+        """The next size-capped batch off ``pending``."""
+        return [pending.popleft() for _ in range(min(len(pending), ES_FORWARD_BATCH_MAX))]
 
-    def _cross_region(self, part_id: str) -> bool:
-        """Does the hop to ``part_id`` cross a region boundary?"""
-        return self.kernel.region_of(part_id) != self.kernel.region_of(self.partition_id)
-
-    def _send_batch(self, part_id: str, batch: list[dict[str, Any]]):
+    def _send_batch(self, part_id: str, batch: list[Event]):
         span = self.sim.trace.span(
             "es.forward_batch", node=self.node_id, peer=part_id, events=len(batch)
         )
@@ -409,7 +403,7 @@ class EventServiceDaemon(ServiceDaemon):
             if peer is None:
                 continue
             while pending:
-                batch = self._take_batch(part_id, pending)
+                batch = self._take_batch(pending)
                 self._count_batch(part_id, len(batch))
                 self.send(peer, ports.ES, ports.ES_FORWARD_BATCH,
                           batch_to_payload(self.partition_id, batch))
@@ -425,7 +419,8 @@ class EventServiceDaemon(ServiceDaemon):
         # counter sets (Tables 1-3, fig4 trace, sim_digest) never had.
         if not self.kernel.multi_region:
             return
-        tier = "cross" if self._cross_region(part_id) else "intra"
+        region_of = self.kernel.region_of
+        tier = "cross" if region_of(part_id) != region_of(self.partition_id) else "intra"
         self.sim.trace.count(f"es.forward_batches_{tier}")
         self.sim.trace.count(f"es.forward_batched_events_{tier}", events)
 

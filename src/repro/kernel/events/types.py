@@ -36,12 +36,6 @@ CONFIG_CHANGED = "config.changed"
 #: ``op`` is ``put``/``delete`` — or ``epoch`` (``seq`` 0), a restarted
 #: instance announcing its incarnation for a table nothing has written yet.
 DB_DELTA = "db.delta"
-#: A contiguous run of ``db.delta`` events coalesced per ``(table, key)``
-#: for cross-region federation (two-tier mode, DESIGN.md §16).  Carries
-#: the covered ``[seq_lo, seq_hi]`` range plus the per-key latest delta
-#: of the run, so view owners advance their watermark across the whole
-#: range in one step.
-DB_DELTA_DIGEST = "db.delta_digest"
 
 
 class Event(SizedDict):
@@ -84,8 +78,7 @@ class Event(SizedDict):
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "Event":
-        """The event itself, or one decoded from a plain dict (an old
-        checkpoint's outbox, a cross-region digest)."""
+        """The event itself, or one decoded from a plain dict."""
         if isinstance(payload, Event):
             return payload
         return cls(

@@ -56,7 +56,6 @@ DB_VIEW_DROP = "db.view_drop"
 DB_VIEW_READ = "db.view_read"  # read a registered view (O(result) bytes)
 DB_VIEW_LIST = "db.view_list"  # owned views + maintenance counters
 DB_MAINT = "db.maint"  # peer broadcast: enable delta publishing for tables
-DB_ASOF = "db.asof"  # aggregator-side AS OF region summary (two-tier federation)
 
 # checkpoint
 CKPT_SAVE = "ckpt.save"

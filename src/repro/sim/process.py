@@ -8,6 +8,9 @@ that ``yield`` what they wait for:
 * another :class:`Proc` — join it (receiving its result).
 
 A :class:`Signal` wakes any :class:`Waiter`: a process, or an event-driven call object.
+Both schedule every step through :meth:`Simulator.schedule` — a first step or
+a wake at ``0.0``, a sleep at its delay, which must lie in ``[0, inf)`` — so
+they order their events alike.
 
 Killing a process (``proc.kill()``) closes the generator, so ``finally``
 blocks run; this models a Unix process being killed and is what the fault
@@ -199,11 +202,10 @@ class Proc:
         else:
             self._fail(SimulationError(
                 f"process {self.name!r} yielded unsupported {yielded!r}"))
-        if not 0.0 <= delay < math.inf:  # NaN fails both
-            self._fail(SimulationError(
-                f"process {self.name!r} yielded invalid sleep {yielded!r}"))
-        sim = self.sim
-        self._pending = sim._schedule(sim._now + delay, 0, self._step, (None,))
+        try:
+            self._pending = self.sim.schedule(delay, self._step, None)
+        except SimulationError:
+            self._fail(SimulationError(f"process {self.name!r} yielded invalid sleep {yielded!r}"))
 
     def _fail(self, err: SimulationError) -> None:
         """End the process as FAILED with ``err`` and raise it."""

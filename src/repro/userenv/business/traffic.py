@@ -335,7 +335,7 @@ class TrafficGenerator:
         self._t0 = sim._now
         self._end = math.inf if duration is None else sim._now + duration
         self._budget = math.inf if max_requests is None else max_requests
-        sim._schedule(sim._now, 0, self._next_gap, ())
+        sim.schedule(0.0, self._next_gap)
 
     def _next_gap(self) -> None:
         if self.generated >= self._budget:
@@ -343,7 +343,7 @@ class TrafficGenerator:
             return
         sim = self.sim
         rate = self.profile.rate_at(sim._now - self._t0)
-        sim._schedule(sim._now + float(self._rng.exponential(1.0 / rate)), 0, self._arrive, ())
+        sim.schedule(float(self._rng.exponential(1.0 / rate)), self._arrive)
 
     def _arrive(self) -> None:
         if self.sim._now >= self._end:
@@ -389,7 +389,7 @@ class _Request:
 
     def __init__(self, gen: TrafficGenerator, plan: _ClassPlan, seq: int) -> None:
         self.gen, self.plan = gen, plan
-        gen.sim._schedule(gen.sim._now, 0, self._start, (seq,))
+        gen.sim.schedule(0.0, self._start, seq)
 
     def _start(self, seq: int) -> None:
         gen = self.gen
@@ -414,7 +414,7 @@ class _Request:
             signal._register(self)
 
     def _wake_soon(self, value: Any) -> None:
-        self.gen.sim._schedule(self.gen.sim._now, 0, self._admitted, (value,))
+        self.gen.sim.schedule(0.0, self._admitted, value)
 
     def _admitted(self, _value: Any) -> None:
         gen, span = self.gen, self.span
@@ -429,7 +429,7 @@ class _Request:
             return
         if span is not None:
             self.child = span.child("bizreq.service", tier=tier, node=self.replica.node)
-        gen.sim._schedule(gen.sim._now + float(self.plan.draws[self.at]()), 0, self._served, ())
+        gen.sim.schedule(float(self.plan.draws[self.at]()), self._served)
 
     def _served(self) -> None:
         if self.span is not None:

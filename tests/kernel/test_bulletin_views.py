@@ -159,7 +159,7 @@ def test_property_view_equals_fresh_execution(ops):
     assert rows_close(view.rows(), execute(GROUPED, list(current.values())))
 
 
-# -- ViewEngine intake (one path for deltas, digests and epoch announces) ------
+# -- ViewEngine intake (one path for deltas and epoch announces) ---------------
 
 
 class _Owner:
@@ -210,13 +210,6 @@ def _delta(seq, key, phase=None, epoch=1, op=None):
     return delta
 
 
-def _as_digest_of_one(delta):
-    return {
-        "table": delta["table"], "partition": delta["partition"], "epoch": delta["epoch"],
-        "seq_lo": delta["seq"], "seq_hi": delta["seq"], "deltas": [delta],
-    }
-
-
 def _snapshot(owner, engine):
     return (
         dict(engine.sources), engine.mirror, engine.read("jobs"),
@@ -224,10 +217,10 @@ def _snapshot(owner, engine):
     )
 
 
-def test_plain_delta_is_a_digest_of_one():
-    """The same stream — applies, a duplicate, a gap healed by a resync —
-    fed once as plain deltas and once as ``[seq, seq]`` digests leaves
-    equal watermarks, mirror, view rows, view stats and counters."""
+def test_plain_delta_stream_applies_drops_duplicates_and_resyncs_gaps():
+    """One source's stream — applies, a stale duplicate, a delete, a gap
+    healed by a resync — leaves the watermark, mirror, view rows, view
+    stats and counters the one-delta-per-seq intake promises."""
     stream = [
         _delta(1, "j1", "running"), _delta(2, "j2", "running"), _delta(3, "j1", "done"),
         _delta(3, "j1", "done"),  # duplicate: stale
@@ -235,37 +228,50 @@ def test_plain_delta_is_a_digest_of_one():
         _delta(6, "j3", "running"),  # seq 5 lost: resync
         _delta(7, "j4", "done"),
     ]
-    snapshots = []
-    for shape in (lambda d: d, _as_digest_of_one):
-        owner, engine = _engine()
-        for delta in stream:
-            if delta["seq"] == 6:
-                owner.peer = {
-                    "rows": [stream[2]["row"], stream[5]["row"]],
-                    "watermark": {"epoch": 1, "delta_seq": 6},
-                }
-            engine.on_feed(shape(delta), now=10.0)
-        snapshots.append(_snapshot(owner, engine))
-    plain, digested = snapshots
-    assert plain == digested
-    sources, _mirror, rows, _stats, counters = plain
+    owner, engine = _engine()
+    for delta in stream:
+        if delta["seq"] == 6:
+            owner.peer = {
+                "rows": [stream[2]["row"], stream[5]["row"]],
+                "watermark": {"epoch": 1, "delta_seq": 6},
+            }
+        engine.on_feed(delta, now=10.0)
+    sources, mirror, rows, stats, counters = _snapshot(owner, engine)
     assert sources[("p1", "apps")] == (1, 7)
+    assert sorted(mirror["apps"]) == ["j1", "j3", "j4"]
     assert rows == [{"phase": "done", "n": 2}, {"phase": "running", "n": 1}]
+    # Seqs 1-4 and 7 each applied once; the scan rebuilt the view once.
+    assert (stats["maintenance_events"], stats["delta_applied"]) == (5, 5)
+    assert (stats["rebuilds"], stats["resyncs"]) == (1, 1)
+    assert counters["db.view_delta_applied"] == 5
     assert counters["db.view_delta_stale"] == 2  # the duplicate + seq 6 after its resync
     assert counters["db.view_resyncs"] == 1
-    assert "db.view_digests_applied" not in counters  # counts real digests only
+    assert "db.view_feed_refused" not in counters
 
 
-def test_multi_delta_digest_applies_unseen_suffix_and_is_counted():
+def test_a_malformed_delta_is_refused_and_counted():
+    """Any client may publish a ``db.delta``: a payload that is not one
+    changes nothing and is counted, before and after the build."""
+    good = _delta(1, "j1", "running")
+    bad = [
+        None, "x", ["apps"], {"table": "apps"},
+        dict(good, seq="1"), dict(good, epoch=1.0), dict(good, seq=True),
+        dict(good, partition=None), dict(good, key=7), dict(good, table=["apps"]),
+        dict(good, op="upsert"), dict(good, op=["put"]),
+        {k: v for k, v in good.items() if k != "row"}, dict(good, row="r"), dict(good, t="now"),
+    ]
     owner, engine = _engine()
-    engine.on_feed(_delta(1, "j1", "running"), now=1.0)
-    engine.on_feed({
-        "table": "apps", "partition": "p1", "epoch": 1, "seq_lo": 1, "seq_hi": 3,
-        "deltas": [_delta(1, "j1", "queued"), _delta(3, "j2", "done")],
-    }, now=2.0)
-    assert engine.sources[("p1", "apps")] == (1, 3)
-    assert engine.read("jobs") == [{"phase": "done", "n": 1}, {"phase": "running", "n": 1}]
-    assert owner.sim.trace.counter("db.view_digests_applied") == 1
+    engine.ready = False
+    for payload in bad:
+        engine.on_feed(payload, now=1.0)
+    assert engine._startup_buffer == []
+    engine.ready = True
+    for payload in bad:
+        engine.on_feed(payload, now=1.0)
+    assert engine.sources[("p1", "apps")] == (1, 0) and engine.mirror == {}
+    assert owner.sim.trace.counters("db.view_") == {"db.view_feed_refused": 2 * len(bad)}
+    engine.on_feed(good, now=2.0)
+    assert engine.read("jobs") == [{"phase": "running", "n": 1}]
 
 
 def test_epoch_announce_on_a_quiet_table_drops_the_lost_rows():
@@ -282,7 +288,7 @@ def test_epoch_announce_on_a_quiet_table_drops_the_lost_rows():
     assert engine.sources[("p1", "apps")] == (2, 0)
     assert engine.read("jobs") == [] and engine.mirror["apps"] == {}
     engine.on_feed(announce, now=35.0)
-    engine.on_feed(_as_digest_of_one(announce), now=40.0)
+    engine.on_feed(announce, now=40.0)
     counters = owner.sim.trace.counters("db.view_")
     assert counters["db.view_resyncs"] == 1
     assert counters["db.view_epoch_announces"] == 3  # post-resync drain + two repeats

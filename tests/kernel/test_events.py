@@ -81,7 +81,7 @@ def test_an_event_is_a_value():
     assert event.type == ev.NODE_FAILURE and event.data["nics"] == {"eth0": True}
     assert copy.deepcopy(event) is event and copy.copy(event) is event
     assert event.to_payload() is event and Event.from_payload(event) is event
-    # A plain dict (an old checkpoint's outbox, a digest) still decodes.
+    # A plain dict still decodes.
     plain = dict(event)
     assert type(plain) is dict and Event.from_payload(plain) == event
     assert Event.from_payload(_thaw(event)) == event
@@ -164,6 +164,24 @@ def test_federation_forwards_across_partitions(kernel, sim):
     sim.run(until=sim.now + 0.5)
     assert len(inbox) == 1
     assert inbox[0].partition == "p2"
+
+
+def test_a_malformed_publish_is_refused_not_raised(kernel, sim):
+    """Fails at the parent: event data that is not a dict raised
+    ``AttributeError`` out of ``sim.run`` once a where-filtered
+    subscription was registered."""
+    inbox = subscribe_collector(
+        kernel, sim, "p0c0", "c1", types=(ev.NODE_FAILURE,), where={"node": "wanted"})
+    client = kernel.client("p0c1")
+    for event_type, data in ((ev.NODE_FAILURE, "x"), (ev.NODE_FAILURE, ["wanted"]), (None, {})):
+        reply = drive(sim, client.publish(event_type, data))
+        assert reply is not None and not reply["ok"]
+    sim.run(until=sim.now + 0.5)
+    assert sim.trace.counter("es.publish_refused") == 3
+    assert "es.published" not in sim.trace.counters()
+    publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "wanted"})
+    sim.run(until=sim.now + 0.5)
+    assert [e.data["node"] for e in inbox] == ["wanted"]
 
 
 def test_unsubscribe_stops_delivery(kernel, sim):

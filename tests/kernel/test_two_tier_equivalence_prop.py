@@ -1,13 +1,13 @@
-"""Property: two-tier digested federation preserves view contents.
+"""Property: two-tier federation preserves view contents.
 
 The same deterministic job workload and fault schedule run twice — once
 on the flat full-mesh federation and once on the two-tier region
 topology (DESIGN.md §16) — must converge to float-equal materialized
 view contents, even when the schedule crashes an aggregator partition's
-server mid-stream (forcing aggregator failover and a digest-watermark
+server mid-stream (forcing aggregator failover and a watermark-gap
 resync at every remote view engine).  Inside the two-tier run the view
-must also equal a from-scratch scan, which pins the IVM-over-digest path
-itself, not just cross-topology agreement.
+must also equal a from-scratch scan, which pins IVM over the relayed
+``db.delta`` feed itself, not just cross-topology agreement.
 
 The workload writes only the ``apps`` table (explicit puts, retried
 through failovers), so the compared contents are independent of
@@ -65,8 +65,8 @@ def _run_scenario(seed, actions, region_size, probe=False):
     sim.run(until=10.0)
     injector = FaultInjector(cluster)
     client = kernel.client(cluster.partitions[0].server)
-    # View owner on p0 (region 0): cross-region deltas from p2..p5 reach
-    # it as digests in the two-tier run.
+    # View owner on p0 (region 0): in the two-tier run, deltas from p2..p5
+    # reach it relayed through the region aggregators.
     reply = drive(sim, client.register_view("prop.jobs", JOBS_VIEW, partition="p0"),
                   max_time=60.0)
     assert reply and reply.get("ok"), reply
@@ -94,7 +94,7 @@ def _run_scenario(seed, actions, region_size, probe=False):
     sim.run(until=sim.now + 90.0)  # settle: failover, resync, rebuild
     if probe:
         # A write *after* the churn settles must still reach the view
-        # through the (possibly failed-over) digest stream; earlier rows
+        # through the (possibly failed-over) aggregator relay; earlier rows
         # may have expired from the bulletin by now, this one cannot.
         _put_retrying(sim, kernel, client, "p3", "probe", {
             "app": "prop", "seq": 99, "phase": "late",
@@ -131,7 +131,7 @@ def test_regression_put_put_agg_crash_view_keeps_lost_row(region_size):
 
 def test_aggregator_failover_mid_stream_converges():
     """The deterministic worst case: puts land while the remote region's
-    aggregator is down, so digests arrive from the successor with a
+    aggregator is down, so deltas arrive through the successor with a
     watermark gap the view engine must resync across."""
     rows = _run_scenario(7, ["put", "agg_crash", "put", "put", "recover", "put"],
                          region_size=2, probe=True)

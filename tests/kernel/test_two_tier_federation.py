@@ -1,10 +1,10 @@
-"""Two-tier federation (DESIGN.md §16): regions, aggregators, digests.
+"""Two-tier federation (DESIGN.md §16): regions change the edge set.
 
 Covers the hierarchical topology end to end: the spec's positional
 region grouping, the kernel's epoch-fenced aggregator election, the
-event service's funnel routing (intra-region mesh, digested cross-region
-hops through aggregators, one-hop ingress relay), delta digestion, and
-the bulletin's region-scoped query / AS OF fan-out.
+event service's funnel routing (intra-region mesh, cross-region hops
+through aggregators, one-hop ingress relay), and the bulletin's
+region-scoped query fan-out and direct AS OF pulls.
 """
 
 import types
@@ -16,7 +16,6 @@ from repro.errors import ClusterError
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
 from repro.kernel.events import types as ev
-from repro.kernel.events.digest import digest_batch
 from repro.sim import Simulator, drive
 from tests.kernel.test_events import publish, subscribe_collector
 
@@ -117,66 +116,6 @@ def test_aggregator_fails_over_on_server_crash():
     assert any(r["region"] == 1 and r["partition"] == "p3" for r in marks)
 
 
-# -- delta digestion ----------------------------------------------------------
-
-
-def _delta(seq, key, value, table="nodes", partition="p0", epoch=1, op="put"):
-    return {
-        "event_id": f"e{seq}",
-        "type": ev.DB_DELTA,
-        "source": "p0s0",
-        "partition": partition,
-        "time": float(seq),
-        "data": {
-            "table": table, "partition": partition, "epoch": epoch,
-            "seq": seq, "key": key, "op": op,
-            "row": None if op == "del" else {"v": value}, "t": float(seq),
-        },
-        "span": "",
-    }
-
-
-def test_digest_folds_contiguous_run_keeping_latest_per_key():
-    batch = [_delta(1, "a", 1), _delta(2, "b", 1), _delta(3, "a", 2)]
-    out = digest_batch(batch)
-    assert len(out) == 1
-    digest = out[0]
-    assert digest["type"] == ev.DB_DELTA_DIGEST
-    assert digest["event_id"] == "e3+dig3"
-    data = digest["data"]
-    assert (data["seq_lo"], data["seq_hi"]) == (1, 3)
-    # Intermediate version of "a" dropped; survivors in seq order.
-    assert [(d["key"], d["seq"]) for d in data["deltas"]] == [("b", 2), ("a", 3)]
-    assert data["deltas"][1]["row"] == {"v": 2}
-
-
-def test_digest_gap_splits_runs_and_single_deltas_pass_through():
-    batch = [_delta(1, "a", 1), _delta(2, "a", 2), _delta(4, "a", 4)]
-    out = digest_batch(batch)
-    assert [p["type"] for p in out] == [ev.DB_DELTA_DIGEST, ev.DB_DELTA]
-    assert out[0]["data"]["seq_hi"] == 2
-    assert out[1]["data"]["seq"] == 4  # lone run: plain delta, untouched
-
-
-def test_digest_separates_streams_and_passes_foreign_events():
-    other = {"event_id": "x1", "type": ev.APP_STARTED, "source": "n", "partition": "p1",
-             "time": 0.0, "data": {}, "span": ""}
-    batch = [
-        _delta(1, "a", 1), other, _delta(2, "a", 2),
-        _delta(1, "j", 9, table="jobs"),
-    ]
-    out = digest_batch(batch)
-    # The nodes run folds (surfacing at its last member, after `other`);
-    # the jobs stream is a lone delta and survives verbatim.
-    assert [p["type"] for p in out] == [ev.APP_STARTED, ev.DB_DELTA_DIGEST, ev.DB_DELTA]
-    assert out[2]["data"]["table"] == "jobs"
-
-
-def test_digest_is_idempotent_on_digests():
-    once = digest_batch([_delta(1, "a", 1), _delta(2, "a", 2)])
-    assert digest_batch(list(once)) == once
-
-
 # -- event service funnel routing ---------------------------------------------
 
 
@@ -237,19 +176,35 @@ def test_exec_query_group_by_covers_all_partitions():
     assert sum(row["n"] for row in reply["rows"]) == cluster.size
 
 
-def test_as_of_pulls_remote_regions_through_aggregator_summaries():
+def test_as_of_pulls_remote_regions_directly():
+    """``AS OF`` pulls every partition's ``db.tables`` checkpoint itself,
+    remote regions included, in ``sorted()`` order: regions change who
+    the federation talks to, not how time travel reads."""
     sim, cluster, kernel = boot_two_tier(until=35.0)
     client = kernel.client("p0c0")
     # Checkpointing runs only under view-driven delta maintenance.
     reply = drive(sim, client.register_view("tt.nodes", Query(table="nodes")), max_time=30.0)
     assert reply and reply.get("ok")
     sim.run(until=sim.now + 30.0)
+    daemon = kernel.bulletin("p0")
+    pulls = []
+    orig = daemon.rpc_retry
+
+    def spy(dst_node, dst_port, mtype, payload=None, **kwargs):
+        if mtype == ports.CKPT_LOAD and "at_time" in payload:
+            pulls.append(payload["key"])
+        return orig(dst_node, dst_port, mtype, payload, **kwargs)
+
+    daemon.rpc_retry = spy
     past = drive(sim, client.exec_query(Query(table="nodes", as_of=sim.now - 2.0)), max_time=30.0)
     assert past is not None and past["partitions_missing"] == []
     assert len(past["rows"]) == cluster.size
     assert set(past["versions"]) == {f"p{i}" for i in range(6)}
-    # Remote regions answered via DB_ASOF aggregator summaries, not 1:1 pulls.
-    assert sim.trace.counter("db.asof_summaries") > 0
+    assert pulls == [f"db.tables.p{i}" for i in range(6)]
+    assert "db.asof_summaries" not in sim.trace.counters()
+    feed = [sub for sub in kernel.es("p0").subscriptions()
+            if sub.consumer_id.startswith("db.views.")]
+    assert feed and all(sub.types == (ev.DB_DELTA,) for sub in feed)
 
 
 # -- one region *is* the flat complete graph -----------------------------------
@@ -292,12 +247,11 @@ def test_flat_is_the_one_region_case_twin_run():
         tiered = [k for k in sim.trace.counters() if k.endswith(("_intra", "_cross"))]
         assert tiered == []
         assert sim.trace.counter("es.forward_batches") > 0  # the config publish federated
-        assert sim.trace.counter("db.asof_summaries") == 0
         feed = [
             sub for pid in ("p0", "p1", "p2", "p3") for sub in kernel.es(pid).subscriptions()
             if sub.consumer_id.startswith("db.views.")
         ]
-        assert feed and all(ev.DB_DELTA_DIGEST not in sub.types for sub in feed)
+        assert feed and all(sub.types == (ev.DB_DELTA,) for sub in feed)
 
 
 # -- probe-order contracts of the shared scatter-gather ---------------------------

@@ -272,3 +272,26 @@ def test_a_delta_consumer_cannot_edit_the_publishers_row():
     with pytest.raises(TypeError):
         event["data"]["row"]["x"] = 1
     assert "x" not in stored and stored["phase"] == "running"
+
+
+def test_a_malformed_delta_from_a_client_is_refused_not_raised():
+    """Fails at the parent: a client publishing ``db.delta`` without a
+    ``seq`` raised ``KeyError`` out of ``sim.run`` at the view owner.
+    Refused payloads are counted, and the view keeps following the feed."""
+    sim, kernel, _ = _boot(partitions=2)
+    client = _client(kernel)
+    jobs = Query(table="jobs", group_by=("phase",), aggs=(Agg("count", "*", "n"),))
+    _register(sim, client, "t.jobs", jobs, "p0")
+    bad = [
+        {"table": "apps"},
+        {"table": "apps", "partition": "p1", "epoch": "1", "seq": 1, "key": "k", "op": "put"},
+        {"table": "apps", "partition": "p1", "epoch": 1, "seq": 9, "key": "k", "op": "put",
+         "row": 3},
+    ]
+    for data in bad:
+        assert drive(sim, client.publish("db.delta", data))["ok"]
+    sim.run(until=sim.now + 2.0)
+    assert sim.trace.counter("db.view_feed_refused") == len(bad)
+    _put_job(sim, kernel, client, "job1", {"app": "linpack", "phase": "running"})
+    sim.run(until=sim.now + 2.0)
+    assert _equivalent(sim, client, "t.jobs", jobs)["rows"] == [{"phase": "running", "n": 1}]
