@@ -151,7 +151,7 @@ def run_point(
         "hist": {
             name: hist.summary()
             for name, hist in sorted(sim.trace.histograms().items())
-            if name in ("rpc.call", "es.deliver", "es.forward_batch", "db.query")
+            if name in ("rpc.call", "es.deliver", "es.forward_batch", "db.exec")
         },
         "snapshot": gv.latest,
     }

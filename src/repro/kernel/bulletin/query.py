@@ -112,6 +112,8 @@ class Query:
                 )
         if self.limit is not None and self.limit < 0:
             raise KernelError("limit must be >= 0")
+        if self.as_of is not None and not is_numeric(self.as_of):
+            raise KernelError(f"as_of must be a number, got {self.as_of!r}")
         names = [a.name for a in self.aggs]
         if len(set(names)) != len(names):
             raise KernelError(f"duplicate aggregate output names in {names}")
@@ -166,7 +168,7 @@ def _join_node_row(
     still appears (with ``state`` but no samples), and a node whose GSD
     has not exported state yet still shows its metrics.  ``reporting``
     is 1 when the metrics side is present, so ``sum(reporting)`` counts
-    live reporters the way the classic GridView did.
+    live reporters.
     """
     if metrics is None and state is None:
         return None
@@ -269,7 +271,7 @@ def base_tables(logical: str) -> tuple[str, ...]:
 # -- executor ----------------------------------------------------------------
 def is_numeric(value: Any) -> bool:
     """The one rule for what an aggregate counts: an int or a float, never
-    a bool.  Views and GridView's classic refresh skip values the same way."""
+    a bool.  Views and GridView's banner skip values the same way."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 

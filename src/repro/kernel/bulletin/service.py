@@ -339,10 +339,9 @@ class BulletinDaemon(ServiceDaemon):
         """Send every ``DB_QUERY`` probe (each request to each peer) now, in
         the caller's order — send order drives the jitter RNG — then fold
         the replies in that order.  Returns the answered ``(table, reply)``
-        pairs, the partitions hidden by unanswered probes or reported
-        missing downstream, and per-partition incarnation numbers: a
-        console comparing two replies can tell whether a bulletin failed
-        over between them (the torn-read guard in GridView)."""
+        pairs, the partitions hidden by unanswered probes, reported missing
+        downstream or answered by two bulletin incarnations (a failover
+        between two of its probes), and per-partition incarnation numbers."""
         # Peer probes are idempotent: retry within the same budget so one
         # lost datagram does not hide a partition's rows.
         signals = [
@@ -362,10 +361,10 @@ class BulletinDaemon(ServiceDaemon):
                 missing.extend(self._peer_covers(part_id, peer_scope))
                 continue
             wm = reply.get("watermark")
-            if wm is not None:
-                watermarks[part_id] = int(wm["epoch"])
-            for pid, epoch in (reply.get("watermarks") or {}).items():
-                watermarks[pid] = int(epoch)
+            epochs = {part_id: wm["epoch"]} if wm is not None else reply.get("watermarks") or {}
+            for pid, epoch in epochs.items():
+                if watermarks.setdefault(pid, int(epoch)) != int(epoch):
+                    missing.append(pid)
             missing.extend(reply.get("partitions_missing", ()))
             replies.append((table, reply))
         return replies, missing, watermarks
@@ -419,9 +418,15 @@ class BulletinDaemon(ServiceDaemon):
             [{"table": table, "scope": "local"} for table in tables],
             span,
         )
-        for table, reply in replies:
-            rows_by_table[table].extend(reply.get("rows", []))
+        # A partition answers whole or not at all: rows from a partition
+        # missing any base table, or read from two incarnations, would
+        # join into a state that never existed (a down node counted up).
         missing = sorted(set(missing))  # one entry per partition, not per table probe
+        for table, reply in replies:
+            rows = reply.get("rows", [])
+            if missing:
+                rows = [r for r in rows if r["_partition"] not in missing]
+            rows_by_table[table].extend(rows)
         result = rel.execute_on(q, _ordered(rows_by_table))
         self.reply(msg, {"rows": result, "partitions_missing": missing, "watermarks": watermarks})
         span.end(rows=len(result), missing=len(missing))
@@ -564,6 +569,14 @@ class BulletinDaemon(ServiceDaemon):
         }
 
     def _on_maint(self, msg: Message) -> dict[str, Any] | None:
+        tables = msg.payload.get("tables", [])
+        views = msg.payload.get("views") or {}
+        if not isinstance(tables, list) or not isinstance(views, dict) or not all(
+            isinstance(name, str) for name in [*tables, *views, *views.values()]
+        ):
+            self.sim.trace.count("db.maint_refused")
+            return {"ok": False, "error": "maintenance config needs a list of table "
+                                          "names and a view -> partition map of strings"}
         self.kernel.view_maintenance = True
         if msg.payload.get("relay"):
             # The sender only reached this region's aggregator — re-relay
@@ -573,9 +586,9 @@ class BulletinDaemon(ServiceDaemon):
             for _pid, node, remote in self.kernel.federation_edges("db", self.partition_id):
                 if not remote:
                     self.send(node, ports.DB, ports.DB_MAINT, dict(relayed))
-        for name, part_id in (msg.payload.get("views") or {}).items():
+        for name, part_id in views.items():
             self.kernel.view_owners[name] = part_id
-        new = set(msg.payload.get("tables", ())) - self._publish_tables
+        new = set(tables) - self._publish_tables
         if new:
             self._publish_tables |= new
             self._arm_tables_ckpt()

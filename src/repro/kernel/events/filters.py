@@ -55,13 +55,17 @@ class Subscription:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "Subscription":
-        return cls(
-            consumer_id=payload["consumer_id"],
-            node=payload["node"],
-            port=payload["port"],
-            types=tuple(payload.get("types", ())),
-            where=dict(payload.get("where", {})),
-        )
+        """Any node may subscribe: a payload of the wrong shape raises
+        :class:`KernelError`, which the event service answers as a refusal."""
+        names = [payload.get(k) for k in ("consumer_id", "node", "port")]
+        types = payload.get("types", [])
+        where = payload.get("where")
+        if not all(isinstance(name, str) for name in names):
+            raise KernelError("subscription needs string consumer_id, node and port")
+        if not isinstance(types, (list, tuple)) or not all(isinstance(t, str) for t in types):
+            raise KernelError(f"subscription types must be a list of strings, got {types!r}")
+        validate_where(where)
+        return cls(*names, types=tuple(types), where=dict(where or {}))
 
 
 def _type_matches(pattern: str, event_type: str) -> bool:

@@ -46,6 +46,7 @@ from collections import deque
 from typing import Any
 
 from repro.cluster.message import Message
+from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
@@ -171,13 +172,19 @@ class EventServiceDaemon(ServiceDaemon):
         return None
 
     def _on_subscribe(self, msg: Message) -> dict[str, Any]:
-        sub = Subscription.from_payload(msg.payload)
+        replay = msg.payload.get("replay", 0)
+        try:
+            if not isinstance(replay, int) or isinstance(replay, bool) or replay < 0:
+                raise KernelError(f"replay must be an int >= 0, got {replay!r}")
+            sub = Subscription.from_payload(msg.payload)
+        except KernelError as exc:
+            self.sim.trace.count("es.subscribe_refused")
+            return {"ok": False, "error": str(exc)}
         self._subs.add(sub)
         self._checkpoint_state()
         # Optional catch-up: re-push the last N matching retained events
         # so a late joiner (e.g. a monitor restarted mid-incident) sees
         # recent history before live traffic.
-        replay = int(msg.payload.get("replay", 0))
         if replay > 0:
             matching = [e for e in self._history if sub.matches(e)][-replay:]
             for event in matching:

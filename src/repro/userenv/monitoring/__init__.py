@@ -15,24 +15,15 @@ from repro.userenv.monitoring.analysis import (
     view_report,
 )
 from repro.userenv.monitoring.display import render_events, render_performance, render_snapshot
-from repro.userenv.monitoring.gridview import (
-    CLUSTER_VIEW,
-    ClusterSnapshot,
-    GridView,
-    cluster_view_query,
-    install_gridview,
-    torn_partitions,
-)
+from repro.userenv.monitoring.gridview import ClusterSnapshot, GridView, install_gridview
 
 __all__ = [
-    "CLUSTER_VIEW",
     "HEALTH_VIEW_NAME",
     "Alert",
     "ClusterSnapshot",
     "GridView",
     "Trend",
     "alerts",
-    "cluster_view_query",
     "critical_path",
     "fault_analysis",
     "health_report",
@@ -44,6 +35,5 @@ __all__ = [
     "render_performance",
     "render_snapshot",
     "span_tree",
-    "torn_partitions",
     "view_report",
 ]

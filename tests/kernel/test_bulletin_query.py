@@ -66,6 +66,10 @@ def test_validate_rules():
         Query(table="nodes", aggs=(Agg("sum", "x", "v"), Agg("avg", "y", "v"))).validate()
     with pytest.raises(KernelError):
         Query(table="nodes", limit=-1).validate()
+    for as_of in ("x", True):
+        with pytest.raises(KernelError, match="as_of"):
+            Query(table="nodes", as_of=as_of).validate()
+    Query(table="nodes", as_of=3).validate()
 
 
 def test_query_payload_round_trip():

@@ -184,6 +184,34 @@ def test_a_malformed_publish_is_refused_not_raised(kernel, sim):
     assert [e.data["node"] for e in inbox] == ["wanted"]
 
 
+def test_a_malformed_subscribe_is_refused_not_raised(kernel, sim):
+    """Fails at the parent: each payload raised ``KeyError``, ``TypeError``
+    or ``ValueError`` out of ``sim.run``.  A refusal answers ``ok: False``
+    and is counted; the registry is unchanged."""
+    good = {"consumer_id": "c1", "node": "p0c0", "port": "sink.c1"}
+    bad = [
+        {},
+        dict(good, consumer_id=5),
+        dict(good, types=5),
+        dict(good, types=[ev.NODE_FAILURE, 3]),
+        dict(good, where=5),
+        dict(good, where=[]),
+        dict(good, where={"node": {"op": "~", "value": 1}}),
+        dict(good, replay="x"),
+        dict(good, replay=-1),
+    ]
+    es = kernel.placement[("es", "p0")]
+    for payload in bad:
+        reply = drive(sim, kernel.cluster.transport.rpc("p0c0", es, ports.ES, ports.ES_SUBSCRIBE,
+                                                         payload, timeout=5.0))
+        assert reply is not None and not reply["ok"] and reply["error"], payload
+    assert sim.trace.counter("es.subscribe_refused") == len(bad)
+    inbox = subscribe_collector(kernel, sim, "p0c0", "c1", types=(ev.NODE_FAILURE,))
+    publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "x"})
+    sim.run(until=sim.now + 0.5)
+    assert len(inbox) == 1
+
+
 def test_unsubscribe_stops_delivery(kernel, sim):
     inbox = subscribe_collector(kernel, sim, "p0c0", "c1")
     reply = drive(sim, kernel.client("p0c0").unsubscribe("c1"))

@@ -225,14 +225,15 @@ def test_epoch_announce_on_a_quiet_table_is_bounded():
 
 def test_every_stored_and_mirrored_row_is_an_intact_value():
     """Rows are shared by reference between stores, the ``db.delta`` feed,
-    view mirrors, GridView snapshots, checkpoints and ``AS OF`` replies.
+    view mirrors, checkpoints and ``AS OF`` replies (a GridView refresh
+    reads them through the executor's projection, a fresh dict per row).
     After a run through all of them every row still is a ``FrozenRow``
     whose wire size, taken when it was frozen, is its content's — a
     nested *list* edited in place, the one mutation the type cannot
     refuse, would show here."""
     sim, kernel, injector = _boot(partitions=2)
     client = _client(kernel)
-    console = install_gridview(kernel, refresh_interval=5.0)  # classic: two global scans
+    console = install_gridview(kernel, refresh_interval=5.0)
     _register(sim, client, "t.nodes", NODES_BY_STATE, "p1")
     sim.run(until=sim.now + 12.0)
     injector.crash_node(kernel.placement[("db", "p1")])
@@ -242,7 +243,7 @@ def test_every_stored_and_mirrored_row_is_an_intact_value():
     assert past["rows"] and not past["partitions_missing"]
     assert console.refreshes >= 10 and console.latest.per_node
 
-    rows = list(console.latest.per_node.values())
+    rows = []
     for part in kernel.cluster.partitions:
         db = kernel.bulletin(part.partition_id)
         for tables in (db.store._tables, db.engine.mirror if db.engine else {}):
@@ -295,3 +296,31 @@ def test_a_malformed_delta_from_a_client_is_refused_not_raised():
     _put_job(sim, kernel, client, "job1", {"app": "linpack", "phase": "running"})
     sim.run(until=sim.now + 2.0)
     assert _equivalent(sim, client, "t.jobs", jobs)["rows"] == [{"phase": "running", "n": 1}]
+
+
+def test_a_malformed_maint_config_is_refused_not_raised():
+    """Fails at the parent: each payload raised ``TypeError`` or
+    ``AttributeError`` out of ``sim.run``.  A refusal answers ``ok: False``,
+    is counted, and leaves the relational layer off."""
+    sim, kernel, _ = _boot(partitions=2)
+    client = _client(kernel)
+    bad = [{"tables": 5}, {"views": [1]}, {"tables": [[1]]}, {"views": {"v": 1}}]
+    for payload in bad:
+        reply = drive(sim, client._transport.rpc(
+            client.node_id, kernel.placement[("db", "p1")], ports.DB, ports.DB_MAINT,
+            payload, timeout=5.0))
+        assert reply is not None and not reply["ok"] and reply["error"], payload
+    assert sim.trace.counter("db.maint_refused") == len(bad)
+    assert not kernel.view_maintenance and not kernel.bulletin("p1")._publish_tables
+
+
+def test_a_non_numeric_as_of_is_refused():
+    """Fails at the parent: ``as_of: "x"`` was accepted and answered as if
+    every partition were missing."""
+    sim, kernel, _ = _boot(partitions=2)
+    client = _client(kernel)
+    for as_of in ("x", True, [1.0]):
+        reply = drive(sim, client._transport.rpc(
+            client.node_id, kernel.placement[("db", "p0")], ports.DB, ports.DB_EXEC,
+            {"query": {"table": "nodes", "as_of": as_of}}, timeout=5.0))
+        assert "as_of" in reply["error"] and reply["rows"] == []

@@ -1,85 +1,107 @@
-"""GridView view mode and the torn-read guard across bulletin failovers."""
+"""GridView's one query against the two-read join it replaced, and across
+bulletin failovers."""
 
-import math
+import pytest
 
 from repro.kernel import ports
+from repro.kernel.bulletin.query import is_numeric
 from repro.sim import drive
-from repro.userenv.monitoring import (
-    CLUSTER_VIEW,
-    install_gridview,
-    torn_partitions,
-)
+from repro.userenv.monitoring import install_gridview
+from tests.kernel.test_exec_whole_partitions import answer_from_a_successor, divert_probes
 
 
-# -- torn_partitions unit ----------------------------------------------------
-def test_torn_partitions_flags_epoch_mismatch():
-    a = {"p0": 1, "p1": 2, "p2": 1}
-    b = {"p0": 1, "p1": 3, "p2": 1}
-    assert torn_partitions(a, b) == ["p1"]
-    assert torn_partitions(a, dict(a)) == []
-    assert torn_partitions(a, None) == []
-    assert torn_partitions({}, a) == []
-    # Only partitions present on both sides can disagree.
-    assert torn_partitions({"p0": 1}, {"p1": 9}) == []
+def _mean(rows, field):
+    values = [r[field] for r in rows if is_numeric(r.get(field))]
+    return sum(values) / len(values) if values else 0.0
 
 
-# -- view mode ---------------------------------------------------------------
-def test_view_mode_matches_classic_snapshot(kernel, sim):
-    classic = install_gridview(kernel, node_id="p1b0", refresh_interval=5.0)
-    viewer = install_gridview(kernel, node_id="p2b0", refresh_interval=5.0, view_mode=True)
-    sim.run(until=sim.now + 40.0)
-    assert CLUSTER_VIEW in kernel.view_owners
-    a, b = classic.latest, viewer.latest
-    assert a is not None and b is not None
-    assert b.node_count == a.node_count
-    assert b.nodes_down == a.nodes_down == 0
-    assert b.nodes_reporting == a.nodes_reporting
-    assert math.isclose(b.avg_cpu_pct, a.avg_cpu_pct, rel_tol=0.05)
-    assert not b.partitions_missing
-    view_refreshes = [r for r in sim.trace.iter_records("gridview.refresh")
-                      if r.get("view")]
-    assert view_refreshes
-    # O(groups), not O(nodes): the view refresh ships a handful of rows.
-    assert all(r.get("rows") <= 4 for r in view_refreshes)
+def two_read_join(sim, client):
+    """The oracle: GridView's refresh before it was one query — two global
+    scans, ``node_metrics`` joined with ``node_state`` by hand."""
+    metrics = drive(sim, client.query_bulletin("node_metrics"))["rows"]
+    state = drive(sim, client.query_bulletin("node_state"))["rows"]
+    down = {r["_key"] for r in state if r.get("state") == "down"}
+    reporting = [r for r in metrics if r["_key"] not in down]
+    return {
+        "nodes_reporting": len(reporting),
+        "nodes_down": len(down),
+        "avg_cpu_pct": _mean(reporting, "cpu_pct"),
+        "avg_mem_pct": _mean(reporting, "mem_pct"),
+        "avg_swap_pct": _mean(reporting, "swap_pct"),
+        "per_node": sorted(r["_key"] for r in metrics),
+    }
 
 
-def test_view_mode_sees_node_failure(kernel, sim, injector):
-    viewer = install_gridview(kernel, node_id="p2b0", refresh_interval=5.0, view_mode=True)
-    sim.run(until=sim.now + 20.0)
-    injector.crash_node("p0c2")
-    sim.run(until=sim.now + 40.0)
-    snap = viewer.latest
+def _refresh_beside_oracle(sim, kernel, gv, attempts=10):
+    """One GridView refresh, then the oracle's two reads, retried until no
+    bulletin row changed in between (detectors export continuously)."""
+    client = kernel.client(gv.node_id)
+    for _ in range(attempts):
+        changes = sim.trace.counter("db.puts") + sim.trace.counter("db.expired")
+        drive(sim, gv.spawn(gv._refresh_once()).done)
+        oracle = two_read_join(sim, client)
+        if sim.trace.counter("db.puts") + sim.trace.counter("db.expired") == changes:
+            return gv.latest, oracle
+        sim.run(until=sim.now + 0.3)
+    raise AssertionError("no quiet window for the oracle")
+
+
+def _assert_equals_oracle(snap, oracle):
+    assert snap.nodes_reporting == oracle["nodes_reporting"]
+    assert snap.nodes_down == oracle["nodes_down"]
+    for field in ("avg_cpu_pct", "avg_mem_pct", "avg_swap_pct"):
+        assert getattr(snap, field) == pytest.approx(oracle[field], rel=1e-12)
+    assert sorted(snap.per_node) == oracle["per_node"]
+    assert snap.partitions_missing == []
+
+
+def test_snapshot_equals_the_two_read_join(kernel, sim, injector):
+    gv = install_gridview(kernel, refresh_interval=1000.0)
+    sim.run(until=sim.now + 10.0)
+    snap, oracle = _refresh_beside_oracle(sim, kernel, gv)
+    _assert_equals_oracle(snap, oracle)
+    assert snap.nodes_down == 0 and snap.nodes_reporting == kernel.cluster.size
+    injector.crash_node("p1c0")
+    sim.run(until=sim.now + 30.0)  # detected, diagnosed: the state row says down
+    snap, oracle = _refresh_beside_oracle(sim, kernel, gv)
+    _assert_equals_oracle(snap, oracle)
     assert snap.nodes_down == 1
-    assert snap.nodes_reporting == snap.node_count - 1
 
 
-def test_view_mode_survives_owner_failover(kernel, sim, injector):
-    viewer = install_gridview(kernel, node_id="p2b0", refresh_interval=5.0, view_mode=True)
+def test_one_bulletin_rpc_per_refresh(kernel, sim):
+    gv = install_gridview(kernel, refresh_interval=2.0)
+    sent = []
+    rpc = gv.rpc
+
+    def counting_rpc(dst_node, dst_port, mtype, payload=None, **kwargs):
+        if dst_port == ports.DB:
+            sent.append(mtype)
+        return rpc(dst_node, dst_port, mtype, payload, **kwargs)
+
+    gv.rpc = counting_rpc
+    before = gv.refreshes
     sim.run(until=sim.now + 20.0)
-    owner = kernel.view_owners[CLUSTER_VIEW]
-    injector.crash_node(kernel.placement[("db", owner)])
-    sim.run(until=sim.now + 80.0)
-    before = viewer.refreshes
-    sim.run(until=sim.now + 20.0)
-    assert viewer.refreshes > before  # still refreshing off the rebuilt owner
-    assert viewer.latest.time > sim.now - 15.0
-    assert not viewer.latest.partitions_missing
+    assert gv.refreshes - before >= 9
+    assert sent == [ports.DB_EXEC] * len(sent)
+    assert len(sent) in (gv.refreshes - before, gv.refreshes - before + 1)  # one may be in flight
 
 
-# -- torn-read guard (classic mode) ------------------------------------------
 def test_classic_refresh_rejects_cross_incarnation_joins(kernel, sim, injector):
-    """A bulletin failover between the two classic reads must not fabricate
-    a snapshot from two incarnations: watermarks expose the epoch bump."""
-    client = kernel.client("p0c0")
-    metrics = drive(sim, client.query_bulletin("node_metrics", partition="p0"))
-    assert metrics["watermarks"]["p1"] >= 1
-    injector.crash_node(kernel.placement[("db", "p1")])
-    sim.run(until=sim.now + 60.0)  # detection + takeover on p1
-    state = drive(sim, client.query_bulletin("node_state", partition="p0"))
-    assert torn_partitions(metrics["watermarks"], state["watermarks"]) == ["p1"]
-    # Two fresh reads from the new incarnation agree again.
-    fresh = drive(sim, client.query_bulletin("node_metrics", partition="p0"))
-    assert torn_partitions(fresh["watermarks"], state["watermarks"]) == []
+    """A bulletin failover between the two base-table reads of one refresh
+    must not fabricate a snapshot from two incarnations: the executor lists
+    the partition missing, and none of its nodes are counted."""
+    gv = install_gridview(kernel, refresh_interval=1000.0)
+    sim.run(until=sim.now + 10.0)
+    send, held = divert_probes(kernel, "p1", "node_state")
+    refresh = gv.spawn(gv._refresh_once())
+    sim.run(until=sim.now + 1.0)
+    answer_from_a_successor(sim, kernel, injector, "p1", send, held)
+    drive(sim, refresh.done)
+    snap = gv.latest
+    assert snap.partitions_missing == ["p1"]
+    p1 = set(kernel.cluster.partition("p1").all_nodes)
+    assert not p1 & set(snap.per_node)
+    assert snap.nodes_reporting == kernel.cluster.size - len(p1)
 
 
 def test_classic_gridview_keeps_consistent_snapshots_across_failover(kernel, sim, injector):
@@ -87,10 +109,11 @@ def test_classic_gridview_keeps_consistent_snapshots_across_failover(kernel, sim
     sim.run(until=sim.now + 10.0)
     injector.crash_node(kernel.placement[("db", "p1")])
     sim.run(until=sim.now + 80.0)
-    # Refreshes resumed after the failover and every published snapshot
-    # came from a single bulletin incarnation (the guard retried or
-    # dropped the torn ones; it never joined across epochs).
-    assert gv.latest is not None and gv.latest.time > sim.now - 10.0
-    torn_marks = sim.trace.records("gridview.torn_read")
-    assert gv.torn_reads == len(torn_marks)
-    assert gv.refreshes > 20
+    # Refreshes resumed after the failover; while p1's bulletin was gone
+    # a refresh listed p1 missing and counted none of its nodes.
+    marks = sim.trace.records("gridview.refresh")
+    p1 = len(kernel.cluster.partition("p1").all_nodes)
+    assert any(m["missing"] == 1 for m in marks)
+    assert all(m["rows"] == kernel.cluster.size - p1 for m in marks if m["missing"])
+    assert gv.latest.time > sim.now - 10.0 and gv.latest.partitions_missing == []
+    assert gv.refreshes > 60

@@ -5,6 +5,7 @@ import pytest
 from repro.kernel import ports
 from repro.sim import drive
 from repro.userenv.monitoring import install_gridview, render_events, render_snapshot
+from tests.kernel.test_exec_whole_partitions import divert_probes
 
 
 @pytest.fixture()
@@ -82,26 +83,26 @@ def test_render_events(kernel, sim, gridview, injector):
     assert "node.failure" in text
 
 
-def test_lost_state_reply_is_a_failed_refresh(kernel, sim, injector):
-    """A refresh whose ``node_state`` read went unanswered must not publish
-    a snapshot: joined with nothing, every dead node would count as up."""
+def test_a_lost_state_probe_hides_its_partition(kernel, sim, injector):
+    """A partition whose ``node_state`` probe went unanswered is listed
+    missing and ships no rows: joined with nothing, its dead node would
+    count as up."""
     injector.crash_node("p1c0")
     sim.run(until=sim.now + 30.0)  # detected, diagnosed, state row says down
-    gv = install_gridview(kernel, refresh_interval=10.0)
-    answered = gv.rpc
-
-    def rpc(dst_node, dst_port, mtype, payload=None, **kwargs):
-        if (payload or {}).get("table") == "node_state":
-            lost = sim.signal()
-            lost.fire(None)  # what a timed-out RPC resolves to
-            return lost
-        return answered(dst_node, dst_port, mtype, payload, **kwargs)
-
-    gv.rpc = rpc
-    sim.run(until=sim.now + 25.0)
-    assert len(sim.trace.records("gridview.refresh_failed")) >= 2
-    assert sim.trace.records("gridview.refresh") == []
-    assert gv.latest is None
+    gv = install_gridview(kernel, refresh_interval=1000.0)
+    sim.run(until=sim.now + 1.0)
+    assert gv.latest.nodes_down == 1
+    _, held = divert_probes(kernel, "p1", "node_state")
+    refresh = gv.spawn(gv._refresh_once())
+    sim.run(until=sim.now + 1.0)
+    for _, _, signal in held:
+        signal.fire(None)  # what a timed-out probe resolves to
+    drive(sim, refresh.done)
+    snap = gv.latest
+    assert snap.partitions_missing == ["p1"] and snap.nodes_down == 0
+    p1 = kernel.cluster.partition("p1").all_nodes
+    assert not set(p1) & set(snap.per_node)
+    assert snap.nodes_reporting == kernel.cluster.size - len(p1)
 
 
 def test_malformed_metrics_rows_do_not_stop_the_refresh(kernel, sim, gridview):
