@@ -64,10 +64,11 @@ class SizedDict(dict):
     shared by every reader.  Mutators raise ``TypeError`` and ``copy`` /
     ``deepcopy`` return the dict itself; ``dict(it)`` is the mutable copy.
     Only an in-place edit of a nested *list* cannot be refused.  It is
-    sized once, when built: a message that carries it adds that number.
+    sized once, when built: a message that carries it adds that number;
+    :func:`repr_len` keeps its text length beside it on first use.
     """
 
-    __slots__ = ("_size",)
+    __slots__ = ("_size", "_text_len")
 
     def __init__(self, entries: Any = (), **extra: Any) -> None:
         dict.__init__(self, entries, **extra)
@@ -155,6 +156,25 @@ def _list_size(items: list | tuple) -> int:
         else:
             size += wire_size(value)
     return size
+
+
+def repr_len(value: Any) -> int:
+    """``len(repr(value))``, exactly: a dict or list is summed entry by
+    entry (2 brackets and ``", "`` between, plus ``": "`` per dict entry),
+    a :class:`SizedDict` keeps its sum (a value's text never changes), and
+    anything else is rendered."""
+    t = type(value)
+    if t is list:
+        return max(2, 2 * len(value)) + sum(map(repr_len, value))
+    frozen = t is not dict
+    if frozen and not isinstance(value, SizedDict):
+        return len(repr(value))
+    if frozen and hasattr(value, "_text_len"):
+        return value._text_len
+    n = max(2, 4 * len(value)) + sum(map(repr_len, value)) + sum(map(repr_len, value.values()))
+    if frozen:
+        value._text_len = n
+    return n
 
 
 def estimate_size(payload: dict[str, Any]) -> int:

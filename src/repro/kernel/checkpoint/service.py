@@ -17,11 +17,31 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.cluster.message import Message
+from repro.cluster.message import Message, repr_len
+from repro.errors import CheckpointError
 from repro.kernel import ports
 from repro.kernel.checkpoint.store import CheckpointStore
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.timings import ckpt_write_cost
+
+
+def _malformed(mtype: str, p: dict[str, Any]) -> bool:
+    """A ``ckpt.*`` payload no store can serve: any node may send one, so
+    it is refused (``ckpt.refused``), not raised out of the run."""
+    if mtype == ports.CKPT_ABSORB:
+        dump = p.get("dump", {})
+        return not isinstance(dump, dict) or not all(
+            isinstance(blob, dict) and not _malformed(ports.CKPT_REPLICATE, {**blob, "key": key})
+            for key, blob in dump.items())
+    if mtype not in (ports.CKPT_SAVE, ports.CKPT_REPLICATE, ports.CKPT_LOAD, ports.CKPT_DELETE):
+        return False
+    key, version = p.get("key"), p.get("version")
+    writes = mtype in (ports.CKPT_SAVE, ports.CKPT_REPLICATE)
+    return (not isinstance(key, str) or not key
+            or writes and not isinstance(p.get("data"), dict)
+            or not (type(version) is int or version is None and mtype != ports.CKPT_REPLICATE)
+            or any(t is not None and (type(t) is bool or not isinstance(t, (int, float)))
+                   for t in (p.get("at_time"), p.get("saved_at"))))
 
 
 class CheckpointDaemon(ServiceDaemon):
@@ -55,6 +75,9 @@ class CheckpointDaemon(ServiceDaemon):
             self.sim.trace.mark("ckpt.synced", node=self.node_id, keys=updated)
 
     def _dispatch(self, msg: Message) -> dict[str, Any] | None:
+        if _malformed(msg.mtype, msg.payload):
+            self.sim.trace.count("ckpt.refused")
+            return {"ok": False, "error": f"malformed {msg.mtype} payload"}
         if msg.mtype == ports.CKPT_SAVE:
             # Saves pay a size-dependent storage commit before acking, and
             # commit in arrival order per key (single writer per key).
@@ -106,9 +129,8 @@ class CheckpointDaemon(ServiceDaemon):
         queue = self._save_q[key]
         while queue:
             msg = queue[0]
-            data = msg.payload["data"]
-            yield ckpt_write_cost(len(repr(data)))
-            version = self.store.save(key, data, self.sim.now)
+            yield ckpt_write_cost(repr_len(msg.payload["data"]))
+            version = self.store.save(key, msg.payload["data"], self.sim.now)
             if self.timings.trace_commit_marks:
                 # Commit evidence for the external trace-only checker
                 # (repro.experiments.trace_check) — off by default so
@@ -116,22 +138,14 @@ class CheckpointDaemon(ServiceDaemon):
                 self.sim.trace.mark(
                     "ckpt.committed", key=key, node=self.node_id, version=version
                 )
-            self._replicate(key, data, version)
+            replica_node = self.kernel.placement.get(("ckpt.replica", self.partition_id))
+            if replica_node is not None:  # the frozen value itself: one object, two stores
+                self.send(replica_node, ports.CKPT_REPLICA, ports.CKPT_REPLICATE,
+                          {"key": key, "data": self.store.load(key).data, "version": version})
             self.sim.trace.count("ckpt.saves")
             self.reply(msg, {"ok": True, "version": version})
             queue.popleft()
         del self._save_q[key]
-
-    def _replicate(self, key: str, data: dict[str, Any], version: int) -> None:
-        replica_node = self.kernel.placement.get(("ckpt.replica", self.partition_id))
-        if replica_node is None:
-            return
-        self.send(
-            replica_node,
-            ports.CKPT_REPLICA,
-            ports.CKPT_REPLICATE,
-            {"key": key, "data": data, "version": version},
-        )
 
 
 class CheckpointReplicaDaemon(ServiceDaemon):
@@ -147,6 +161,9 @@ class CheckpointReplicaDaemon(ServiceDaemon):
         self.bind(ports.CKPT_REPLICA, self._dispatch)
 
     def _dispatch(self, msg: Message) -> dict[str, Any] | None:
+        if _malformed(msg.mtype, msg.payload):
+            self.sim.trace.count("ckpt.refused")
+            return {"ok": False, "error": f"malformed {msg.mtype} payload"}
         if msg.mtype == ports.CKPT_REPLICATE:
             try:
                 self.store.save(
@@ -155,7 +172,7 @@ class CheckpointReplicaDaemon(ServiceDaemon):
                     self.sim.now,
                     version=msg.payload["version"],
                 )
-            except Exception:
+            except CheckpointError:
                 # Stale replication write: the primary already moved on.
                 self.sim.trace.mark("ckpt.replica_stale", key=msg.payload["key"])
             return None

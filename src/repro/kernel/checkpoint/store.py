@@ -8,15 +8,15 @@ a specific retained one.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from repro.cluster.message import SizedDict
 from repro.errors import CheckpointError
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CheckpointEntry:
     key: str
     data: dict[str, Any]
@@ -27,9 +27,11 @@ class CheckpointEntry:
 class CheckpointStore:
     """Key → recent checkpoint versions (monotonically numbered).
 
-    Data is deep-copied on the way in and out: a checkpoint is a snapshot,
-    not a shared reference (upper services keep mutating their live state
-    after saving, exactly like serializing to disk would isolate it).
+    A checkpoint is a value: :meth:`save` freezes it once into a
+    :class:`~repro.cluster.message.SizedDict` (lists copied, dicts frozen),
+    so a sender's later edit cannot reach the store, as a disk write would
+    isolate it.  The replica, :meth:`load` and :meth:`dump` share that one
+    object; a reader edits a ``dict(...)`` copy.
     """
 
     def __init__(self, history: int = 4) -> None:
@@ -50,8 +52,10 @@ class CheckpointStore:
         An explicit ``version`` (used by replication) must not go backwards
         for an existing key — stale replication writes are rejected.
         """
-        if not key:
-            raise CheckpointError("empty checkpoint key")
+        if not isinstance(key, str) or not key:
+            raise CheckpointError(f"checkpoint key must be a non-empty string, got {key!r}")
+        if not isinstance(data, dict):
+            raise CheckpointError(f"checkpoint data must be a dict, got {type(data).__name__}")
         current = self._latest(key)
         if version is None:
             version = (current.version + 1) if current else 1
@@ -59,7 +63,9 @@ class CheckpointStore:
             raise CheckpointError(
                 f"stale write for {key!r}: version {version} < {current.version}"
             )
-        entry = CheckpointEntry(key=key, data=copy.deepcopy(data), version=version, saved_at=now)
+        if not isinstance(data, SizedDict):
+            data = SizedDict(data)
+        entry = CheckpointEntry(key=key, data=data, version=version, saved_at=now)
         versions = self._entries.setdefault(key, deque(maxlen=self.history))
         if current is not None and version == current.version:
             versions[-1] = entry  # idempotent re-write of the same version
@@ -88,14 +94,7 @@ class CheckpointStore:
             entry = versions[-1]
         else:
             entry = next((e for e in versions if e.version == version), None)
-        if entry is None:
-            return None
-        return CheckpointEntry(
-            key=entry.key,
-            data=copy.deepcopy(entry.data),
-            version=entry.version,
-            saved_at=entry.saved_at,
-        )
+        return entry
 
     def versions(self, key: str) -> list[int]:
         """Retained version numbers of ``key``, oldest first."""
@@ -113,7 +112,7 @@ class CheckpointStore:
         for key, versions in self._entries.items():
             latest = versions[-1]
             out[key] = {
-                "data": copy.deepcopy(latest.data),
+                "data": latest.data,
                 "version": latest.version,
                 "saved_at": latest.saved_at,
             }

@@ -1,0 +1,27 @@
+"""Source guards: patterns that must not come back into ``src/repro``."""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _lines(root: Path, pattern: str):
+    rx = re.compile(pattern)
+    for path in sorted(root.rglob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if rx.search(line):
+                yield f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+
+
+def test_nothing_is_sized_by_rendering_it():
+    """Byte counts and commit costs come from ``cluster/message`` (the wire
+    model, ``repr_len``), never from rendering a payload in place."""
+    found = [hit for hit in _lines(SRC, r"len\(repr\(")
+             if not hit.startswith("cluster/message.py:")]
+    assert found == []
+
+
+def test_checkpoints_are_not_copied():
+    """A checkpoint is a frozen value shared by every reader."""
+    assert list(_lines(SRC / "kernel" / "checkpoint", r"^\s*(import copy|from copy )")) == []
