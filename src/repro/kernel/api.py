@@ -82,6 +82,8 @@ class PhoenixKernel:
         self._region_index = {
             pid: idx for idx, pids in enumerate(self._region_partitions) for pid in pids
         }
+        #: What message payloads' node and partition names are checked against.
+        self.names = ports.Names(cluster.nodes, self._region_index)
         self.region_aggregators: dict[int, str] = {}
         self._aggregator_epoch = 0
         self.booted = False

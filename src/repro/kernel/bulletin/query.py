@@ -99,6 +99,10 @@ class Query:
                 f"unknown table {self.table!r} (have: {', '.join(sorted(LOGICAL_TABLES))})"
             )
         validate_where(self.where)
+        fields = [*self.select, *self.group_by, *(f for f, _ in self.order_by),
+                  *(name for agg in self.aggs for name in (agg.field, agg.alias))]
+        if not all(isinstance(f, str) for f in fields):
+            raise KernelError(f"field names must be strings, got {fields!r}")
         for agg in self.aggs:
             if agg.func not in AGG_FUNCS:
                 raise KernelError(f"unknown aggregate {agg.func!r}")
@@ -110,8 +114,8 @@ class Query:
                 raise KernelError(
                     f"selected fields {extra} must appear in GROUP BY alongside aggregates"
                 )
-        if self.limit is not None and self.limit < 0:
-            raise KernelError("limit must be >= 0")
+        if self.limit is not None and (type(self.limit) is not int or self.limit < 0):
+            raise KernelError(f"limit must be an int >= 0, got {self.limit!r}")
         if self.as_of is not None and not is_numeric(self.as_of):
             raise KernelError(f"as_of must be a number, got {self.as_of!r}")
         names = [a.name for a in self.aggs]

@@ -60,15 +60,6 @@ def _ordered(rows_by_table: dict[str, list[dict[str, Any]]]):
     return lambda table: sorted(rows_by_table.get(table, []), key=_row_order)
 
 
-def _require_names(payload: dict[str, Any], *fields: str) -> None:
-    """Requests come from any node's client: a table or key name that is
-    not a non-empty string is refused here, before it reaches the store."""
-    for field in fields:
-        value = payload.get(field)
-        if not isinstance(value, str) or not value:
-            raise KernelError(f"bulletin request needs a non-empty string {field!r}, got {value!r}")
-
-
 #: Tables whose rows go stale when their producer stops exporting
 #: (detector feeds); mapped to expiry in units of the detector interval.
 EXPIRING_TABLES = {
@@ -111,8 +102,6 @@ class BulletinDaemon(ServiceDaemon):
         # back into this daemon: a dead incarnation drops them, or it would
         # stay alive in a cycle only the collector could free.
         self.hp.on_kill(self._release_self_references)
-        self.bind(ports.DB, self._dispatch)
-        self.bind(VIEW_EVENTS_PORT, self._on_view_event)
         self.spawn(self._housekeeping(), name=f"{self.node_id}/db.housekeeping")
         if self.kernel.view_maintenance:
             # A prior incarnation somewhere enabled the relational layer:
@@ -245,55 +234,27 @@ class BulletinDaemon(ServiceDaemon):
             else [],
         })
 
-    # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.DB_PUT or msg.mtype == ports.DB_DELETE:
-            try:
-                _require_names(msg.payload, "table", "key")
-            except KernelError as exc:
-                return {"ok": False, "error": str(exc)}
-        if msg.mtype == ports.DB_PUT:
-            if not isinstance(msg.payload.get("row"), dict):
-                return {"ok": False, "error": "bulletin put needs a dict 'row'"}
-            self.store.put(
-                msg.payload["table"],
-                msg.payload["key"],
-                msg.payload["row"],
-                now=self.sim.now,
-                partition=self.partition_id,
-            )
-            self.sim.trace.count("db.puts")
-            # Ingest latency: producer send → row visible in the store.
-            self.sim.trace.observe("db.put", self.sim.now - msg.sent_at)
-            return {"ok": True} if msg.rpc_id else None
-        if msg.mtype == ports.DB_DELETE:
-            ok = self.store.delete(msg.payload["table"], msg.payload["key"])
-            return {"ok": ok} if msg.rpc_id else None
-        if msg.mtype == ports.DB_QUERY:
-            return self._on_query(msg)
-        if msg.mtype == ports.DB_EXEC:
-            return self._on_exec(msg)
-        if msg.mtype == ports.DB_VIEW_REGISTER:
-            return self._on_view_register(msg)
-        if msg.mtype == ports.DB_VIEW_DROP:
-            return self._on_view_drop(msg)
-        if msg.mtype == ports.DB_VIEW_READ:
-            return self._on_view_read(msg)
-        if msg.mtype == ports.DB_VIEW_LIST:
-            return self._on_view_list(msg)
-        if msg.mtype == ports.DB_MAINT:
-            return self._on_maint(msg)
-        self.sim.trace.mark("db.unknown_mtype", mtype=msg.mtype)
-        return None
+    # -- handlers ----------------------------------------------------------
+    def _on_put(self, msg: Message) -> dict[str, Any]:
+        self.store.put(
+            msg.payload["table"],
+            msg.payload["key"],
+            msg.payload["row"],
+            now=self.sim.now,
+            partition=self.partition_id,
+        )
+        self.sim.trace.count("db.puts")
+        # Ingest latency: producer send → row visible in the store.
+        self.sim.trace.observe("db.put", self.sim.now - msg.sent_at)
+        return {"ok": True}
 
     def _on_query(self, msg: Message) -> dict[str, Any] | None:
-        table = msg.payload.get("table")
+        table = msg.payload["table"]
         where = msg.payload.get("where")
-        scope = msg.payload.get("scope", "global")
+        scope = msg.payload.get("scope") or "global"
         try:
-            _require_names(msg.payload, "table")
             validate_where(where)
-        except Exception as exc:
+        except KernelError as exc:
             return {"error": str(exc), "rows": [], "partitions_missing": []}
         self.sim.trace.count("db.queries")
         local_rows = self.store.query(table, where)
@@ -569,14 +530,8 @@ class BulletinDaemon(ServiceDaemon):
         }
 
     def _on_maint(self, msg: Message) -> dict[str, Any] | None:
-        tables = msg.payload.get("tables", [])
+        tables = msg.payload.get("tables") or ()
         views = msg.payload.get("views") or {}
-        if not isinstance(tables, list) or not isinstance(views, dict) or not all(
-            isinstance(name, str) for name in [*tables, *views, *views.values()]
-        ):
-            self.sim.trace.count("db.maint_refused")
-            return {"ok": False, "error": "maintenance config needs a list of table "
-                                          "names and a view -> partition map of strings"}
         self.kernel.view_maintenance = True
         if msg.payload.get("relay"):
             # The sender only reached this region's aggregator — re-relay
@@ -596,7 +551,7 @@ class BulletinDaemon(ServiceDaemon):
         return {"ok": True, "epoch": self.epoch, "tables": sorted(self._publish_tables)}
 
     def _on_view_drop(self, msg: Message) -> dict[str, Any]:
-        name = msg.payload.get("name", "")
+        name = msg.payload["name"]
         if self.engine is None or name not in self.engine.views:
             return {"ok": False, "error": f"view {name!r} is not registered here"}
         del self.engine.views[name]
@@ -610,7 +565,7 @@ class BulletinDaemon(ServiceDaemon):
         return {"ok": True, "view": name}
 
     def _on_view_read(self, msg: Message) -> dict[str, Any]:
-        name = msg.payload.get("name", "")
+        name = msg.payload["name"]
         engine = self.engine
         if engine is None or name not in engine.views:
             return {"error": f"view {name!r} is not registered here", "rows": []}
@@ -642,10 +597,24 @@ class BulletinDaemon(ServiceDaemon):
         }
 
     def _on_view_event(self, msg: Message) -> None:
-        if self.engine is None:
-            return
-        event = msg.payload.get("event") or {}
-        self.engine.on_feed(event.get("data") or {}, self.sim.now)
+        if self.engine is not None:
+            self.engine.on_feed(msg.payload["event"].get("data") or {}, self.sim.now)
+
+    PORTS = {
+        ports.DB: {
+            ports.DB_PUT: _on_put,
+            ports.DB_DELETE: lambda self, msg: {
+                "ok": self.store.delete(msg.payload["table"], msg.payload["key"])},
+            ports.DB_QUERY: _on_query,
+            ports.DB_EXEC: _on_exec,
+            ports.DB_VIEW_REGISTER: _on_view_register,
+            ports.DB_VIEW_DROP: _on_view_drop,
+            ports.DB_VIEW_READ: _on_view_read,
+            ports.DB_VIEW_LIST: _on_view_list,
+            ports.DB_MAINT: _on_maint,
+        },
+        VIEW_EVENTS_PORT: {ports.ES_EVENT: _on_view_event},
+    }
 
     def _recover_maintenance(self):
         """Failover path: restore maintenance config — and, when this

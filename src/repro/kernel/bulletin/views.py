@@ -40,6 +40,7 @@ from repro.kernel.bulletin.query import (
     _sort_key,
     is_numeric,
 )
+from repro.kernel.events.types import DB_DELTA
 from repro.kernel.query import matches
 from repro.sim import Signal
 
@@ -219,18 +220,7 @@ class MaterializedView:
 
 
 # -- owner-side coordinator ---------------------------------------------------
-def _well_formed(delta: Any) -> bool:
-    """Is ``delta`` a ``db.delta`` payload the engine can admit?"""
-    if not isinstance(delta, dict):
-        return False
-    op = delta.get("op")
-    return (
-        all(isinstance(delta.get(f), str) for f in ("table", "partition", "key"))
-        and all(type(delta.get(f)) is int for f in ("epoch", "seq"))
-        and op in ("put", "delete", "epoch")
-        and (op != "put" or isinstance(delta.get("row"), dict))
-        and isinstance(delta.get("t", 0.0), (int, float))
-    )
+_DELTA = ports.CONTRACTS[DB_DELTA]
 
 
 class ViewEngine:
@@ -286,10 +276,10 @@ class ViewEngine:
     def on_feed(self, payload: Any, now: float) -> None:
         """Entry point for one ``db.delta`` payload; buffered while the
         initial build is in flight.  Any client may publish a ``db.delta``,
-        so a payload that is not a well-formed delta is refused (counted
-        as ``db.view_feed_refused``) rather than raised out of the run."""
-        if not _well_formed(payload):
-            self.daemon.sim.trace.count("db.view_feed_refused")
+        so the payload is checked against its declaration in
+        :mod:`repro.kernel.ports` and refused (``db.refused``) if it breaks it."""
+        if _DELTA.refusal(payload, None) is not None:  # a delta names no address
+            self.daemon.sim.trace.count(_DELTA.counter)
             return
         table = payload["table"]
         if table not in self.tables():
@@ -327,9 +317,10 @@ class ViewEngine:
             self._start_resync(part, table, first=feed)
             return
         self.sources[(part, table)] = (epoch, seq)
+        t = delta.get("t")
         self._apply(
             table, delta["key"], delta["row"] if delta["op"] == "put" else None,
-            float(delta.get("t", now)), now,
+            float(now if t is None else t), now,
         )
 
     def _apply(

@@ -25,25 +25,6 @@ from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.timings import ckpt_write_cost
 
 
-def _malformed(mtype: str, p: dict[str, Any]) -> bool:
-    """A ``ckpt.*`` payload no store can serve: any node may send one, so
-    it is refused (``ckpt.refused``), not raised out of the run."""
-    if mtype == ports.CKPT_ABSORB:
-        dump = p.get("dump", {})
-        return not isinstance(dump, dict) or not all(
-            isinstance(blob, dict) and not _malformed(ports.CKPT_REPLICATE, {**blob, "key": key})
-            for key, blob in dump.items())
-    if mtype not in (ports.CKPT_SAVE, ports.CKPT_REPLICATE, ports.CKPT_LOAD, ports.CKPT_DELETE):
-        return False
-    key, version = p.get("key"), p.get("version")
-    writes = mtype in (ports.CKPT_SAVE, ports.CKPT_REPLICATE)
-    return (not isinstance(key, str) or not key
-            or writes and not isinstance(p.get("data"), dict)
-            or not (type(version) is int or version is None and mtype != ports.CKPT_REPLICATE)
-            or any(t is not None and (type(t) is bool or not isinstance(t, (int, float)))
-                   for t in (p.get("at_time"), p.get("saved_at"))))
-
-
 class CheckpointDaemon(ServiceDaemon):
     """Primary checkpoint service instance of one partition."""
 
@@ -58,7 +39,6 @@ class CheckpointDaemon(ServiceDaemon):
         self._save_q: dict[str, deque[Message]] = {}
 
     def on_start(self) -> None:
-        self.bind(ports.CKPT, self._dispatch)
         self.spawn(self._sync_from_replica(), name=f"{self.node_id}/ckpt.sync")
 
     def _sync_from_replica(self):
@@ -74,56 +54,50 @@ class CheckpointDaemon(ServiceDaemon):
             updated = self.store.absorb(reply["dump"], self.sim.now)
             self.sim.trace.mark("ckpt.synced", node=self.node_id, keys=updated)
 
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if _malformed(msg.mtype, msg.payload):
-            self.sim.trace.count("ckpt.refused")
-            return {"ok": False, "error": f"malformed {msg.mtype} payload"}
-        if msg.mtype == ports.CKPT_SAVE:
-            # Saves pay a size-dependent storage commit before acking, and
-            # commit in arrival order per key (single writer per key).
-            queue = self._save_q.setdefault(msg.payload["key"], deque())
-            queue.append(msg)
-            if len(queue) == 1:
-                self.spawn(self._drain_saves(msg.payload["key"]), name=f"{self.node_id}/ckpt.save")
-            return None
-        if msg.mtype == ports.CKPT_LOAD:
-            entry = self.store.load(
-                msg.payload["key"],
-                version=msg.payload.get("version"),
-                at_time=msg.payload.get("at_time"),
+    def _on_save(self, msg: Message) -> None:
+        # Saves pay a size-dependent storage commit before acking, and
+        # commit in arrival order per key (single writer per key).
+        queue = self._save_q.setdefault(msg.payload["key"], deque())
+        queue.append(msg)
+        if len(queue) == 1:
+            self.spawn(self._drain_saves(msg.payload["key"]), name=f"{self.node_id}/ckpt.save")
+
+    def _on_load(self, msg: Message) -> dict[str, Any]:
+        entry = self.store.load(
+            msg.payload["key"],
+            version=msg.payload.get("version"),
+            at_time=msg.payload.get("at_time"),
+        )
+        if entry is None:
+            return {"found": False}
+        return {
+            "found": True,
+            "data": entry.data,
+            "version": entry.version,
+            "saved_at": entry.saved_at,
+            "versions": self.store.versions(msg.payload["key"]),
+        }
+
+    def _on_delete(self, msg: Message) -> dict[str, Any]:
+        ok = self.store.delete(msg.payload["key"])
+        replica_node = self.kernel.placement.get(("ckpt.replica", self.partition_id))
+        if replica_node is not None:
+            self.send(
+                replica_node, ports.CKPT_REPLICA, ports.CKPT_DELETE,
+                {"key": msg.payload["key"]},
             )
-            if entry is None:
-                return {"found": False}
-            return {
-                "found": True,
-                "data": entry.data,
-                "version": entry.version,
-                "saved_at": entry.saved_at,
-                "versions": self.store.versions(msg.payload["key"]),
-            }
-        if msg.mtype == ports.CKPT_DELETE:
-            ok = self.store.delete(msg.payload["key"])
-            replica_node = self.kernel.placement.get(("ckpt.replica", self.partition_id))
-            if replica_node is not None:
-                self.send(
-                    replica_node, ports.CKPT_REPLICA, ports.CKPT_DELETE,
-                    {"key": msg.payload["key"]},
-                )
-            return {"ok": ok}
-        if msg.mtype == ports.CKPT_PULL:
-            return {"dump": self.store.dump()}
-        if msg.mtype == ports.CKPT_RESEED:
-            # A fresh (relocated) replica starts empty; push the full store
-            # so it can cover us from day one, not only for future saves.
-            replica_node = self.kernel.placement.get(("ckpt.replica", self.partition_id))
-            if replica_node is not None and replica_node != self.node_id:
-                self.send(
-                    replica_node, ports.CKPT_REPLICA, ports.CKPT_ABSORB,
-                    {"dump": self.store.dump()},
-                )
-            return {"ok": True, "keys": len(self.store)}
-        self.sim.trace.mark("ckpt.unknown_mtype", mtype=msg.mtype)
-        return None
+        return {"ok": ok}
+
+    def _on_reseed(self, msg: Message) -> dict[str, Any]:
+        # A fresh (relocated) replica starts empty; push the full store
+        # so it can cover us from day one, not only for future saves.
+        replica_node = self.kernel.placement.get(("ckpt.replica", self.partition_id))
+        if replica_node is not None and replica_node != self.node_id:
+            self.send(
+                replica_node, ports.CKPT_REPLICA, ports.CKPT_ABSORB,
+                {"dump": self.store.dump()},
+            )
+        return {"ok": True, "keys": len(self.store)}
 
     def _drain_saves(self, key: str):
         queue = self._save_q[key]
@@ -147,6 +121,14 @@ class CheckpointDaemon(ServiceDaemon):
             queue.popleft()
         del self._save_q[key]
 
+    PORTS = {ports.CKPT: {
+        ports.CKPT_SAVE: _on_save,
+        ports.CKPT_LOAD: _on_load,
+        ports.CKPT_DELETE: _on_delete,
+        ports.CKPT_PULL: lambda self, msg: {"dump": self.store.dump()},
+        ports.CKPT_RESEED: _on_reseed,
+    }}
+
 
 class CheckpointReplicaDaemon(ServiceDaemon):
     """Replica on the partition's backup node."""
@@ -157,38 +139,35 @@ class CheckpointReplicaDaemon(ServiceDaemon):
         super().__init__(kernel, node_id)
         self.store = CheckpointStore()
 
-    def on_start(self) -> None:
-        self.bind(ports.CKPT_REPLICA, self._dispatch)
+    def _on_replicate(self, msg: Message) -> None:
+        try:
+            self.store.save(
+                msg.payload["key"],
+                msg.payload["data"],
+                self.sim.now,
+                version=msg.payload["version"],
+            )
+        except CheckpointError:
+            # Stale replication write: the primary already moved on.
+            self.sim.trace.mark("ckpt.replica_stale", key=msg.payload["key"])
 
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if _malformed(msg.mtype, msg.payload):
-            self.sim.trace.count("ckpt.refused")
-            return {"ok": False, "error": f"malformed {msg.mtype} payload"}
-        if msg.mtype == ports.CKPT_REPLICATE:
-            try:
-                self.store.save(
-                    msg.payload["key"],
-                    msg.payload["data"],
-                    self.sim.now,
-                    version=msg.payload["version"],
-                )
-            except CheckpointError:
-                # Stale replication write: the primary already moved on.
-                self.sim.trace.mark("ckpt.replica_stale", key=msg.payload["key"])
-            return None
-        if msg.mtype == ports.CKPT_PULL:
-            return {"dump": self.store.dump()}
-        if msg.mtype == ports.CKPT_ABSORB:
-            absorbed = self.store.absorb(msg.payload.get("dump", {}), self.sim.now)
-            self.sim.trace.mark("ckpt.replica_seeded", node=self.node_id, keys=absorbed)
-            return None
-        if msg.mtype == ports.CKPT_DELETE:
-            self.store.delete(msg.payload["key"])
-            return None
-        if msg.mtype == ports.CKPT_LOAD:
-            entry = self.store.load(msg.payload["key"])
-            if entry is None:
-                return {"found": False}
-            return {"found": True, "data": entry.data, "version": entry.version}
-        self.sim.trace.mark("ckpt.unknown_mtype", mtype=msg.mtype)
-        return None
+    def _on_absorb(self, msg: Message) -> None:
+        absorbed = self.store.absorb(msg.payload.get("dump") or {}, self.sim.now)
+        self.sim.trace.mark("ckpt.replica_seeded", node=self.node_id, keys=absorbed)
+
+    def _on_delete(self, msg: Message) -> None:
+        self.store.delete(msg.payload["key"])
+
+    def _on_load(self, msg: Message) -> dict[str, Any]:
+        entry = self.store.load(msg.payload["key"])
+        if entry is None:
+            return {"found": False}
+        return {"found": True, "data": entry.data, "version": entry.version}
+
+    PORTS = {ports.CKPT_REPLICA: {
+        ports.CKPT_REPLICATE: _on_replicate,
+        ports.CKPT_PULL: lambda self, msg: {"dump": self.store.dump()},
+        ports.CKPT_ABSORB: _on_absorb,
+        ports.CKPT_DELETE: _on_delete,
+        ports.CKPT_LOAD: _on_load,
+    }}

@@ -35,7 +35,6 @@ class ConfigServiceDaemon(ServiceDaemon):
 
     def on_start(self) -> None:
         self._load_static()
-        self.bind(ports.CONFIG, self._dispatch)
 
     def _load_static(self) -> None:
         spec = self.cluster.spec
@@ -52,27 +51,16 @@ class ConfigServiceDaemon(ServiceDaemon):
             self._data[f"node.{node_id}.mem_mb"] = node_spec.mem_mb
             self._data[f"node.{node_id}.role"] = node_spec.role.value
 
-    # -- dispatch --------------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.CONFIG_GET:
-            key = msg.payload["key"]
-            if key in self._data:
-                return {"found": True, "value": self._data[key]}
-            return {"found": False}
-        if msg.mtype == ports.CONFIG_SET:
-            return self._on_set(msg)
-        if msg.mtype == ports.CONFIG_LIST:
-            prefix = msg.payload.get("prefix", "")
-            keys = sorted(k for k in self._data if k.startswith(prefix))
-            return {"keys": keys}
-        if msg.mtype == ports.CONFIG_INTROSPECT:
-            return {"report": introspect_cluster(self.cluster)}
-        self.sim.trace.mark("config.unknown_mtype", mtype=msg.mtype)
-        return None
+    # -- handlers --------------------------------------------------------
+    def _on_get(self, msg: Message) -> dict[str, Any]:
+        key = msg.payload["key"]
+        if key in self._data:
+            return {"found": True, "value": self._data[key]}
+        return {"found": False}
 
     def _on_set(self, msg: Message) -> dict[str, Any]:
         key = msg.payload["key"]
-        value = msg.payload["value"]
+        value = msg.payload.get("value")
         old = self._data.get(key)
         self._data[key] = value
         self.sim.trace.count("config.sets")
@@ -86,3 +74,11 @@ class ConfigServiceDaemon(ServiceDaemon):
                 {"type": ev.CONFIG_CHANGED, "data": {"key": key, "old": old, "new": value}},
             )
         return {"ok": True, "old": old}
+
+    PORTS = {ports.CONFIG: {
+        ports.CONFIG_GET: _on_get,
+        ports.CONFIG_SET: _on_set,
+        ports.CONFIG_LIST: lambda self, msg: {"keys": sorted(
+            k for k in self._data if k.startswith(msg.payload.get("prefix") or ""))},
+        ports.CONFIG_INTROSPECT: lambda self, msg: {"report": introspect_cluster(self.cluster)},
+    }}

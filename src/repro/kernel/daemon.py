@@ -13,12 +13,14 @@ checkpoint service, not from Python object reuse).
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable, Generator
 from typing import TYPE_CHECKING, Any
 
 from repro.cluster.hostos import HostProcess
 from repro.cluster.message import Message
-from repro.errors import ServiceUnavailable
+from repro.errors import KernelError, ServiceUnavailable
+from repro.kernel import ports
 from repro.kernel.timings import RPC_INFLIGHT_BUDGETS, RPC_TIMEOUT
 from repro.sim import Proc, Signal, Span
 
@@ -59,6 +61,18 @@ class ServiceDaemon:
 
     #: Host-process name and default port; subclasses override.
     SERVICE = "svc"
+    #: ``port -> {message type -> handler(daemon, msg)}``, bound at start
+    #: (:meth:`bind`); each type must be declared for its port in
+    #: :mod:`repro.kernel.ports`, which defining the class checks.
+    PORTS: dict[str, dict[str, Callable[[Any, Message], Any]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for port, handlers in cls.PORTS.items():
+            for mtype in handlers:
+                contract = ports.CONTRACTS.get(mtype)
+                if contract is None or contract.ports and port not in contract.ports:
+                    raise KernelError(f"{cls.__name__}: {mtype!r} is not declared on port {port!r}")
 
     def __init__(self, kernel: "PhoenixKernel", node_id: str) -> None:
         self.kernel = kernel
@@ -75,13 +89,15 @@ class ServiceDaemon:
         hostos = self.cluster.hostos(self.node_id)
         self.hp = hostos.start_process(self.SERVICE)
         self.sim.trace.mark("service.started", service=self.SERVICE, node=self.node_id)
+        for port, handlers in self.PORTS.items():
+            self.bind(port, handlers)
         self.on_start()
         interval = self.timings.health_report_interval
         if interval is not None:
             self.spawn(self._health_loop(interval), name=f"{self.node_id}/{self.SERVICE}.health")
 
     def on_start(self) -> None:
-        """Subclass hook: bind ports and spawn loops here."""
+        """Subclass hook: spawn loops here (:attr:`PORTS` are bound already)."""
 
     def stop(self) -> None:
         """Graceful stop (administrative, not a fault)."""
@@ -94,10 +110,12 @@ class ServiceDaemon:
         return self.hp is not None and self.hp.alive and self.cluster.node(self.node_id).up
 
     # -- plumbing shared by subclasses --------------------------------------
-    def bind(self, port: str, handler: Callable[[Message], Any]) -> None:
-        """Bind ``port`` on this node, owned by this daemon's process."""
+    def bind(self, port: str, handlers: dict[str, Callable[[Any, Message], Any]]) -> None:
+        """Serve ``port`` on this node, owned by this daemon's process: each
+        message goes to its type's ``handler(daemon, msg)`` once it passes
+        the type's declaration (:mod:`repro.kernel.ports`)."""
         assert self.hp is not None, "bind() before start()"
-        self.transport.bind(self.node_id, port, handler, owner=self.hp)
+        self.transport.bind(self.node_id, port, PortDispatch(self, port, handlers), owner=self.hp)
 
     def spawn(self, body: Generator[Any, Any, Any], name: str = "") -> Proc:
         assert self.hp is not None, "spawn() before start()"
@@ -217,8 +235,6 @@ class ServiceDaemon:
 
     def _publish_health(self) -> None:
         """Push one ``kernel.health`` row to this partition's bulletin."""
-        from repro.kernel import ports
-
         db_node = self.kernel.db_locations().get(self.partition_id)
         if db_node is None:
             return
@@ -234,6 +250,36 @@ class ServiceDaemon:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "dead"
         return f"{type(self).__name__}({self.node_id}, {state})"
+
+
+class PortDispatch:
+    """A daemon port's one dispatch: ``routes`` maps each type, declared in
+    ``ports.CONTRACTS``, to its ``handler(daemon, msg)``.  A payload that
+    breaks its declaration counts ``<family>.refused`` and is answered
+    ``ok: False`` (the transport only replies to an RPC: a refused one-way
+    message is dropped)."""
+
+    __slots__ = ("daemon", "port", "routes", "names")
+
+    def __init__(self, daemon: ServiceDaemon, port: str,
+                 handlers: dict[str, Callable[[Any, Message], Any]]) -> None:
+        self.daemon = daemon
+        self.port = port
+        self.names = daemon.kernel.names
+        self.routes = handlers
+
+    def __call__(self, msg: Message) -> Any:
+        handler = self.routes.get(msg.mtype)
+        if handler is None:
+            self.daemon.sim.trace.mark("service.unknown_mtype", service=self.daemon.SERVICE,
+                                       port=self.port, mtype=msg.mtype)
+            return None
+        contract = ports.CONTRACTS[msg.mtype]
+        why = contract.refusal(msg.payload, self.names)
+        if why is None:
+            return handler(self.daemon, msg)
+        self.daemon.sim.trace.count(contract.counter)
+        return {"ok": False, "error": why, **copy.deepcopy(contract.empty or {})}
 
 
 class DaemonRegistry:

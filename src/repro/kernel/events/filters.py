@@ -10,28 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import KernelError
 from repro.kernel.events.types import Event
 from repro.kernel.query import matches as where_matches
-from repro.kernel.query import validate_where
 
 
 @dataclass(frozen=True)
 class Subscription:
-    """One consumer registration at the event service."""
+    """One consumer registration at the event service (its wire form is
+    the ``es.subscribe`` declaration, checked before one is built)."""
 
     consumer_id: str
     node: str  # where ES pushes notifications
     port: str  # consumer's port for ES_EVENT messages
     types: tuple[str, ...]  # empty = all types
     where: dict[str, Any] = field(default_factory=dict, hash=False)
-
-    def __post_init__(self) -> None:
-        if not self.consumer_id:
-            raise KernelError("subscription needs a consumer_id")
-        if not self.node or not self.port:
-            raise KernelError("subscription needs a delivery node and port")
-        validate_where(self.where)
 
     def matches(self, event: Event) -> bool:
         """Type filter plus the :mod:`repro.kernel.query` where clause
@@ -55,17 +47,10 @@ class Subscription:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "Subscription":
-        """Any node may subscribe: a payload of the wrong shape raises
-        :class:`KernelError`, which the event service answers as a refusal."""
-        names = [payload.get(k) for k in ("consumer_id", "node", "port")]
-        types = payload.get("types", [])
-        where = payload.get("where")
-        if not all(isinstance(name, str) for name in names):
-            raise KernelError("subscription needs string consumer_id, node and port")
-        if not isinstance(types, (list, tuple)) or not all(isinstance(t, str) for t in types):
-            raise KernelError(f"subscription types must be a list of strings, got {types!r}")
-        validate_where(where)
-        return cls(*names, types=tuple(types), where=dict(where or {}))
+        """A registration from an ``es.subscribe`` payload (or its
+        checkpointed :meth:`to_payload`)."""
+        return cls(payload["consumer_id"], payload["node"], payload["port"],
+                   types=tuple(payload.get("types") or ()), where=dict(payload.get("where") or {}))
 
 
 def _type_matches(pattern: str, event_type: str) -> bool:

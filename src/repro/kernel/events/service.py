@@ -46,7 +46,6 @@ from collections import deque
 from typing import Any
 
 from repro.cluster.message import Message
-from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.filters import Subscription, SubscriptionIndex
@@ -109,7 +108,6 @@ class EventServiceDaemon(ServiceDaemon):
         # Both timers call back into this daemon: a dead incarnation drops
         # them, or it would stay alive in a cycle only the collector could free.
         self.hp.on_kill(self._release_timers)
-        self.bind(ports.ES, self._dispatch)
         self.spawn(self._recover_state(), name=f"{self.node_id}/es.recover")
 
     def _release_timers(self) -> None:
@@ -155,31 +153,10 @@ class EventServiceDaemon(ServiceDaemon):
         for _pid, peer, _remote in self.kernel.federation_edges("es", self.partition_id):
             self.send(peer, ports.ES, ports.ES_PEERS, {"partition": self.partition_id, "node": self.node_id})
 
-    # -- message dispatch ----------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.ES_SUBSCRIBE:
-            return self._on_subscribe(msg)
-        if msg.mtype == ports.ES_UNSUBSCRIBE:
-            return self._on_unsubscribe(msg)
-        if msg.mtype == ports.ES_PUBLISH:
-            return self._on_publish(msg)
-        if msg.mtype == ports.ES_FORWARD_BATCH:
-            return self._on_forward_batch(msg)
-        if msg.mtype == ports.ES_PEERS:
-            self.kernel.note_placement("es", msg.payload["partition"], msg.payload["node"])
-            return None
-        self.sim.trace.mark("es.unknown_mtype", mtype=msg.mtype)
-        return None
-
+    # -- message handlers ----------------------------------------------------
     def _on_subscribe(self, msg: Message) -> dict[str, Any]:
-        replay = msg.payload.get("replay", 0)
-        try:
-            if not isinstance(replay, int) or isinstance(replay, bool) or replay < 0:
-                raise KernelError(f"replay must be an int >= 0, got {replay!r}")
-            sub = Subscription.from_payload(msg.payload)
-        except KernelError as exc:
-            self.sim.trace.count("es.subscribe_refused")
-            return {"ok": False, "error": str(exc)}
+        replay = msg.payload.get("replay") or 0
+        sub = Subscription.from_payload(msg.payload)
         self._subs.add(sub)
         self._checkpoint_state()
         # Optional catch-up: re-push the last N matching retained events
@@ -194,18 +171,11 @@ class EventServiceDaemon(ServiceDaemon):
         return {"ok": True, "consumer_id": sub.consumer_id}
 
     def _on_unsubscribe(self, msg: Message) -> dict[str, Any]:
-        consumer_id = msg.payload.get("consumer_id", "")
-        removed = self._subs.remove(consumer_id)
+        removed = self._subs.remove(msg.payload["consumer_id"])
         self._checkpoint_state()
         return {"ok": removed is not None}
 
     def _on_publish(self, msg: Message) -> dict[str, Any]:
-        # Any client publishes: an event no subscription index can file
-        # is refused here, not raised out of the run.
-        data = msg.payload.get("data")
-        if not isinstance(msg.payload.get("type"), str) or not isinstance(data, (dict, type(None))):
-            self.sim.trace.count("es.publish_refused")
-            return {"ok": False, "error": "an event needs a string type and dict data"}
         pub_span = self.sim.trace.span(
             "es.publish",
             parent=msg.payload.get("_span", ""),
@@ -218,7 +188,7 @@ class EventServiceDaemon(ServiceDaemon):
             source=msg.src_node,
             partition=self.partition_id,
             time=self.sim.now,
-            data=data,
+            data=msg.payload.get("data"),
             span=pub_span.span_id,
         )
         self.published += 1
@@ -243,10 +213,9 @@ class EventServiceDaemon(ServiceDaemon):
         ]
 
     def _on_forward_batch(self, msg: Message) -> dict[str, Any]:
-        origin = str(msg.payload.get("origin", ""))
-        ingress, home = self._relay_roles(origin)
+        ingress, home = self._relay_roles(msg.payload["origin"])
         accepted = 0
-        for event in msg.payload.get("events", ()):
+        for event in map(Event.from_payload, msg.payload["events"]):
             if self._accept_forward(event):
                 accepted += 1
                 if ingress or (home is not None
@@ -271,8 +240,6 @@ class EventServiceDaemon(ServiceDaemon):
         when old and new aggregators race during a handover.
         """
         kernel = self.kernel
-        if not origin_part:
-            return False, None
         my_region = kernel.region_of(self.partition_id)
         if kernel.region_of(origin_part) != my_region:
             return True, None
@@ -297,6 +264,15 @@ class EventServiceDaemon(ServiceDaemon):
         self._history.append(event)
         self._deliver_local(event)
         return True
+
+    PORTS = {ports.ES: {
+        ports.ES_SUBSCRIBE: _on_subscribe,
+        ports.ES_UNSUBSCRIBE: _on_unsubscribe,
+        ports.ES_PUBLISH: _on_publish,
+        ports.ES_FORWARD_BATCH: _on_forward_batch,
+        ports.ES_PEERS: lambda self, msg: self.kernel.note_placement(
+            "es", msg.payload["partition"], msg.payload["node"]),
+    }}
 
     # -- federation batching -------------------------------------------------
     def _enqueue_forward(self, part_id: str, payload: dict[str, Any]) -> None:

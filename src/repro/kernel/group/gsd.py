@@ -71,8 +71,6 @@ class GSDDaemon(ServiceDaemon):
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
-        self.bind(ports.GSD_HB, self._on_heartbeat)
-        self.bind(ports.GSD, self._dispatch)
         self._announce_to_wds()
         self.spawn(self._startup(), name=f"{self.node_id}/gsd.startup")
         self.spawn(self._service_check_loop(), name=f"{self.node_id}/gsd.svccheck")
@@ -196,43 +194,37 @@ class GSDDaemon(ServiceDaemon):
                 host.stable_delete(self._journal_key())
 
     # -- messaging ---------------------------------------------------------
-    def _on_heartbeat(self, msg: Message) -> None:
-        if msg.mtype == ports.HB_WD:
-            self.sim.trace.count("gsd.wd_beats_seen")
-            self.wd_monitor.beat(msg.payload["node"], msg.network)
-        elif msg.mtype == ports.HB_GSD:
-            self.metagroup.on_ring_beat(msg)
+    def _on_wd_beat(self, msg: Message) -> None:
+        self.sim.trace.count("gsd.wd_beats_seen")
+        self.wd_monitor.beat(msg.payload["node"], msg.network)
 
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.GSD_JOIN:
-            self.metagroup.on_join(msg)
-            return None
-        if msg.mtype == ports.GSD_VIEW:
-            self.metagroup.on_view(msg)
-            return None
-        if msg.mtype == ports.GSD_MEMBER_FAILED:
-            self.metagroup.on_member_failed(msg)
-            return None
-        if msg.mtype == ports.GSD_REGROUP_PROBE:
-            self.metagroup.on_regroup_probe(msg)
-            return None
-        if msg.mtype == ports.GSD_REGROUP_ACK:
-            self.metagroup.on_regroup_ack(msg)
-            return None
-        if msg.mtype == ports.GSD_STATUS:
-            view = self.metagroup.view
-            return {
-                "partition": self.partition_id,
-                "node": self.node_id,
-                "node_state": dict(self.node_state),
-                "view_id": view.view_id if view else None,
-                "epoch": view.epoch if view else None,
-                "members": [list(m) for m in view.members] if view else [],
-                "is_leader": self.metagroup.is_leader,
-                "parked": self.metagroup.parked,
-            }
-        self.sim.trace.mark("gsd.unknown_mtype", mtype=msg.mtype)
-        return None
+    def _on_status(self, msg: Message) -> dict[str, Any]:
+        view = self.metagroup.view
+        return {
+            "partition": self.partition_id,
+            "node": self.node_id,
+            "node_state": dict(self.node_state),
+            "view_id": view.view_id if view else None,
+            "epoch": view.epoch if view else None,
+            "members": [list(m) for m in view.members] if view else [],
+            "is_leader": self.metagroup.is_leader,
+            "parked": self.metagroup.parked,
+        }
+
+    PORTS = {
+        ports.GSD_HB: {
+            ports.HB_WD: _on_wd_beat,
+            ports.HB_GSD: lambda self, msg: self.metagroup.on_ring_beat(msg),
+        },
+        ports.GSD: {
+            ports.GSD_JOIN: lambda self, msg: self.metagroup.on_join(msg),
+            ports.GSD_VIEW: lambda self, msg: self.metagroup.on_view(msg),
+            ports.GSD_MEMBER_FAILED: lambda self, msg: self.metagroup.on_member_failed(msg),
+            ports.GSD_REGROUP_PROBE: lambda self, msg: self.metagroup.on_regroup_probe(msg),
+            ports.GSD_REGROUP_ACK: lambda self, msg: self.metagroup.on_regroup_ack(msg),
+            ports.GSD_STATUS: _on_status,
+        },
+    }
 
     # -- event supply ------------------------------------------------------
     def publish(self, event_type: str, data: dict[str, Any], span: Span | None = None) -> None:

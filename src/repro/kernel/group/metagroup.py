@@ -114,7 +114,7 @@ class View:
     def from_payload(cls, payload: dict[str, Any]) -> "View":
         return cls(
             view_id=int(payload["view_id"]),
-            epoch=int(payload.get("epoch", 1)),
+            epoch=int(payload.get("epoch") or 1),
             members=tuple((m[0], m[1]) for m in payload["members"]),
         )
 
@@ -382,8 +382,8 @@ class MetaGroup:
         (quorum is about connectivity, not state), view-less restarted
         GSDs included (their ack is what lets a parked survivor count a
         repaired partition and resume recovery)."""
-        prober = msg.payload.get("node")
-        if prober is None or prober == self.me:
+        prober = msg.payload["node"]
+        if prober == self.me:
             return
         ack = {
             "node": self.me,
@@ -564,14 +564,14 @@ class MetaGroup:
             yield self.gsd.timings.heartbeat_interval
 
     def on_ring_beat(self, msg: Message) -> None:
-        sender = msg.payload.get("node")
+        sender = msg.payload["node"]
         beat_view = msg.payload.get("view")
         if beat_view is not None:
-            theirs = (int(beat_view.get("epoch", 1)), int(beat_view["view_id"]))
+            theirs = (int(beat_view.get("epoch") or 1), int(beat_view["view_id"]))
             mine = self.view.key if self.view is not None else (0, 0)
             if theirs > mine:
                 self.install_view(View.from_payload(beat_view))
-            elif theirs < mine and sender is not None and not self.parked:
+            elif theirs < mine and not self.parked:
                 if theirs[0] < mine[0]:
                     # A beat from a superseded leader lineage.
                     self.sim.trace.mark(
@@ -645,12 +645,12 @@ class MetaGroup:
         if not self.is_leader or self.view is None:
             return
         claimed_epoch = msg.payload.get("epoch")
-        if claimed_epoch is not None and int(claimed_epoch) < self.view.epoch:
+        if claimed_epoch is not None and claimed_epoch < self.view.epoch:
             # A stale-epoch eviction command (e.g. from the old side of a
             # healed split): fence it and correct the sender.
             self.sim.trace.mark(
                 "gsd.fenced", target="member_failed", node=self.me, sender=msg.src_node,
-                epoch=int(claimed_epoch), current_epoch=self.view.epoch,
+                epoch=claimed_epoch, current_epoch=self.view.epoch,
             )
             if msg.src_node != self.me:
                 self._push_view(msg.src_node)

@@ -36,7 +36,6 @@ class WatchDaemon(ServiceDaemon):
         self._svc_recovering: set[str] = set()
 
     def on_start(self) -> None:
-        self.bind(ports.WD, self._dispatch)
         self.spawn(self._beat_loop(), name=f"{self.node_id}/wd.beat")
 
     def _beat_loop(self):
@@ -87,12 +86,12 @@ class WatchDaemon(ServiceDaemon):
             # soon, but leave a local mark so the silence is attributable.
             self.sim.trace.mark("wd.beat_unsendable", node=self.node_id, seq=self._seq)
 
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.WD_GSD_ANNOUNCE:
-            self.gsd_node = msg.payload["node"]
-            return {"ok": True} if msg.rpc_id else None
-        if msg.mtype == ports.WD_PROC_QUERY:
-            alive = self.cluster.hostos(self.node_id).process_alive(msg.payload["process"])
-            return {"alive": alive}
-        self.sim.trace.mark("wd.unknown_mtype", mtype=msg.mtype)
-        return None
+    def _on_gsd_announce(self, msg: Message) -> dict[str, Any]:
+        self.gsd_node = msg.payload["node"]
+        return {"ok": True}
+
+    PORTS = {ports.WD: {
+        ports.WD_GSD_ANNOUNCE: _on_gsd_announce,
+        ports.WD_PROC_QUERY: lambda self, msg: {
+            "alive": self.cluster.hostos(self.node_id).process_alive(msg.payload["process"])},
+    }}

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.message import Message
+from repro.errors import SchedulingError
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.ppm.jobs import TaskRecord, TaskSpec, TaskState
@@ -31,34 +32,18 @@ class PPMDaemon(ServiceDaemon):
         super().__init__(kernel, node_id)
         self.tasks: dict[str, TaskRecord] = {}
 
-    def on_start(self) -> None:
-        self.bind(ports.PPM, self._dispatch)
+    def _on_start_service(self, msg: Message) -> None:
+        self.spawn(self._start_service(msg), name=f"{self.node_id}/ppm.startsvc")
 
-    # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.PPM_SPAWN_JOB:
-            return self._spawn_task(TaskSpec.from_payload(msg.payload))
-        if msg.mtype == ports.PPM_KILL_JOB:
-            return self._kill_task(msg.payload["job_id"])
-        if msg.mtype == ports.PPM_CLEANUP:
-            return self._cleanup()
-        if msg.mtype == ports.PPM_JOB_STATUS:
-            return self._job_status(msg.payload["job_id"])
-        if msg.mtype == ports.PPM_REPORT_LOAD:
-            return self._exec_cmd("report_load", {})
-        if msg.mtype == ports.PPM_START_SERVICE:
-            self.spawn(self._start_service(msg), name=f"{self.node_id}/ppm.startsvc")
-            return None
-        if msg.mtype == ports.PPM_STOP_SERVICE:
-            return self._stop_service(msg.payload["service"])
-        if msg.mtype == ports.PPM_PCMD:
-            self.spawn(self._run_pcmd(msg), name=f"{self.node_id}/ppm.pcmd")
-            return None
-        self.sim.trace.mark("ppm.unknown_mtype", mtype=msg.mtype)
-        return None
+    def _on_pcmd(self, msg: Message) -> None:
+        self.spawn(self._run_pcmd(msg), name=f"{self.node_id}/ppm.pcmd")
 
     # -- job tasks ---------------------------------------------------------
-    def _spawn_task(self, spec: TaskSpec) -> dict[str, Any]:
+    def _spawn_task(self, payload: dict[str, Any]) -> dict[str, Any]:
+        try:
+            spec = TaskSpec.from_payload(payload)
+        except SchedulingError as exc:
+            return {"ok": False, "error": str(exc)}
         node = self.cluster.node(self.node_id)
         existing = self.tasks.get(spec.job_id)
         if existing is not None and existing.running:
@@ -152,8 +137,8 @@ class PPMDaemon(ServiceDaemon):
     # -- parallel commands -----------------------------------------------
     def _run_pcmd(self, msg: Message):
         cmd = msg.payload["cmd"]
-        args = msg.payload.get("args", {})
-        targets = list(msg.payload.get("targets", []))
+        args = msg.payload.get("args") or {}
+        targets = list(msg.payload.get("targets") or ())
         results: dict[str, Any] = {}
         errors: dict[str, str] = {}
 
@@ -192,14 +177,19 @@ class PPMDaemon(ServiceDaemon):
         self.reply(msg, {"results": results, "errors": errors})
 
     def _exec_cmd(self, cmd: str, args: dict[str, Any]):
-        """Execute one parallel-command verb locally.
+        """Execute one parallel-command verb locally; its ``args`` follow
+        the declaration of ``ppm.<verb>``.
 
         Returns a result dict, or a generator for verbs that take time.
         """
+        contract = ports.CONTRACTS.get(f"ppm.{cmd}")
+        why = contract.refusal(args, self.kernel.names) if contract is not None else None
+        if why is not None:
+            return {"ok": False, "error": why}
         if cmd == "noop":
             return {"ok": True}
         if cmd == "spawn_job":
-            return self._spawn_task(TaskSpec.from_payload(args))
+            return self._spawn_task(args)
         if cmd == "kill_job":
             return self._kill_task(args["job_id"])
         if cmd == "cleanup":
@@ -224,3 +214,14 @@ class PPMDaemon(ServiceDaemon):
         except Exception as exc:
             return {"ok": False, "error": str(exc)}
         return {"ok": True, "service": service}
+
+    PORTS = {ports.PPM: {
+        ports.PPM_SPAWN_JOB: lambda self, msg: self._spawn_task(msg.payload),
+        ports.PPM_KILL_JOB: lambda self, msg: self._kill_task(msg.payload["job_id"]),
+        ports.PPM_CLEANUP: lambda self, msg: self._cleanup(),
+        ports.PPM_JOB_STATUS: lambda self, msg: self._job_status(msg.payload["job_id"]),
+        ports.PPM_REPORT_LOAD: lambda self, msg: self._exec_cmd("report_load", {}),
+        ports.PPM_START_SERVICE: _on_start_service,
+        ports.PPM_STOP_SERVICE: lambda self, msg: self._stop_service(msg.payload["service"]),
+        ports.PPM_PCMD: _on_pcmd,
+    }}

@@ -48,47 +48,38 @@ class SecurityServiceDaemon(ServiceDaemon):
     def users(self) -> list[str]:
         return sorted(self._users)
 
-    # -- lifecycle ---------------------------------------------------------
-    def on_start(self) -> None:
-        self.bind(ports.SECURITY, self._dispatch)
-
-    # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == ports.SEC_AUTH:
-            return self._on_authenticate(msg)
-        if msg.mtype == ports.SEC_VERIFY:
-            return self._on_verify(msg)
-        if msg.mtype == ports.SEC_AUTHORIZE:
-            return self._on_authorize(msg)
-        self.sim.trace.mark("sec.unknown_mtype", mtype=msg.mtype)
-        return None
-
+    # -- handlers ------------------------------------------------------------
     def _on_authenticate(self, msg: Message) -> dict[str, Any]:
-        user = msg.payload.get("user", "")
-        password = msg.payload.get("password", "")
+        user, password = msg.payload["user"], msg.payload["password"]
         record = self._users.get(user)
         if record is None or record["pwhash"] != _hash_password(user, password):
             self.sim.trace.count("sec.auth_failures")
             return {"ok": False, "error": "bad credentials"}
-        ttl = float(msg.payload.get("ttl", DEFAULT_TTL))
-        token = issue_token(self.kernel.secret, user, record["roles"], self.sim.now, ttl)
+        ttl = msg.payload.get("ttl")
+        token = issue_token(self.kernel.secret, user, record["roles"], self.sim.now,
+                            DEFAULT_TTL if ttl is None else float(ttl))
         self.sim.trace.count("sec.auth_successes")
         return {"ok": True, "token": token, "roles": list(record["roles"])}
 
     def _on_verify(self, msg: Message) -> dict[str, Any]:
         try:
-            user, roles = verify_token(self.kernel.secret, msg.payload.get("token", ""), self.sim.now)
+            user, roles = verify_token(self.kernel.secret, msg.payload["token"], self.sim.now)
         except SecurityError as exc:
             return {"ok": False, "error": str(exc)}
         return {"ok": True, "user": user, "roles": roles}
 
     def _on_authorize(self, msg: Message) -> dict[str, Any]:
         try:
-            user, roles = verify_token(self.kernel.secret, msg.payload.get("token", ""), self.sim.now)
+            user, roles = verify_token(self.kernel.secret, msg.payload["token"], self.sim.now)
         except SecurityError as exc:
             return {"ok": False, "error": str(exc)}
-        action = msg.payload.get("action", "")
-        allowed = self.policy.authorized(action, roles)
+        allowed = self.policy.authorized(msg.payload["action"], roles)
         if not allowed:
             self.sim.trace.count("sec.denials")
         return {"ok": allowed, "user": user}
+
+    PORTS = {ports.SECURITY: {
+        ports.SEC_AUTH: _on_authenticate,
+        ports.SEC_VERIFY: _on_verify,
+        ports.SEC_AUTHORIZE: _on_authorize,
+    }}

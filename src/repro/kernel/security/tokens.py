@@ -39,7 +39,7 @@ def verify_token(secret: bytes, token: str, now: float) -> tuple[str, list[str]]
     user, roles_csv, expiry_str, sig = parts
     body = f"{user}{_SEP}{roles_csv}{_SEP}{expiry_str}"
     expected = hmac.new(secret, body.encode(), hashlib.sha256).hexdigest()
-    if not hmac.compare_digest(sig, expected):
+    if not hmac.compare_digest(sig.encode(), expected.encode()):
         raise SecurityError("bad token signature")
     try:
         expiry = float(expiry_str)

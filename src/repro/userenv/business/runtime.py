@@ -25,9 +25,15 @@ from repro.kernel.bulletin.service import TABLE_NODE_METRICS
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.events.types import Event
+from repro.kernel.ports import DICT, INT, NAME, declare, each
 
 PORT = "bizrt"
 EVENT_PORT = "bizrt.events"
+
+# control interface (a deploy's tiers are TierSpec fields: name, replicas, cpus)
+DEPLOY = declare("bizrt.deploy", PORT, name=NAME, tiers=each(DICT))
+SCALE = declare("bizrt.scale", PORT, name=NAME, tier=NAME, replicas=INT)
+STATUS = declare("bizrt.status", PORT)
 
 #: SLA alert event types published by the runtime (consumable by any
 #: event-service subscriber, e.g. an operator console).
@@ -188,8 +194,6 @@ class BusinessRuntime(ServiceDaemon):
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
-        self.bind(PORT, self._dispatch)
-        self.bind(EVENT_PORT, self._on_event)
         self.spawn(self._startup(), name=f"{self.node_id}/bizrt.start")
 
     def _startup(self):
@@ -323,30 +327,25 @@ class BusinessRuntime(ServiceDaemon):
         self.sim.trace.mark("bizrt.state_recovered", apps=len(self.apps))
 
     # -- control interface --------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == "bizrt.deploy":
-            try:
-                spec = BizAppSpec(
-                    name=msg.payload["name"],
-                    tiers=tuple(TierSpec(**t) for t in msg.payload["tiers"]),
-                )
-            except Exception as exc:
-                return {"ok": False, "error": str(exc)}
-            if spec.name in self.apps:
-                return {"ok": False, "error": f"app {spec.name} already deployed"}
-            self.deploy(spec)
-            return {"ok": True}
-        if msg.mtype == "bizrt.scale":
-            try:
-                count = self.scale(msg.payload["name"], msg.payload["tier"],
-                                   int(msg.payload["replicas"]))
-            except (UserEnvError, KeyError) as exc:
-                return {"ok": False, "error": str(exc)}
-            return {"ok": True, "replicas": count}
-        if msg.mtype == "bizrt.status":
-            return {"apps": {name: self.app_status(name) for name in sorted(self.apps)}}
-        self.sim.trace.mark("bizrt.unknown_mtype", mtype=msg.mtype)
-        return None
+    def _on_deploy(self, msg: Message) -> dict[str, Any]:
+        try:
+            spec = BizAppSpec(
+                name=msg.payload["name"],
+                tiers=tuple(TierSpec(**t) for t in msg.payload["tiers"]),
+            )
+        except Exception as exc:
+            return {"ok": False, "error": str(exc)}
+        if spec.name in self.apps:
+            return {"ok": False, "error": f"app {spec.name} already deployed"}
+        self.deploy(spec)
+        return {"ok": True}
+
+    def _on_scale(self, msg: Message) -> dict[str, Any]:
+        try:
+            count = self.scale(msg.payload["name"], msg.payload["tier"], msg.payload["replicas"])
+        except (UserEnvError, KeyError) as exc:
+            return {"ok": False, "error": str(exc)}
+        return {"ok": True, "replicas": count}
 
     def deploy(self, spec: BizAppSpec) -> AppState:
         """Deploy every tier's replicas across the worker nodes."""
@@ -511,6 +510,16 @@ class BusinessRuntime(ServiceDaemon):
                 for replica in state.replicas:
                     if replica.job_id == job_id and replica.healthy:
                         self._heal(state, replica, failed_node=replica.node)
+
+    PORTS = {
+        PORT: {
+            DEPLOY: _on_deploy,
+            SCALE: _on_scale,
+            STATUS: lambda self, msg: {
+                "apps": {name: self.app_status(name) for name in sorted(self.apps)}},
+        },
+        EVENT_PORT: {ports.ES_EVENT: _on_event},
+    }
 
     def _retry_unplaced(self) -> None:
         """Replicas that could not be placed anywhere get another chance

@@ -79,7 +79,6 @@ class GridView(ServiceDaemon):
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
-        self.bind(EVENT_PORT, self._on_event)
         self.spawn(self._startup(), name=f"{self.node_id}/gridview.start")
 
     def _startup(self):
@@ -105,6 +104,8 @@ class GridView(ServiceDaemon):
         event = Event.from_payload(msg.payload["event"])
         self.event_log.append(event)
         self.sim.trace.count("gridview.events")
+
+    PORTS = {EVENT_PORT: {ports.ES_EVENT: _on_event}}
 
     # -- the refresh loop ---------------------------------------------------
     def _refresh_loop(self):

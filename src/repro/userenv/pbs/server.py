@@ -21,15 +21,17 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.message import Message
+from repro.errors import SchedulingError
 from repro.kernel import ports
 from repro.kernel.daemon import ServiceDaemon
-from repro.userenv.pws.jobs import JobRecord, JobSpec, JobState
+from repro.kernel.ports import NAME, STR, declare, opt
+from repro.userenv.pws.jobs import JOB_FIELDS, JobRecord, JobSpec, JobState
 
 PORT = "pbs"
 
-SUBMIT = "pbs.submit"
-CANCEL = "pbs.cancel"
-STATUS = "pbs.status"
+SUBMIT = declare("pbs.submit", PORT, **JOB_FIELDS)
+CANCEL = declare("pbs.cancel", PORT, job_id=NAME)
+STATUS = declare("pbs.status", PORT, job_id=opt(STR))
 
 
 class PBSServer(ServiceDaemon):
@@ -50,29 +52,17 @@ class PBSServer(ServiceDaemon):
         self._job_seq = 0
 
     def on_start(self) -> None:
-        self.bind(PORT, self._dispatch)
         self.spawn(self._poll_loop(), name=f"{self.node_id}/pbs.poll")
 
     # -- user interface ------------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == SUBMIT:
-            return self._on_submit(msg)
-        if msg.mtype == CANCEL:
-            return self._on_cancel(msg)
-        if msg.mtype == STATUS:
-            return self._on_status(msg)
-        self.sim.trace.mark("pbs.unknown_mtype", mtype=msg.mtype)
-        return None
-
     def _on_submit(self, msg: Message) -> dict[str, Any]:
         payload = dict(msg.payload)
         if not payload.get("job_id"):
             self._job_seq += 1
             payload["job_id"] = f"pbs-{self._job_seq}"
-        payload.setdefault("pool", "default")
         try:
             spec = JobSpec.from_payload(payload)
-        except Exception as exc:
+        except SchedulingError as exc:
             return {"ok": False, "error": str(exc)}
         if spec.job_id in self.jobs and self.jobs[spec.job_id].active:
             return {"ok": False, "error": f"job {spec.job_id} already active"}
@@ -81,7 +71,7 @@ class PBSServer(ServiceDaemon):
         return {"ok": True, "job_id": spec.job_id}
 
     def _on_cancel(self, msg: Message) -> dict[str, Any]:
-        job = self.jobs.get(msg.payload.get("job_id", ""))
+        job = self.jobs.get(msg.payload["job_id"])
         if job is None or not job.active:
             return {"ok": False, "error": "no such active job"}
         if job.state is JobState.RUNNING:
@@ -102,6 +92,8 @@ class PBSServer(ServiceDaemon):
         for job in self.jobs.values():
             counts[job.state.value] = counts.get(job.state.value, 0) + 1
         return {"counts": counts, "jobs": sorted(self.jobs)}
+
+    PORTS = {PORT: {SUBMIT: _on_submit, CANCEL: _on_cancel, STATUS: _on_status}}
 
     # -- the polling heart of PBS (resource monitoring, Figure 7) -------------
     def _poll_loop(self):

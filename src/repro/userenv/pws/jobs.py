@@ -7,6 +7,12 @@ from enum import Enum
 from typing import Any
 
 from repro.errors import SchedulingError
+from repro.kernel.ports import INT, NAME, NUMBER, STR, opt
+
+#: A job submission's payload fields (``pws.submit``, ``pbs.submit``);
+#: the server names a job that comes without an id.
+JOB_FIELDS = dict(job_id=opt(STR), user=opt(STR), nodes=INT, cpus_per_node=INT, duration=NUMBER,
+                  pool=opt(NAME), walltime=opt(NUMBER), priority=opt(INT))
 
 
 class JobState(Enum):
@@ -67,13 +73,13 @@ class JobSpec:
         walltime = payload.get("walltime")
         return cls(
             job_id=payload["job_id"],
-            user=payload.get("user", ""),
+            user=payload.get("user") or "",
             nodes=int(payload["nodes"]),
             cpus_per_node=int(payload["cpus_per_node"]),
             duration=float(payload["duration"]),
-            pool=payload.get("pool", "default"),
+            pool=payload.get("pool") or "default",
             walltime=float(walltime) if walltime is not None else None,
-            priority=int(payload.get("priority", 0)),
+            priority=int(payload.get("priority") or 0),
         )
 
 

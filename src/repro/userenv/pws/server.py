@@ -23,15 +23,16 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.message import Message
-from repro.errors import SecurityError
+from repro.errors import SchedulingError, SecurityError
 from repro.kernel import ports
+from repro.kernel.ports import NAME, STR, declare, opt
 from repro.kernel.security.acl import AccessPolicy
 from repro.kernel.security.tokens import verify_token
 from repro.kernel.bulletin.service import TABLE_APPS, TABLE_NODE_METRICS, TABLE_NODE_STATE
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.events.types import Event
-from repro.userenv.pws.jobs import JobRecord, JobSpec, JobState, split_ppm_job_id
+from repro.userenv.pws.jobs import JOB_FIELDS, JobRecord, JobSpec, JobState, split_ppm_job_id
 from repro.userenv.pws.pools import Lease, PoolManager, PoolSpec
 from repro.userenv.pws.scheduler import head_of_line_blocks, order_queue
 
@@ -39,14 +40,14 @@ PORT = "pws"
 EVENT_PORT = "pws.events"
 CKPT_KEY = "pws.state"
 
-# message types
-SUBMIT = "pws.submit"
-CANCEL = "pws.cancel"
-STATUS = "pws.status"
-POOLS = "pws.pools"
-DRAIN = "pws.drain_node"
-UNDRAIN = "pws.undrain_node"
-ACCOUNTING = "pws.accounting"
+# message types (``token``: a security-service token, when auth is required)
+SUBMIT = declare("pws.submit", PORT, token=opt(STR), **JOB_FIELDS)
+CANCEL = declare("pws.cancel", PORT, token=opt(STR), job_id=NAME)
+STATUS = declare("pws.status", PORT, job_id=opt(STR))
+POOLS = declare("pws.pools", PORT)
+DRAIN = declare("pws.drain_node", PORT, node=NAME)
+UNDRAIN = declare("pws.undrain_node", PORT, node=NAME)
+ACCOUNTING = declare("pws.accounting", PORT, user=opt(STR))
 
 
 class PWSServer(ServiceDaemon):
@@ -78,8 +79,6 @@ class PWSServer(ServiceDaemon):
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
-        self.bind(PORT, self._dispatch)
-        self.bind(EVENT_PORT, self._on_event)
         self.spawn(self._startup(), name=f"{self.node_id}/pws.startup")
         self.spawn(self._reconcile_loop(), name=f"{self.node_id}/pws.reconcile")
 
@@ -166,24 +165,6 @@ class PWSServer(ServiceDaemon):
         )
 
     # -- user interface ------------------------------------------------------
-    def _dispatch(self, msg: Message) -> dict[str, Any] | None:
-        if msg.mtype == SUBMIT:
-            return self._on_submit(msg)
-        if msg.mtype == CANCEL:
-            return self._on_cancel(msg)
-        if msg.mtype == STATUS:
-            return self._on_status(msg)
-        if msg.mtype == POOLS:
-            return {"pools": self.pm.pool_stats(), "leases": [l.to_payload() for l in self.pm.leases]}
-        if msg.mtype == DRAIN:
-            return self._on_drain(msg, drain=True)
-        if msg.mtype == UNDRAIN:
-            return self._on_drain(msg, drain=False)
-        if msg.mtype == ACCOUNTING:
-            return self._on_accounting(msg)
-        self.sim.trace.mark("pws.unknown_mtype", mtype=msg.mtype)
-        return None
-
     def _authorize(self, msg: Message, action: str) -> str | None:
         """Returns an error string, or None when allowed.  Also pins the
         payload's user to the authenticated identity."""
@@ -191,7 +172,7 @@ class PWSServer(ServiceDaemon):
             return None
         try:
             user, roles = verify_token(
-                self.kernel.secret, msg.payload.get("token", ""), self.sim.now
+                self.kernel.secret, msg.payload.get("token") or "", self.sim.now
             )
         except SecurityError as exc:
             self.sim.trace.count("pws.auth_rejects")
@@ -213,7 +194,7 @@ class PWSServer(ServiceDaemon):
             payload["job_id"] = f"pws-{self._job_seq}"
         try:
             spec = JobSpec.from_payload(payload)
-        except Exception as exc:
+        except SchedulingError as exc:
             return {"ok": False, "error": str(exc)}
         if spec.pool not in self.pm.pools:
             return {"ok": False, "error": f"unknown pool {spec.pool!r}"}
@@ -235,7 +216,7 @@ class PWSServer(ServiceDaemon):
         denied = self._authorize(msg, "job.cancel")
         if denied:
             return {"ok": False, "error": denied}
-        job = self.jobs.get(msg.payload.get("job_id", ""))
+        job = self.jobs.get(msg.payload["job_id"])
         if job is None or not job.active:
             return {"ok": False, "error": "no such active job"}
         if job.state is JobState.RUNNING:
@@ -265,7 +246,7 @@ class PWSServer(ServiceDaemon):
         """Administrative cordon: a drained node finishes its running
         tasks but receives no new placements (the Figure 9 console's
         shutdown-node preparation)."""
-        node = msg.payload.get("node", "")
+        node = msg.payload["node"]
         if not self.pm.known(node):
             return {"ok": False, "error": f"node {node} not managed by any pool"}
         self.pm.set_node_up(node, not drain)
@@ -326,6 +307,20 @@ class PWSServer(ServiceDaemon):
             if job is not None:
                 self._task_failed(job, event.data.get("node", ""))
         self._schedule()
+
+    PORTS = {
+        PORT: {
+            SUBMIT: _on_submit,
+            CANCEL: _on_cancel,
+            STATUS: _on_status,
+            POOLS: lambda self, msg: {"pools": self.pm.pool_stats(),
+                                      "leases": [lease.to_payload() for lease in self.pm.leases]},
+            DRAIN: lambda self, msg: self._on_drain(msg, drain=True),
+            UNDRAIN: lambda self, msg: self._on_drain(msg, drain=False),
+            ACCOUNTING: _on_accounting,
+        },
+        EVENT_PORT: {ports.ES_EVENT: _on_event},
+    }
 
     def _current_job(self, ppm_job_id: str) -> JobRecord | None:
         """Resolve an event's task id to a running job, dropping events

@@ -246,7 +246,7 @@ def test_plain_delta_stream_applies_drops_duplicates_and_resyncs_gaps():
     assert counters["db.view_delta_applied"] == 5
     assert counters["db.view_delta_stale"] == 2  # the duplicate + seq 6 after its resync
     assert counters["db.view_resyncs"] == 1
-    assert "db.view_feed_refused" not in counters
+    assert "db.refused" not in owner.sim.trace.counters("db.")
 
 
 def test_a_malformed_delta_is_refused_and_counted():
@@ -269,7 +269,7 @@ def test_a_malformed_delta_is_refused_and_counted():
     for payload in bad:
         engine.on_feed(payload, now=1.0)
     assert engine.sources[("p1", "apps")] == (1, 0) and engine.mirror == {}
-    assert owner.sim.trace.counters("db.view_") == {"db.view_feed_refused": 2 * len(bad)}
+    assert owner.sim.trace.counters("db.") == {"db.refused": 2 * len(bad)}
     engine.on_feed(good, now=2.0)
     assert engine.read("jobs") == [{"phase": "running", "n": 1}]
 

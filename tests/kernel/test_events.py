@@ -177,7 +177,7 @@ def test_a_malformed_publish_is_refused_not_raised(kernel, sim):
         reply = drive(sim, client.publish(event_type, data))
         assert reply is not None and not reply["ok"]
     sim.run(until=sim.now + 0.5)
-    assert sim.trace.counter("es.publish_refused") == 3
+    assert sim.trace.counter("es.refused") == 3
     assert "es.published" not in sim.trace.counters()
     publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "wanted"})
     sim.run(until=sim.now + 0.5)
@@ -205,7 +205,7 @@ def test_a_malformed_subscribe_is_refused_not_raised(kernel, sim):
         reply = drive(sim, kernel.cluster.transport.rpc("p0c0", es, ports.ES, ports.ES_SUBSCRIBE,
                                                          payload, timeout=5.0))
         assert reply is not None and not reply["ok"] and reply["error"], payload
-    assert sim.trace.counter("es.subscribe_refused") == len(bad)
+    assert sim.trace.counter("es.refused") == len(bad)
     inbox = subscribe_collector(kernel, sim, "p0c0", "c1", types=(ev.NODE_FAILURE,))
     publish(kernel, sim, "p0c1", ev.NODE_FAILURE, {"node": "x"})
     sim.run(until=sim.now + 0.5)

@@ -292,7 +292,7 @@ def test_a_malformed_delta_from_a_client_is_refused_not_raised():
     for data in bad:
         assert drive(sim, client.publish("db.delta", data))["ok"]
     sim.run(until=sim.now + 2.0)
-    assert sim.trace.counter("db.view_feed_refused") == len(bad)
+    assert sim.trace.counter("db.refused") == len(bad)
     _put_job(sim, kernel, client, "job1", {"app": "linpack", "phase": "running"})
     sim.run(until=sim.now + 2.0)
     assert _equivalent(sim, client, "t.jobs", jobs)["rows"] == [{"phase": "running", "n": 1}]
@@ -310,7 +310,7 @@ def test_a_malformed_maint_config_is_refused_not_raised():
             client.node_id, kernel.placement[("db", "p1")], ports.DB, ports.DB_MAINT,
             payload, timeout=5.0))
         assert reply is not None and not reply["ok"] and reply["error"], payload
-    assert sim.trace.counter("db.maint_refused") == len(bad)
+    assert sim.trace.counter("db.refused") == len(bad)
     assert not kernel.view_maintenance and not kernel.bulletin("p1")._publish_tables
 
 

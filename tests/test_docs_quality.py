@@ -96,3 +96,34 @@ def test_every_code_pointer_resolves(doc):
             if not _resolves(token if token.startswith("repro.") else f"repro.{token}"):
                 dead.append(token)
     assert dead == []
+
+
+def _message_type_rows() -> list[str]:
+    """docs/PROTOCOLS.md's message-type table, rendered from the declarations
+    (``repro.kernel.ports.CONTRACTS``, user environments included)."""
+    from repro.kernel import ports
+    from repro.kernel.events.types import DB_DELTA
+    from repro.userenv.business import runtime  # noqa: F401 - declares bizrt.*
+    from repro.userenv.pbs import server  # noqa: F401 - declares pbs.*
+    from repro.userenv.pws import server as _pws  # noqa: F401 - declares pws.*
+
+    rows = []
+    for mtype, contract in sorted(ports.CONTRACTS.items()):
+        served = (", ".join(f"`{port}`" for port in contract.ports)
+                  or ("`es.event` data" if mtype == DB_DELTA else "any consumer port"))
+        fields = [f"`{key}`{'' if kind.required else '?'}: {kind.name}"
+                  for key, kind in contract.fields.items()]
+        if contract.rule is not None:
+            fields.append(f"and {contract.rule.name}")
+        if contract.empty is not None:
+            fields.append("refused with " + ", ".join(f"`{key}: []`" for key in contract.empty))
+        rows.append(f"| `{mtype}` | {served} | {'; '.join(fields) or '—'} |")
+    return rows
+
+
+def test_the_message_type_table_matches_the_declarations():
+    """Regenerate with ``print("\\n".join(_message_type_rows()))``."""
+    text = (ROOT / "docs" / "PROTOCOLS.md").read_text(encoding="utf-8")
+    section = text.split("## 7. Message types", 1)[1].split("\n## ", 1)[0]
+    documented = [line for line in section.splitlines() if line.startswith("| `")]
+    assert documented == _message_type_rows()

@@ -25,3 +25,12 @@ def test_nothing_is_sized_by_rendering_it():
 def test_checkpoints_are_not_copied():
     """A checkpoint is a frozen value shared by every reader."""
     assert list(_lines(SRC / "kernel" / "checkpoint", r"^\s*(import copy|from copy )")) == []
+
+
+def test_message_types_are_dispatched_in_one_place():
+    """``ServiceDaemon.bind`` routes each message type to its handler and
+    checks its declaration; no daemon keeps its own if-chain over
+    ``msg.mtype`` or its own unknown-type mark."""
+    found = [hit for hit in _lines(SRC, r"msg\.mtype\s*(==|in\b)|unknown_mtype")
+             if not hit.startswith("kernel/daemon.py:")]
+    assert found == []
