@@ -19,7 +19,7 @@ from repro.userenv.monitoring import render_snapshot
 SWEEP = (64, 128, 256, 640, 1024, 2048, 4096)
 
 #: Extension point — 25.6x the paper's machine; at ≈3.5 min the longest
-#: single point of the smoke bench (DESIGN.md §13 has the cost figures).
+#: single point of the smoke bench, run event by event.
 EXT_NODES = 16384
 
 #: Two-tier federation points (DESIGN.md §16): region_size ≈ √partitions,

@@ -22,17 +22,40 @@ from repro.kernel.bulletin.service import TABLE_NODE_STATE
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.group.metagroup import MetaGroup
-from repro.kernel.group.monitor import HeartbeatMonitor
-from repro.kernel.group.recovery import (
-    ALIVE,
-    NODE,
-    PROCESS,
-    diagnose,
-    pick_migration_target,
-    restart_service_remote,
-)
-from repro.kernel.timings import LOCAL_CHECK_DELAY, NIC_ANALYSIS_DELAY
+from repro.kernel.group.recovery import NODE, PROCESS, Failover, pick_migration_target
 from repro.sim import Span
+
+
+class WatchFailover(Failover):
+    """Table 1: the partition's watch daemons, watched by
+    ``GSDDaemon.wd_monitor``.  A dead WD is restarted in place; a dead
+    node is marked down — "each WD is the representative of hosting node
+    for sending heartbeat, and migrating WD means nothing": recovery 0."""
+
+    def recover(self, root, node, component, kind, context):
+        if kind == PROCESS:
+            return (yield from self.restart(root, node, component))
+        gsd = self.gsd
+        gsd._set_node_state(node, "down")
+        gsd.publish(ev.NODE_FAILURE, {"node": node, "partition": gsd.partition_id}, span=root)
+        if gsd.kernel.placement.get(("ckpt.replica", gsd.partition_id)) == node:
+            # The dead node hosted the checkpoint replica — the one service
+            # deliberately kept off the GSD's node, so no migration path
+            # re-places it. Restore separation before the next failure.
+            gsd.spawn(gsd._ensure_ckpt_replica(), name=f"{gsd.node_id}/gsd.ckptreplica")
+        return self.recovered(root, node, component, NODE)
+
+    def network_changed(self, node, network, up):
+        self.gsd.export_row(
+            "net_events", f"{node}:{network}", {"node": node, "network": network, "up": up}
+        )
+
+    def on_return(self, node):
+        gsd = self.gsd
+        if gsd.node_state.get(node) == "down":
+            gsd._set_node_state(node, "up")
+            gsd.publish(ev.NODE_RECOVERY, {"node": node, "partition": gsd.partition_id})
+        self.sim.trace.mark("node.returned", node=node, by=gsd.node_id)
 
 
 class GSDDaemon(ServiceDaemon):
@@ -46,17 +69,9 @@ class GSDDaemon(ServiceDaemon):
         super().__init__(kernel, node_id)
         self.node_state: dict[str, str] = {}  # node -> "up" | "down"
         self.metagroup = MetaGroup(self)
-        self.wd_monitor = HeartbeatMonitor(
-            kernel.sim,
-            networks=list(kernel.cluster.networks),
-            interval=self.timings.heartbeat_interval,
-            grace=self.timings.deadline_grace,
-            on_nic_miss=self._on_wd_nic_miss,
-            on_nic_restore=self._on_wd_nic_restore,
-            on_full_miss=self._on_wd_full_miss,
-            on_return=self._on_wd_return,
-        )
-        self._svc_recovering: set[str] = set()
+        self.wd_monitor = WatchFailover(self, "wd").monitor
+        #: The GSD's own node: its service group and NICs (Table 3).
+        self.local_failover = Failover(self, "es", local=True)
         self._local_nics_ok: dict[str, bool] | None = None
         #: Node-state changes seen while parked await a post-heal flush.
         self._node_state_dirty = False
@@ -237,191 +252,22 @@ class GSDDaemon(ServiceDaemon):
                 payload["_span"] = span.span_id
             self.send(es_node, ports.ES, ports.ES_PUBLISH, payload)
 
-    # -- WD monitoring callbacks (Table 1 mechanics) -------------------------
-    def _on_wd_nic_miss(self, subject: str, network: str) -> None:
-        if not self.alive:  # a dead daemon's leftover timers are inert
-            return
-        root = self.sim.trace.span(
-            "gsd.failover", component="wd", kind="network", node=subject, network=network
-        )
-        root.mark(
-            "failure.detected", component="wd", node=subject, network=network, by=self.node_id
-        )
-        self.spawn(self._wd_nic_failure(subject, network, root), name=f"{self.node_id}/gsd.wdnic")
-
-    def _wd_nic_failure(self, subject: str, network: str, root: Span):
-        diag = root.child("gsd.diagnose", node=subject, network=network)
-        yield NIC_ANALYSIS_DELAY
-        diag.end(kind="network")
-        root.mark(
-            "failure.diagnosed", component="wd", kind="network", node=subject, network=network
-        )
-        root.mark(
-            "failure.recovered", component="wd", kind="network", node=subject, network=network
-        )
-        self.publish(ev.NETWORK_FAILURE, {"node": subject, "network": network}, span=root)
-        self._export_net_state(subject, network, up=False)
-        root.end(ok=True)
-
-    def _on_wd_nic_restore(self, subject: str, network: str) -> None:
-        if not self.alive:
-            return
-        self.sim.trace.mark("network.restored", component="wd", node=subject, network=network)
-        self.publish(ev.NETWORK_RECOVERY, {"node": subject, "network": network})
-        self._export_net_state(subject, network, up=True)
-
-    def _on_wd_full_miss(self, subject: str) -> None:
-        if not self.alive:
-            return
-        root = self.sim.trace.span("gsd.failover", component="wd", node=subject)
-        root.mark("failure.detected", component="wd", node=subject, by=self.node_id)
-        self.spawn(self._wd_failure(subject, root), name=f"{self.node_id}/gsd.wdrecover")
-
-    def _wd_failure(self, subject: str, root: Span):
-        diag = root.child("gsd.diagnose", node=subject)
-        kind = yield from diagnose(self, subject, server_mode=False, span=diag, service="wd")
-        diag.end(kind=kind)
-        if kind == ALIVE:
-            # Gray failure: the WD answered our direct liveness query, so
-            # the silent heartbeats were eaten by the network, not a death.
-            # Resume monitoring with a fresh deadline instead of failing
-            # the node over.
-            root.mark("suspicion.cleared", component="wd", node=subject, by=self.node_id)
-            self.sim.trace.count("gsd.false_suspicions")
-            self.wd_monitor.expect(subject)
-            root.end(kind=kind, ok=True)
-            return
-        root.mark("failure.diagnosed", component="wd", kind=kind, node=subject, by=self.node_id)
-        if kind == PROCESS:
-            yield from self.restart_in_place("wd", subject, root)
-            return
-        # Node death: "each WD is the representative of hosting node for
-        # sending heartbeat, and migrating WD means nothing" — recovery 0.
-        assert kind == NODE
-        self._set_node_state(subject, "down")
-        self.publish(
-            ev.NODE_FAILURE, {"node": subject, "partition": self.partition_id}, span=root
-        )
-        root.mark("failure.recovered", component="wd", kind="node", node=subject)
-        root.end(kind=kind, ok=True)
-        if self.kernel.placement.get(("ckpt.replica", self.partition_id)) == subject:
-            # The dead node hosted the checkpoint replica — the one service
-            # deliberately kept off the GSD's node, so no migration path
-            # re-places it. Restore separation before the next failure.
-            self.spawn(self._ensure_ckpt_replica(), name=f"{self.node_id}/gsd.ckptreplica")
-
-    def restart_in_place(self, service: str, node: str, root: Span):
-        """Coroutine: restart ``service``, whose process died on a live
-        ``node``, through that node's PPM — the process-failure recovery
-        of a WD (here) and of a ring member's GSD (the meta-group)."""
-        self.publish(ev.SERVICE_FAILURE, {"service": service, "node": node}, span=root)
-        rec = root.child("gsd.recover", node=node, action="restart")
-        ok = yield from restart_service_remote(self, node, service, span=rec)
-        rec.end(ok=ok)
-        if ok:
-            root.mark("failure.recovered", component=service, kind="process", node=node)
-            self.publish(ev.SERVICE_RECOVERY, {"service": service, "node": node}, span=root)
-        else:
-            root.mark("recovery.failed", component=service, node=node)
-        root.end(kind=PROCESS, ok=ok)
-
-    def _on_wd_return(self, subject: str) -> None:
-        if not self.alive:
-            return
-        if self.node_state.get(subject) == "down":
-            self._set_node_state(subject, "up")
-            self.publish(ev.NODE_RECOVERY, {"node": subject, "partition": self.partition_id})
-        self.sim.trace.mark("node.returned", node=subject, by=self.node_id)
-
     # -- service-group supervision (Table 3 mechanics, Figure 4) ------------
     def _service_check_loop(self):
+        local = self.local_failover
         while True:
             yield self.timings.service_check_period
-            self._check_local_services()
-            self._check_local_nics()
-
-    def _check_local_services(self) -> None:
-        hostos = self.cluster.hostos(self.node_id)
-        for svc in self.managed_services():
-            placed = self.kernel.placement.get((svc, self.partition_id))
-            if placed != self.node_id or svc in self._svc_recovering:
-                continue
-            if not hostos.process_alive(svc):
-                root = self.sim.trace.span("gsd.failover", component=svc, node=self.node_id)
-                root.mark(
-                    "failure.detected", component=svc, node=self.node_id, by=self.node_id
-                )
-                self._svc_recovering.add(svc)
-                self.spawn(
-                    self._restart_local_service(svc, root), name=f"{self.node_id}/gsd.svcfix"
-                )
-
-    def _restart_local_service(self, svc: str, root: Span):
-        try:
-            # Same-host check: the process table is local (Table 3: 12 us).
-            diag = root.child("gsd.diagnose", node=self.node_id, service=svc)
-            yield LOCAL_CHECK_DELAY
-            diag.end(kind="process")
-            root.mark(
-                "failure.diagnosed", component=svc, kind="process", node=self.node_id
-            )
-            self.publish(ev.SERVICE_FAILURE, {"service": svc, "node": self.node_id}, span=root)
-            rec = root.child("gsd.recover", node=self.node_id, service=svc, action="restart")
-            yield self.timings.spawn_time(svc)
-            if not self.cluster.hostos(self.node_id).process_alive(svc):
-                # (An administrator may have restarted it concurrently,
-                # e.g. a rolling restart; starting twice would be a bug.)
-                self.kernel.start_service(svc, self.node_id)
-            rec.end(ok=True)
-            root.mark(
-                "failure.recovered", component=svc, kind="process", node=self.node_id
-            )
-            self.publish(ev.SERVICE_RECOVERY, {"service": svc, "node": self.node_id}, span=root)
-            root.end(ok=True)
-        finally:
-            self._svc_recovering.discard(svc)
-
-    def _check_local_nics(self) -> None:
-        current = {
-            name: net.usable_from(self.node_id) for name, net in self.cluster.networks.items()
-        }
-        previous = self._local_nics_ok
-        self._local_nics_ok = current
-        if previous is None:
-            return
-        for network, up in current.items():
-            if up == previous.get(network, True):
-                continue
-            if not up:
-                root = self.sim.trace.span(
-                    "gsd.failover", component="es", kind="network",
-                    node=self.node_id, network=network,
-                )
-                root.mark(
-                    "failure.detected", component="es", node=self.node_id,
-                    network=network, by=self.node_id,
-                )
-                self.spawn(
-                    self._local_nic_failure(network, root), name=f"{self.node_id}/gsd.localnic"
-                )
-            else:
-                self.sim.trace.mark(
-                    "network.restored", component="es", node=self.node_id, network=network
-                )
-                self.publish(ev.NETWORK_RECOVERY, {"node": self.node_id, "network": network})
-
-    def _local_nic_failure(self, network: str, root: Span):
-        diag = root.child("gsd.diagnose", node=self.node_id, network=network)
-        yield LOCAL_CHECK_DELAY
-        diag.end(kind="network")
-        root.mark(
-            "failure.diagnosed", component="es", kind="network", node=self.node_id, network=network
-        )
-        root.mark(
-            "failure.recovered", component="es", kind="network", node=self.node_id, network=network
-        )
-        self.publish(ev.NETWORK_FAILURE, {"node": self.node_id, "network": network}, span=root)
-        root.end(ok=True)
+            hostos = self.cluster.hostos(self.node_id)
+            for svc in self.managed_services():
+                placed = self.kernel.placement.get((svc, self.partition_id))
+                if placed == self.node_id and not hostos.process_alive(svc):
+                    local.detect(self.node_id, component=svc)
+            nics = {name: net.usable_from(self.node_id)
+                    for name, net in self.cluster.networks.items()}
+            previous, self._local_nics_ok = self._local_nics_ok, nics
+            for network, up in nics.items():
+                if previous is not None and up != previous.get(network, True):
+                    (local.restored if up else local.detect)(self.node_id, network)
 
     # -- bookkeeping ---------------------------------------------------------
     def _ckpt_key(self) -> str:
@@ -449,7 +295,7 @@ class GSDDaemon(ServiceDaemon):
             )
             return
         self._commit_node_state()
-        self._export_node_state(node, state)
+        self.export_row(TABLE_NODE_STATE, node, {"state": state})
 
     def _commit_node_state(self) -> None:
         ckpt_node = self.kernel.placement.get(("ckpt", self.partition_id))
@@ -474,26 +320,12 @@ class GSDDaemon(ServiceDaemon):
         yield from self._ensure_services()
         yield from self._ensure_ckpt_replica()
 
-    def _export_node_state(self, node: str, state: str) -> None:
+    def export_row(self, table: str, key: str, row: dict[str, Any]) -> None:
+        """Put one row on this partition's data bulletin."""
         db_node = self.kernel.placement.get(("db", self.partition_id))
         if db_node is not None:
-            self.send(
-                db_node, ports.DB, ports.DB_PUT,
-                {"table": TABLE_NODE_STATE, "key": node, "row": {"state": state}},
-            )
+            self.send(db_node, ports.DB, ports.DB_PUT, {"table": table, "key": key, "row": row})
 
     def _export_all_node_state(self) -> None:
         for member in self.cluster.partition(self.partition_id).all_nodes:
-            self._export_node_state(member, self.node_state.get(member, "up"))
-
-    def _export_net_state(self, node: str, network: str, up: bool) -> None:
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is not None:
-            self.send(
-                db_node, ports.DB, ports.DB_PUT,
-                {
-                    "table": "net_events",
-                    "key": f"{node}:{network}",
-                    "row": {"node": node, "network": network, "up": up},
-                },
-            )
+            self.export_row(TABLE_NODE_STATE, member, {"state": self.node_state.get(member, "up")})

@@ -50,16 +50,8 @@ from typing import TYPE_CHECKING, Any
 from repro.cluster.message import Message
 from repro.kernel import ports
 from repro.kernel.events import types as ev
-from repro.kernel.group.monitor import HeartbeatMonitor
-from repro.kernel.group.recovery import (
-    ALIVE,
-    NODE,
-    PROCESS,
-    diagnose,
-    pick_migration_target,
-    restart_service_remote,
-)
-from repro.kernel.timings import JOIN_PROCESS_TIME, MIGRATE_SELECT_TIME, NIC_ANALYSIS_DELAY
+from repro.kernel.group.recovery import NODE, PROCESS, Failover, pick_migration_target
+from repro.kernel.timings import JOIN_PROCESS_TIME, MIGRATE_SELECT_TIME
 from repro.sim import Proc
 from repro.util import Ring
 
@@ -123,26 +115,15 @@ class View:
 ROLES = ("joining", "member", "leader", "parked", "superseded")
 
 
-class MetaGroup:
-    """The meta-group side of one GSD."""
+class MetaGroup(Failover):
+    """The meta-group side of one GSD, and the failover of its ring
+    predecessor (:meth:`recover`)."""
 
     def __init__(self, gsd: "GSDDaemon") -> None:
-        self.gsd = gsd
-        self.sim = gsd.sim
+        super().__init__(gsd, "gsd")
         self.view: View | None = None
         self._ring: Ring[str] = Ring()  # node ids in view order
         self._node_partition: dict[str, str] = {}
-        self.monitor = HeartbeatMonitor(
-            gsd.sim,
-            networks=list(gsd.cluster.networks),
-            interval=gsd.timings.heartbeat_interval,
-            grace=gsd.timings.deadline_grace,
-            on_nic_miss=self._on_nic_miss,
-            on_nic_restore=self._on_nic_restore,
-            on_full_miss=self._on_full_miss,
-            on_return=self._on_return,
-        )
-        self._recovering: set[str] = set()
         #: One of ``ROLES``; only :meth:`_become` assigns it.
         self.role = "joining"
         #: The heal and rejoin loops by name, while they run (see _spawn_once).
@@ -526,20 +507,10 @@ class MetaGroup:
         monitoring readers can resolve conflicting claims by epoch."""
         if self.view is None or self._refused("leader_export", epoch=self.view.epoch):
             return
-        db_node = self.gsd.kernel.placement.get(("db", self.gsd.partition_id))
-        if db_node is not None:
-            self.gsd.send(
-                db_node, ports.DB, ports.DB_PUT,
-                {
-                    "table": "metagroup",
-                    "key": "leader",
-                    "row": {
-                        "node": self.me,
-                        "epoch": self.view.epoch,
-                        "view_id": self.view.view_id,
-                    },
-                },
-            )
+        self.gsd.export_row(
+            "metagroup", "leader",
+            {"node": self.me, "epoch": self.view.epoch, "view_id": self.view.view_id},
+        )
 
     def _make_view(
         self, members: tuple[tuple[str, str], ...], bump_epoch: bool = False
@@ -679,44 +650,28 @@ class MetaGroup:
                 )
             yield 2.0 * JOIN_PROCESS_TIME + 0.5
 
-    # -- monitor callbacks ---------------------------------------------------
-    def _on_nic_miss(self, subject: str, network: str) -> None:
-        if not self.gsd.alive:  # leftover timers of a dead GSD are inert
-            return
-        self.sim.trace.mark(
-            "failure.detected", component="gsd", node=subject, network=network, by=self.me
-        )
-        self.gsd.spawn(self._nic_failure(subject, network), name=f"{self.me}/mg.nic")
+    # -- the ring's failover (Table 2 mechanics) -------------------------------
+    server_mode = True  # ring members are server nodes
+    #: A member whose recovery failed was already reported dead: membership,
+    #: not the ring monitor, decides whether it is watched again.
+    rearm_failed = False
 
-    def _nic_failure(self, subject: str, network: str):
-        yield NIC_ANALYSIS_DELAY
-        self.sim.trace.mark(
-            "failure.diagnosed", component="gsd", kind="network", node=subject, network=network
-        )
-        # Three redundant fabrics: nothing to migrate, recovery is free.
-        self.sim.trace.mark(
-            "failure.recovered", component="gsd", kind="network", node=subject, network=network
-        )
-        self.gsd.publish(ev.NETWORK_FAILURE, {"node": subject, "network": network})
+    def admit(self, node: str, network: str | None) -> bool:
+        # A parked member leaves the ring's failovers to the quorate side.
+        return network is not None or not self.parked
 
-    def _on_nic_restore(self, subject: str, network: str) -> None:
-        if not self.gsd.alive:
-            return
-        self.sim.trace.mark("network.restored", component="gsd", node=subject, network=network)
-        self.gsd.publish(ev.NETWORK_RECOVERY, {"node": subject, "network": network})
+    def begin(self, node: str):
+        partition = self._node_partition.get(node)
+        if partition is None or self.view is None:
+            return None
+        return partition, self.view.leader()[1] == node
 
-    def _on_full_miss(self, subject: str) -> None:
-        if not self.gsd.alive or subject in self._recovering or self.parked:
-            return
-        self._recovering.add(subject)
-        root = self.sim.trace.span("gsd.failover", component="gsd", node=subject)
-        root.mark("failure.detected", component="gsd", node=subject, by=self.me)
-        self.gsd.spawn(self._handle_member_failure(subject, root), name=f"{self.me}/mg.recover")
+    def rearm(self, node: str) -> None:
+        if node == self.predecessor():
+            self.monitor.expect(node)
 
-    def _on_return(self, subject: str) -> None:
-        if not self.gsd.alive:
-            return
-        self.sim.trace.mark("member.returned", node=subject, by=self.me)
+    def on_return(self, node: str) -> None:
+        self.sim.trace.mark("member.returned", node=node, by=self.me)
 
     def _report_watchdog(self, expected_key: tuple[int, int]) -> None:
         """Fires one regroup period after a member-failed report went to a
@@ -725,142 +680,105 @@ class MetaGroup:
             self.assess_quorum("leader_unreachable")
 
     # -- the takeover path -----------------------------------------------
-    def _handle_member_failure(self, failed_node: str, root):
-        try:
-            partition = self._node_partition.get(failed_node)
-            if partition is None or self.view is None:
-                root.end(aborted=True)
-                return
-            was_leader = self.view.leader()[1] == failed_node
-            diag = root.child("gsd.diagnose", node=failed_node)
-            kind = yield from diagnose(
-                self.gsd, failed_node, server_mode=True, span=diag, service="gsd"
-            )
-            diag.end(kind=kind)
-            if kind == ALIVE:
-                # Gray failure: the member's GSD answered our status query
-                # directly — the quiet ring beats were network loss, not a
-                # death.  Keep the membership, resume monitoring.
-                root.mark("suspicion.cleared", component="gsd", node=failed_node, by=self.me)
-                self.sim.trace.count("gsd.false_suspicions")
-                if failed_node == self.predecessor():
-                    self.monitor.expect(failed_node)
-                root.end(kind=kind, ok=True)
-                return
-            root.mark(
-                "failure.diagnosed", component="gsd", kind=kind, node=failed_node, by=self.me
-            )
-            # The co-located service group died with its node.
-            if kind == NODE:
-                for svc in self.gsd.managed_services():
-                    root.mark(
-                        "failure.diagnosed", component=svc, kind="node", node=failed_node, by=self.me
-                    )
+    def recover(self, root, failed_node, component, kind, context):
+        """Quorum gate, then membership (the takeover when the Leader
+        died), then restart the GSD in place or migrate it."""
+        partition, was_leader = context
+        # The co-located service group died with its node.
+        if kind == NODE:
+            for svc in self.gsd.managed_services():
+                root.mark(
+                    "failure.diagnosed", component=svc, kind="node", node=failed_node, by=self.me
+                )
 
-            # Quorum gate: if dropping the failed member would leave half
-            # or less of the configured partitions, census first — across
-            # a split, "the others all died" and "we are the cut-off side"
-            # look identical from here, and only one of them may act.
-            if (
-                self.quorum_enabled()
-                and not self.parked
-                and sum(1 for m in self.view.members if m[1] != failed_node) * 2
-                <= len(self.gsd.cluster.partitions)
-            ):
-                quorate = yield from self._census("member_failure", exclude={failed_node})
-                if quorate is False:
-                    root.end(kind=kind, parked=True)
-                    return
-                if quorate:
-                    if not self.view.contains_node(failed_node):
-                        # The census took time; a concurrent install already
-                        # resolved this membership change.
-                        root.end(kind=kind, superseded=True)
-                        return
-                    was_leader = self.view.leader()[1] == failed_node
+        # Quorum gate: if dropping the failed member would leave half
+        # or less of the configured partitions, census first — across
+        # a split, "the others all died" and "we are the cut-off side"
+        # look identical from here, and only one of them may act.
+        if (
+            self.quorum_enabled()
+            and not self.parked
+            and sum(1 for m in self.view.members if m[1] != failed_node) * 2
+            <= len(self.gsd.cluster.partitions)
+        ):
+            quorate = yield from self._census("member_failure", exclude={failed_node})
+            if quorate is False:
+                return {"parked": True}
+            if quorate:
+                if not self.view.contains_node(failed_node):
+                    # The census took time; a concurrent install already
+                    # resolved this membership change.
+                    return {"superseded": True}
+                was_leader = self.view.leader()[1] == failed_node
 
-            # Membership first: the ring must close around the gap.
-            members = tuple(m for m in self.view.members if m[1] != failed_node)
-            if was_leader:
-                # "In case of failure of Leader ... select Princess to take
-                # over it."  We are the Leader's successor == the Princess.
-                # The takeover bumps the leader epoch: every control
-                # message of the old lineage is now fenceable, so even if
-                # the old leader was only unreachable (asymmetric split)
-                # it can never re-assert leadership after the heal.
-                self.install_view(self._make_view(members, bump_epoch=True))
-                self.broadcast_view()
-                epoch = self.view.epoch
-                self.gsd.kernel.note_placement("metagroup", "leader", self.me, epoch=epoch)
-                self._export_leader()
-                root.mark("leader.takeover", old=failed_node, new=self.me, epoch=epoch)
-                self.gsd.publish(
-                    ev.LEADER_CHANGED,
-                    {"old": failed_node, "new": self.me, "epoch": epoch},
-                    span=root,
+        # Membership first: the ring must close around the gap.
+        members = tuple(m for m in self.view.members if m[1] != failed_node)
+        if was_leader:
+            # "In case of failure of Leader ... select Princess to take
+            # over it."  We are the Leader's successor == the Princess.
+            # The takeover bumps the leader epoch: every control
+            # message of the old lineage is now fenceable, so even if
+            # the old leader was only unreachable (asymmetric split)
+            # it can never re-assert leadership after the heal.
+            self.install_view(self._make_view(members, bump_epoch=True))
+            self.broadcast_view()
+            epoch = self.view.epoch
+            self.gsd.kernel.note_placement("metagroup", "leader", self.me, epoch=epoch)
+            self._export_leader()
+            root.mark("leader.takeover", old=failed_node, new=self.me, epoch=epoch)
+            self.gsd.publish(
+                ev.LEADER_CHANGED,
+                {"old": failed_node, "new": self.me, "epoch": epoch},
+                span=root,
+            )
+        else:
+            report = {"node": failed_node, "epoch": self.view.epoch}
+            leader = self.view.leader()[1]
+            if leader == self.me:
+                self.on_member_failed(
+                    Message(self.me, self.me, ports.GSD, ports.GSD_MEMBER_FAILED, report)
                 )
             else:
-                report = {"node": failed_node, "epoch": self.view.epoch}
-                leader = self.view.leader()[1]
-                if leader == self.me:
-                    self.on_member_failed(
-                        Message(self.me, self.me, ports.GSD, ports.GSD_MEMBER_FAILED, report)
+                self.gsd.send(leader, ports.GSD, ports.GSD_MEMBER_FAILED, report)
+                if self.quorum_enabled():
+                    # Report watchdog: if no new view lands within a
+                    # regroup period, the leader may be unreachable
+                    # too (we could be a cut-off member whose own
+                    # predecessor is still on our side) — census.
+                    expected_key = self.view.key
+                    self.sim.schedule(
+                        self.gsd.timings.regroup_period,
+                        self._report_watchdog, expected_key,
                     )
-                else:
-                    self.gsd.send(leader, ports.GSD, ports.GSD_MEMBER_FAILED, report)
-                    if self.quorum_enabled():
-                        # Report watchdog: if no new view lands within a
-                        # regroup period, the leader may be unreachable
-                        # too (we could be a cut-off member whose own
-                        # predecessor is still on our side) — census.
-                        expected_key = self.view.key
-                        self.sim.schedule(
-                            self.gsd.timings.regroup_period,
-                            self._report_watchdog, expected_key,
-                        )
 
-            if kind == PROCESS:
-                yield from self.gsd.restart_in_place("gsd", failed_node, root)
-                return
+        if kind == PROCESS:
+            return (yield from self.restart(root, failed_node, component))
 
-            # Node death: publish, then migrate the GSD (and with it the
-            # partition's service group).  Preference order is backup
-            # nodes then computes; if the chosen target dies under us we
-            # move on to the next candidate rather than leaving the
-            # partition headless.
-            self.gsd.publish(
-                ev.NODE_FAILURE, {"node": failed_node, "partition": partition}, span=root
-            )
-            rec = root.child("gsd.recover", node=failed_node, action="migrate")
-            yield MIGRATE_SELECT_TIME
-            tried: set[str] = {failed_node}
-            while True:
-                target = pick_migration_target(self.gsd, partition, exclude=tried)
-                if target is None:
-                    root.mark(
-                        "recovery.failed", component="gsd", node=failed_node, reason="no target"
-                    )
-                    rec.end(ok=False)
-                    root.end(kind=kind, ok=False)
-                    return
-                tried.add(target)
-                root.mark("service.migrating", service="gsd", src=failed_node, dst=target)
-                ok = yield from restart_service_remote(self.gsd, target, "gsd", span=rec)
-                if ok:
-                    rec.end(ok=True, dst=target)
-                    root.mark(
-                        "failure.recovered", component="gsd", kind="node",
-                        node=failed_node, dst=target,
-                    )
-                    self.gsd.publish(
-                        ev.SERVICE_RECOVERY,
-                        {"service": "gsd", "node": target, "migrated_from": failed_node},
-                        span=root,
-                    )
-                    root.end(kind=kind, ok=True)
-                    return
-                root.mark(
-                    "migration.retry", component="gsd", node=failed_node, failed_target=target
+        # Node death: publish, then migrate the GSD (and with it the
+        # partition's service group).  Preference order is backup
+        # nodes then computes; if the chosen target dies under us we
+        # move on to the next candidate rather than leaving the
+        # partition headless.
+        self.gsd.publish(
+            ev.NODE_FAILURE, {"node": failed_node, "partition": partition}, span=root
+        )
+        rec = root.child("gsd.recover", node=failed_node, action="migrate")
+        yield MIGRATE_SELECT_TIME
+        tried: set[str] = {failed_node}
+        while (target := pick_migration_target(self.gsd, partition, tried)) is not None:
+            tried.add(target)
+            root.mark("service.migrating", service=component, src=failed_node, dst=target)
+            if (yield from self.start_remote(target, component, rec)):
+                rec.end(ok=True, dst=target)
+                return self.recovered(
+                    root, failed_node, component, NODE,
+                    (ev.SERVICE_RECOVERY,
+                     {"service": component, "node": target, "migrated_from": failed_node}),
+                    dst=target,
                 )
-        finally:
-            self._recovering.discard(failed_node)
+            root.mark(
+                "migration.retry", component=component, node=failed_node, failed_target=target
+            )
+        close = self.failed(root, failed_node, component, reason="no target")
+        rec.end(ok=False)
+        return close

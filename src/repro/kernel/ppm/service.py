@@ -33,7 +33,8 @@ class PPMDaemon(ServiceDaemon):
         self.tasks: dict[str, TaskRecord] = {}
 
     def _on_start_service(self, msg: Message) -> None:
-        self.spawn(self._start_service(msg), name=f"{self.node_id}/ppm.startsvc")
+        self.spawn(self._start_service(msg.payload["service"], msg),
+                   name=f"{self.node_id}/ppm.startsvc")
 
     def _on_pcmd(self, msg: Message) -> None:
         self.spawn(self._run_pcmd(msg), name=f"{self.node_id}/ppm.pcmd")
@@ -114,18 +115,29 @@ class PPMDaemon(ServiceDaemon):
         if detector is not None and detector.alive:
             detector.on_task_update(record)
 
+    def _report_load(self) -> dict[str, Any]:
+        node = self.cluster.node(self.node_id)
+        return {
+            "cpus": node.spec.cpus,
+            "cpus_free": node.free_cpus,
+            "tasks_running": sum(1 for r in self.tasks.values() if r.running),
+        }
+
     # -- service management ------------------------------------------------
-    def _start_service(self, msg: Message):
-        service = msg.payload["service"]
+    def _start_service(self, service: str, msg: Message | None = None):
+        """Coroutine: start ``service`` here once its spawn time has passed;
+        returns the result, and answers ``msg`` (a ``ppm.start_service``,
+        e.g. a failover's remote restart) with it plus this node."""
         yield self.timings.spawn_time(service)
-        if not self.cluster.node(self.node_id).up:
-            return
         try:
             self.kernel.start_service(service, self.node_id)
         except Exception as exc:
-            self.reply(msg, {"ok": False, "error": str(exc)})
-            return
-        self.reply(msg, {"ok": True, "service": service, "node": self.node_id})
+            result = {"ok": False, "error": str(exc)}
+        else:
+            result = {"ok": True, "service": service}
+        if msg is not None:
+            self.reply(msg, {**result, "node": self.node_id} if result["ok"] else result)
+        return result
 
     def _stop_service(self, service: str) -> dict[str, Any]:
         hostos = self.cluster.hostos(self.node_id)
@@ -177,51 +189,36 @@ class PPMDaemon(ServiceDaemon):
         self.reply(msg, {"results": results, "errors": errors})
 
     def _exec_cmd(self, cmd: str, args: dict[str, Any]):
-        """Execute one parallel-command verb locally; its ``args`` follow
-        the declaration of ``ppm.<verb>``.
+        """Execute one parallel-command verb locally: the work of the
+        ``ppm.<verb>`` port, on ``args`` checked against its declaration.
 
         Returns a result dict, or a generator for verbs that take time.
         """
+        work = self.VERBS.get(cmd)
+        if work is None:
+            return {"ok": False, "error": f"unknown command {cmd!r}"}
         contract = ports.CONTRACTS.get(f"ppm.{cmd}")
         why = contract.refusal(args, self.kernel.names) if contract is not None else None
         if why is not None:
             return {"ok": False, "error": why}
-        if cmd == "noop":
-            return {"ok": True}
-        if cmd == "spawn_job":
-            return self._spawn_task(args)
-        if cmd == "kill_job":
-            return self._kill_task(args["job_id"])
-        if cmd == "cleanup":
-            return self._cleanup()
-        if cmd == "report_load":
-            node = self.cluster.node(self.node_id)
-            return {
-                "cpus": node.spec.cpus,
-                "cpus_free": node.free_cpus,
-                "tasks_running": sum(1 for r in self.tasks.values() if r.running),
-            }
-        if cmd == "start_service":
-            return self._start_service_cmd(args["service"])
-        if cmd == "stop_service":
-            return self._stop_service(args["service"])
-        return {"ok": False, "error": f"unknown command {cmd!r}"}
+        return work(self, args)
 
-    def _start_service_cmd(self, service: str):
-        yield self.timings.spawn_time(service)
-        try:
-            self.kernel.start_service(service, self.node_id)
-        except Exception as exc:
-            return {"ok": False, "error": str(exc)}
-        return {"ok": True, "service": service}
-
+    #: Each verb's work on its arguments, run by a parallel command's
+    #: ``cmd`` and served as ``ppm.<verb>`` (``noop`` is a pcmd verb only).
+    #: A verb that takes time returns a coroutine.
+    VERBS = {
+        "noop": lambda self, args: {"ok": True},
+        "spawn_job": lambda self, args: self._spawn_task(args),
+        "kill_job": lambda self, args: self._kill_task(args["job_id"]),
+        "cleanup": lambda self, args: self._cleanup(),
+        "job_status": lambda self, args: self._job_status(args["job_id"]),
+        "report_load": lambda self, args: self._report_load(),
+        "start_service": lambda self, args: self._start_service(args["service"]),
+        "stop_service": lambda self, args: self._stop_service(args["service"]),
+    }
     PORTS = {ports.PPM: {
-        ports.PPM_SPAWN_JOB: lambda self, msg: self._spawn_task(msg.payload),
-        ports.PPM_KILL_JOB: lambda self, msg: self._kill_task(msg.payload["job_id"]),
-        ports.PPM_CLEANUP: lambda self, msg: self._cleanup(),
-        ports.PPM_JOB_STATUS: lambda self, msg: self._job_status(msg.payload["job_id"]),
-        ports.PPM_REPORT_LOAD: lambda self, msg: self._exec_cmd("report_load", {}),
-        ports.PPM_START_SERVICE: _on_start_service,
-        ports.PPM_STOP_SERVICE: lambda self, msg: self._stop_service(msg.payload["service"]),
+        **{f"ppm.{verb}": lambda self, msg, work=work: work(self, msg.payload)
+           for verb, work in VERBS.items() if verb != "noop"},
+        ports.PPM_START_SERVICE: _on_start_service,  # replies once started
         ports.PPM_PCMD: _on_pcmd,
     }}

@@ -161,7 +161,7 @@ class Simulator:
         self.trace = Trace(capacity=trace_capacity, clock=lambda: self._now)
         #: Number of events executed so far (monotone; useful in benches).
         self.events_executed = 0
-        #: Always 0: quiescence fast-forward is gone (DESIGN.md §13), but
+        #: Always 0: quiescence fast-forward is gone (README, Figure 6), but
         #: ``benchmarks/perf/run.py`` still reads this on every run.
         self.ff_skipped = 0
 

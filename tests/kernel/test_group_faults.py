@@ -46,6 +46,27 @@ def test_wd_process_failure_detected_diagnosed_restarted(rig):
     assert sim.trace.counter("wd.beats") > beats_before
 
 
+def test_failed_wd_restart_rearms_the_monitor(rig):
+    """A WD whose restart fails (its node's PPM died with it) is watched
+    again, as an ALIVE verdict would be: each later silence is diagnosed
+    afresh, so the node's crash a minute on is still marked down."""
+    kernel, sim, injector = rig
+    t0 = sim.now
+    injector.kill_process("p1c0", "ppm")
+    injector.kill_process("p1c0", "wd")
+    sim.run(until=t0 + 10.0)
+    failed = marks(sim, "recovery.failed", "wd", t0)
+    assert failed and failed[0]["node"] == "p1c0"
+    assert not kernel.cluster.hostos("p1c0").process_alive("wd")
+    sim.run(until=t0 + 60.0)
+    assert len(marks(sim, "failure.detected", "wd", t0)) > 1
+    t1 = sim.now
+    injector.crash_node("p1c0")
+    sim.run(until=t1 + 30.0)
+    assert [r["kind"] for r in marks(sim, "failure.diagnosed", "wd", t1)] == ["node"]
+    assert kernel.gsd("p1").node_state["p1c0"] == "down"
+
+
 def test_wd_node_failure_recovery_is_zero(rig):
     kernel, sim, injector = rig
     t0 = sim.now
@@ -246,3 +267,35 @@ def test_es_local_nic_check(rig):
     sim.run(until=t0 + 10.0)
     diag = [r for r in marks(sim, "failure.diagnosed", "es", t0) if r.get("network") == "mgmt"]
     assert diag and diag[0]["kind"] == "network"
+
+
+# -- one failover path, six entry points ---------------------------------------
+
+
+@pytest.mark.parametrize("inject, target, component, verdict", [
+    ("fail_nic", ("p1c0", "data"), "wd", "network"),
+    ("kill_process", ("p1c0", "wd"), "wd", "process"),
+    ("fail_nic", ("p1s0", "ipc"), "gsd", "network"),
+    ("kill_process", ("p1s0", "gsd"), "gsd", "process"),
+    ("kill_process", ("p1s0", "es"), "es", "process"),
+    ("fail_nic", ("p1s0", "mgmt"), "es", "network"),
+], ids=["wd-nic", "wd-full-miss", "ring-nic", "ring-full-miss", "local-service", "local-nic"])
+def test_every_failover_is_one_span_tree(rig, inject, target, component, verdict):
+    """WD, ring and local tiers run one path: a closed ``gsd.failover``
+    root, a closed ``gsd.diagnose`` child carrying the verdict, and the
+    detected / diagnosed / recovered marks correlated to the root."""
+    kernel, sim, injector = rig
+    t0 = sim.now
+    getattr(injector, inject)(*target)
+    sim.run(until=t0 + 20.0)
+    node = target[0]
+    roots = [r for r in sim.trace.records("gsd.failover", component=component, node=node)
+             if r["start"] > t0]
+    assert roots, f"no closed gsd.failover root for {component}@{node}"
+    root = roots[0]
+    assert root.closed and root["ok"] is True
+    diag = [r for r in sim.trace.records("gsd.diagnose") if r["parent_id"] == root.span_id]
+    assert [r["kind"] for r in diag] == [verdict] and diag[0].closed
+    for category in ("failure.detected", "failure.diagnosed", "failure.recovered"):
+        assert [r["span_id"] for r in marks(sim, category, component, t0)
+                if r["node"] == node][:1] == [root.span_id], category

@@ -34,3 +34,12 @@ def test_message_types_are_dispatched_in_one_place():
     found = [hit for hit in _lines(SRC, r"msg\.mtype\s*(==|in\b)|unknown_mtype")
              if not hit.startswith("kernel/daemon.py:")]
     assert found == []
+
+
+def test_a_failover_is_opened_in_one_place():
+    """Every tier — watch daemons, the meta-group ring, the GSD's own node —
+    runs ``group/recovery.Failover``: one call opens a ``gsd.failover`` root."""
+    found = [f"{path.relative_to(SRC)}: {match.group(0)}"
+             for path in sorted(SRC.rglob("*.py"))
+             for match in re.finditer(r'\.span\(\s*"gsd\.failover"', path.read_text(encoding="utf-8"))]
+    assert found == ['kernel/group/recovery.py: .span("gsd.failover"']
