@@ -9,9 +9,9 @@ fault splits the cluster, and the ``covered`` predicate that decides
 whether the kernel handled the injection.  One driver, :func:`_run_class`,
 owns *how* every row runs: world boot and warm-up (:class:`World`), the
 per-class RNG stream and its draw order (phase, then target), the
-``campaign.fault`` span that parents the injector's marks, the sampled
-hold and settle windows, the repair, the post-window accounting
-(takeovers, parks, minority writes) and the trace export.  One mark
+``campaign.fault`` span that parents the injector's marks, the hold and
+settle windows, the repair, the post-window accounting (takeovers,
+parks), the leadership verdict and the trace export.  One mark
 search, :func:`measure_recovery`, serves the rows and the Tables 1–3
 harness alike: a table cell is a fail-stop row with a beat-aligned phase
 and a fixed target on the paper testbed.
@@ -26,15 +26,12 @@ Three families of rows (DESIGN.md §10 has the class table):
 * **partition** (``--partition``) — the split-brain torture matrix for
   the quorum-gated regroup protocol (DESIGN.md §15).
 
-Every family samples leadership continuously (:class:`_LeaderSampler`):
-two live GSDs claiming leadership *at the same epoch* is split brain and
-must never happen.  The partition family also enforces zero
-minority-accepted leadership placement writes and, on sustained splits,
-zero minority ``gsd.state`` checkpoint commits once the bounded regroup
-window has elapsed.  Both are counted in-process by split side and time
-window: the reference the mark-based :mod:`repro.experiments.trace_check`
-is compared against, and the only check that sees a minority node which
-never parks.
+Every world boots with ``trace_commit_marks``; at the end of a class the
+driver asks the one leadership judge,
+:func:`repro.experiments.trace_check.check_trace`, for the verdict over
+the class's own trace (``python -m repro tracecheck`` gives the same one
+from the export): same-epoch claims, parked or minority commits, and the
+stale-belief time.  A split's ``campaign.fault`` span names its minority.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from typing import Any, Callable
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.experiments.report import format_table
+from repro.experiments.trace_check import check_trace
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.sim import Simulator
 from repro.units import fmt_time
@@ -56,8 +54,8 @@ TARGET_NETWORK = "data"
 #: Down/up cycles of the flapping rows (``link-flap``, ``flap-split``).
 FLAPS = 3
 #: A true minority needs detection (≈2 beats) + diagnosis + the report
-#: watchdog + one census round to park; this many beats into a sustained
-#: split it must not commit another checkpoint write until the heal.
+#: watchdog + one census round to park; this many beats into a split its
+#: minority must not commit another checkpoint write until the heal.
 PARK_GRACE = 5.0
 #: Full-failure verdicts: a diagnosis of one of these kinds while the
 #: subject is actually alive is a spurious failover.
@@ -73,20 +71,22 @@ def _count(category: str):
 @dataclass
 class ClassResult:
     """What every fault class reports: injections, how many of them the
-    kernel covered, latency samples, and the sampled leadership invariant.
+    kernel covered, latency samples, and the leadership verdict of
+    :func:`~repro.experiments.trace_check.check_trace` over its trace.
 
-    ``dual_leader_intervals`` counts sampled instants where two live
-    GSDs claimed leadership **at the same epoch** — the split-brain
-    hazard epoch fencing exists to prevent; it must be zero.
-    ``stale_leader_time`` is the (expected, benign) span during which an
-    unreachable old leader still *believed* it led at a superseded
-    epoch, before it parked, stepped down or was superseded.
+    ``dual_leader_intervals`` (overlapping claims **at the same epoch**:
+    split brain) and the ``minority_*`` writes (a parked or cut-off node
+    committing state it must not own) must be zero.  ``stale_leader_time``
+    is the (expected, benign) time during which an unreachable old leader
+    still *believed* it led at a superseded epoch.
     """
 
     injected: int = 0
     detect: list[float] = field(default_factory=list)
     dual_leader_intervals: int = 0
     stale_leader_time: float = 0.0
+    minority_placement_writes: int = 0
+    minority_ckpt_writes: int = 0
 
     @property
     def coverage(self) -> float:
@@ -132,17 +132,13 @@ class GrayCampaignResult(ClassResult):
 class PartitionCampaignResult(ClassResult):
     """A partition class; ``detect`` is injection → first park.
 
-    The hard invariants are ``dual_leader_intervals`` and the
-    ``minority_*`` write counters (a parked side acting on state it must
-    not own).  Everything else is observability: parks/unparks pair up,
-    refusals show the parked side actually hit its write gates, and
+    Beyond the leadership verdict this is observability: parks/unparks
+    pair up, refusals show the parked side actually hit its write gates, and
     ``correlated_regroups`` counts ``gsd.regroup`` census spans whose
     parent is one of the campaign's own ``campaign.fault`` spans.
     """
 
     covered: int = 0
-    minority_placement_writes: int = 0
-    minority_ckpt_writes: int = 0
     parks: int = _count("quorum.lost")
     unparks: int = _count("quorum.regained")
     write_refusals: int = _count("regroup.write_refused")
@@ -165,7 +161,7 @@ class FaultClass:
     covered: Callable
     #: → ids of the partitions the fault cuts off from quorum.
     minority: Callable | None = None
-    #: Polled after every sampling slice of the hold window; the first
+    #: Polled after every heartbeat of the hold window; the first
     #: non-None value ends the hold early and is kept as ``world.found``.
     until: Callable | None = None
     #: When set, ``covered`` is judged at heal time and stamped on the
@@ -175,8 +171,8 @@ class FaultClass:
     #: inject → hold → heal → gap, this many times under one span.
     cycles: int = 1
     gap: float = 0.0
-    #: A sustained split with a well-defined minority: the checkpoint
-    #: invariant is enforced, time-to-park is measured, parks must pair.
+    #: A sustained split with a well-defined minority: time-to-park is
+    #: measured, and parks must be seen and pair with unparks.
     sustained: bool = False
     #: The fault takes nothing away, so over the whole run no failover,
     #: park or takeover is legitimate.
@@ -186,36 +182,11 @@ class FaultClass:
     must_cover: bool = True
 
 
-class _LeaderSampler:
-    """Advance the sim in slices, sampling leadership claims each step."""
-
-    def __init__(self, sim, kernel, result: ClassResult, slice_s: float) -> None:
-        self.sim = sim
-        self.kernel = kernel
-        self.result = result
-        self.slice_s = slice_s
-
-    def run_until(self, until: float, poll: Callable | None = None):
-        """Returns the first non-None ``poll()`` (asked after every
-        slice), or None once ``until`` is reached."""
-        while self.sim.now < until:
-            self.sim.run(until=min(self.sim.now + self.slice_s, until))
-            claims = _leader_claims(self.kernel)
-            if len(claims) > 1:
-                self.result.stale_leader_time += self.slice_s
-                epochs = [epoch for _, epoch in claims]
-                if len(epochs) != len(set(epochs)):
-                    self.result.dual_leader_intervals += 1
-            if poll is not None and (found := poll()) is not None:
-                return found
-        return None
-
-
 class World:
     """A booted campaign world, warmed up past two heartbeat rounds: the
     one place a fault harness builds its simulator, cluster, kernel,
-    injector, RNG stream, result and leadership sampler.  It also carries
-    the injection in progress (:meth:`aim`) for the row's callbacks."""
+    injector, RNG stream and result.  It also carries the injection in
+    progress (:meth:`aim`) for the row's callbacks."""
 
     def __init__(self, row: FaultClass, seed: int, hb: float,
                  spec: ClusterSpec | None = None, loss: float = 0.2) -> None:
@@ -226,7 +197,7 @@ class World:
         self.cluster = Cluster(
             self.sim, spec or ClusterSpec.build(partitions=4, computes=family.computes))
         self.kernel = PhoenixKernel(self.cluster, timings=KernelTimings(
-            heartbeat_interval=hb, trace_commit_marks=family.commit_marks))
+            heartbeat_interval=hb, trace_commit_marks=True))
         self.kernel.boot()
         self.injector = FaultInjector(self.cluster)
         self.rng = self.sim.rngs.stream(
@@ -234,14 +205,13 @@ class World:
         self.networks = sorted(self.cluster.networks)
         self.parts = [p.partition_id for p in self.cluster.partitions]
         self.result = family.result()
-        self.sampler = _LeaderSampler(self.sim, self.kernel, self.result, family.slice * hb)
         self.sim.run(until=2.0 * hb)
         self.start = self.sim.now
 
     def aim(self, case: str, target: str) -> None:
         """Begin one injection, now: what the callbacks read as ``case``,
         ``target``, ``t0``, ``epoch`` and ``drops0``.  The driver adds
-        ``minority``, ``found``, ``heal_t``, ``takeovers`` and ``parks``
+        ``minority``, ``found``, ``takeovers`` and ``parks``
         as the windows pass."""
         self.case, self.target, self.t0 = case, target, self.sim.now
         #: The target's leadership epoch, if it leads.
@@ -251,8 +221,14 @@ class World:
         self.takeovers = self.parks = ()
 
     def advance(self, beats: float, poll: Callable | None = None):
-        """Run ``beats`` heartbeats under the leadership sampler."""
-        return self.sampler.run_until(self.sim.now + beats * self.hb, poll)
+        """Run ``beats`` heartbeats; a ``poll`` is asked after each one,
+        and its first non-None answer ends the run and is returned."""
+        until = self.sim.now + beats * self.hb
+        while self.sim.now < until:
+            self.sim.run(until=min(self.sim.now + self.hb, until) if poll else until)
+            if poll is not None and (found := poll()) is not None:
+                return found
+        return None
 
     def since(self, category: str, t0: float, **match) -> list:
         """Trace records of ``category`` after ``t0``."""
@@ -415,25 +391,6 @@ def _count_spurious(sim, t0: float, exempt_node: str | None = None) -> int:
             continue
         spurious += 1
     return spurious
-
-
-def _placement_commits(trace):
-    """Accepted meta-group leadership placements (commit marks; the
-    partition family boots with ``trace_commit_marks=True``)."""
-    return trace.iter_records("placement.committed", service="metagroup", scope="leader")
-
-
-def _gsd_state_commits(trace):
-    """``gsd.state.*`` checkpoint commits (commit marks)."""
-    return (
-        r for r in trace.iter_records("ckpt.committed")
-        if str(r.get("key", "")).startswith("gsd.state.")
-    )
-
-
-def _writes_by(records, nodes: set[str], start: float, end: float) -> int:
-    """How many of ``records`` the ``nodes`` side made inside ``[start, end]``."""
-    return sum(1 for r in records if start <= r.time <= end and r.get("node") in nodes)
 
 
 def _side_nodes(cluster, partition_ids) -> set[str]:
@@ -631,10 +588,6 @@ class _Family:
     rows: dict
     result: type
     computes: int  # per partition of the default 4-partition world
-    #: Commit marks make an exported trace self-contained evidence for the
-    #: external checker; off elsewhere so those traces stay as they were.
-    commit_marks: bool
-    slice: float  # leadership sampling step, in heartbeats
     case: str  # case-tag prefix
     span: Callable  # (row, world) → ``campaign.fault`` span fields, in trace order
     title: str
@@ -647,13 +600,21 @@ class _Family:
     finish: Callable = lambda w, row: None
 
 
-_DUAL_LEADER = (lambda c, r: r.dual_leader_intervals,
-                "{r.dual_leader_intervals} same-epoch dual-leader intervals")
+#: The leadership verdict's gates, applied to every family.
+_LEADERSHIP = (
+    (lambda c, r: r.dual_leader_intervals,
+     "{r.dual_leader_intervals} same-epoch dual-leader intervals"),
+    (lambda c, r: r.minority_placement_writes,
+     "{r.minority_placement_writes} minority-accepted leadership placement writes"),
+    (lambda c, r: r.minority_ckpt_writes,
+     "{r.minority_ckpt_writes} minority-accepted gsd.state checkpoint writes "
+     "after the regroup window"),
+)
 _COVERAGE = (lambda c, r: c.must_cover and r.coverage < 1.0, "coverage {pct} < 100%")
 
 _FAMILIES = {
     "fail-stop": _Family(
-        FAILSTOP_ROWS, CampaignResult, computes=6, commit_marks=False, slice=1.0, case="c",
+        FAILSTOP_ROWS, CampaignResult, computes=6, case="c",
         span=lambda c, w: dict(
             component=c.kind[0], situation=c.kind[1], case=w.case, target=w.target),
         title="Fault campaign — random-phase injections (10 s heartbeat)",
@@ -665,10 +626,10 @@ _FAMILIES = {
             ("recover mean", lambda r: _mean(r.recover)),
             ("spans", "failover_spans"),
         ),
-        gates=(_DUAL_LEADER, _COVERAGE),
+        gates=(*_LEADERSHIP, _COVERAGE),
     ),
     "gray": _Family(
-        GRAY_ROWS, GrayCampaignResult, computes=6, commit_marks=False, slice=0.25, case="g",
+        GRAY_ROWS, GrayCampaignResult, computes=6, case="g",
         span=lambda c, w: dict(gray=c.kind, case=w.case, target=w.target),
         finish=_finish_gray,
         title="Gray-failure campaign — loss, flaps, asymmetric splits (10 s heartbeat)",
@@ -681,14 +642,14 @@ _FAMILIES = {
             ("detect mean (max)", lambda r: _mean(r.detect, "max")),
         ),
         gates=(
-            _DUAL_LEADER,
+            *_LEADERSHIP,
             (lambda c, r: r.spurious_failovers, "{r.spurious_failovers} spurious failovers"),
             _COVERAGE,
         ),
     ),
     "partition": _Family(
-        PARTITION_ROWS, PartitionCampaignResult, computes=2, commit_marks=True, slice=0.25,
-        case="s", span=lambda c, w: dict(partition=c.kind, case=w.case),
+        PARTITION_ROWS, PartitionCampaignResult, computes=2, case="s",
+        span=lambda c, w: dict(partition=c.kind, case=w.case, minority=sorted(w.minority)),
         finish=_finish_partition,
         title="Partition campaign — quorum-gated regroup torture (10 s heartbeat)",
         head="partition class",
@@ -701,12 +662,7 @@ _FAMILIES = {
             ("park mean (max)", lambda r: _mean(r.detect, "max")),
         ),
         gates=(
-            _DUAL_LEADER,
-            (lambda c, r: r.minority_placement_writes,
-             "{r.minority_placement_writes} minority-accepted leadership placement writes"),
-            (lambda c, r: r.minority_ckpt_writes,
-             "{r.minority_ckpt_writes} minority-accepted gsd.state checkpoint writes "
-             "after the regroup window"),
+            *_LEADERSHIP,
             _COVERAGE,
             (lambda c, r: c.sustained and not r.parks, "no quorum.lost park observed"),
             (lambda c, r: c.sustained and r.parks != r.unparks,
@@ -750,7 +706,6 @@ def _run_class(row: FaultClass, injections: int, seed: int, hb: float,
                 w.case = f"{family.case}{i}.{cycle}"
             row.inject(w)
             w.found = w.advance(row.hold, row.until and partial(row.until, w))
-            w.heal_t = sim.now
             if row.stamp:
                 stamp[row.stamp] = covered = bool(row.covered(w))
             # Repair so the next injection starts from a healthy cluster.
@@ -762,20 +717,19 @@ def _run_class(row: FaultClass, injections: int, seed: int, hb: float,
         w.advance(row.settle)
         w.takeovers = w.since("leader.takeover", w.t0)
         w.parks = w.since("quorum.lost", w.t0)
-        if w.minority:
-            result.minority_placement_writes += _writes_by(
-                _placement_commits(trace), w.minority, w.t0, w.heal_t)
-        if row.sustained:
-            result.minority_ckpt_writes += _writes_by(
-                _gsd_state_commits(trace), w.minority, w.t0 + PARK_GRACE * hb, w.heal_t)
-            if w.parks:
-                result.detect.append(w.parks[0].time - w.t0)
+        if row.sustained and w.parks:
+            result.detect.append(w.parks[0].time - w.t0)
         if not row.stamp:
             covered = bool(row.covered(w))
         result.covered += covered
     for f in fields(result):
         if "count" in f.metadata:
             setattr(result, f.name, len(trace.records(f.metadata["count"])))
+    verdict = check_trace(trace.records(), ckpt_grace=PARK_GRACE * hb)
+    result.dual_leader_intervals = len(verdict.dual_leader)
+    result.stale_leader_time = verdict.stale_belief
+    result.minority_placement_writes = verdict.writes("placement")
+    result.minority_ckpt_writes = verdict.writes("ckpt")
     family.finish(w, row)
     if trace_export is not None:
         trace.export_jsonl(trace_export)
@@ -825,9 +779,9 @@ def run_partition_class(
 ) -> PartitionCampaignResult:
     """Run one partition fault class.
 
-    ``trace_export`` writes the full trace (with commit marks) to a JSONL
-    file afterwards, so :mod:`repro.experiments.trace_check` can re-verify
-    the leadership invariants from the trace alone."""
+    ``trace_export`` writes the full trace to a JSONL file afterwards, so
+    ``python -m repro tracecheck`` can re-verify the leadership verdict
+    from the trace alone."""
     return _run_class(_row("partition", kind), injections, seed, heartbeat_interval, spec,
                       trace_export=trace_export)
 

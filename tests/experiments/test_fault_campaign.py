@@ -147,34 +147,6 @@ def test_partition_render_and_check(even_split_campaign):
     assert any("dual-leader" in p for p in problems)
 
 
-def test_minority_write_counters_fire_on_a_synthetic_trace():
-    """The partition campaign's two minority-write counters read commit
-    marks by split side and time window; a healthy run leaves both at 0,
-    so show on a hand-made trace that each can count."""
-    from repro.experiments.fault_campaign import (
-        _gsd_state_commits,
-        _placement_commits,
-        _writes_by,
-    )
-    trace = _trace_with([
-        (5.0, "placement.committed", dict(service="metagroup", scope="leader", node="p3s0")),
-        (12.0, "placement.committed", dict(service="metagroup", scope="leader", node="p3s0")),
-        (12.0, "placement.committed", dict(service="metagroup", scope="leader", node="p0s0")),
-        (12.0, "placement.committed", dict(service="es", scope="p3", node="p3s0")),
-        (13.0, "ckpt.committed", dict(key="gsd.state.p3", node="p3s0", version=7)),
-        (13.0, "ckpt.committed", dict(key="es.registry.p3", node="p3s0", version=2)),
-        (13.0, "ckpt.committed", dict(key="gsd.state.p0", node="p0s0", version=9)),
-        (25.0, "ckpt.committed", dict(key="gsd.state.p3", node="p3s0", version=8)),
-    ])
-    minority = {"p3s0", "p3c0"}
-    # One minority leadership placement and one minority gsd.state commit
-    # inside [10, 20]; other sides, services, keys and times do not count.
-    assert _writes_by(_placement_commits(trace), minority, 10.0, 20.0) == 1
-    assert _writes_by(_gsd_state_commits(trace), minority, 10.0, 20.0) == 1
-    assert _writes_by(_gsd_state_commits(trace), minority, 0.0, 30.0) == 2
-    assert _writes_by(_placement_commits(trace), {"p1s0"}, 0.0, 30.0) == 0
-
-
 # -- the shared pieces: one mark search, one class table, one --check block ------
 
 
@@ -310,20 +282,33 @@ def test_cli_trace_dir_names_one_export_per_class_of_any_family(
     assert exports == [f"{tmp_path}/{family}-{kind}.jsonl" for kind in classes]
 
 
-def test_gray_exports_pass_the_trace_audit(tmp_path, capsys):
-    """The gray family's exports — where ``leader.stepdown`` and
-    ``gsd.superseded`` end stale claims — pass ``tracecheck``, and the
-    printed table is the one an export-less run prints."""
+@pytest.mark.parametrize("family", ["fail-stop", "gray", "partition"])
+def test_campaign_exports_pass_the_trace_audit(tmp_path, capsys, family):
+    """Every family's exports pass ``tracecheck`` and carry the campaign's
+    own leadership verdict: each class's four leadership fields are
+    ``check_trace`` of its export.  The printed table is the one an
+    export-less run prints."""
     from repro.experiments import fault_campaign as fc
     from repro.experiments import trace_check
+    from repro.sim.trace import Trace
 
-    fc.main(["--gray", "--injections", "1"])
+    flag = {"fail-stop": [], "gray": ["--gray"], "partition": ["--partition"]}[family]
+    fc.main([*flag, "--injections", "1"])
     plain = capsys.readouterr().out
-    fc.main(["--gray", "--injections", "1", "--trace-dir", str(tmp_path)])
-    assert capsys.readouterr().out == plain
-    paths = sorted(str(p) for p in tmp_path.glob("gray-*.jsonl"))
-    assert [p.rsplit("/", 1)[1] for p in paths] == sorted(
-        f"gray-{kind}.jsonl" for kind in fc.GRAY_CLASSES)
-    assert trace_check.main(paths) == 0
-    assert trace_check.check_trace(
-        trace_check.load_records(f"{tmp_path}/gray-asym-split.jsonl")).claims
+    results = fc._run_family(family, 1, 0, str(tmp_path))
+    assert fc._render(family, results) + "\n" == plain
+    for kind, r in results.items():
+        name = "-".join(kind) if family == "fail-stop" else kind
+        verdict = trace_check.check_trace(
+            Trace.load_jsonl(f"{tmp_path}/{family}-{name}.jsonl").records(),
+            ckpt_grace=fc.PARK_GRACE * 10.0)
+        assert verdict.ok, (kind, verdict.violations)
+        assert (r.dual_leader_intervals, r.stale_leader_time,
+                r.minority_placement_writes, r.minority_ckpt_writes) == (
+            len(verdict.dual_leader), verdict.stale_belief,
+            verdict.writes("placement"), verdict.writes("ckpt"))
+    if family == "gray":
+        assert results["asym-split"].stale_leader_time > 0
+    paths = sorted(str(p) for p in tmp_path.glob("*.jsonl"))
+    assert len(paths) == len(results)
+    assert trace_check.main([*paths, "--ckpt-grace", "50"]) == 0

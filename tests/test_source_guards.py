@@ -43,3 +43,13 @@ def test_a_failover_is_opened_in_one_place():
              for path in sorted(SRC.rglob("*.py"))
              for match in re.finditer(r'\.span\(\s*"gsd\.failover"', path.read_text(encoding="utf-8"))]
     assert found == ['kernel/group/recovery.py: .span("gsd.failover"']
+
+
+def test_leadership_is_judged_in_one_place():
+    """Only ``experiments/trace_check`` reads the commit and claim marks:
+    every campaign asks it for the leadership verdict, so no second judge
+    counts them by itself."""
+    found = [hit for hit in _lines(SRC / "experiments",
+                                   r"placement\.committed|ckpt\.committed|leader\.claimed")
+             if not hit.startswith("experiments/trace_check.py:")]
+    assert found == []
