@@ -31,7 +31,7 @@ import sys
 from dataclasses import replace
 from typing import Any
 
-from repro.cluster import Cluster, ClusterSpec
+from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.experiments.report import format_table
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.bulletin.query import Query, parse
@@ -146,15 +146,36 @@ def run_query(
     return query, reply.get("rows", [])
 
 
+def _check_key_value(sim, kernel, client) -> list[str]:
+    """With one compute node crashed, a key-value read covers every node,
+    and its ``where`` read equals the union of the instances' own stores
+    (a reference that does not go through the federation)."""
+    FaultInjector(kernel.cluster).crash_node(kernel.cluster.partitions[-1].computes[-1])
+    sim.run(until=sim.now + 90.0)  # detected and diagnosed: its state row reads down
+    states = drive(sim, client.query_bulletin("node_state"))
+    if not states or states.get("partitions_missing") != [] \
+            or sorted(r["_key"] for r in states["rows"]) != sorted(kernel.cluster.nodes):
+        return [f"node_state read is not one row per node: {states!r}"]
+    up = {"state": "up"}
+    reply = drive(sim, client.query_bulletin("node_state", where=up))
+    reference = sorted(row["_key"] for part in kernel.cluster.partitions
+                       for row in kernel.bulletin(part.partition_id).store.query("node_state", up))
+    if not reply or sorted(r["_key"] for r in reply["rows"]) != reference \
+            or len(reference) != kernel.cluster.size - 1:
+        return [f"where read != the instances' stores: {reply!r} vs {reference!r}"]
+    return []
+
+
 def run_check(seed: int = 7) -> list[str]:
-    """CI smoke: scan/view equivalence + time travel; returns problems."""
-    problems: list[str] = []
+    """CI smoke: scan/view equivalence, the key-value read, time travel;
+    returns problems."""
     sim, kernel, client = boot_system(seed=seed)
+    problems = _check_key_value(sim, kernel, client)
     query = parse(DEFAULT_QUERY)
 
     scan = drive(sim, client.exec_query(query))
     if not scan or not scan.get("rows"):
-        return ["exec returned no rows"]
+        return problems + ["exec returned no rows"]
     total = sum(row["n"] for row in scan["rows"])
     if total != kernel.cluster.size:
         problems.append(f"nodes scan covered {total}/{kernel.cluster.size} nodes")
@@ -182,7 +203,8 @@ def run_check(seed: int = 7) -> list[str]:
 
 
 REPL_HELP = """\
-Enter a query per line (select ... from nodes|services|health|jobs ...).
+Enter a query per line: select ... from nodes|services|health|jobs (derived),
+or from any physical table as itself (node_state, node_metrics, apps, ...).
 Meta commands:
   \\run [SECONDS]   advance virtual time (default 10 s) so the bulletin evolves
   \\t               print the current virtual time

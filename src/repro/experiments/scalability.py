@@ -89,7 +89,6 @@ def run_point(
     published0 = sim.trace.counter("es.published")
     batches0 = sim.trace.counter("es.forward_batches")
     batched0 = sim.trace.counter("es.forward_batched_events")
-    intra0 = sim.trace.counter("es.forward_batches_intra")
     cross0 = sim.trace.counter("es.forward_batches_cross")
     client = kernel.client(access_node)
     for i in range(STORM_EVENTS):
@@ -98,7 +97,6 @@ def run_point(
     storm_published = sim.trace.counter("es.published") - published0
     forward_batches = sim.trace.counter("es.forward_batches") - batches0
     forwarded_events = sim.trace.counter("es.forward_batched_events") - batched0
-    storm_intra = sim.trace.counter("es.forward_batches_intra") - intra0
     storm_cross = sim.trace.counter("es.forward_batches_cross") - cross0
 
     # All-pairs storm (opt-in): one publish from *every* partition at
@@ -109,16 +107,16 @@ def run_point(
     allpairs = None
     if allpairs_storm:
         ap0 = sim.trace.counter("es.forward_batches")
-        api0 = sim.trace.counter("es.forward_batches_intra")
         apc0 = sim.trace.counter("es.forward_batches_cross")
         for part in cluster.spec.partitions:
             kernel.client(part.server).publish("config.changed", {"src": part.partition_id})
         sim.run(until=sim.now + 5.0)
         ap_batches = sim.trace.counter("es.forward_batches") - ap0
+        ap_cross = sim.trace.counter("es.forward_batches_cross") - apc0
         allpairs = {
             "batches": ap_batches,
-            "intra": sim.trace.counter("es.forward_batches_intra") - api0,
-            "cross": sim.trace.counter("es.forward_batches_cross") - apc0,
+            "intra": ap_batches - ap_cross,  # es counts only the cross-region batches
+            "cross": ap_cross,
             "per_partition": ap_batches / len(cluster.partitions),
         }
 
@@ -133,7 +131,7 @@ def run_point(
         # every peer), two-tier is O(R + P/R).  The fig6 bench guards
         # these against super-linear growth regressions.
         "fed_msgs_per_partition": forward_batches / partitions,
-        "fed_msgs_intra": storm_intra,
+        "fed_msgs_intra": forward_batches - storm_cross,
         "fed_msgs_cross": storm_cross,
         "allpairs": allpairs,
         "refreshes": len(refreshes),

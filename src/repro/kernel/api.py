@@ -207,8 +207,8 @@ class PhoenixKernel:
     @property
     def multi_region(self) -> bool:
         """More than one region?  Federation code never branches on this (one
-        region just has no remote aggregators); its few callers each keep a
-        one-region trace or wire byte paper-identical and say which."""
+        region just has no remote aggregators); :meth:`note_view` reads it
+        to keep one-region traces free of ``region.aggregator`` marks."""
         return len(self._region_partitions) > 1
 
     def region_of(self, partition_id: str) -> int:
@@ -360,14 +360,16 @@ class KernelClient:
         partition: str | None = None,
         timeout: float = 5.0,
     ) -> Signal:
-        """Query cluster-wide state through *any* bulletin instance.
+        """Read ``table``'s rows matching ``where`` cluster-wide through
+        *any* bulletin instance: ``DB_EXEC`` of ``Query(table, where)``.
 
-        Returns the matching rows; an aggregate is a typed query
-        (:meth:`exec_query`) or a registered view (:meth:`register_view`).
+        An aggregate is a typed query (:meth:`exec_query`) or a registered
+        view (:meth:`register_view`).
         """
+        query = {"table": table, "where": where} if where else {"table": table}
         return self._transport.rpc_retry(
-            self.node_id, self._db_node(partition), ports.DB, ports.DB_QUERY,
-            {"table": table, "where": where, "scope": "global"}, timeout=timeout,
+            self.node_id, self._db_node(partition), ports.DB, ports.DB_EXEC,
+            {"query": query}, timeout=timeout,
         )
 
     # -- relational layer (typed queries + materialized views) -----------
@@ -381,7 +383,7 @@ class KernelClient:
     def exec_query(self, query, partition: str | None = None, timeout: float = 15.0) -> Signal:
         """Run a typed relational query
         (:class:`repro.kernel.bulletin.query.Query`) through any bulletin
-        instance — the full-scan reference path, or a read of checkpoint
+        instance — the one cluster-wide read path, or a read of checkpoint
         history when the query is ``AS OF`` a past time."""
         db_node = self._db_node(partition)
         return self._transport.rpc_retry(

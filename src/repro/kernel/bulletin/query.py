@@ -10,9 +10,11 @@ than hand-roll scans.  This module is the query half of that bargain:
 * a catalog of **logical tables** (``nodes``, ``jobs``, ``services``,
   ``health``) derived from the physical bulletin tables the detectors
   and GSDs export, including the ``nodes`` full outer join of
-  ``node_metrics`` and ``node_state``;
-* a pure executor, :func:`execute`, used both by the ad-hoc
-  ``DB_EXEC`` path and as the from-scratch reference the materialized
+  ``node_metrics`` and ``node_state``; any other name is a physical
+  table read as itself (:func:`table_def`), so a key-value read is a
+  ``Query(table, where)`` too;
+* a pure executor, :func:`execute`, used both by ``DB_EXEC`` (the one
+  cluster-wide read) and as the from-scratch reference the materialized
   views (:mod:`repro.kernel.bulletin.views`) are tested against;
 * a tiny SQL-ish parser (:func:`parse`) for ``python -m repro query`` —
   a convenience only; every kernel consumer builds the AST directly.
@@ -24,6 +26,7 @@ event subscriptions, key-value queries, and relational queries.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -94,11 +97,17 @@ class Query:
     as_of: float | None = None
 
     def validate(self) -> None:
-        if self.table not in LOGICAL_TABLES:
-            raise KernelError(
-                f"unknown table {self.table!r} (have: {', '.join(sorted(LOGICAL_TABLES))})"
-            )
+        if not isinstance(self.table, str) or not self.table:
+            raise KernelError(f"'table': expected a non-empty name, got {self.table!r}")
         validate_where(self.where)
+        if self.limit is not None and (type(self.limit) is not int or self.limit < 0):
+            raise KernelError(f"limit must be an int >= 0, got {self.limit!r}")
+        if self.as_of is not None and not is_numeric(self.as_of):
+            raise KernelError(f"as_of must be a number, got {self.as_of!r}")
+        if self.select or self.group_by or self.order_by or self.aggs:
+            self._validate_fields()
+
+    def _validate_fields(self) -> None:
         fields = [*self.select, *self.group_by, *(f for f, _ in self.order_by),
                   *(name for agg in self.aggs for name in (agg.field, agg.alias))]
         if not all(isinstance(f, str) for f in fields):
@@ -114,10 +123,6 @@ class Query:
                 raise KernelError(
                     f"selected fields {extra} must appear in GROUP BY alongside aggregates"
                 )
-        if self.limit is not None and (type(self.limit) is not int or self.limit < 0):
-            raise KernelError(f"limit must be an int >= 0, got {self.limit!r}")
-        if self.as_of is not None and not is_numeric(self.as_of):
-            raise KernelError(f"as_of must be a number, got {self.as_of!r}")
         names = [a.name for a in self.aggs]
         if len(set(names)) != len(names):
             raise KernelError(f"duplicate aggregate output names in {names}")
@@ -261,15 +266,22 @@ LOGICAL_TABLES: dict[str, LogicalTable] = {
     "health": LogicalTable("health", (TABLE_HEALTH,), _health_derive, _health_key),
 }
 
-#: Every physical table any logical table is derived from.
-ALL_BASE_TABLES: tuple[str, ...] = tuple(
-    sorted({base for t in LOGICAL_TABLES.values() for base in t.bases})
-)
+
+@functools.lru_cache(maxsize=64)  # names come from clients: bounded
+def _physical(name: str) -> LogicalTable:
+    return LogicalTable(name, (name,), *_single(name))
+
+
+def table_def(name: str) -> LogicalTable:
+    """The catalog entry of ``name``: a derived table, or else the physical
+    table ``name`` read as itself (tables are free-form, so the set of
+    names cannot be closed)."""
+    return LOGICAL_TABLES.get(name) or _physical(name)
 
 
 def base_tables(logical: str) -> tuple[str, ...]:
     """Physical bulletin tables a logical table is derived from."""
-    return LOGICAL_TABLES[logical].bases
+    return table_def(logical).bases
 
 
 # -- executor ----------------------------------------------------------------
@@ -331,23 +343,33 @@ def _grouped(rows: list[dict[str, Any]], query: Query) -> list[dict[str, Any]]:
 def execute(query: Query, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Run ``query`` over already-derived logical ``rows`` (pure)."""
     query.validate()
-    matched = [r for r in rows if matches(query.where, r)]
-    if query.grouped:
-        out = _grouped(matched, query)
-    else:
-        out = [_project(r, query.select) for r in matched]
-    for field_name, descending in reversed(query.order_by):
-        out.sort(key=lambda r: _sort_key(r.get(field_name)), reverse=descending)
-    if query.limit is not None:
-        out = out[: query.limit]
-    return out
+    return _run(query, rows)
 
 
 def execute_on(
     query: Query, get_rows: Callable[[str], list[dict[str, Any]]]
 ) -> list[dict[str, Any]]:
-    """Derive the logical table from physical rows, then execute."""
-    return execute(query, LOGICAL_TABLES[query.table].derive(get_rows))
+    """Derive the logical table from physical rows, then run the already
+    validated ``query`` over it."""
+    return _run(query, table_def(query.table).derive(get_rows))
+
+
+def _run(query: Query, rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Filter, group or project, order, limit.  Rows are values (stored
+    rows are frozen), so a row without ``select`` is handed out as is."""
+    if query.where:
+        rows = [r for r in rows if matches(query.where, r)]
+    if query.grouped:
+        out = _grouped(rows, query)
+    elif query.select:
+        out = [_project(r, query.select) for r in rows]
+    else:
+        out = list(rows)
+    for field_name, descending in reversed(query.order_by):
+        out.sort(key=lambda r: _sort_key(r.get(field_name)), reverse=descending)
+    if query.limit is not None:
+        out = out[: query.limit]
+    return out
 
 
 # -- tiny SQL-ish parser (CLI convenience) -----------------------------------

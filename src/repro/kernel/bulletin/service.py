@@ -5,15 +5,17 @@ cluster-wide physical resource and application state; it provides
 interfaces for non-persistent data storage and data query" (paper §4.2).
 
 One instance per partition holds that partition's detector exports.  The
-instances form a federation shaped like a complete graph (Figure 5): a
-**global** query sent to *any* instance fans out to every peer, merges
-the rows, and reports which partitions could not answer — so users see a
-single access point, and one failed instance only hides one partition's
-state until the GSD restarts it.
+instances form a federation shaped like a complete graph (Figure 5):
+``DB_EXEC``, the one cluster-wide read, sent to *any* instance probes
+every peer (``DB_QUERY``, the peer probe), merges the rows, and reports
+which partitions could not answer — so users see a single access point,
+and one failed instance only hides one partition's state until the GSD
+restarts it.  A key-value read is ``Query(table, where)`` over a
+physical table.
 
-On top of the key-value board sits a small relational layer
-(:mod:`repro.kernel.bulletin.query`): typed AST queries over logical
-tables (``DB_EXEC``, the full-scan reference path, also serving ``AS OF``
+The reads are a small relational layer
+(:mod:`repro.kernel.bulletin.query`): typed AST queries over logical or
+physical tables (the full-scan reference path, also serving ``AS OF``
 time-travel from checkpoint history) and incrementally maintained
 materialized views (:mod:`repro.kernel.bulletin.views`).  While any view
 is registered, every instance publishes a ``db.delta`` change feed
@@ -30,7 +32,6 @@ import math
 from typing import Any
 
 from repro.cluster.message import Message
-from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.bulletin import query as rel
 from repro.kernel.bulletin.query import (  # noqa: F401 - re-exported
@@ -43,7 +44,6 @@ from repro.kernel.bulletin.store import BulletinStore
 from repro.kernel.bulletin.views import MaterializedView, ViewEngine
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events.types import DB_DELTA
-from repro.kernel.query import validate_where
 from repro.kernel.timings import DB_CKPT_DEBOUNCE
 
 #: Port where a view-owning instance receives its ``db.delta`` feed.
@@ -249,107 +249,18 @@ class BulletinDaemon(ServiceDaemon):
         return {"ok": True}
 
     def _on_query(self, msg: Message) -> dict[str, Any] | None:
-        table = msg.payload["table"]
-        where = msg.payload.get("where")
-        scope = msg.payload.get("scope") or "global"
-        try:
-            validate_where(where)
-        except KernelError as exc:
-            return {"error": str(exc), "rows": [], "partitions_missing": []}
+        """The federation's peer probe: this instance's slice of one table
+        and its watermark (``local``), or, at an aggregator, its region
+        mesh's slices through the executor (``region``)."""
+        table, where = msg.payload["table"], msg.payload.get("where")
         self.sim.trace.count("db.queries")
-        local_rows = self.store.query(table, where)
-        if scope == "local":
-            watermark = {
-                "epoch": self.epoch,
-                "seq": self._seq,
-                "delta_seq": self.delta_seq(table),
-            }
-            return {"rows": local_rows, "partitions_missing": [], "watermark": watermark}
-        # Global scope: fan out to peers asynchronously, then answer the RPC
-        # ourselves (the handler returns None so the transport does not
-        # auto-reply).  Region scope is the same flow restricted to this
-        # instance's region mesh — remote aggregators answer it on a
-        # global query's behalf.
-        span = self.sim.trace.span(
-            "db.query", parent=msg.payload.get("_span", ""), node=self.node_id, table=table
-        )
-        self.spawn(
-            self._global_query(msg, table, where, local_rows, span, self._query_peers(scope)),
-            name=f"{self.node_id}/db.fanout",
-        )
-        return None
+        if msg.payload["scope"] == "region":
+            return self._start_exec(msg, rel.Query(table, where), region=True)
+        watermark = {"epoch": self.epoch, "seq": self._seq, "delta_seq": self.delta_seq(table)}
+        return {"rows": self.store.query(table, where), "partitions_missing": [],
+                "watermark": watermark}
 
-    def _query_peers(self, scope: str = "global") -> dict[str, tuple[str, str]]:
-        """Probe set ``part_id -> (node, probe scope)`` in federation-edge
-        order: the own-region mesh at local scope plus — unless the query
-        is itself region-scoped — one region-scope probe per remote
-        aggregator, O(R + P/R) requests instead of O(P)."""
-        return {
-            pid: (node, "region" if remote else "local")
-            for pid, node, remote in self.kernel.federation_edges("db", self.partition_id)
-            if scope != "region" or not remote
-        }
-
-    def _peer_covers(self, part_id: str, peer_scope: str) -> list[str]:
-        """Partitions hidden when the probe to ``part_id`` goes unanswered."""
-        if peer_scope == "region":
-            return list(self.kernel.region_partitions(part_id))
-        return [part_id]
-
-    def _scatter_gather(self, peers, requests, span):
-        """Send every ``DB_QUERY`` probe (each request to each peer) now, in
-        the caller's order — send order drives the jitter RNG — then fold
-        the replies in that order.  Returns the answered ``(table, reply)``
-        pairs, the partitions hidden by unanswered probes, reported missing
-        downstream or answered by two bulletin incarnations (a failover
-        between two of its probes), and per-partition incarnation numbers."""
-        # Peer probes are idempotent: retry within the same budget so one
-        # lost datagram does not hide a partition's rows.
-        signals = [
-            (part_id, peer_scope, request["table"], self.rpc_retry(
-                node, ports.DB, ports.DB_QUERY, dict(request, scope=peer_scope),
-                span=span, call_class="bulletin.fanout",
-            ))
-            for part_id, (node, peer_scope) in peers
-            for request in requests
-        ]
-        replies: list[tuple[str, dict[str, Any]]] = []
-        missing: list[str] = []
-        watermarks: dict[str, int] = {self.partition_id: self.epoch}
-        for part_id, peer_scope, table, signal in signals:
-            reply = yield signal
-            if reply is None:
-                missing.extend(self._peer_covers(part_id, peer_scope))
-                continue
-            wm = reply.get("watermark")
-            epochs = {part_id: wm["epoch"]} if wm is not None else reply.get("watermarks") or {}
-            for pid, epoch in epochs.items():
-                if watermarks.setdefault(pid, int(epoch)) != int(epoch):
-                    missing.append(pid)
-            missing.extend(reply.get("partitions_missing", ()))
-            replies.append((table, reply))
-        return replies, missing, watermarks
-
-    def _global_query(self, msg: Message, table: str, where, local_rows, span, peers):
-        replies, missing, watermarks = yield from self._scatter_gather(
-            peers.items(),  # configured (federation-edge) order
-            [{"table": table, "where": where, "scope": "local"}],
-            span,
-        )
-        rows = list(local_rows)
-        for _table, reply in replies:
-            rows.extend(reply.get("rows", []))
-        if msg.rpc_id:
-            rows.sort(key=_row_order)
-            payload = {
-                "rows": rows,
-                "partitions_missing": sorted(missing),
-                "watermarks": watermarks,
-            }
-            self.send(msg.src_node, msg.src_port, f"{ports.DB_QUERY}.reply", payload)
-        span.end(rows=len(rows), missing=len(missing))
-
-    # -- relational queries (DB_EXEC) --------------------------------------
+    # -- the one cluster-wide read (DB_EXEC) -------------------------------
     def _on_exec(self, msg: Message) -> dict[str, Any] | None:
         try:
             q = rel.Query.from_payload(msg.payload["query"])
@@ -357,28 +268,73 @@ class BulletinDaemon(ServiceDaemon):
         except Exception as exc:
             return {"error": str(exc), "rows": [], "partitions_missing": []}
         self.sim.trace.count("db.execs")
+        return self._start_exec(msg, q)
+
+    def _start_exec(self, msg: Message, q: "rel.Query", region: bool = False) -> None:
         span = self.sim.trace.span(
             "db.exec", parent=msg.payload.get("_span", ""), node=self.node_id, table=q.table
         )
-        self.spawn(self._exec_flow(msg, q, span), name=f"{self.node_id}/db.exec")
-        return None
+        self.spawn(self._exec_flow(msg, q, span, region), name=f"{self.node_id}/db.exec")
+        return None  # answered by _exec_flow, not by the transport
 
-    def _exec_flow(self, msg: Message, q: "rel.Query", span):
+    def _exec_flow(self, msg: Message, q: "rel.Query", span, region: bool):
         if q.as_of is not None:
-            yield from self._exec_as_of(msg, q, span)
-            return
-        # The deliberately naive reference path the IVM layer is measured
-        # against: every base table of the logical table is fully scanned
-        # across the federation — O(nodes) rows over the wire per query.
+            rows_by_table, missing, extra = yield from self._as_of_rows(q, span)
+        else:
+            rows_by_table, missing, extra = yield from self._live_rows(q, span, region)
+        result = rel.execute_on(q, _ordered(rows_by_table))
+        self.reply(msg, {"rows": result, "partitions_missing": missing, **extra})
+        span.end(rows=len(result), missing=len(missing),
+                 **({} if q.as_of is None else {"as_of": q.as_of}))
+
+    def _live_rows(self, q: "rel.Query", span, region: bool):
+        """Every base table of ``q``'s table, gathered across the federation:
+        the deliberately naive reference path the IVM layer is measured
+        against, O(nodes) rows over the wire per query.  A physical table's
+        ``where`` is pushed into every read; a derived table is filtered
+        after the join.
+
+        Probes go to the own-region mesh at local scope plus — unless the
+        read is itself region-scoped — one region-scope probe per remote
+        aggregator, O(R + P/R) requests instead of O(P), in ``sorted()``
+        order × base tables.  All are sent before the first reply is
+        folded: send order drives the jitter RNG."""
         tables = rel.base_tables(q.table)
-        rows_by_table: dict[str, list[dict[str, Any]]] = {
-            table: self.store.query(table) for table in tables
-        }
-        replies, missing, watermarks = yield from self._scatter_gather(
-            sorted(self._query_peers().items()),  # sorted() order x base tables
-            [{"table": table, "scope": "local"} for table in tables],
-            span,
+        where = q.where if tables == (q.table,) else None
+        rows_by_table = {table: self.store.query(table, where) for table in tables}
+        peers = sorted(
+            (pid, node, "region" if remote else "local")
+            for pid, node, remote in self.kernel.federation_edges("db", self.partition_id)
+            if not (region and remote)
         )
+        # Peer probes are idempotent: retry within the same budget so one
+        # lost datagram does not hide a partition's rows.
+        signals = [
+            (part_id, scope, table, self.rpc_retry(
+                node, ports.DB, ports.DB_QUERY,
+                {"table": table, "where": where, "scope": scope} if where
+                else {"table": table, "scope": scope},
+                span=span, call_class="bulletin.fanout",
+            ))
+            for part_id, node, scope in peers
+            for table in tables
+        ]
+        replies: list[tuple[str, dict[str, Any]]] = []
+        missing: list[str] = []
+        watermarks: dict[str, int] = {self.partition_id: self.epoch}
+        for part_id, scope, table, signal in signals:
+            reply = yield signal
+            if reply is None:  # hides the partition, or a remote aggregator's region
+                missing.extend(self.kernel.region_partitions(part_id)
+                               if scope == "region" else [part_id])
+                continue
+            wm = reply.get("watermark")
+            epochs = {part_id: wm["epoch"]} if wm is not None else reply.get("watermarks") or {}
+            for pid, epoch in epochs.items():
+                if watermarks.setdefault(pid, int(epoch)) != int(epoch):
+                    missing.append(pid)  # answered by two incarnations
+            missing.extend(reply.get("partitions_missing", ()))
+            replies.append((table, reply))
         # A partition answers whole or not at all: rows from a partition
         # missing any base table, or read from two incarnations, would
         # join into a state that never existed (a down node counted up).
@@ -388,11 +344,9 @@ class BulletinDaemon(ServiceDaemon):
             if missing:
                 rows = [r for r in rows if r["_partition"] not in missing]
             rows_by_table[table].extend(rows)
-        result = rel.execute_on(q, _ordered(rows_by_table))
-        self.reply(msg, {"rows": result, "partitions_missing": missing, "watermarks": watermarks})
-        span.end(rows=len(result), missing=len(missing))
+        return rows_by_table, missing, {"watermarks": watermarks}
 
-    def _exec_as_of(self, msg: Message, q: "rel.Query", span):
+    def _as_of_rows(self, q: "rel.Query", span):
         """Time-travel: answer from checkpointed base tables instead of
         live stores — "what did the cluster look like at t" (§time-travel
         in DESIGN.md §14).  Requires view maintenance to have been on
@@ -424,14 +378,7 @@ class BulletinDaemon(ServiceDaemon):
             versions[part_id] = {"version": reply.get("version"), "t": data.get("t")}
             for table, rows in (data.get("tables") or {}).items():
                 rows_by_table.setdefault(table, []).extend(rows.values())
-        result = rel.execute_on(q, _ordered(rows_by_table))
-        self.reply(msg, {
-            "rows": result,
-            "partitions_missing": sorted(missing),
-            "as_of": q.as_of,
-            "versions": versions,
-        })
-        span.end(rows=len(result), missing=len(missing), as_of=q.as_of)
+        return rows_by_table, sorted(missing), {"as_of": q.as_of, "versions": versions}
 
     # -- materialized views -------------------------------------------------
     def _adopt_view(self, name: str, query: dict[str, Any]) -> MaterializedView:
@@ -450,7 +397,7 @@ class BulletinDaemon(ServiceDaemon):
         except Exception as exc:
             return {"ok": False, "error": str(exc)}
         self.kernel.view_maintenance = True
-        self._publish_tables |= set(rel.LOGICAL_TABLES[view.query.table].bases)
+        self._publish_tables |= set(rel.base_tables(view.query.table))
         self.sim.trace.count("db.view_registers")
         self.spawn(self._register_flow(msg, view), name=f"{self.node_id}/db.view_register")
         return None
@@ -466,9 +413,9 @@ class BulletinDaemon(ServiceDaemon):
         else:
             while not engine.ready:
                 yield 0.05  # a concurrent registration's build is in flight
-            for table in sorted(rel.LOGICAL_TABLES[view.query.table].bases):
+            for table in sorted(rel.base_tables(view.query.table)):
                 yield from engine.build_table(table)
-            view.rebuild(rel.LOGICAL_TABLES[view.query.table].derive(engine._get_rows))
+            view.rebuild(rel.table_def(view.query.table).derive(engine._get_rows))
         self.sim.trace.mark("db.view_ready", view=view.name, node=self.node_id)
         self.reply(msg, {
             "ok": True,

@@ -33,13 +33,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import KernelError
 from repro.kernel import ports
-from repro.kernel.bulletin.query import (
-    LOGICAL_TABLES,
-    Query,
-    _project,
-    _sort_key,
-    is_numeric,
-)
+from repro.kernel.bulletin.query import Query, _project, _sort_key, is_numeric, table_def
 from repro.kernel.events.types import DB_DELTA
 from repro.kernel.query import matches
 from repro.sim import Signal
@@ -254,7 +248,7 @@ class ViewEngine:
         """Base tables any registered view derives from."""
         out: set[str] = set()
         for view in self.views.values():
-            out.update(LOGICAL_TABLES[view.query.table].bases)
+            out.update(table_def(view.query.table).bases)
         return out
 
     def _get_row(self, table: str, key: str) -> dict[str, Any] | None:
@@ -266,7 +260,7 @@ class ViewEngine:
 
     def _views_for(self, table: str) -> list[MaterializedView]:
         return [
-            v for v in self.views.values() if table in LOGICAL_TABLES[v.query.table].bases
+            v for v in self.views.values() if table in table_def(v.query.table).bases
         ]
 
     def read(self, name: str) -> list[dict[str, Any]]:
@@ -333,7 +327,7 @@ class ViewEngine:
         for view in affected:
             lt = view.query.table
             if lt not in old_logical:
-                old_logical[lt] = LOGICAL_TABLES[lt].derive_key(key, self._get_row)
+                old_logical[lt] = table_def(lt).derive_key(key, self._get_row)
         if new_base_row is None:
             self.mirror.get(table, {}).pop(key, None)
         else:
@@ -342,7 +336,7 @@ class ViewEngine:
         for view in affected:
             lt = view.query.table
             if lt not in new_logical:
-                new_logical[lt] = LOGICAL_TABLES[lt].derive_key(key, self._get_row)
+                new_logical[lt] = table_def(lt).derive_key(key, self._get_row)
             view.maintenance_events += 1
             if view.apply(key, old_logical[lt], new_logical[lt]):
                 view.delta_applied += 1
@@ -425,7 +419,7 @@ class ViewEngine:
         applied while the scan was in flight)."""
         self._swap_slice(part, table, rows, watermark)
         for view in self._views_for(table):
-            view.rebuild(LOGICAL_TABLES[view.query.table].derive(self._get_rows))
+            view.rebuild(table_def(view.query.table).derive(self._get_rows))
 
     def _baseline_own(self, table: str, seed: dict[str, Any] | None = None) -> None:
         """Own partition's slice: the seed's rows with the live store
@@ -469,7 +463,7 @@ class ViewEngine:
             if scan is not None:  # else: the peer's first delta triggers a resync
                 self._swap_slice(part, table, *scan)
         for view in self.views.values():
-            view.rebuild(LOGICAL_TABLES[view.query.table].derive(self._get_rows))
+            view.rebuild(table_def(view.query.table).derive(self._get_rows))
         self.ready = True
         self.building = False
         buffered, self._startup_buffer = self._startup_buffer, []

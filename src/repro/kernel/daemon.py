@@ -39,7 +39,7 @@ HEALTH_HISTOGRAMS = (
     "es.publish",
     "es.deliver",
     "es.forward_batch",
-    "db.query",
+    "db.exec",
     "gsd.failover",
     "gsd.diagnose",
     "gsd.recover",

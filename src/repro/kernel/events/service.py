@@ -392,20 +392,15 @@ class EventServiceDaemon(ServiceDaemon):
                           batch_to_payload(self.partition_id, batch))
 
     def _count_batch(self, part_id: str, events: int) -> None:
-        """Count one batch of ``events`` sent to ``part_id``, with the
-        intra/cross-region breakdown of federation traffic."""
+        """Count one batch of ``events`` sent to ``part_id``; a batch to
+        another region is also counted ``_cross`` (intra = total − cross)."""
         self.forward_batches += 1
         self.forward_batched_events += events
         self.sim.trace.count("es.forward_batches")
         self.sim.trace.count("es.forward_batched_events", events)
-        # One region would mint ``_intra`` keys the paper-calibrated
-        # counter sets (Tables 1-3, fig4 trace, sim_digest) never had.
-        if not self.kernel.multi_region:
-            return
-        region_of = self.kernel.region_of
-        tier = "cross" if region_of(part_id) != region_of(self.partition_id) else "intra"
-        self.sim.trace.count(f"es.forward_batches_{tier}")
-        self.sim.trace.count(f"es.forward_batched_events_{tier}", events)
+        if self.kernel.region_of(part_id) != self.kernel.region_of(self.partition_id):
+            self.sim.trace.count("es.forward_batches_cross")
+            self.sim.trace.count("es.forward_batched_events_cross", events)
 
     # -- internals -----------------------------------------------------------
     def _deliver_local(self, event: Event) -> None:

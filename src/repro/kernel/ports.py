@@ -195,10 +195,13 @@ ES_PEERS = declare("es.peers", ES, partition=PARTITION, node=NODE)  # federation
 _NO_ROWS = {"rows": [], "partitions_missing": []}
 DB_PUT = declare("db.put", DB, table=NAME, key=NAME, row=DICT)
 DB_DELETE = declare("db.delete", DB, table=NAME, key=NAME)
-DB_QUERY = declare("db.query", DB, empty=_NO_ROWS, table=NAME, where=opt(DICT), scope=opt(NAME),
+# the one cluster-wide read: a typed query (a key-value read is ``Query(table, where)``)
+DB_EXEC = declare("db.exec", DB, empty=_NO_ROWS, query=DICT, _span=opt(STR))
+# the federation's peer probe: one instance's slice, or an aggregator's region
+DB_QUERY = declare("db.query", DB, empty=_NO_ROWS, table=NAME, where=opt(WHERE),
+                   scope=Kind("local or region", lambda v, _: v in ("local", "region")),
                    _span=opt(STR))
-# relational layer (typed AST queries + materialized views)
-DB_EXEC = declare("db.exec", DB, empty=_NO_ROWS, query=DICT, _span=opt(STR))  # full-scan path
+# materialized views
 DB_VIEW_REGISTER = declare("db.view_register", DB, name=NAME, query=DICT)
 DB_VIEW_DROP = declare("db.view_drop", DB, name=NAME)
 DB_VIEW_READ = declare("db.view_read", DB, empty={"rows": []}, name=NAME)  # O(result) bytes

@@ -242,8 +242,7 @@ class BusinessRuntime(ServiceDaemon):
         rows: list[dict[str, Any]] = []
         for _attempt in range(5):
             reply = yield self.rpc(
-                db_node, ports.DB, ports.DB_QUERY,
-                {"table": TABLE_NODE_METRICS, "where": None, "scope": "global"},
+                db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_NODE_METRICS}},
                 timeout=10.0,
             )
             rows = [

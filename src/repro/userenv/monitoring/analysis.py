@@ -303,7 +303,7 @@ class Alert:
 DEFAULT_P99_LIMITS = {
     "es.deliver": 0.5,
     "rpc.call": 1.0,
-    "db.query": 1.0,
+    "db.exec": 1.0,
 }
 
 #: Histogram-name prefix of the per-class business-request latency

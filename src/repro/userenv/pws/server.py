@@ -127,16 +127,14 @@ class PWSServer(ServiceDaemon):
         if db_node is None:
             return
         reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_QUERY,
-            {"table": TABLE_NODE_METRICS, "where": None, "scope": "global"},
+            db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_NODE_METRICS}},
             timeout=10.0,
         )
         if reply:
             for row in reply.get("rows", []):
                 self.pm.set_capacity(row["_key"], int(row.get("cpus", 0)))
         reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_QUERY,
-            {"table": TABLE_NODE_STATE, "where": None, "scope": "global"},
+            db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_NODE_STATE}},
             timeout=10.0,
         )
         if reply:
@@ -503,8 +501,7 @@ class PWSServer(ServiceDaemon):
             if db_node is None:
                 continue
             reply = yield self.rpc(
-                db_node, ports.DB, ports.DB_QUERY,
-                {"table": TABLE_APPS, "where": None, "scope": "global"},
+                db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_APPS}},
                 timeout=10.0,
             )
             if reply is None:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernel.bulletin.query import (
-    ALL_BASE_TABLES,
     Agg,
     Query,
     base_tables,
@@ -50,11 +49,22 @@ def test_parse_where_operators_and_lists():
 
 def test_parse_rejects_garbage():
     with pytest.raises(KernelError):
-        parse("select * from nowhere")
-    with pytest.raises(KernelError):
         parse("select median(cpu_pct) from nodes")
     with pytest.raises(KernelError):
         parse("select * from nodes order")
+
+
+def test_any_other_table_name_is_a_physical_table():
+    """A name outside the derived catalog is read as itself: an empty
+    physical table answers no rows; a table that is not a name raises."""
+    q = parse("select * from nowhere")
+    assert base_tables("nowhere") == ("nowhere",)
+    assert execute_on(q, lambda t: []) == []
+    rows = [{"_key": "a", "state": "up"}, {"_key": "b", "state": "down"}]
+    assert execute_on(Query("node_state", {"state": "up"}), {"node_state": rows}.get) == rows[:1]
+    for table in (7, "", None, ["nodes"]):
+        with pytest.raises(KernelError, match="'table'"):
+            Query(table=table).validate()
 
 
 def test_validate_rules():
@@ -170,4 +180,4 @@ def test_services_projection_drops_blobs():
 def test_base_table_catalog():
     assert base_tables("nodes") == ("node_metrics", "node_state")
     assert base_tables("jobs") == ("apps",)
-    assert set(ALL_BASE_TABLES) == {"node_metrics", "node_state", "apps", "kernel_health"}
+    assert base_tables("services") == base_tables("health") == ("kernel_health",)

@@ -157,6 +157,21 @@ def test_an_unknown_type_leaves_one_mark():
     assert (mark.get("service"), mark.get("port"), mark.get("mtype")) == ("db", "db", "db.nope")
 
 
+def test_a_global_probe_is_refused():
+    """``DB_QUERY`` is the federation's peer probe (``local`` or ``region``);
+    the cluster-wide read is ``DB_EXEC``.  At the parent a ``global`` probe
+    was a second cluster-wide read."""
+    sim, kernel = _world()
+    node = kernel.placement[("db", "p0")]
+    reply = drive(sim, kernel.cluster.transport.rpc(
+        SRC, node, ports.DB, ports.DB_QUERY, {"table": "node_state", "scope": "global"},
+        timeout=2.0))
+    assert reply["ok"] is False and reply["error"].startswith("db.query: 'scope': expected local")
+    assert reply["rows"] == [] and reply["partitions_missing"] == []
+    assert sim.trace.counter("db.refused") == 1
+    _still_served(sim, kernel)
+
+
 def _breaks(contract: ports.Contract, payload: dict) -> bool:
     """Does ``payload`` break ``contract``?  ``{}`` does when a key is
     required; ``[[1]]`` in every field does unless every field takes any value."""

@@ -94,13 +94,10 @@ def test_bulletin_query_with_operator_where(kernel, sim):
 
 
 def test_bulletin_invalid_where_rejected_cleanly(kernel, sim):
-    from repro.kernel import ports
-
-    db = kernel.placement[("db", "p0")]
-    reply = drive(sim, kernel.cluster.transport.rpc(
-        "p0c0", db, ports.DB, ports.DB_QUERY,
-        {"table": "load", "where": {"x": {"op": "~", "value": 1}}, "scope": "local"}))
-    assert "error" in reply
+    reply = drive(sim, kernel.client("p0c0").query_bulletin(
+        "load", where={"x": {"op": "~", "value": 1}}))
+    assert "error" in reply and reply["rows"] == [] and reply["partitions_missing"] == []
+    assert sim.trace.counter("db.execs") == 0
 
 
 def test_event_subscription_with_operator_filter(kernel, sim):

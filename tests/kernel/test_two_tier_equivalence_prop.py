@@ -7,7 +7,9 @@ view contents, even when the schedule crashes an aggregator partition's
 server mid-stream (forcing aggregator failover and a watermark-gap
 resync at every remote view engine).  Inside the two-tier run the view
 must also equal a from-scratch scan, which pins IVM over the relayed
-``db.delta`` feed itself, not just cross-topology agreement.
+``db.delta`` feed itself, not just cross-topology agreement.  A
+key-value ``where`` read over ``node_state`` must equal the union of the
+instances' own stores, and agree across the two topologies.
 
 The workload writes only the ``apps`` table (explicit puts, retried
 through failovers), so the compared contents are independent of
@@ -101,7 +103,20 @@ def _run_scenario(seed, actions, region_size, probe=False):
         })
         sim.run(until=sim.now + 15.0)
     view = _equivalent(sim, client, "prop.jobs", JOBS_VIEW, attempts=20)
-    return view["rows"]
+    return view["rows"], _up_nodes(sim, kernel, client)
+
+
+def _up_nodes(sim, kernel, client):
+    """A ``where`` read over the physical ``node_state`` table equals the
+    union of every instance's own store: the read's ``where`` is pushed
+    into each probe, through the region aggregators on two tiers."""
+    up = {"state": "up"}
+    reply = drive(sim, client.query_bulletin("node_state", where=up), max_time=30.0)
+    assert reply is not None and reply["partitions_missing"] == [], reply
+    reference = sorted(row["_key"] for part in kernel.cluster.partitions
+                       for row in kernel.bulletin(part.partition_id).store.query("node_state", up))
+    assert sorted(row["_key"] for row in reply["rows"]) == reference
+    return reference
 
 
 @settings(
@@ -114,11 +129,12 @@ def _run_scenario(seed, actions, region_size, probe=False):
     actions=st.lists(st.sampled_from(_ACTIONS), min_size=2, max_size=5),
 )
 def test_two_tier_view_contents_equal_flat_reference(seed, actions):
-    flat = _run_scenario(seed, actions, region_size=None)
-    two_tier = _run_scenario(seed, actions, region_size=2)
+    flat, flat_up = _run_scenario(seed, actions, region_size=None)
+    two_tier, two_tier_up = _run_scenario(seed, actions, region_size=2)
     assert rows_close(
         sorted(flat, key=str), sorted(two_tier, key=str)
     ), f"flat={flat!r} two_tier={two_tier!r}"
+    assert flat_up == two_tier_up
 
 
 @pytest.mark.parametrize("region_size", [None, 2])
@@ -133,7 +149,7 @@ def test_aggregator_failover_mid_stream_converges():
     """The deterministic worst case: puts land while the remote region's
     aggregator is down, so deltas arrive through the successor with a
     watermark gap the view engine must resync across."""
-    rows = _run_scenario(7, ["put", "agg_crash", "put", "put", "recover", "put"],
-                         region_size=2, probe=True)
+    rows, _up = _run_scenario(7, ["put", "agg_crash", "put", "put", "recover", "put"],
+                              region_size=2, probe=True)
     phases = {r["phase"]: r["n"] for r in rows}
     assert phases.get("late") == 1, rows

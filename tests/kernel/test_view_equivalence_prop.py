@@ -28,6 +28,9 @@ NODES_VIEW = Query(
     ),
 )
 JOBS_VIEW = Query(table="jobs", group_by=("phase",), aggs=(Agg("count", "*", "n"),))
+#: A view over a physical table, read as itself.
+STATE_VIEW = Query(table="node_state", group_by=("state",), aggs=(Agg("count", "*", "n"),))
+VIEWS = (("prop.nodes", NODES_VIEW), ("prop.jobs", JOBS_VIEW), ("prop.state", STATE_VIEW))
 
 _ACTIONS = ("kill", "recover", "failover", "job", "idle")
 
@@ -41,7 +44,7 @@ def _run_churn(seed, actions):
     sim.run(until=10.0)
     injector = FaultInjector(cluster)
     client = kernel.client(cluster.partitions[0].server)
-    for name, query in (("prop.nodes", NODES_VIEW), ("prop.jobs", JOBS_VIEW)):
+    for name, query in VIEWS:
         reply = drive(sim, client.register_view(name, query, partition="p1"), max_time=60.0)
         assert reply and reply.get("ok"), reply
 
@@ -79,8 +82,8 @@ def _run_churn(seed, actions):
         sim.run(until=sim.now + 12.0)
 
     sim.run(until=sim.now + 60.0)  # settle: failover, rebuild, expiry
-    _equivalent(sim, client, "prop.nodes", NODES_VIEW, attempts=20)
-    _equivalent(sim, client, "prop.jobs", JOBS_VIEW, attempts=20)
+    for name, query in VIEWS:
+        _equivalent(sim, client, name, query, attempts=20)
 
     # Time-travel round trip: the recent past must replay from checkpoints
     # with per-partition versions and never raise.

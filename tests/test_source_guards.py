@@ -53,3 +53,14 @@ def test_leadership_is_judged_in_one_place():
                                    r"placement\.committed|ckpt\.committed|leader\.claimed")
              if not hit.startswith("experiments/trace_check.py:")]
     assert found == []
+
+
+def test_the_bulletin_has_one_cluster_wide_read():
+    """``DB_EXEC`` is the one cluster-wide read: no ``global`` scope, and
+    ``DB_QUERY`` — the federation's peer probe — is sent only by the
+    bulletin itself and by the autoscaler's own-partition read."""
+    assert list(_lines(SRC, r"""["']global["']""")) == []
+    found = [hit for hit in _lines(SRC, r"\bDB_QUERY\b")
+             if not hit.startswith(("kernel/bulletin/", "kernel/ports.py:",
+                                    "userenv/business/autoscale.py:"))]
+    assert found == []
