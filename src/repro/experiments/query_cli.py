@@ -199,6 +199,12 @@ def run_check(seed: int = 7) -> list[str]:
         problems.append("time-travel query returned no rows")
     elif sum(row["n"] for row in old["rows"]) != kernel.cluster.size:
         problems.append(f"time-travel rows incomplete: {old['rows']!r}")
+    # A saved blob that does not parse as tables hides its partition.
+    pid = kernel.cluster.partitions[-1].partition_id
+    drive(sim, kernel.bulletin(pid).save_state(f"db.tables.{pid}", {"tables": {"jobs": [1]}}))
+    bad = drive(sim, client.exec_query(replace(query, as_of=sim.now)))
+    if not bad or bad.get("partitions_missing") != [pid]:
+        problems.append(f"unreadable db.tables.{pid} is not missing: {bad!r}")
     return problems
 
 

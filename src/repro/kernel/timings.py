@@ -85,13 +85,10 @@ RPC_TIMEOUT = 1.0
 #: so neither can monopolize a destination's queue.
 RPC_INFLIGHT_BUDGETS = {"bulletin.fanout": 8, "ckpt.pull": 4, "ckpt.save": 8}
 
-#: Debounce window for event-service subscription checkpoints: a
-#: subscribe burst coalesces into one full-registry save per window.
-ES_CKPT_DEBOUNCE = 0.05
-#: Debounce window for bulletin base-table checkpoints while any
-#: materialized view is registered: a detector export burst coalesces
-#: into one ``db.tables.<partition>`` save per window.
-DB_CKPT_DEBOUNCE = 0.05
+#: Debounce window of ``ServiceDaemon.save_state_soon``: an event-service
+#: subscribe burst or a bulletin export burst coalesces into one save per
+#: checkpoint key and window.
+CKPT_DEBOUNCE = 0.05
 #: Flush window for batched ES federation forwards: events published
 #: within one window coalesce into a single ``es.forward_batch`` datagram
 #: per remote partition — a small added remote-delivery latency for

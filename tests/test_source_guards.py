@@ -64,3 +64,12 @@ def test_the_bulletin_has_one_cluster_wide_read():
              if not hit.startswith(("kernel/bulletin/", "kernel/ports.py:",
                                     "userenv/business/autoscale.py:"))]
     assert found == []
+
+
+def test_durable_state_has_one_path():
+    """A daemon saves and loads its state through ``ServiceDaemon.save_state``
+    / ``load_state`` (acked and retried, blob parsed before use): no module
+    outside the checkpoint service names the save or load message."""
+    found = [hit for hit in _lines(SRC, r"\bCKPT_(SAVE|LOAD)\b")
+             if not hit.startswith(("kernel/ports.py:", "kernel/checkpoint/", "kernel/daemon.py:"))]
+    assert found == []
