@@ -368,6 +368,15 @@ def test_spaced_changes_each_get_their_own_checkpoint(kernel, sim):
     assert es.ckpt_writes == before + 3
 
 
+def test_no_checkpoint_is_counted_without_a_primary_to_take_it(kernel, sim):
+    es = es_daemon(kernel)
+    before = es.ckpt_writes
+    del kernel.placement[("ckpt", "p0")]  # mid-failover: no primary placed
+    assert drive(sim, kernel.client("p0c0").subscribe("orphan", "sink"))["ok"]
+    sim.run(until=sim.now + 1.0)
+    assert es.ckpt_writes == before
+
+
 def test_debounced_checkpoint_still_recovers_registry(kernel, sim, injector):
     """The debounce must not lose the registry: after a burst and an ES
     restart, the recovered daemon still knows every subscriber."""
