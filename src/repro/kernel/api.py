@@ -36,6 +36,8 @@ from repro.sim import Signal
 
 #: Services placed on every node.
 NODE_SERVICES = ("wd", "ppm", "detector")
+#: What ``KernelClient`` calls a partition service it finds unplaced.
+_SERVICE_NAMES = {"db": "bulletin", "es": "event service"}
 
 
 class PhoenixKernel:
@@ -352,6 +354,15 @@ class KernelClient:
         self.sim = kernel.sim
         self._transport = kernel.cluster.transport
 
+    def _node(self, service: str, partition: str | None) -> str:
+        """The node serving ``service`` (``db`` or ``es``) for ``partition``
+        (default: this client's)."""
+        part = partition or self._own_partition()
+        node = self.kernel.placement.get((service, part))
+        if node is None:
+            raise ServiceUnavailable(f"no {_SERVICE_NAMES[service]} placed for partition {part}")
+        return node
+
     # -- data bulletin federation (single access point, Figure 5) -----------
     def query_bulletin(
         self,
@@ -368,26 +379,18 @@ class KernelClient:
         """
         query = {"table": table, "where": where} if where else {"table": table}
         return self._transport.rpc_retry(
-            self.node_id, self._db_node(partition), ports.DB, ports.DB_EXEC,
+            self.node_id, self._node("db", partition), ports.DB, ports.DB_EXEC,
             {"query": query}, timeout=timeout,
         )
 
     # -- relational layer (typed queries + materialized views) -----------
-    def _db_node(self, partition: str | None) -> str:
-        part = partition or self._own_partition()
-        db_node = self.kernel.placement.get(("db", part))
-        if db_node is None:
-            raise ServiceUnavailable(f"no bulletin placed for partition {part}")
-        return db_node
-
     def exec_query(self, query, partition: str | None = None, timeout: float = 15.0) -> Signal:
         """Run a typed relational query
         (:class:`repro.kernel.bulletin.query.Query`) through any bulletin
         instance — the one cluster-wide read path, or a read of checkpoint
         history when the query is ``AS OF`` a past time."""
-        db_node = self._db_node(partition)
         return self._transport.rpc_retry(
-            self.node_id, db_node, ports.DB, ports.DB_EXEC,
+            self.node_id, self._node("db", partition), ports.DB, ports.DB_EXEC,
             {"query": query.to_payload()}, timeout=timeout,
         )
 
@@ -396,9 +399,8 @@ class KernelClient:
     ) -> Signal:
         """Register a materialized view on a bulletin instance (default:
         this node's partition); fires once the initial build completes."""
-        db_node = self._db_node(partition)
         return self._transport.rpc(
-            self.node_id, db_node, ports.DB, ports.DB_VIEW_REGISTER,
+            self.node_id, self._node("db", partition), ports.DB, ports.DB_VIEW_REGISTER,
             {"name": name, "query": query.to_payload()}, timeout=timeout,
         )
 
@@ -407,9 +409,8 @@ class KernelClient:
         part = partition or self.kernel.view_owners.get(name)
         if part is None:
             raise ServiceUnavailable(f"view {name!r} has no registered owner")
-        db_node = self._db_node(part)
         return self._transport.rpc_retry(
-            self.node_id, db_node, ports.DB, ports.DB_VIEW_READ,
+            self.node_id, self._node("db", part), ports.DB, ports.DB_VIEW_READ,
             {"name": name}, timeout=timeout,
         )
 
@@ -418,18 +419,15 @@ class KernelClient:
         part = self.kernel.view_owners.get(name)
         if part is None:
             raise ServiceUnavailable(f"view {name!r} has no registered owner")
-        db_node = self._db_node(part)
         return self._transport.rpc(
-            self.node_id, db_node, ports.DB, ports.DB_VIEW_DROP,
+            self.node_id, self._node("db", part), ports.DB, ports.DB_VIEW_DROP,
             {"name": name}, timeout=timeout,
         )
 
     def list_views(self, partition: str | None = None, timeout: float = 5.0) -> Signal:
         """Owned view definitions + maintenance counters of one instance."""
-        db_node = self._db_node(partition)
-        return self._transport.rpc(
-            self.node_id, db_node, ports.DB, ports.DB_VIEW_LIST, {}, timeout=timeout,
-        )
+        return self._transport.rpc(self.node_id, self._node("db", partition), ports.DB,
+                                   ports.DB_VIEW_LIST, {}, timeout=timeout)
 
     # -- event service ---------------------------------------------------
     def subscribe(
@@ -448,12 +446,8 @@ class KernelClient:
         retained events first (late-joiner catch-up); type entries may
         use family wildcards (``"node.*"``).
         """
-        part = partition or self._own_partition()
-        es_node = self.kernel.placement.get(("es", part))
-        if es_node is None:
-            raise ServiceUnavailable(f"no event service placed for partition {part}")
         return self._transport.rpc(
-            self.node_id, es_node, ports.ES, ports.ES_SUBSCRIBE,
+            self.node_id, self._node("es", partition), ports.ES, ports.ES_SUBSCRIBE,
             {
                 "consumer_id": consumer_id,
                 "node": self.node_id,
@@ -466,22 +460,13 @@ class KernelClient:
 
     def unsubscribe(self, consumer_id: str, partition: str | None = None) -> Signal:
         """Remove an event subscription by consumer id."""
-        part = partition or self._own_partition()
-        es_node = self.kernel.placement.get(("es", part))
-        if es_node is None:
-            raise ServiceUnavailable(f"no event service placed for partition {part}")
-        return self._transport.rpc(
-            self.node_id, es_node, ports.ES, ports.ES_UNSUBSCRIBE, {"consumer_id": consumer_id}
-        )
+        return self._transport.rpc(self.node_id, self._node("es", partition), ports.ES,
+                                   ports.ES_UNSUBSCRIBE, {"consumer_id": consumer_id})
 
     def publish(self, event_type: str, data: dict[str, Any], partition: str | None = None) -> Signal:
         """Publish an event through the partition's event service."""
-        part = partition or self._own_partition()
-        es_node = self.kernel.placement.get(("es", part))
-        if es_node is None:
-            raise ServiceUnavailable(f"no event service placed for partition {part}")
         return self._transport.rpc(
-            self.node_id, es_node, ports.ES, ports.ES_PUBLISH,
+            self.node_id, self._node("es", partition), ports.ES, ports.ES_PUBLISH,
             {"type": event_type, "data": data},
         )
 

@@ -183,11 +183,9 @@ class BulletinDaemon(ServiceDaemon):
         }
         if row is not None:
             delta["row"] = row
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            # Plain send: the feed is lossy by design — a dropped delta
-            # shows up as a seq gap at the owner, which rescans the slice.
-            self.send(es_node, ports.ES, ports.ES_PUBLISH, {"type": DB_DELTA, "data": delta})
+        # One way: the feed is lossy by design — a dropped delta shows up
+        # as a seq gap at the owner, which rescans the slice.
+        self.publish(DB_DELTA, delta)
 
     def _tables_snapshot(self) -> dict[str, Any] | None:
         """The maintained base tables, saved debounced: a detector export
@@ -401,21 +399,9 @@ class BulletinDaemon(ServiceDaemon):
         """One ES subscription per maintained base table — equality on
         ``table`` so the SubscriptionIndex hash-prunes the feed.
         Re-subscribing with the same consumer id replaces in place."""
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is None:
-            return
         for table in sorted(tables):
-            yield self.rpc_retry(
-                es_node, ports.ES, ports.ES_SUBSCRIBE,
-                {
-                    "consumer_id": f"db.views.{self.partition_id}.{table}",
-                    "node": self.node_id,
-                    "port": VIEW_EVENTS_PORT,
-                    "types": [DB_DELTA],
-                    "where": {"table": table},
-                    "replay": 0,
-                },
-            )
+            yield from self.subscribe(f"db.views.{self.partition_id}.{table}",
+                                      VIEW_EVENTS_PORT, [DB_DELTA], {"table": table})
 
     def _maint_probes(self) -> list[tuple[str, dict[str, Any]]]:
         """``(node, DB_MAINT payload)`` per broadcast target in ``sorted()``

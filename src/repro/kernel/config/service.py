@@ -65,14 +65,7 @@ class ConfigServiceDaemon(ServiceDaemon):
         self._data[key] = value
         self.sim.trace.count("config.sets")
         # Dynamic reconfiguration is observable: push a config.changed event.
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            self.send(
-                es_node,
-                ports.ES,
-                ports.ES_PUBLISH,
-                {"type": ev.CONFIG_CHANGED, "data": {"key": key, "old": old, "new": value}},
-            )
+        self.publish(ev.CONFIG_CHANGED, {"key": key, "old": old, "new": value})
         return {"ok": True, "old": old}
 
     PORTS = {ports.CONFIG: {

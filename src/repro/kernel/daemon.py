@@ -79,6 +79,7 @@ class ServiceDaemon:
         self.kernel = kernel
         self.node_id = node_id
         self.cluster = kernel.cluster
+        self.partition_id: str = kernel.cluster.node(node_id).partition_id
         self.sim = kernel.sim
         self.transport = kernel.cluster.transport
         self.timings = kernel.timings
@@ -262,15 +263,54 @@ class ServiceDaemon:
                 return {}
         return loaded()
 
+    # -- the partition's event service and bulletin ----------------------------
+    def publish(self, event_type: str, data: dict[str, Any], span: Span | None = None) -> None:
+        """Publish an event at this partition's event service, one way (a lost
+        one is lost).  With ``span``, the ES parents its publish span on it,
+        chaining the event's deliveries into the caller's causal tree."""
+        node = self.kernel.placement.get(("es", self.partition_id))
+        if node is not None:
+            payload: dict[str, Any] = {"type": event_type, "data": data}
+            if span is not None:
+                payload["_span"] = span.span_id
+            self.send(node, ports.ES, ports.ES_PUBLISH, payload)
+
+    def export_row(self, table: str, key: str, row: dict[str, Any]) -> None:
+        """Put one row on this partition's data bulletin, one way: the next
+        export replaces a lost one."""
+        node = self.kernel.placement.get(("db", self.partition_id))
+        if node is not None:
+            self.send(node, ports.DB, ports.DB_PUT, {"table": table, "key": key, "row": row})
+
+    def exec_query(self, query: dict[str, Any], timeout: float) -> Signal | None:
+        """Run ``query`` (a ``Query`` payload) cluster-wide through this
+        partition's bulletin, retried; ``None`` while no bulletin is placed."""
+        node = self.kernel.placement.get(("db", self.partition_id))
+        if node is None:
+            return None
+        return self.rpc_retry(node, ports.DB, ports.DB_EXEC, {"query": query}, timeout=timeout)
+
+    def subscribe(self, consumer_id: str, port: str, types: list[str] | tuple[str, ...],
+                  where: dict[str, Any] | None = None):
+        """Subscribe ``port`` of this node to ``types`` (matching ``where``) at
+        this partition's event service, retried.  ``yield from`` it: it asks
+        again every ``detector_interval`` while no ES is placed or none acks,
+        and returns the ack (re-subscribing a consumer id replaces it in place)."""
+        payload = {"consumer_id": consumer_id, "node": self.node_id, "port": port,
+                   "types": list(types), "where": dict(where or {}), "replay": 0}
+        while True:
+            node = self.kernel.placement.get(("es", self.partition_id))
+            reply = None if node is None else (
+                yield self.rpc_retry(node, ports.ES, ports.ES_SUBSCRIBE, payload))
+            if reply is not None:
+                return reply
+            yield self.timings.detector_interval
+
     def reply(self, msg: Message, payload: dict[str, Any]) -> None:
         """Answer an RPC later than its handler (for async handlers that
         returned ``None`` and finish in a spawned coroutine)."""
         if msg.rpc_id:
             self.send(msg.src_node, msg.src_port, f"{msg.mtype}.reply", payload)
-
-    @property
-    def partition_id(self) -> str:
-        return self.cluster.node(self.node_id).partition_id
 
     # -- kernel health self-reports ------------------------------------------
     def health_snapshot(self) -> dict[str, Any]:
@@ -307,16 +347,7 @@ class ServiceDaemon:
 
     def _publish_health(self) -> None:
         """Push one ``kernel.health`` row to this partition's bulletin."""
-        db_node = self.kernel.db_locations().get(self.partition_id)
-        if db_node is None:
-            return
-        row = self.health_snapshot()
-        self.send(
-            db_node,
-            ports.DB,
-            ports.DB_PUT,
-            {"table": HEALTH_TABLE, "key": f"{self.SERVICE}@{self.node_id}", "row": row},
-        )
+        self.export_row(HEALTH_TABLE, f"{self.SERVICE}@{self.node_id}", self.health_snapshot())
         self.sim.trace.count("health.reports")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel import ports
 from repro.kernel.bulletin.service import TABLE_APPS, TABLE_NET_STATE, TABLE_NODE_METRICS
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
@@ -45,30 +44,18 @@ class DetectorDaemon(ServiceDaemon):
             yield self.timings.detector_interval
 
     def _export_once(self) -> None:
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is None:
-            return
         node = self.cluster.node(self.node_id)
         metrics = self.cluster.resources.sample(node)
         row = metrics.as_dict()
         row["busy_cpus"] = node.busy_cpus
         row["cpus"] = node.spec.cpus
-        self.send(
-            db_node, ports.DB, ports.DB_PUT,
-            {"table": TABLE_NODE_METRICS, "key": self.node_id, "row": row},
-        )
+        self.export_row(TABLE_NODE_METRICS, self.node_id, row)
         nic_row = {
             name: net.usable_from(self.node_id) for name, net in self.cluster.networks.items()
         }
-        self.send(
-            db_node, ports.DB, ports.DB_PUT,
-            {"table": TABLE_NET_STATE, "key": self.node_id, "row": {"nics": nic_row}},
-        )
+        self.export_row(TABLE_NET_STATE, self.node_id, {"nics": nic_row})
         for app_row in self._apps.values():
-            self.send(
-                db_node, ports.DB, ports.DB_PUT,
-                {"table": TABLE_APPS, "key": app_row["app_key"], "row": dict(app_row)},
-            )
+            self.export_row(TABLE_APPS, app_row["app_key"], dict(app_row))
         self.samples_exported += 1
         self.sim.trace.count("detector.exports")
 
@@ -87,31 +74,18 @@ class DetectorDaemon(ServiceDaemon):
             "finished_at": record.finished_at,
         }
         self._apps[app_key] = row
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is not None:
-            self.send(
-                db_node, ports.DB, ports.DB_PUT,
-                {"table": TABLE_APPS, "key": app_key, "row": dict(row)},
-            )
+        self.export_row(TABLE_APPS, app_key, dict(row))
         event_type = {
             TaskState.RUNNING: ev.APP_STARTED,
             TaskState.DONE: ev.APP_EXITED,
             TaskState.FAILED: ev.APP_FAILED,
             TaskState.KILLED: ev.APP_FAILED,
         }[record.state]
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            self.send(
-                es_node, ports.ES, ports.ES_PUBLISH,
-                {
-                    "type": event_type,
-                    "data": {
-                        "job_id": record.spec.job_id,
-                        "node": self.node_id,
-                        "state": record.state.value,
-                    },
-                },
-            )
+        self.publish(event_type, {
+            "job_id": record.spec.job_id,
+            "node": self.node_id,
+            "state": record.state.value,
+        })
         if not record.running:
             # Completed tasks stop being re-exported after this final row.
             self._apps.pop(app_key, None)

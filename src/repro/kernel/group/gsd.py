@@ -23,7 +23,6 @@ from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.group.metagroup import MetaGroup
 from repro.kernel.group.recovery import NODE, PROCESS, Failover, pick_migration_target
-from repro.sim import Span
 
 #: Its checkpoint (``gsd.state.<partition>``): each node it has judged.
 _STATE = ports.record("gsd state", node_state=ports.mapping(
@@ -241,17 +240,6 @@ class GSDDaemon(ServiceDaemon):
         },
     }
 
-    # -- event supply ------------------------------------------------------
-    def publish(self, event_type: str, data: dict[str, Any], span: Span | None = None) -> None:
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            payload: dict[str, Any] = {"type": event_type, "data": data}
-            if span is not None:
-                # The ES parents its publish span on ours, chaining the
-                # event's deliveries into the failover's causal tree.
-                payload["_span"] = span.span_id
-            self.send(es_node, ports.ES, ports.ES_PUBLISH, payload)
-
     # -- service-group supervision (Table 3 mechanics, Figure 4) ------------
     def _service_check_loop(self):
         local = self.local_failover
@@ -308,12 +296,6 @@ class GSDDaemon(ServiceDaemon):
     def _rebuild_on_unpark(self):
         yield from self._ensure_services()
         yield from self._ensure_ckpt_replica()
-
-    def export_row(self, table: str, key: str, row: dict[str, Any]) -> None:
-        """Put one row on this partition's data bulletin."""
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is not None:
-            self.send(db_node, ports.DB, ports.DB_PUT, {"table": table, "key": key, "row": row})
 
     def _export_all_node_state(self) -> None:
         for member in self.cluster.partition(self.partition_id).all_nodes:

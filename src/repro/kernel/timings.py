@@ -23,7 +23,7 @@ tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import KernelError
 from repro.units import usec
@@ -60,8 +60,7 @@ SPAWN_TIMES = {
     "detector": 0.05,
     "ppm": 0.05,
 }
-#: Restart cost of user-environment services not in the table (override
-#: per service via ``KernelTimings.extra["spawn.<service>"]``).
+#: Restart cost of user-environment services not in the table.
 DEFAULT_USER_SPAWN_TIME = 0.15
 
 #: Choosing a migration target and preparing it (§4.3: "GSD member next
@@ -143,10 +142,6 @@ class KernelTimings:
     #: paper-calibrated benchmarks.
     health_report_interval: float | None = None
 
-    #: Per-service restart costs for user-environment services:
-    #: ``{"spawn.<service>": seconds}`` (see :meth:`spawn_time`).
-    extra: dict = field(default_factory=dict, hash=False)
-
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise KernelError("heartbeat_interval must be positive")
@@ -175,6 +170,4 @@ class KernelTimings:
 
     def spawn_time(self, service: str) -> float:
         """Restart cost of a named service (kernel or user environment)."""
-        if service in SPAWN_TIMES:
-            return SPAWN_TIMES[service]
-        return float(self.extra.get(f"spawn.{service}", DEFAULT_USER_SPAWN_TIME))
+        return SPAWN_TIMES.get(service, DEFAULT_USER_SPAWN_TIME)

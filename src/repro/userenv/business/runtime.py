@@ -206,18 +206,8 @@ class BusinessRuntime(ServiceDaemon):
         # reconcile must find a consumer.  An event that races ahead of
         # the registry reload is still caught, because _load_state
         # re-checks process liveness after the subscription is live.
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            yield self.rpc(
-                es_node, ports.ES, ports.ES_SUBSCRIBE,
-                {
-                    "consumer_id": "bizrt",
-                    "node": self.node_id,
-                    "port": EVENT_PORT,
-                    "types": [ev.APP_FAILED, ev.NODE_FAILURE, ev.NODE_RECOVERY],
-                    "where": {},
-                },
-            )
+        yield from self.subscribe("bizrt", EVENT_PORT,
+                                  [ev.APP_FAILED, ev.NODE_FAILURE, ev.NODE_RECOVERY])
         yield from self._load_state()
         yield from self._load_capacity()
         # Account for replicas re-adopted from the checkpointed registry,
@@ -241,15 +231,12 @@ class BusinessRuntime(ServiceDaemon):
         empty answer is retried until the detectors' next export lands —
         without capacity the runtime could never place a replica again.
         """
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is None:
-            return
         rows: list[dict[str, Any]] = []
         for _attempt in range(5):
-            reply = yield self.rpc(
-                db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_NODE_METRICS}},
-                timeout=10.0,
-            )
+            read = self.exec_query({"table": TABLE_NODE_METRICS}, timeout=10.0)
+            if read is None:
+                return
+            reply = yield read
             rows = [
                 row for row in (reply or {}).get("rows", [])
                 if self._worker_nodes is None or row["_key"] in self._worker_nodes
@@ -558,18 +545,10 @@ class BusinessRuntime(ServiceDaemon):
         event_type = SLA_VIOLATED if transition == "down" else SLA_RESTORED
         self.sim.trace.count(f"bizrt.sla.{transition}")
         self.sim.trace.mark("bizrt.sla", app=state.spec.name, transition=transition)
-        self.publish_event(event_type, {
+        self.publish(event_type, {
             "app": state.spec.name,
             "availability": state.availability(self.sim.now),
         })
-
-    def publish_event(self, event_type: str, data: dict[str, Any]) -> None:
-        """Publish a runtime event (SLA, admission backpressure) through
-        this partition's event service."""
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            self.send(es_node, ports.ES, ports.ES_PUBLISH,
-                      {"type": event_type, "data": data})
 
     # -- load balancing --------------------------------------------------
     def route_replica(self, app: str, tier: str, span=None) -> Replica:

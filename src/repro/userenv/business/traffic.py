@@ -39,6 +39,10 @@ from repro.userenv.business.runtime import BusinessRuntime, Replica
 #: ES event types published on admission-queue watermark crossings.
 BACKPRESSURE_ON = "bizrt.backpressure_on"
 BACKPRESSURE_OFF = "bizrt.backpressure_off"
+#: Queue depths, as fractions of the cap, at which backpressure engages
+#: and releases.
+HIGH_WATERMARK = 0.75
+LOW_WATERMARK = 0.25
 
 
 @dataclass(frozen=True)
@@ -127,20 +131,16 @@ class AdmissionQueue:
         limit: Callable[[], int],
         queue_cap: int,
         on_backpressure: Callable[[bool, int], None] | None = None,
-        high_watermark: float = 0.75,
-        low_watermark: float = 0.25,
     ) -> None:
         if queue_cap <= 0:
             raise UserEnvError(f"tier {tier}: queue_cap must be positive")
-        if not 0 <= low_watermark < high_watermark <= 1:
-            raise UserEnvError(f"tier {tier}: watermarks out of range")
         self.sim = sim
         self.tier = tier
         self.limit = limit
         self.queue_cap = queue_cap
         self.on_backpressure = on_backpressure
-        self.high = max(1, int(queue_cap * high_watermark))
-        self.low = int(queue_cap * low_watermark)
+        self.high = max(1, int(queue_cap * HIGH_WATERMARK))
+        self.low = int(queue_cap * LOW_WATERMARK)
         self.busy = 0
         self.admitted = 0
         self.rejected = 0
@@ -307,7 +307,7 @@ class TrafficGenerator:
 
     def _publish_backpressure(self, tier: str) -> Callable[[bool, int], None]:
         def publish(engaged: bool, depth: int) -> None:
-            self.runtime.publish_event(
+            self.runtime.publish(
                 BACKPRESSURE_ON if engaged else BACKPRESSURE_OFF,
                 {"app": self.app, "tier": tier, "depth": depth},
             )

@@ -33,6 +33,9 @@ from repro.kernel.events.types import Event
 
 PORT = "gridview"
 EVENT_PORT = "gridview.events"
+#: Refresh snapshots and events the console keeps (oldest dropped first).
+KEEP_SNAPSHOTS = 16
+EVENT_LOG_SIZE = 200
 
 #: The console's one read: the ``nodes`` join projected to what the
 #: banner and the status board show.
@@ -69,12 +72,11 @@ class GridView(ServiceDaemon):
 
     SERVICE = "gridview"
 
-    def __init__(self, kernel, node_id: str, refresh_interval: float = 10.0,
-                 keep_snapshots: int = 16, event_log_size: int = 200) -> None:
+    def __init__(self, kernel, node_id: str, refresh_interval: float = 10.0) -> None:
         super().__init__(kernel, node_id)
         self.refresh_interval = refresh_interval
-        self.snapshots: deque[ClusterSnapshot] = deque(maxlen=keep_snapshots)
-        self.event_log: deque[Event] = deque(maxlen=event_log_size)
+        self.snapshots: deque[ClusterSnapshot] = deque(maxlen=KEEP_SNAPSHOTS)
+        self.event_log: deque[Event] = deque(maxlen=EVENT_LOG_SIZE)
         self.refreshes = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -82,22 +84,11 @@ class GridView(ServiceDaemon):
         self.spawn(self._startup(), name=f"{self.node_id}/gridview.start")
 
     def _startup(self):
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is not None:
-            yield self.rpc(
-                es_node, ports.ES, ports.ES_SUBSCRIBE,
-                {
-                    "consumer_id": "gridview",
-                    "node": self.node_id,
-                    "port": EVENT_PORT,
-                    "types": [
-                        ev.NODE_FAILURE, ev.NODE_RECOVERY,
-                        ev.NETWORK_FAILURE, ev.NETWORK_RECOVERY,
-                        ev.SERVICE_FAILURE, ev.SERVICE_RECOVERY,
-                    ],
-                    "where": {},
-                },
-            )
+        yield from self.subscribe("gridview", EVENT_PORT, [
+            ev.NODE_FAILURE, ev.NODE_RECOVERY,
+            ev.NETWORK_FAILURE, ev.NETWORK_RECOVERY,
+            ev.SERVICE_FAILURE, ev.SERVICE_RECOVERY,
+        ])
         yield from self._refresh_loop()
 
     def _on_event(self, msg: Message) -> None:
@@ -115,13 +106,10 @@ class GridView(ServiceDaemon):
 
     def _refresh_once(self):
         started = self.sim.now
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is None:
+        read = self.exec_query(REFRESH_QUERY.to_payload(), timeout=30.0)
+        if read is None:
             return
-        reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_EXEC, {"query": REFRESH_QUERY.to_payload()},
-            timeout=30.0,
-        )
+        reply = yield read
         if reply is None or reply.get("error"):
             self.sim.trace.mark("gridview.refresh_failed", node=self.node_id)
             return

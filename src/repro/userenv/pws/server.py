@@ -121,20 +121,14 @@ class PWSServer(ServiceDaemon):
 
     def _load_inventory(self):
         """Cluster-wide resource info straight from the bulletin federation."""
-        db_node = self.kernel.placement.get(("db", self.partition_id))
-        if db_node is None:
+        read = self.exec_query({"table": TABLE_NODE_METRICS}, timeout=10.0)
+        if read is None:
             return
-        reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_NODE_METRICS}},
-            timeout=10.0,
-        )
+        reply = yield read
         if reply:
             for row in reply.get("rows", []):
                 self.pm.set_capacity(row["_key"], int(row.get("cpus", 0)))
-        reply = yield self.rpc(
-            db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_NODE_STATE}},
-            timeout=10.0,
-        )
+        reply = yield self.exec_query({"table": TABLE_NODE_STATE}, timeout=10.0)
         if reply:
             for row in reply.get("rows", []):
                 self.pm.set_node_up(row["_key"], row.get("state") == "up")
@@ -146,19 +140,8 @@ class PWSServer(ServiceDaemon):
                         self.pm.allocate(node, job.spec.cpus_per_node)
 
     def _subscribe_events(self):
-        es_node = self.kernel.placement.get(("es", self.partition_id))
-        if es_node is None:
-            return
-        yield self.rpc(
-            es_node, ports.ES, ports.ES_SUBSCRIBE,
-            {
-                "consumer_id": "pws-server",
-                "node": self.node_id,
-                "port": EVENT_PORT,
-                "types": [ev.NODE_FAILURE, ev.NODE_RECOVERY, ev.APP_EXITED, ev.APP_FAILED],
-                "where": {},
-            },
-        )
+        yield from self.subscribe("pws-server", EVENT_PORT,
+                                  [ev.NODE_FAILURE, ev.NODE_RECOVERY, ev.APP_EXITED, ev.APP_FAILED])
 
     # -- user interface ------------------------------------------------------
     def _authorize(self, msg: Message, action: str) -> str | None:
@@ -495,13 +478,8 @@ class PWSServer(ServiceDaemon):
             running = [j for j in self.jobs.values() if j.state is JobState.RUNNING]
             if not running:
                 continue
-            db_node = self.kernel.placement.get(("db", self.partition_id))
-            if db_node is None:
-                continue
-            reply = yield self.rpc(
-                db_node, ports.DB, ports.DB_EXEC, {"query": {"table": TABLE_APPS}},
-                timeout=10.0,
-            )
+            read = self.exec_query({"table": TABLE_APPS}, timeout=10.0)
+            reply = None if read is None else (yield read)
             if reply is None:
                 continue
             by_job: dict[tuple[str, str], str] = {

@@ -73,3 +73,20 @@ def test_durable_state_has_one_path():
     found = [hit for hit in _lines(SRC, r"\bCKPT_(SAVE|LOAD)\b")
              if not hit.startswith(("kernel/ports.py:", "kernel/checkpoint/", "kernel/daemon.py:"))]
     assert found == []
+
+
+def test_a_daemon_reaches_its_partition_services_one_way():
+    """A daemon publishes, exports, reads and subscribes at its own
+    partition's event service and bulletin through ``ServiceDaemon.publish``
+    / ``export_row`` / ``exec_query`` / ``subscribe``: only those, the outside
+    caller's ``KernelClient``, the event service itself and the bulletin's
+    own port table name the four messages, and no module looks its own
+    partition's ES or bulletin up by hand."""
+    found = [hit for hit in _lines(SRC, r"ports\.(ES_PUBLISH|ES_SUBSCRIBE|DB_PUT|DB_EXEC)\b")
+             if not hit.startswith(("kernel/ports.py:", "kernel/daemon.py:", "kernel/api.py:",
+                                    "kernel/events/"))
+             and not re.match(r"kernel/bulletin/service\.py:\d+: ports\.DB_(PUT|EXEC): _on_", hit)]
+    assert found == []
+    own = r"""placement\.get\(\(["'](es|db)["'], self\.partition_id\)"""
+    by_hand = [hit for hit in _lines(SRC, own) if not hit.startswith("kernel/daemon.py:")]
+    assert by_hand == []

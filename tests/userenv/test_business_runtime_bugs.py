@@ -16,7 +16,7 @@ campaign exposed.
 import pytest
 
 from repro.cluster import ClusterSpec, FaultInjector
-from repro.kernel import KernelTimings
+from repro.kernel import KernelTimings, timings
 from repro.sim import Simulator
 from repro.userenv.business import BizAppSpec, TierSpec, install_business_runtime
 from repro.userenv.construction import ConstructionTool
@@ -42,18 +42,16 @@ def _step_until_records(sim, category, count, max_time):
         sim.step()
 
 
-def test_failed_spawn_on_dead_node_leaks_no_capacity():
+def test_failed_spawn_on_dead_node_leaks_no_capacity(monkeypatch):
     """Crash the only worker while a scale-up spawn is in flight: the
     failed spawn must not refund into the dead node, and after recovery
     the free count reconciles exactly and both replicas come back."""
+    # Slow app startup so the crash provably lands inside the spawn.
+    monkeypatch.setitem(timings.SPAWN_TIMES, "bizapp", 10.0)
     sim = Simulator(seed=11)
     tool = ConstructionTool(sim)
-    kernel = tool.build(
-        ClusterSpec.build(partitions=2, computes=2),
-        # Slow app startup so the crash provably lands inside the spawn.
-        timings=KernelTimings(heartbeat_interval=5.0,
-                              extra={"spawn.bizapp": 10.0}),
-    )
+    kernel = tool.build(ClusterSpec.build(partitions=2, computes=2),
+                        timings=KernelTimings(heartbeat_interval=5.0))
     sim.run(until=6.0)
     injector = FaultInjector(kernel.cluster)
     worker = "p0c0"

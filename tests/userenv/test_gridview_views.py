@@ -71,14 +71,14 @@ def test_snapshot_equals_the_two_read_join(kernel, sim, injector):
 def test_one_bulletin_rpc_per_refresh(kernel, sim):
     gv = install_gridview(kernel, refresh_interval=2.0)
     sent = []
-    rpc = gv.rpc
+    rpc = gv.rpc_retry
 
     def counting_rpc(dst_node, dst_port, mtype, payload=None, **kwargs):
         if dst_port == ports.DB:
             sent.append(mtype)
         return rpc(dst_node, dst_port, mtype, payload, **kwargs)
 
-    gv.rpc = counting_rpc
+    gv.rpc_retry = counting_rpc
     before = gv.refreshes
     sim.run(until=sim.now + 20.0)
     assert gv.refreshes - before >= 9
@@ -91,7 +91,10 @@ def test_classic_refresh_rejects_cross_incarnation_joins(kernel, sim, injector):
     must not fabricate a snapshot from two incarnations: the executor lists
     the partition missing, and none of its nodes are counted."""
     gv = install_gridview(kernel, refresh_interval=1000.0)
-    sim.run(until=sim.now + 10.0)
+    # Start the refresh about 3 s before the GSD's next service check, so
+    # the successor answers within the read's first attempt (a retry would
+    # re-read both tables from the successor).
+    sim.run(until=sim.now + 7.0)
     send, held = divert_probes(kernel, "p1", "node_state")
     refresh = gv.spawn(gv._refresh_once())
     sim.run(until=sim.now + 1.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, FaultInjector
 from repro.errors import UserEnvError
-from repro.kernel import KernelTimings
+from repro.kernel import KernelTimings, timings
 from repro.sim import Proc, Simulator
 from repro.userenv.business import (
     AdmissionQueue,
@@ -126,7 +126,7 @@ class _StubRuntime(BusinessRuntime):
                 self.apps[spec.name].set_replica(
                     Replica(app=spec.name, tier=tier.name, index=i, node=f"{tier.name}{i}"), up)
 
-    def publish_event(self, event_type, data):
+    def publish(self, event_type, data):
         self.published.append((self.sim.now, event_type, dict(data)))
 
     def set_health(self, tier, index, healthy):
@@ -207,6 +207,7 @@ ONE_CLASS = [RequestClass(name="get", service_times={"web": 0.01, "db": 0.01})]
 
 @settings(max_examples=8, deadline=None)
 @given(ops=CHURN)
+@mock.patch.dict(timings.SPAWN_TIMES, bizapp=1.0)
 def test_routing_list_equals_the_scan_under_churn(ops):
     """After any sequence of deploy, scale up/down, node kill + heal, a
     spawn that fails with its node, and a runtime restart that reloads
@@ -217,7 +218,7 @@ def test_routing_list_equals_the_scan_under_churn(ops):
     tool = ConstructionTool(sim)
     kernel = tool.build(
         ClusterSpec.build(partitions=2, computes=3),
-        timings=KernelTimings(heartbeat_interval=5.0, extra={"spawn.bizapp": 1.0}),
+        timings=KernelTimings(heartbeat_interval=5.0),
     )
     injector = FaultInjector(kernel.cluster)
     sim.run(until=6.0)
