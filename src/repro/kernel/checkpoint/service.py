@@ -9,7 +9,10 @@ Deployment per partition: a **primary** on the server node and a
 **replica** on the backup node.  Saves are applied locally and replicated
 asynchronously; a (re)started primary pulls the replica's contents first
 (anti-entropy), which is what lets a service migrated to the backup node
-find its state there.
+find its state there.  Each key has one sender: a write to the state of
+a service placed in this partition (the key's first dotted segment, e.g.
+``gsd`` in ``gsd.state.p1``) comes from that service's node, and one to the
+replica from the primary; any other is refused (``ckpt.refused``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,24 @@ from repro.kernel import ports
 from repro.kernel.checkpoint.store import CheckpointStore
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.timings import ckpt_write_cost
+
+
+def _one_sender(service_of):
+    """Serve a write only from the node of the service ``service_of(msg)``
+    names, while one is placed in this partition; refuse any other sender."""
+    def wrap(handler):
+        def checked(self: ServiceDaemon, msg: Message):
+            owner = self.kernel.placement.get((service_of(msg), self.partition_id), msg.src_node)
+            if msg.src_node == owner:
+                return handler(self, msg)
+            self.sim.trace.count("ckpt.refused")
+            return {"ok": False, "error": f"{msg.mtype}: written only from {owner}"}
+        return checked
+    return wrap
+
+
+_key_owner = _one_sender(lambda msg: msg.payload["key"].split(".", 1)[0])
+_primary_only = _one_sender(lambda msg: "ckpt")
 
 
 class CheckpointDaemon(ServiceDaemon):
@@ -122,9 +143,9 @@ class CheckpointDaemon(ServiceDaemon):
         del self._save_q[key]
 
     PORTS = {ports.CKPT: {
-        ports.CKPT_SAVE: _on_save,
+        ports.CKPT_SAVE: _key_owner(_on_save),
         ports.CKPT_LOAD: _on_load,
-        ports.CKPT_DELETE: _on_delete,
+        ports.CKPT_DELETE: _key_owner(_on_delete),
         ports.CKPT_PULL: lambda self, msg: {"dump": self.store.dump()},
         ports.CKPT_RESEED: _on_reseed,
     }}
@@ -165,9 +186,9 @@ class CheckpointReplicaDaemon(ServiceDaemon):
         return {"found": True, "data": entry.data, "version": entry.version}
 
     PORTS = {ports.CKPT_REPLICA: {
-        ports.CKPT_REPLICATE: _on_replicate,
+        ports.CKPT_REPLICATE: _primary_only(_on_replicate),
         ports.CKPT_PULL: lambda self, msg: {"dump": self.store.dump()},
-        ports.CKPT_ABSORB: _on_absorb,
-        ports.CKPT_DELETE: _on_delete,
+        ports.CKPT_ABSORB: _primary_only(_on_absorb),
+        ports.CKPT_DELETE: _primary_only(_on_delete),
         ports.CKPT_LOAD: _on_load,
     }}

@@ -25,6 +25,14 @@ from repro.kernel.daemon import HEALTH_TABLE
 from repro.userenv.business.runtime import BusinessRuntime
 
 
+#: busy/limit utilisation that counts as pressure.
+UTILIZATION_HIGH = 0.85
+#: busy/limit utilisation below which a tier is a shrink candidate.
+UTILIZATION_LOW = 0.25
+#: Consecutive calm intervals required before scaling down.
+CALM_INTERVALS = 3
+
+
 @dataclass(frozen=True)
 class TierPolicy:
     """Scaling bounds for one tier."""
@@ -42,24 +50,16 @@ class TierPolicy:
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """Loop cadence and the pressure/calm thresholds."""
+    """Loop cadence, cooldown and queue pressure."""
 
     interval: float = 5.0
     cooldown: float = 15.0
     #: Queue depth per tier that counts as pressure.
     queue_high: int = 8
-    #: busy/limit utilisation that counts as pressure.
-    utilization_high: float = 0.85
-    #: busy/limit utilisation below which a tier is a shrink candidate.
-    utilization_low: float = 0.25
-    #: Consecutive calm intervals required before scaling down.
-    calm_intervals: int = 3
 
     def __post_init__(self) -> None:
         if self.interval <= 0 or self.cooldown < 0:
             raise UserEnvError("interval must be positive, cooldown non-negative")
-        if not 0 <= self.utilization_low < self.utilization_high <= 1:
-            raise UserEnvError("utilisation thresholds out of range")
 
 
 class Autoscaler:
@@ -135,20 +135,19 @@ class Autoscaler:
             utilization = busy / limit if limit > 0 else (1.0 if busy else 0.0)
             pressure = (
                 depth >= self.policy.queue_high
-                or utilization >= self.policy.utilization_high
-                or (slo_breached and utilization > self.policy.utilization_low)
+                or utilization >= UTILIZATION_HIGH
+                or (slo_breached and utilization > UTILIZATION_LOW)
             )
             current = len(self.runtime.apps[self.app].tier_replicas(tier))
             if pressure:
                 self._calm[tier] = 0
                 target = min(bounds.max_replicas, current + bounds.step)
                 reason = "queue" if depth >= self.policy.queue_high else (
-                    "utilization" if utilization >= self.policy.utilization_high
-                    else "slo")
+                    "utilization" if utilization >= UTILIZATION_HIGH else "slo")
                 self._apply(tier, current, target, reason)
-            elif utilization <= self.policy.utilization_low and depth == 0:
+            elif utilization <= UTILIZATION_LOW and depth == 0:
                 self._calm[tier] += 1
-                if self._calm[tier] >= self.policy.calm_intervals:
+                if self._calm[tier] >= CALM_INTERVALS:
                     target = max(bounds.min_replicas, current - bounds.step)
                     if self._apply(tier, current, target, "idle"):
                         self._calm[tier] = 0

@@ -21,11 +21,11 @@ from typing import Any
 from repro.cluster.message import Message
 from repro.errors import UserEnvError
 from repro.kernel import ports
-from repro.kernel.bulletin.service import TABLE_NODE_METRICS
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.events.types import Event
 from repro.kernel.ports import DICT, INT, NAME, NODE, NUMBER, declare, each, opt, record
+from repro.userenv.inventory import Inventory
 
 PORT = "bizrt"
 EVENT_PORT = "bizrt.events"
@@ -190,10 +190,7 @@ class BusinessRuntime(ServiceDaemon):
     def __init__(self, kernel, node_id: str, worker_nodes: list[str] | None = None) -> None:
         super().__init__(kernel, node_id)
         self.apps: dict[str, AppState] = {}
-        self._worker_nodes = worker_nodes
-        self._free: dict[str, int] = {}
-        self._capacity: dict[str, int] = {}
-        self._node_up: dict[str, bool] = {}
+        self.inventory = Inventory(self.cluster.nodes if worker_nodes is None else worker_nodes)
         #: Optional TrafficGenerator surfacing admission state in health rows.
         self._traffic = None
 
@@ -209,49 +206,19 @@ class BusinessRuntime(ServiceDaemon):
         yield from self.subscribe("bizrt", EVENT_PORT,
                                   [ev.APP_FAILED, ev.NODE_FAILURE, ev.NODE_RECOVERY])
         yield from self._load_state()
-        yield from self._load_capacity()
+        yield from self.inventory.load(self)
         # Account for replicas re-adopted from the checkpointed registry,
         # and re-place any that died while we were down (their failure
         # events had no consumer).
         for state in self.apps.values():
             for replica in state.replicas:
-                if replica.healthy and replica.node in self._free:
-                    self._free[replica.node] -= self._tier_cpus(replica.app, replica.tier)
+                if replica.healthy and replica.node is not None:
+                    self.inventory.allocate(replica.node, self._tier_cpus(replica.app, replica.tier))
         for state in self.apps.values():
             for replica in list(state.replicas):
                 if not replica.healthy:
                     self.sim.trace.count("bizrt.heals")
                     self._place(replica, self._tier_cpus(replica.app, replica.tier))
-
-    def _load_capacity(self):
-        """Build the worker capacity map from the bulletin's node metrics.
-
-        The bulletin is soft-state: right after a service-group migration
-        the fresh instance may not have re-received any exports, so an
-        empty answer is retried until the detectors' next export lands —
-        without capacity the runtime could never place a replica again.
-        """
-        rows: list[dict[str, Any]] = []
-        for _attempt in range(5):
-            read = self.exec_query({"table": TABLE_NODE_METRICS}, timeout=10.0)
-            if read is None:
-                return
-            reply = yield read
-            rows = [
-                row for row in (reply or {}).get("rows", [])
-                if self._worker_nodes is None or row["_key"] in self._worker_nodes
-            ]
-            if rows:
-                break
-            yield self.timings.heartbeat_interval
-        for row in rows:
-            node = row["_key"]
-            self._free.setdefault(node, int(row.get("cpus", 0)))
-            self._capacity.setdefault(node, int(row.get("cpus", 0)))
-            # A worker that is down right now must not look placeable;
-            # its NODE_RECOVERY will flip it back (same ground-truth
-            # check _load_state applies to replica processes).
-            self._node_up.setdefault(node, self.cluster.node(node).up)
 
     # -- persistence (the runtime itself is GSD-supervised) -----------------
     CKPT_KEY = "bizrt.state"
@@ -375,8 +342,7 @@ class BusinessRuntime(ServiceDaemon):
                 if replica.healthy and replica.node is not None:
                     self.send(replica.node, ports.PPM, ports.PPM_KILL_JOB,
                               {"job_id": replica.job_id})
-                    if self._node_up.get(replica.node):
-                        self._free[replica.node] = self._free.get(replica.node, 0) + cpus
+                    self.inventory.release(replica.node, cpus)
                 self._set_replica(state, replica, False, member=False)
         self._note_and_alert(state)
         self._checkpoint()
@@ -395,10 +361,8 @@ class BusinessRuntime(ServiceDaemon):
     # -- placement / recovery ------------------------------------------------
     def _pick_node(self, cpus: int, avoid: str | None = None) -> str | None:
         """Least-loaded-first placement across healthy workers."""
-        candidates = [
-            (self._free[n], n) for n in self._free
-            if self._node_up.get(n) and self._free[n] >= cpus and n != avoid
-        ]
+        free = self.inventory.free
+        candidates = [(free(n), n) for n in self.inventory.nodes() if free(n) >= cpus and n != avoid]
         if not candidates:
             return None
         candidates.sort(key=lambda c: (-c[0], c[1]))
@@ -413,7 +377,7 @@ class BusinessRuntime(ServiceDaemon):
             self.sim.trace.mark("bizrt.placement_failed", replica=replica.job_id)
             return
         replica.node = node
-        self._free[node] -= cpus
+        self.inventory.allocate(node, cpus)
         self.spawn(self._start_replica(replica, cpus), name=f"{self.node_id}/bizrt.place")
 
     def _start_replica(self, replica: Replica, cpus: int):
@@ -434,21 +398,15 @@ class BusinessRuntime(ServiceDaemon):
             if retired:
                 self.send(replica.node, ports.PPM, ports.PPM_KILL_JOB,
                           {"job_id": replica.job_id})
-                if self._node_up.get(replica.node):
-                    self._free[replica.node] = self._free.get(replica.node, 0) + cpus
+                self.inventory.release(replica.node, cpus)
                 replica.node = None
                 return
             self._set_replica(state, replica, True)
             self.sim.trace.count("bizrt.replicas_started")
         else:
-            # Refund only while the node is up (the guard scale()/_heal()
-            # already use): a node that died mid-spawn rebuilds its free
-            # count from capacity at NODE_RECOVERY, so an unguarded
-            # refund would be double-counted after recovery.  The replica
-            # was unhealthy for the whole spawn and stays so.
+            # The replica was unhealthy for the whole spawn and stays so.
             failed_node = replica.node
-            if failed_node is not None and self._node_up.get(failed_node):
-                self._free[failed_node] = self._free.get(failed_node, 0) + cpus
+            self.inventory.release(failed_node, cpus)
             replica.node = None
             if not retired:
                 self.sim.trace.count("bizrt.spawn_failed")
@@ -468,28 +426,14 @@ class BusinessRuntime(ServiceDaemon):
         event = Event.from_payload(msg.payload["event"])
         if event.type == ev.NODE_FAILURE:
             node = event.data.get("node", "")
-            self._node_up[node] = False
+            self.inventory.node_failed(node)
             for state in self.apps.values():
                 for replica in state.replicas:
                     if replica.node == node and replica.healthy:
                         self._heal(state, replica, failed_node=node)
         elif event.type == ev.NODE_RECOVERY:
             node = event.data.get("node", "")
-            if node in self._node_up:
-                self._node_up[node] = True
-                if node in self._capacity:
-                    # Crash recovery wiped the node's processes, so its
-                    # free count is rebuilt from ground truth: capacity
-                    # minus whatever the registry still places there
-                    # (normally nothing; in-flight spawns settle their
-                    # own accounting when their RPC completes).
-                    placed = sum(
-                        self._tier_cpus(r.app, r.tier)
-                        for state in self.apps.values()
-                        for r in state.replicas
-                        if r.node == node
-                    )
-                    self._free[node] = self._capacity[node] - placed
+            if self.inventory.node_returned(node, self._placed().get(node, 0)):
                 self._retry_unplaced()
         elif event.type == ev.APP_FAILED:
             job_id = event.data.get("job_id", "")
@@ -519,8 +463,7 @@ class BusinessRuntime(ServiceDaemon):
 
     def _heal(self, state: AppState, replica: Replica, failed_node: str | None) -> None:
         cpus = self._tier_cpus(replica.app, replica.tier)
-        if replica.node is not None and self._node_up.get(replica.node):
-            self._free[replica.node] = self._free.get(replica.node, 0) + cpus
+        self.inventory.release(replica.node, cpus)
         self._set_replica(state, replica, False)
         self._note_and_alert(state)
         self.sim.trace.count("bizrt.heals")
@@ -586,8 +529,17 @@ class BusinessRuntime(ServiceDaemon):
             "tiers": {t.name: len(state.routes[t.name]) for t in state.spec.tiers},
         }
 
+    def _placed(self) -> dict[str, int]:
+        """CPUs per node of the replicas assigned there (healthy or spawn-in-flight)."""
+        placed: dict[str, int] = {}
+        for state in self.apps.values():
+            for r in state.replicas:
+                if r.node is not None:
+                    placed[r.node] = placed.get(r.node, 0) + self._tier_cpus(r.app, r.tier)
+        return placed
+
     def capacity_audit(self) -> dict[str, Any]:
-        """Reconcile free-CPU accounting against ground-truth capacity.
+        """Reconcile the inventory's free CPUs against its capacity.
 
         For every up worker, ``capacity == free + placed`` must hold,
         where *placed* counts replicas currently assigned to the node
@@ -595,27 +547,12 @@ class BusinessRuntime(ServiceDaemon):
         discrepancies — zero means no capacity was leaked or
         double-refunded across the kill / heal / failed-spawn paths.
         """
-        placed: dict[str, int] = {}
-        for state in self.apps.values():
-            for replica in state.replicas:
-                if replica.node is not None:
-                    placed[replica.node] = (
-                        placed.get(replica.node, 0)
-                        + self._tier_cpus(replica.app, replica.tier))
-        nodes: dict[str, dict[str, int]] = {}
-        drift = 0
-        for node in sorted(self._capacity):
-            if not self._node_up.get(node):
-                continue
-            entry = {
-                "capacity": self._capacity[node],
-                "free": self._free.get(node, 0),
-                "placed": placed.get(node, 0),
-            }
-            entry["drift"] = entry["capacity"] - entry["free"] - entry["placed"]
-            drift += abs(entry["drift"])
-            nodes[node] = entry
-        return {"nodes": nodes, "drift": drift}
+        placed, inventory, nodes = self._placed(), self.inventory, {}
+        for node in filter(inventory.up, inventory.nodes()):
+            capacity, free, held = inventory.capacity(node), inventory.free(node), placed.get(node, 0)
+            nodes[node] = {"capacity": capacity, "free": free, "placed": held,
+                           "drift": capacity - free - held}
+        return {"nodes": nodes, "drift": sum(abs(entry["drift"]) for entry in nodes.values())}
 
     # -- kernel health -------------------------------------------------------
     def attach_traffic(self, generator) -> None:

@@ -43,6 +43,8 @@ BACKPRESSURE_OFF = "bizrt.backpressure_off"
 #: and releases.
 HIGH_WATERMARK = 0.75
 LOW_WATERMARK = 0.25
+#: The RNG stream arrivals and service times are drawn from.
+RNG_STREAM = "biztraffic"
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,6 @@ class TrafficGenerator:
         queue_cap: int = 64,
         slots_per_replica: int = 8,
         span_sample: int = 0,
-        rng_name: str = "biztraffic",
     ) -> None:
         state = runtime.apps.get(app)
         if state is None:
@@ -272,7 +273,7 @@ class TrafficGenerator:
         self.generated = 0
         self.inflight = 0
         self.done = False
-        self._rng = self.sim.rngs.stream(rng_name)
+        self._rng = self.sim.rngs.stream(RNG_STREAM)
         #: Arrival clock origin; start() sets it with the end time and budget.
         self._t0: float | None = None
         total = sum(c.weight for c in classes)

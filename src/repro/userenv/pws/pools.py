@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
+from repro.userenv.inventory import Inventory
 
 
 @dataclass
@@ -61,11 +62,10 @@ class Lease:
 
 
 class PoolManager:
-    """Tracks pool membership, per-node free CPUs, and active leases.
-
-    This is the scheduler's *internal* resource view: capacities come from
-    the data bulletin at startup; allocations are maintained locally as
-    jobs dispatch and complete (events keep it honest about failures).
+    """Tracks pool membership and active leases over the pool nodes'
+    :class:`~repro.userenv.inventory.Inventory` (capacity, free CPUs,
+    up/down), which the scheduler loads from the data bulletin and keeps
+    current from node events and its own allocations.
     """
 
     def __init__(self, pools: list[PoolSpec]) -> None:
@@ -81,31 +81,8 @@ class PoolManager:
                 if node in self._home:
                     raise SchedulingError(f"node {node} in two pools")
                 self._home[node] = pool.name
-        self._capacity: dict[str, int] = {}
-        self._free: dict[str, int] = {}
-        self._node_up: dict[str, bool] = {}
+        self.inventory = Inventory(self._home)
         self.leases: list[Lease] = []
-
-    # -- inventory ---------------------------------------------------------
-    def set_capacity(self, node: str, cpus: int) -> None:
-        if node not in self._home:
-            return  # node not managed by any pool
-        self._capacity[node] = cpus
-        self._free.setdefault(node, cpus)
-        self._node_up.setdefault(node, True)
-
-    def known(self, node: str) -> bool:
-        return node in self._capacity
-
-    def set_node_up(self, node: str, up: bool) -> None:
-        if node in self._node_up:
-            self._node_up[node] = up
-
-    def node_up(self, node: str) -> bool:
-        return self._node_up.get(node, False)
-
-    def free_cpus(self, node: str) -> int:
-        return self._free.get(node, 0) if self.node_up(node) else 0
 
     # -- pool views ----------------------------------------------------------
     def pool_of(self, node: str) -> str | None:
@@ -120,32 +97,16 @@ class PoolManager:
 
     def idle_nodes(self, pool: str) -> list[str]:
         """Nodes of ``pool`` that are up and fully free."""
-        return [
-            n for n in self.nodes_in_pool(pool)
-            if self.node_up(n) and self._free.get(n) == self._capacity.get(n)
-        ]
-
-    # -- allocation --------------------------------------------------------
-    def allocate(self, node: str, cpus: int) -> None:
-        if self._free.get(node, 0) < cpus:
-            raise SchedulingError(f"{node}: cannot allocate {cpus} cpus")
-        self._free[node] -= cpus
-
-    def release(self, node: str, cpus: int) -> None:
-        cap = self._capacity.get(node, 0)
-        self._free[node] = min(cap, self._free.get(node, 0) + cpus)
-
-    def reset_node(self, node: str) -> None:
-        """A crashed node rejoining has everything free again."""
-        if node in self._capacity:
-            self._free[node] = self._capacity[node]
+        inv = self.inventory
+        return [n for n in self.nodes_in_pool(pool)
+                if inv.known(n) and inv.up(n) and inv.free(n) == inv.capacity(n)]
 
     # -- candidate selection ---------------------------------------------
     def pick_nodes(self, pool: str, count: int, cpus_per_node: int) -> list[str]:
         """Up to ``count`` nodes of ``pool`` with enough free CPUs."""
         picked = []
         for node in self.nodes_in_pool(pool):
-            if self.node_up(node) and self._free.get(node, 0) >= cpus_per_node:
+            if self.inventory.free(node) >= cpus_per_node:
                 picked.append(node)
                 if len(picked) == count:
                     break
@@ -158,7 +119,7 @@ class PoolManager:
             if name == borrower or not pool.lendable:
                 continue
             for node in self.idle_nodes(name):
-                if self._capacity.get(node, 0) >= cpus_per_node:
+                if self.inventory.capacity(node) >= cpus_per_node:
                     out.append(Lease(node=node, owner_pool=name, borrower_pool=borrower, job_id=""))
                     if len(out) == needed:
                         return out
@@ -175,14 +136,14 @@ class PoolManager:
 
     # -- stats ----------------------------------------------------------
     def pool_stats(self) -> dict[str, dict]:
-        stats = {}
+        inv, stats = self.inventory, {}
         for name in sorted(self.pools):
             nodes = self.nodes_in_pool(name)
             stats[name] = {
                 "nodes": len(nodes),
-                "nodes_up": sum(1 for n in nodes if self.node_up(n)),
-                "free_cpus": sum(self._free.get(n, 0) for n in nodes if self.node_up(n)),
-                "total_cpus": sum(self._capacity.get(n, 0) for n in nodes),
+                "nodes_up": sum(1 for n in nodes if inv.up(n)),
+                "free_cpus": sum(inv.free(n) for n in nodes),
+                "total_cpus": sum(inv.capacity(n) for n in nodes),
                 "leases_in": sum(1 for l in self.leases if l.borrower_pool == name),
                 "leases_out": sum(1 for l in self.leases if l.owner_pool == name),
             }

@@ -6,7 +6,8 @@ the development of new PWS system focuses only on the user interface
 and scheduling modules".  Concretely:
 
 * resource information comes from the **data bulletin federation**
-  (one query, any instance — no per-node polling);
+  (one ``nodes`` query, any instance — no per-node polling), kept in
+  the pool nodes' :class:`~repro.userenv.inventory.Inventory`;
 * node/application liveness arrives as **event service notifications**
   (NODE_FAILURE, APP_EXITED, ...) instead of a polling loop;
 * job loading/killing goes through **PPM parallel commands**;
@@ -28,7 +29,7 @@ from repro.kernel import ports
 from repro.kernel.ports import INT, NAME, NODE, NUMBER, STR, declare, each, opt, record
 from repro.kernel.security.acl import AccessPolicy
 from repro.kernel.security.tokens import verify_token
-from repro.kernel.bulletin.service import TABLE_APPS, TABLE_NODE_METRICS, TABLE_NODE_STATE
+from repro.kernel.bulletin.service import TABLE_APPS
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.events.types import Event
@@ -39,6 +40,9 @@ from repro.userenv.pws.scheduler import head_of_line_blocks, order_queue
 PORT = "pws"
 EVENT_PORT = "pws.events"
 CKPT_KEY = "pws.state"
+#: How often running jobs are checked against the bulletin's ``apps``
+#: rows (covers task events lost while the scheduler restarted).
+RECONCILE_INTERVAL = 15.0
 
 # message types (``token``: a security-service token, when auth is required)
 SUBMIT = declare("pws.submit", PORT, token=opt(STR), **JOB_FIELDS)
@@ -71,12 +75,12 @@ class PWSServer(ServiceDaemon):
     SERVICE = "pws"
 
     def __init__(self, kernel, node_id: str, pools: list[PoolSpec], max_retries: int = 1,
-                 reconcile_interval: float = 15.0, require_auth: bool = False) -> None:
+                 require_auth: bool = False) -> None:
         super().__init__(kernel, node_id)
         self.pm = PoolManager(pools)
+        self.inventory = self.pm.inventory
         self.jobs: dict[str, JobRecord] = {}
         self.max_retries = max_retries
-        self.reconcile_interval = reconcile_interval
         #: With require_auth, submissions/cancellations must carry a token
         #: issued by the security service; the scheduler verifies it
         #: locally with the cluster secret and checks the job.* actions
@@ -99,7 +103,12 @@ class PWSServer(ServiceDaemon):
 
     def _startup(self):
         yield from self._load_state()
-        yield from self._load_inventory()
+        yield from self.inventory.load(self)
+        # Re-pin CPU accounting for tasks that were running before a restart.
+        for job in self.jobs.values():
+            if job.state is JobState.RUNNING:
+                for node in job.outstanding:
+                    self.inventory.allocate(node, job.spec.cpus_per_node)
         yield from self._subscribe_events()
         self._ready = True
         self.sim.trace.mark("pws.ready", node=self.node_id, jobs=len(self.jobs))
@@ -118,26 +127,6 @@ class PWSServer(ServiceDaemon):
                     remaining = max(0.0, job.spec.walltime - (self.sim.now - job.started_at))
                     self.spawn(self._rearmed_guard(job, job.launches, remaining),
                                name=f"{self.node_id}/pws.walltime")
-
-    def _load_inventory(self):
-        """Cluster-wide resource info straight from the bulletin federation."""
-        read = self.exec_query({"table": TABLE_NODE_METRICS}, timeout=10.0)
-        if read is None:
-            return
-        reply = yield read
-        if reply:
-            for row in reply.get("rows", []):
-                self.pm.set_capacity(row["_key"], int(row.get("cpus", 0)))
-        reply = yield self.exec_query({"table": TABLE_NODE_STATE}, timeout=10.0)
-        if reply:
-            for row in reply.get("rows", []):
-                self.pm.set_node_up(row["_key"], row.get("state") == "up")
-        # Re-pin CPU accounting for jobs that were running before a restart.
-        for job in self.jobs.values():
-            if job.state is JobState.RUNNING:
-                for node in job.assigned_nodes:
-                    if self.pm.free_cpus(node) >= job.spec.cpus_per_node:
-                        self.pm.allocate(node, job.spec.cpus_per_node)
 
     def _subscribe_events(self):
         yield from self.subscribe("pws-server", EVENT_PORT,
@@ -226,9 +215,12 @@ class PWSServer(ServiceDaemon):
         tasks but receives no new placements (the Figure 9 console's
         shutdown-node preparation)."""
         node = msg.payload["node"]
-        if not self.pm.known(node):
+        if not self.inventory.known(node):
             return {"ok": False, "error": f"node {node} not managed by any pool"}
-        self.pm.set_node_up(node, not drain)
+        if drain:
+            self.inventory.node_failed(node)
+        else:
+            self.inventory.node_returned(node, self._placed(node))
         self.sim.trace.mark("pws.drain" if drain else "pws.undrain", node=node)
         if not drain:
             self._schedule()
@@ -269,14 +261,13 @@ class PWSServer(ServiceDaemon):
         self.sim.trace.count("pws.events_seen")
         if event.type == ev.NODE_FAILURE:
             node = event.data.get("node", "")
-            self.pm.set_node_up(node, False)
+            self.inventory.node_failed(node)
             for job in list(self.jobs.values()):
                 if job.state is JobState.RUNNING and node in job.outstanding:
                     self._task_failed(job, node)
         elif event.type == ev.NODE_RECOVERY:
             node = event.data.get("node", "")
-            self.pm.set_node_up(node, True)
-            self.pm.reset_node(node)
+            self.inventory.node_returned(node, self._placed(node))
         elif event.type == ev.APP_EXITED:
             job = self._current_job(event.data.get("job_id", ""))
             if job is not None:
@@ -300,6 +291,11 @@ class PWSServer(ServiceDaemon):
         },
         EVENT_PORT: {ports.ES_EVENT: _on_event},
     }
+
+    def _placed(self, node: str) -> int:
+        """CPUs this scheduler's running tasks still hold on ``node``."""
+        return sum(job.spec.cpus_per_node for job in self.jobs.values()
+                   if job.state is JobState.RUNNING and node in job.outstanding)
 
     def _current_job(self, ppm_job_id: str) -> JobRecord | None:
         """Resolve an event's task id to a running job, dropping events
@@ -345,7 +341,7 @@ class PWSServer(ServiceDaemon):
             )
         assigned = nodes + [l.node for l in leases]
         for node in assigned:
-            self.pm.allocate(node, spec.cpus_per_node)
+            self.inventory.allocate(node, spec.cpus_per_node)
         job.state = JobState.RUNNING
         job.started_at = self.sim.now
         job.assigned_nodes = assigned
@@ -434,7 +430,7 @@ class PWSServer(ServiceDaemon):
     def _task_done(self, job: JobRecord, node: str) -> None:
         if node in job.outstanding:
             job.outstanding.discard(node)
-            self.pm.release(node, job.spec.cpus_per_node)
+            self.inventory.release(node, job.spec.cpus_per_node)
         if not job.outstanding:
             job.state = JobState.DONE
             job.finished_at = self.sim.now
@@ -446,7 +442,7 @@ class PWSServer(ServiceDaemon):
     def _task_failed(self, job: JobRecord, failed_node: str) -> None:
         self._release_job(job)
         for node in job.assigned_nodes:
-            if node != failed_node and self.pm.node_up(node):
+            if node != failed_node and self.inventory.up(node):
                 self.send(node, ports.PPM, ports.PPM_KILL_JOB, {"job_id": job.ppm_job_id})
         job.retries += 1
         if job.retries <= self.max_retries:
@@ -468,13 +464,13 @@ class PWSServer(ServiceDaemon):
 
     def _release_job(self, job: JobRecord) -> None:
         for node in job.outstanding:
-            self.pm.release(node, job.spec.cpus_per_node)
+            self.inventory.release(node, job.spec.cpus_per_node)
         job.outstanding = set()
 
     # -- reconciliation (covers events lost during a restart) ----------------
     def _reconcile_loop(self):
         while True:
-            yield self.reconcile_interval
+            yield RECONCILE_INTERVAL
             running = [j for j in self.jobs.values() if j.state is JobState.RUNNING]
             if not running:
                 continue

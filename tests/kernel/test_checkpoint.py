@@ -235,9 +235,9 @@ def test_malformed_payloads_are_refused_not_raised(kernel, sim):
 
 def test_replica_marks_only_a_stale_write_stale(kernel, sim):
     t = kernel.cluster.transport
-    replica = kernel.placement[("ckpt.replica", "p0")]
+    primary, replica = kernel.placement[("ckpt", "p0")], kernel.placement[("ckpt.replica", "p0")]
     for version in (3, 2):
-        t.send("p0c0", replica, ports.CKPT_REPLICA, ports.CKPT_REPLICATE,
+        t.send(primary, replica, ports.CKPT_REPLICA, ports.CKPT_REPLICATE,
                {"key": "k", "data": {"v": version}, "version": version})
         sim.run(until=sim.now + 0.5)
     assert [r["key"] for r in sim.trace.records("ckpt.replica_stale")] == ["k"]

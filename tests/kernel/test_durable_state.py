@@ -2,8 +2,9 @@
 ``load_state``: every save is acked and retried, every load is retried,
 and a blob its owner cannot parse is refused (counted and marked
 ``ckpt.unreadable``, read as not found) instead of raising out of
-``sim.run`` at the owner's next restart.  Any client may write any key
-``ckpt.save``'s contract accepts, so a restore cannot trust its blob.
+``sim.run`` at the owner's next restart.  Only a key's owner writes it
+(the checkpoint service refuses every other sender), but the owner's
+own blob can still be one its next incarnation cannot parse.
 """
 
 import pytest
@@ -53,12 +54,13 @@ def _owner_world(owner):
     return sim, kernel, client
 
 
-def _save(sim, kernel, partition, key, data):
-    """One ``ckpt.save`` from a compute node, as any client may send it."""
-    reply = drive(sim, kernel.cluster.transport.rpc(
-        kernel.cluster.partitions[-1].computes[-1], kernel.placement[("ckpt", partition)],
+def _save(sim, kernel, partition, key, data, sender=None):
+    """One ``ckpt.save`` of ``key`` from ``sender`` (default: the node of the
+    service the key names); returns the reply."""
+    sender = sender or kernel.placement[(key.split(".", 1)[0], partition)]
+    return drive(sim, kernel.cluster.transport.rpc(
+        sender, kernel.placement[("ckpt", partition)],
         ports.CKPT, ports.CKPT_SAVE, {"key": key, "data": data}, timeout=5.0))
-    assert reply and reply["ok"]
 
 
 def _restore_from(owner, data):
@@ -67,7 +69,8 @@ def _restore_from(owner, data):
     tables, an ``AS OF`` read pulls them.  Returns the world and the read."""
     service, pid, key, _shape = OWNERS[owner]
     sim, kernel, client = _owner_world(owner)
-    _save(sim, kernel, pid, key, data)
+    reply = _save(sim, kernel, pid, key, data)
+    assert reply and reply["ok"]
     if owner == "db.tables":
         return sim, kernel, drive(sim, client.exec_query(Query("jobs", as_of=sim.now)))
     FaultInjector(kernel.cluster).kill_process(kernel.placement[(service, pid)], service)
@@ -165,3 +168,32 @@ def test_a_retried_save_never_lands_over_a_newer_one(monkeypatch):
     sim.run(until=sim.now + 5.0)
     assert lost and gsd.node_state == {"p1c0": "down", "p1c1": "down"}
     assert kernel.checkpoint("p1").store.load("gsd.state.p1").data == {"node_state": gsd.node_state}
+
+
+def test_only_the_owner_writes_its_checkpoint():
+    """A compute node's save of the GSD's key is refused, so the GSD's
+    successor still holds the node it judged down and never exports it
+    ``up``; a key that names no placed service stays writable by any
+    client, and the replica takes writes only from its primary."""
+    sim, kernel = _world(3, 2)
+    injector = FaultInjector(kernel.cluster)
+    injector.crash_node("p1c0")
+    sim.run(until=30.0)
+    reply = _save(sim, kernel, "p1", "gsd.state.p1", {"node_state": {}}, sender="p2c1")
+    assert reply["ok"] is False and sim.trace.counter("ckpt.refused") == 1
+    assert _save(sim, kernel, "p1", "svc.state", {"x": 1}, sender="p2c1")["ok"]
+    replica = kernel.placement[("ckpt.replica", "p1")]
+    reply = drive(sim, kernel.cluster.transport.rpc(
+        "p2c1", replica, ports.CKPT_REPLICA, ports.CKPT_REPLICATE,
+        {"key": "gsd.state.p1", "data": {"node_state": {}}, "version": 9}))
+    assert reply["ok"] is False and sim.trace.counter("ckpt.refused") == 2
+    assert kernel.checkpoint("p1").store.load("gsd.state.p1").data == {
+        "node_state": {"p1c0": "down"}}
+
+    killed = sim.now
+    injector.kill_process(kernel.placement[("gsd", "p1")], "gsd")
+    client = kernel.client("p2c1")
+    for after in (9.0, 12.0, 15.0):
+        sim.run(until=killed + after)
+        rows = drive(sim, client.query_bulletin("node_state", {"_key": "p1c0"}))["rows"]
+        assert [row["state"] for row in rows] == ["down"], after

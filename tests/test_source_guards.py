@@ -90,3 +90,25 @@ def test_a_daemon_reaches_its_partition_services_one_way():
     own = r"""placement\.get\(\(["'](es|db)["'], self\.partition_id\)"""
     by_hand = [hit for hit in _lines(SRC, own) if not hit.startswith("kernel/daemon.py:")]
     assert by_hand == []
+
+
+def test_a_user_environment_learns_its_nodes_one_way():
+    """PWS and the business runtime know their nodes only through
+    ``userenv/inventory.Inventory`` (one ``nodes`` read, one refund rule):
+    neither keeps its own per-node capacity, free-CPU or up/down map, reads
+    ``node_metrics`` / ``node_state`` or asks the simulator whether a node
+    is up.  Exempt: the PWS console's node listing (a display read) and the
+    runtime's check that a checkpointed replica's process survived."""
+    patterns = "|".join((
+        r"\b_?(capacity|free|free_cpus|cpus|node_up|up)\s*(:\s*dict\b|=\s*(\{|dict\())",
+        r"\bTABLE_NODE_(METRICS|STATE)\b|[\"']node_(metrics|state)[\"']",
+        r"cluster\.node\([^)]*\)\.up\b",
+    ))
+    found = sorted(re.sub(r":\d+: ", ": ", hit)
+                   for env in ("business", "pws")
+                   for hit in _lines(SRC / "userenv" / env, patterns))
+    assert found == [
+        "userenv/business/runtime.py: or (self.cluster.node(replica.node).up",
+        "userenv/pws/console.py: from repro.kernel.bulletin.service import TABLE_NODE_STATE",
+        "userenv/pws/console.py: return self.kernel.client(self.node_id).query_bulletin(TABLE_NODE_STATE)",
+    ]

@@ -7,10 +7,10 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel, ports
-from repro.kernel.bulletin.service import TABLE_NODE_METRICS
 from repro.kernel.events import types as ev
 from repro.sim import Simulator, drive
 from repro.userenv.business import BizAppSpec, TierSpec, install_business_runtime
+from repro.userenv.inventory import NODES_QUERY
 from repro.userenv.monitoring import install_gridview
 from repro.userenv.pws import PoolSpec, install_pws
 
@@ -81,7 +81,7 @@ CASES = {
     "gridview-subscribe": (ports.ES_SUBSCRIBE, _consumer("gridview"),
                            _console_hears_a_node_failure),
     "pws-inventory": (ports.DB_EXEC,
-                      lambda payload: payload.get("query") == {"table": TABLE_NODE_METRICS},
+                      lambda payload: payload.get("query") == NODES_QUERY,
                       _scheduler_runs_a_job),
 }
 

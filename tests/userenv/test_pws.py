@@ -12,13 +12,17 @@ from tests.userenv.conftest import pws_rpc
 # -- pool manager unit tests --------------------------------------------------
 
 
+def _rows(*nodes):
+    """``nodes`` table rows: up, 4 CPUs each."""
+    return [{"_key": n, "cpus": 4, "state": "up"} for n in nodes]
+
+
 def make_pm():
     pm = PoolManager([
         PoolSpec("a", ["n1", "n2"]),
         PoolSpec("b", ["n3", "n4"], policy="sjf"),
     ])
-    for n in ("n1", "n2", "n3", "n4"):
-        pm.set_capacity(n, 4)
+    pm.inventory.learn(_rows("n1", "n2", "n3", "n4"))
     return pm
 
 
@@ -34,30 +38,31 @@ def test_pool_validation():
 
 
 def test_allocation_and_release():
-    pm = make_pm()
-    pm.allocate("n1", 3)
-    assert pm.free_cpus("n1") == 1
-    with pytest.raises(SchedulingError):
-        pm.allocate("n1", 2)
-    pm.release("n1", 3)
-    assert pm.free_cpus("n1") == 4
-    pm.release("n1", 99)  # clamped at capacity
-    assert pm.free_cpus("n1") == 4
+    inv = make_pm().inventory
+    assert inv.allocate("n1", 3)
+    assert inv.free("n1") == 1
+    assert not inv.allocate("n1", 2)
+    assert inv.free("n1") == 1
+    inv.release("n1", 3)
+    assert inv.free("n1") == 4
+    inv.release("n1", 99)  # clamped at capacity
+    assert inv.free("n1") == 4
 
 
 def test_down_node_has_no_free_cpus():
     pm = make_pm()
-    pm.set_node_up("n1", False)
-    assert pm.free_cpus("n1") == 0
+    pm.inventory.allocate("n1", 1)
+    pm.inventory.node_failed("n1")
+    assert pm.inventory.free("n1") == 0
     assert pm.pick_nodes("a", 2, 1) == ["n2"]
-    pm.set_node_up("n1", True)
-    pm.reset_node("n1")
-    assert pm.free_cpus("n1") == 4
+    pm.inventory.release("n1", 1)  # no refund while down
+    assert pm.inventory.node_returned("n1", placed=1)
+    assert pm.inventory.free("n1") == 3
 
 
 def test_pick_nodes_respects_cpus_per_node():
     pm = make_pm()
-    pm.allocate("n1", 2)
+    pm.inventory.allocate("n1", 2)
     assert pm.pick_nodes("a", 2, 3) == ["n2"]
     assert pm.pick_nodes("a", 2, 2) == ["n1", "n2"]
 
@@ -78,8 +83,8 @@ def test_lease_lifecycle():
 
 def test_busy_nodes_not_leased():
     pm = make_pm()
-    pm.allocate("n3", 1)
-    pm.allocate("n4", 1)
+    pm.inventory.allocate("n3", 1)
+    pm.inventory.allocate("n4", 1)
     assert pm.lease_candidates("a", needed=1, cpus_per_node=1) == []
 
 
@@ -88,14 +93,13 @@ def test_non_lendable_pool_keeps_nodes():
         PoolSpec("a", ["n1"]),
         PoolSpec("b", ["n2"], lendable=False),
     ])
-    pm.set_capacity("n1", 4)
-    pm.set_capacity("n2", 4)
+    pm.inventory.learn(_rows("n1", "n2"))
     assert pm.lease_candidates("a", needed=1, cpus_per_node=1) == []
 
 
 def test_pool_stats():
     pm = make_pm()
-    pm.allocate("n1", 2)
+    pm.inventory.allocate("n1", 2)
     stats = pm.pool_stats()
     assert stats["a"]["free_cpus"] == 6
     assert stats["a"]["total_cpus"] == 8
