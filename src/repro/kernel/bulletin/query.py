@@ -177,23 +177,21 @@ def _join_node_row(
     still appears (with ``state`` but no samples), and a node whose GSD
     has not exported state yet still shows its metrics.  ``reporting``
     is 1 when the metrics side is present, so ``sum(reporting)`` counts
-    live reporters.
+    live reporters.  The row is a copy of metrics updated by state, with
+    the later ``_updated_at`` of the two.
     """
-    if metrics is None and state is None:
-        return None
-    row: dict[str, Any] = {}
-    if metrics is not None:
-        row.update(metrics)
+    if metrics is None:
+        if state is None:
+            return None
+        row = dict(state)
+        row["_updated_at"] = row.pop("_updated_at")  # after the state columns
+        row["reporting"] = 0
+        return row
+    row = dict(metrics)
     if state is not None:
-        for key, value in state.items():
-            if key == "_updated_at":
-                continue
-            row[key] = value
-        if metrics is not None:
-            row["_updated_at"] = max(metrics["_updated_at"], state["_updated_at"])
-        else:
-            row["_updated_at"] = state["_updated_at"]
-    row["reporting"] = 1 if metrics is not None else 0
+        row.update(state)
+        row["_updated_at"] = max(metrics["_updated_at"], state["_updated_at"])
+    row["reporting"] = 1
     return row
 
 
@@ -230,12 +228,8 @@ class LogicalTable:
 def _derive_nodes(get_rows: Callable[[str], list[dict[str, Any]]]) -> list[dict[str, Any]]:
     metrics = {r["_key"]: r for r in get_rows(TABLE_NODE_METRICS)}
     states = {r["_key"]: r for r in get_rows(TABLE_NODE_STATE)}
-    rows = []
-    for key in sorted(set(metrics) | set(states)):
-        row = _join_node_row(metrics.get(key), states.get(key))
-        if row is not None:
-            rows.append(row)
-    return rows
+    return [_join_node_row(metrics.get(key), states.get(key))
+            for key in sorted(metrics.keys() | states.keys())]
 
 
 def _derive_nodes_key(key, get_row):
@@ -329,7 +323,7 @@ def _agg_value(agg: Agg, rows: list[dict[str, Any]]) -> Any:
 def _grouped(rows: list[dict[str, Any]], query: Query) -> list[dict[str, Any]]:
     groups: dict[tuple, list[dict[str, Any]]] = {}
     for row in rows:
-        key = tuple(row.get(f) for f in query.group_by)
+        key = tuple(map(row.get, query.group_by))
         groups.setdefault(key, []).append(row)
     out = []
     for key in sorted(groups, key=lambda k: tuple(_sort_key(v) for v in k)):

@@ -233,13 +233,21 @@ class Simulator:
         return heap[0][0] if heap else None
 
     def step(self) -> bool:
-        """Execute exactly one pending event; return False if none remain."""
+        """Execute exactly one pending event; return False if none remain.
+
+        The collector is paused around the callback as in :meth:`run`."""
         if self.peek() is None:
             return False
         self._now, _, _, handle = heapq.heappop(self._heap)
         handle.fired = True
         self.events_executed += 1
-        handle.callback(*handle.args)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            handle.callback(*handle.args)
+        finally:
+            if collecting:
+                gc.enable()
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
@@ -254,10 +262,11 @@ class Simulator:
         executed: due events are still queued behind it.
 
         The cyclic garbage collector is paused for the duration of the
-        loop and put back as the caller had it, even when a callback
-        raises.  The event path creates no reference cycles, so reference
-        counting frees everything the loop drops and a collector pass over
-        the booted heap would find nothing (DESIGN.md §11).
+        loop (and of each :meth:`step`) and put back as the caller had it,
+        even when a callback raises.  The event path creates no reference
+        cycles, so reference counting frees everything the loop drops and
+        a collector pass over the booted heap would find nothing
+        (DESIGN.md §11).
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")

@@ -435,6 +435,8 @@ class BusinessRuntime(ServiceDaemon):
             node = event.data.get("node", "")
             if self.inventory.node_returned(node, self._placed().get(node, 0)):
                 self._retry_unplaced()
+            elif self.inventory.needs_load(node):
+                self.spawn(self._reload_inventory(), name=f"{self.node_id}/bizrt.inventory")
         elif event.type == ev.APP_FAILED:
             job_id = event.data.get("job_id", "")
             for state in self.apps.values():
@@ -451,6 +453,10 @@ class BusinessRuntime(ServiceDaemon):
         },
         EVENT_PORT: {ports.ES_EVENT: _on_event},
     }
+
+    def _reload_inventory(self):
+        yield from self.inventory.load(self)
+        self._retry_unplaced()
 
     def _retry_unplaced(self) -> None:
         """Replicas that could not be placed anywhere get another chance

@@ -33,20 +33,26 @@ class Inventory:
         self._up: dict[str, bool] = {}
         #: Nodes whose up/down a node event set: no answer overrides it.
         self._heard: set[str] = set()
+        #: A :meth:`load` is running (it asks for any node still missing).
+        self._loading = False
 
     def load(self, daemon):
         """``yield from`` it: read ``nodes`` through ``daemon``'s partition
         bulletin until :meth:`missing` is empty or the reads run out."""
         timings = daemon.timings
         reads = max(3, math.ceil(2.0 * timings.heartbeat_interval / timings.detector_interval))
-        for attempt in range(reads):
-            if attempt:
-                yield timings.detector_interval
-            read = daemon.exec_query(NODES_QUERY, timeout=10.0)
-            reply = None if read is None else (yield read)
-            self.learn((reply or {}).get("rows", ()))
-            if not self.missing():
-                return
+        self._loading = True
+        try:
+            for attempt in range(reads):
+                if attempt:
+                    yield timings.detector_interval
+                read = daemon.exec_query(NODES_QUERY, timeout=10.0)
+                reply = None if read is None else (yield read)
+                self.learn((reply or {}).get("rows", ()))
+                if not self.missing():
+                    return
+        finally:
+            self._loading = False
 
     def learn(self, rows: Iterable[dict[str, Any]]) -> None:
         """Take each managed node's ``state`` (unless an event set it) and,
@@ -94,6 +100,11 @@ class Inventory:
         if node in self._capacity:
             self._free[node] = self._capacity[node] - placed
         return node in self._capacity
+
+    def needs_load(self, node: str) -> bool:
+        """``node`` is managed and up with no capacity known (it was down at
+        the load) and no load is running to ask for it: load again."""
+        return self.up(node) and node not in self._capacity and not self._loading
 
     def allocate(self, node: str, cpus: int) -> bool:
         """Take ``cpus`` on ``node`` if it is up and has them free."""

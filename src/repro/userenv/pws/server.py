@@ -220,7 +220,7 @@ class PWSServer(ServiceDaemon):
         if drain:
             self.inventory.node_failed(node)
         else:
-            self.inventory.node_returned(node, self._placed(node))
+            self._node_returned(node)
         self.sim.trace.mark("pws.drain" if drain else "pws.undrain", node=node)
         if not drain:
             self._schedule()
@@ -266,8 +266,7 @@ class PWSServer(ServiceDaemon):
                 if job.state is JobState.RUNNING and node in job.outstanding:
                     self._task_failed(job, node)
         elif event.type == ev.NODE_RECOVERY:
-            node = event.data.get("node", "")
-            self.inventory.node_returned(node, self._placed(node))
+            self._node_returned(event.data.get("node", ""))
         elif event.type == ev.APP_EXITED:
             job = self._current_job(event.data.get("job_id", ""))
             if job is not None:
@@ -291,6 +290,15 @@ class PWSServer(ServiceDaemon):
         },
         EVENT_PORT: {ports.ES_EVENT: _on_event},
     }
+
+    def _node_returned(self, node: str) -> None:
+        self.inventory.node_returned(node, self._placed(node))
+        if self.inventory.needs_load(node):
+            self.spawn(self._reload_inventory(), name=f"{self.node_id}/pws.inventory")
+
+    def _reload_inventory(self):
+        yield from self.inventory.load(self)
+        self._schedule()
 
     def _placed(self, node: str) -> int:
         """CPUs this scheduler's running tasks still hold on ``node``."""

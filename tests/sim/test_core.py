@@ -224,7 +224,7 @@ def test_events_executed_counter():
     assert sim.events_executed == 4
 
 
-# -- the cyclic collector: paused inside run(), untouched by step() ----------
+# -- the cyclic collector: paused inside run() and around each step() -------
 
 
 @pytest.fixture()
@@ -278,13 +278,26 @@ def test_nested_runs_of_two_simulators_restore_the_collector(collector_state):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_step_never_changes_the_collector(collector_state, enabled):
+def test_step_pauses_the_collector_and_restores_the_callers_state(collector_state, enabled):
     (gc.enable if enabled else gc.disable)()
     sim = Simulator()
     seen = []
     for delay in (1.0, 2.0):
         sim.schedule(delay, lambda: seen.append(gc.isenabled()))
     while sim.step():
-        pass
-    assert seen == [enabled, enabled]
+        assert gc.isenabled() is enabled
+    assert seen == [False, False]
     assert gc.isenabled() is enabled
+
+
+def test_step_restores_the_collector_when_a_callback_raises(collector_state):
+    gc.enable()
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.step()
+    assert gc.isenabled()

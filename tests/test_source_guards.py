@@ -112,3 +112,13 @@ def test_a_user_environment_learns_its_nodes_one_way():
         "userenv/pws/console.py: from repro.kernel.bulletin.service import TABLE_NODE_STATE",
         "userenv/pws/console.py: return self.kernel.client(self.node_id).query_bulletin(TABLE_NODE_STATE)",
     ]
+
+
+def test_only_the_engine_touches_the_collector():
+    """``Simulator.run`` / ``step`` pause the cyclic collector, which is
+    sound only because the event path makes no reference cycles
+    (``tests/integration/test_no_cycles.py``); a second toggle anywhere
+    else could hide one."""
+    toggles = r"\bgc\.(disable|enable|collect|freeze|set_threshold)\b|^\s*from gc import"
+    found = [hit for hit in _lines(SRC, toggles) if not hit.startswith("sim/core.py:")]
+    assert found == []

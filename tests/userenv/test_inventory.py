@@ -105,3 +105,62 @@ def test_a_node_event_before_the_answer_wins_over_it(monkeypatch):
     assert inventory.missing() == [] and len(held) == 1
     assert not inventory.up("p1c0") and inventory.capacity("p1c0") == 4
     assert inventory.up("p1c1") and inventory.free("p1c1") == 4
+
+
+def _down_at_load_world(install):
+    """2 × 2 nodes: ``p1c0`` crashes at 6 s, the environment managing
+    ``p1c0`` and ``p1c1`` is installed at 60 s (its metrics row long
+    expired, so the load reads it down with no ``cpus``), and ``p1c0``
+    reboots, with its per-node kernel services, at 70 s."""
+    sim = Simulator(seed=3)
+    cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=2))
+    kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=5.0))
+    kernel.boot()
+    sim.run(until=6.0)
+    faults = FaultInjector(cluster)
+    faults.crash_node("p1c0")
+    sim.run(until=60.0)
+    env = install(kernel, ["p1c0", "p1c1"])
+    sim.run(until=70.0)
+    assert not env.inventory.known("p1c0")
+    faults.boot_node("p1c0")
+    for svc in ("ppm", "detector", "wd"):
+        kernel.start_service(svc, "p1c0")
+    sim.run(until=120.0)
+    return sim, kernel, env
+
+
+def _bizrt_places_a_replica_on_each_node(sim, kernel, runtime):
+    cpus = kernel.cluster.node("p1c0").spec.cpus
+    runtime.deploy(BizAppSpec(name="shop", tiers=(TierSpec("web", 2, cpus=cpus),)))
+    sim.run(until=sim.now + 30.0)
+    assert runtime.app_status("shop")["tiers"] == {"web": 2}
+    assert sim.trace.counter("bizrt.placement_failed") == 0
+
+
+def _pws_runs_a_job_on_both_nodes(sim, kernel, server):
+    reply = drive(sim, kernel.cluster.transport.rpc(
+        "p0c0", server.node_id, "pws", "pws.submit",
+        {"user": "alice", "nodes": 2, "cpus_per_node": 1, "duration": 30.0, "pool": "batch"},
+        timeout=5.0))
+    assert reply and reply["ok"], reply
+    sim.run(until=sim.now + 5.0)
+    assert server.jobs[reply["job_id"]].state.value == "running"
+
+
+DOWN_AT_LOAD = {
+    "bizrt": (lambda kernel, nodes: install_business_runtime(kernel, worker_nodes=nodes),
+              _bizrt_places_a_replica_on_each_node),
+    "pws": (lambda kernel, nodes: install_pws(kernel, [PoolSpec("batch", nodes)]),
+            _pws_runs_a_job_on_both_nodes),
+}
+
+
+@pytest.mark.parametrize("env", sorted(DOWN_AT_LOAD))
+def test_a_node_down_at_load_gets_its_capacity_when_it_returns(env):
+    """The node's recovery finds no capacity to give back, so the
+    environment reads ``nodes`` again and can place work on it."""
+    install, check = DOWN_AT_LOAD[env]
+    sim, kernel, environment = _down_at_load_world(install)
+    assert environment.inventory.known("p1c0") and environment.inventory.up("p1c0")
+    check(sim, kernel, environment)
