@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field, replace
+from operator import methodcaller
 from typing import Any, Callable
 
 from repro.errors import KernelError
@@ -223,11 +224,27 @@ class LogicalTable:
     derive_key: Callable[
         [str, Callable[[str, str], dict[str, Any] | None]], dict[str, Any] | None
     ]
+    #: ``derive`` orders its rows by ``_key`` itself and takes base rows in
+    #: any order, so a gathered scan need not sort them first.
+    self_ordered: bool = False
+
+
+_PARTITION = methodcaller("get", "_partition", "")
+
+
+def _by_key(rows: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    """``rows`` by ``_key``, whatever their order: of rows sharing a key the
+    one from the greatest ``_partition`` (``""`` if none) wins, the later
+    one among equals, as if ordered by partition, then key."""
+    by_key = {row["_key"]: row for row in rows}
+    if len(by_key) < len(rows):  # a key gathered from two partitions
+        by_key = {row["_key"]: row for row in sorted(rows, key=_PARTITION)}
+    return by_key
 
 
 def _derive_nodes(get_rows: Callable[[str], list[dict[str, Any]]]) -> list[dict[str, Any]]:
-    metrics = {r["_key"]: r for r in get_rows(TABLE_NODE_METRICS)}
-    states = {r["_key"]: r for r in get_rows(TABLE_NODE_STATE)}
+    metrics = _by_key(get_rows(TABLE_NODE_METRICS))
+    states = _by_key(get_rows(TABLE_NODE_STATE))
     return [_join_node_row(metrics.get(key), states.get(key))
             for key in sorted(metrics.keys() | states.keys())]
 
@@ -254,7 +271,7 @@ _health_derive, _health_key = _single(TABLE_HEALTH)
 
 LOGICAL_TABLES: dict[str, LogicalTable] = {
     "nodes": LogicalTable("nodes", (TABLE_NODE_METRICS, TABLE_NODE_STATE),
-                          _derive_nodes, _derive_nodes_key),
+                          _derive_nodes, _derive_nodes_key, self_ordered=True),
     "jobs": LogicalTable("jobs", (TABLE_APPS,), _jobs_derive, _jobs_key),
     "services": LogicalTable("services", (TABLE_HEALTH,), _services_derive, _services_key),
     "health": LogicalTable("health", (TABLE_HEALTH,), _health_derive, _health_key),

@@ -54,9 +54,13 @@ def _row_order(row: dict[str, Any]) -> tuple[str, str]:
     return (row.get("_partition", ""), row.get("_key", ""))
 
 
-def _ordered(rows_by_table: dict[str, list[dict[str, Any]]]):
-    """Executor row source: a table's gathered rows in canonical order."""
-    return lambda table: sorted(rows_by_table.get(table, []), key=_row_order)
+def _ordered(rows_by_table: dict[str, list[dict[str, Any]]], table: str):
+    """Executor row source for a scan of ``table``: each base table's
+    gathered rows in canonical order, or as gathered where ``table``'s
+    derive orders its rows itself (one sort either way)."""
+    if rel.table_def(table).self_ordered:
+        return lambda base: rows_by_table.get(base, [])
+    return lambda base: sorted(rows_by_table.get(base, []), key=_row_order)
 
 
 #: Tables whose rows go stale when their producer stops exporting
@@ -256,7 +260,7 @@ class BulletinDaemon(ServiceDaemon):
             rows_by_table, missing, extra = yield from self._as_of_rows(q, span)
         else:
             rows_by_table, missing, extra = yield from self._live_rows(q, span, region)
-        result = rel.execute_on(q, _ordered(rows_by_table))
+        result = rel.execute_on(q, _ordered(rows_by_table, q.table))
         self.reply(msg, {"rows": result, "partitions_missing": missing, **extra})
         span.end(rows=len(result), missing=len(missing),
                  **({} if q.as_of is None else {"as_of": q.as_of}))

@@ -43,6 +43,7 @@ publish→consumer latency and whose parent is the publish span.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Any
 
 from repro.cluster.message import Message
@@ -66,6 +67,8 @@ _REGISTRY = ports.record("registry", subs=ports.opt(ports.each(ports.Kind(
     "subscription", lambda v, names: not ports.CONTRACTS[ports.ES_SUBSCRIBE].refusal(v, names)))),
     outbox=ports.opt(ports.mapping(ports.PARTITION, ports.each(
         ports.Kind("event", lambda v, _: isinstance(v, Event))))))
+
+_EVENT_ID = itemgetter("event_id")
 
 
 class EventServiceDaemon(ServiceDaemon):
@@ -193,8 +196,7 @@ class EventServiceDaemon(ServiceDaemon):
         self.sim.trace.count("es.published")
         self._history.append(event)
         self._deliver_local(event)
-        for part_id in self._federation_peers():
-            self._enqueue_forward(part_id, event)
+        self._fan_out(event, self._federation_peers())
         self._arm_flush()
         pub_span.end(event_id=event.event_id)
         return {"ok": True, "event_id": event.event_id}
@@ -211,20 +213,38 @@ class EventServiceDaemon(ServiceDaemon):
         ]
 
     def _on_forward_batch(self, msg: Message) -> dict[str, Any]:
-        ingress, home = self._relay_roles(msg.payload["origin"])
-        accepted = 0
-        for event in map(Event.from_payload, msg.payload["events"]):
-            if self._accept_forward(event):
-                accepted += 1
-                if ingress or (home is not None
-                               and self.kernel.region_of(event.partition) == home):
-                    self._relay_forward(event, ingress)
-        return {"ok": True, "accepted": accepted}
+        """Accept a forwarded batch (DESIGN.md §8): an event whose id is in
+        the seen window is a duplicate (a retried batch whose ack was lost
+        re-executes this handler); the fresh ones, in batch order, join the
+        window, the history and local delivery, and are relayed by §16's rule."""
+        events = msg.payload["events"]
+        seen, fresh = self._seen_ids, []
+        for event in map(Event.from_payload, events):
+            event_id = event["event_id"]
+            if event_id not in seen:
+                seen.add(event_id)
+                fresh.append(event)
+        if len(fresh) < len(events):
+            self.sim.trace.count("es.forward_duplicates", len(events) - len(fresh))
+        if not fresh:
+            return {"ok": True, "accepted": 0}
+        # Trimmed once per batch: the window briefly holds up to a batch
+        # more than SEEN_FORWARDS, so it suppresses at least what a
+        # per-event trim would.
+        order = self._seen_order
+        order.extend(map(_EVENT_ID, fresh))
+        while len(order) > self.SEEN_FORWARDS:
+            seen.discard(order.popleft())
+        self._history.extend(fresh)
+        if self._subs:
+            for event in fresh:
+                self._deliver_local(event)
+        self._relay(fresh, msg.payload["origin"])
+        return {"ok": True, "accepted": len(fresh)}
 
-    def _relay_roles(self, origin_part: str) -> tuple[bool, int | None]:
-        """Relay rules for one forward batch, applied to each event on its
-        first acceptance: ``(ingress, home)``, ``home`` being this region
-        when this partition is its aggregator, else ``None``.
+    def _relay(self, fresh: list[Event], origin_part: str) -> None:
+        """Queue a batch's fresh events, in batch order, to the peers its
+        relay rule names (DESIGN.md §16), decided once per batch.
 
         *Ingress*: a batch arriving from another region (necessarily via
         an aggregator funnel) is fanned out to this region's mesh, so
@@ -238,30 +258,20 @@ class EventServiceDaemon(ServiceDaemon):
         when old and new aggregators race during a handover.
         """
         kernel = self.kernel
-        my_region = kernel.region_of(self.partition_id)
-        if kernel.region_of(origin_part) != my_region:
-            return True, None
-        return False, my_region if kernel.is_aggregator(self.partition_id) else None
-
-    def _relay_forward(self, event: Event, ingress: bool) -> None:
-        for pid, _node, remote in self.kernel.federation_edges("es", self.partition_id):
-            if remote != ingress:  # ingress -> own mesh, egress -> remote aggregators
-                self._enqueue_forward(pid, event)
-        self._arm_flush()
-
-    def _accept_forward(self, event: Event) -> bool:
-        """Deliver one federated event, suppressing re-received duplicates
-        (a retried batch whose ack was lost re-executes this handler)."""
-        if event.event_id in self._seen_ids:
-            self.sim.trace.count("es.forward_duplicates")
-            return False
-        self._seen_ids.add(event.event_id)
-        self._seen_order.append(event.event_id)
-        while len(self._seen_order) > self.SEEN_FORWARDS:
-            self._seen_ids.discard(self._seen_order.popleft())
-        self._history.append(event)
-        self._deliver_local(event)
-        return True
+        home = kernel.region_of(self.partition_id)
+        ingress = kernel.region_of(origin_part) != home
+        if ingress:
+            relayed = fresh
+        elif kernel.is_aggregator(self.partition_id):
+            relayed = [event for event in fresh if kernel.region_of(event.partition) == home]
+        else:
+            return
+        if relayed:
+            peers = [pid for pid, _node, remote in kernel.federation_edges("es", self.partition_id)
+                     if remote != ingress]
+            for event in relayed:
+                self._fan_out(event, peers)
+            self._arm_flush()
 
     PORTS = {ports.ES: {
         ports.ES_SUBSCRIBE: _on_subscribe,
@@ -273,10 +283,16 @@ class EventServiceDaemon(ServiceDaemon):
     }}
 
     # -- federation batching -------------------------------------------------
-    def _enqueue_forward(self, part_id: str, payload: dict[str, Any]) -> None:
-        pending = self._outbox.setdefault(part_id, deque())
-        pending.append(payload)
-        self._trim_outbox(part_id, pending)
+    def _fan_out(self, event: Event, part_ids: list[str]) -> None:
+        """Queue ``event`` to each peer's outbox, in ``part_ids`` order."""
+        outbox = self._outbox
+        for part_id in part_ids:
+            pending = outbox.get(part_id)
+            if pending is None:
+                pending = outbox[part_id] = deque()
+            pending.append(event)
+            if len(pending) > ES_OUTBOX_MAX:
+                self._trim_outbox(part_id, pending)
 
     def _trim_outbox(self, part_id: str, pending: deque) -> None:
         """Enforce the per-peer high-water mark: drop the *oldest* queued
@@ -300,10 +316,10 @@ class EventServiceDaemon(ServiceDaemon):
         """Arm the outbox flush timer (no-op while one is already armed,
         so a publish burst shares a single flush, or while every peer
         with pending forwards is held)."""
+        if self._flush_timer is not None and self._flush_timer.active:
+            return
         if not any(pending for part_id, pending in self._outbox.items()
                    if part_id not in self._held):
-            return
-        if self._flush_timer is not None and self._flush_timer.active:
             return
         if self._flush_timer is None:
             self._flush_timer = self.sim.timer(ES_FORWARD_FLUSH, self._flush_forwards)

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel, ports
 from repro.kernel.bulletin.query import Agg, Query
+from repro.kernel.daemon import ServiceDaemon
 from repro.sim import Simulator, drive
 from repro.userenv.business import BizAppSpec, TierSpec, install_business_runtime
 from repro.userenv.pws import PoolSpec, install_pws
+from tests.kernel.save_model import save_state_model
 
 #: owner -> (its service, partition, checkpoint key, partitions x computes)
 OWNERS = {
@@ -197,3 +199,74 @@ def test_only_the_owner_writes_its_checkpoint():
         sim.run(until=killed + after)
         rows = drive(sim, client.query_bulletin("node_state", {"_key": "p1c0"}))["rows"]
         assert [row["state"] for row in rows] == ["down"], after
+
+
+# -- one save per key on the wire: the line against its process model ----------
+class _Heard:
+    """A signal waiter that records when and with what a caller's save settled."""
+
+    def __init__(self, sim, log, index):
+        self.sim, self.log, self.index = sim, log, index
+
+    def _wake_soon(self, value):
+        self.log.append((self.index, self.sim.now, value))
+
+
+_KEYS = ("es.prop.a", "es.prop.b")
+#: A save takes ~1.2 ms to ack: calls this close overlap, the others mostly not.
+_AT = st.floats(0.0, 0.003) | st.floats(0.0, 3.0)
+
+
+def _save_scenario(save, calls, lost, kill_at):
+    """Run ``calls`` (time, key) through ``save`` (the production call or the
+    model) from p0's event service, dropping the ``ckpt.save`` datagrams and
+    acks of its node that ``lost`` names in send order, the service killed
+    at ``kill_at``; return every datagram, ack and stored blob."""
+    sim, kernel = _world(2, 1)
+    transport = kernel.cluster.transport
+    es = kernel.live_daemon("es", kernel.placement[("es", "p0")])
+    wire, heard, fates = [], [], iter(lost)
+    send = transport.send
+
+    def lossy(src, dst, port, mtype, payload=None, *args, **kwargs):
+        mine = (mtype == ports.CKPT_SAVE and payload["key"] in _KEYS
+                or mtype == f"{ports.CKPT_SAVE}.reply" and dst == es.node_id)
+        if mine:
+            wire.append((sim.now, mtype, payload.get("key"), payload.get("data")))
+            if next(fates, False):
+                return True  # accepted, lost in flight
+        return send(src, dst, port, mtype, payload, *args, **kwargs)
+
+    transport.send = lossy
+
+    def call(index, key):
+        signal = save(es, key, {"n": index})
+        if signal is None:
+            heard.append((index, sim.now, "not sent"))
+        else:
+            signal._register(_Heard(sim, heard, index))
+
+    start = sim.now
+    for index, (at, key) in enumerate(calls):
+        sim.schedule(at, call, index, key)
+    if kill_at is not None:
+        sim.schedule(kill_at, FaultInjector(kernel.cluster).kill_process, es.node_id, "es")
+    sim.run(until=start + 20.0)
+    store = kernel.checkpoint("p0").store
+    return {"wire": wire, "heard": sorted(heard, key=lambda h: (h[1], h[0])),
+            "stored": {key: store.load(key) and store.load(key).data for key in _KEYS}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=st.lists(st.tuples(_AT, st.sampled_from(_KEYS)),
+                      min_size=1, max_size=8),
+       lost=st.lists(st.booleans(), max_size=12),
+       kill_at=st.none() | _AT)
+def test_property_the_save_line_equals_the_process_model(calls, lost, kill_at):
+    """Saves of two keys at random times, datagrams and acks lost, the
+    saver killed mid-way: the production line sends the datagrams, answers
+    each caller and stores the blobs the one-process-per-key model does."""
+    got = _save_scenario(ServiceDaemon.save_state, calls, lost, kill_at)
+    want = _save_scenario(save_state_model, calls, lost, kill_at)
+    assert got == want
+    assert len(got["heard"]) == len(calls)

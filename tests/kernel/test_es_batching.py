@@ -7,6 +7,7 @@ from repro.cluster import Cluster, ClusterSpec, FaultInjector
 from repro.kernel import KernelTimings, PhoenixKernel
 from repro.kernel.events.filters import Subscription
 from repro.kernel.events.types import Event
+from repro.kernel.ports import ES, ES_EVENT, ES_FORWARD_BATCH
 from repro.kernel.timings import RPC_TIMEOUT
 from repro.sim import Simulator, drive
 from repro.userenv.monitoring import messaging_report
@@ -174,6 +175,57 @@ def test_randomized_stream_matches_naive_reference(kernel, sim):
     # And the transport actually batched: more events forwarded than datagrams.
     assert (sim.trace.counter("es.forward_batches")
             < sim.trace.counter("es.forward_batched_events"))
+
+
+# -- duplicate suppression ------------------------------------------------------
+
+
+def test_a_redelivered_batch_is_all_duplicates_and_an_overlap_accepts_its_new_half(monkeypatch):
+    """A retry after a lost ack delivers one ``es.forward_batch`` twice: the
+    second answers ``accepted: 0``, counts each event a duplicate, and
+    pushes and relays nothing.  A batch half made of seen events accepts
+    only its new half.  The receiver is region 0's aggregator and the batch
+    comes from region 1, so each fresh event is relayed to its mesh."""
+    sim = Simulator(seed=11)
+    cluster = Cluster(sim, ClusterSpec.build(partitions=4, computes=1, region_size=2))
+    kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=30.0))
+    kernel.boot()
+    sim.run(until=30.0)
+    assert kernel.is_aggregator("p0")
+    local = subscribe_collector(kernel, sim, "p0c0", "c0", types=("custom.*",), partition="p0")
+    meshed = subscribe_collector(kernel, sim, "p1c0", "c1", types=("custom.*",), partition="p1")
+    receiver, sender = kernel.placement[("es", "p0")], kernel.placement[("es", "p2")]
+    events = [Event(f"ev.p2.retry.{i}", "custom.tick", "p2c0", "p2", sim.now, {"i": i})
+              for i in range(6)]
+    out = []  # (type, event ids) of every push and batch the receiver sends
+    send = cluster.transport.send
+
+    def spy(src, dst, port, mtype, payload=None, *args, **kwargs):
+        if src == receiver and mtype == ES_EVENT:
+            out.append((mtype, [payload["event"].event_id]))
+        elif src == receiver and mtype == ES_FORWARD_BATCH:
+            out.append((mtype, [e["event_id"] for e in payload["events"]]))
+        return send(src, dst, port, mtype, payload, *args, **kwargs)
+
+    monkeypatch.setattr(cluster.transport, "send", spy)
+
+    def deliver(batch):
+        """(accepted, duplicates counted, what the receiver sent) for one batch."""
+        before, out[:] = sim.trace.counter("es.forward_duplicates"), []
+        reply = drive(sim, cluster.transport.rpc(sender, receiver, ES, ES_FORWARD_BATCH,
+                                                 {"origin": "p2", "events": batch}))
+        sim.run(until=sim.now + 1.0)  # past the flush window: relays are out
+        return reply["accepted"], sim.trace.counter("es.forward_duplicates") - before, list(out)
+
+    ids = [e.event_id for e in events]
+    accepted, duplicates, sent = deliver(events[:4])
+    assert (accepted, duplicates) == (4, 0)
+    assert sent == [(ES_EVENT, [i]) for i in ids[:4]] + [(ES_FORWARD_BATCH, ids[:4])]
+    assert deliver(events[:4]) == (0, 4, [])
+    accepted, duplicates, sent = deliver(events[2:])
+    assert (accepted, duplicates) == (2, 2)
+    assert sent == [(ES_EVENT, [i]) for i in ids[4:]] + [(ES_FORWARD_BATCH, ids[4:])]
+    assert [e.event_id for e in local] == [e.event_id for e in meshed] == ids
 
 
 # -- fault injection: outbox survives sender restart + peer migration --------
