@@ -33,10 +33,8 @@ class Cluster:
             node_id: Node(sim, node_spec) for node_id, node_spec in spec.nodes.items()
         }
         node_ids = list(self.nodes)
-        node_groups = {nid: ns.partition_id for nid, ns in spec.nodes.items()}
         self.networks: dict[str, Network] = {
-            net_spec.name: Network(sim, net_spec, node_ids, node_groups=node_groups)
-            for net_spec in spec.networks
+            net_spec.name: Network(sim, net_spec, node_ids) for net_spec in spec.networks
         }
         self.transport = Transport(sim, self.networks, self.nodes)
         self.hostoses: dict[str, HostOS] = {

@@ -59,24 +59,12 @@ class LinkDegradation:
 
 
 class Network:
-    """One physical fabric connecting every node's NIC on it.
+    """One physical fabric connecting every node's NIC on it."""
 
-    ``node_groups`` (node id → group tag, typically the partition id)
-    enables the two-level topology's uplink charge for cross-group
-    traffic; with a flat topology it is ignored.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: NetworkSpec,
-        node_ids: list[str],
-        node_groups: dict[str, str] | None = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, spec: NetworkSpec, node_ids: list[str]) -> None:
         self.sim = sim
         self.spec = spec
         self.name = spec.name
-        self._node_groups = node_groups or {}
         self.fabric_up = True
         self._link_up: dict[str, bool] = {nid: True for nid in node_ids}
         #: None = fully connected; else node -> group tag, cross-group drops.
@@ -202,17 +190,10 @@ class Network:
         return True
 
     # -- transmission --------------------------------------------------------
-    def latency_sample(self, src: str = "", dst: str = "", size: int = 0) -> float:
-        """Per-message delay: base + optional uplink hop + optional
-        serialization (size/bandwidth) + exponential jitter."""
+    def latency_sample(self, size: int = 0) -> float:
+        """Per-message delay: base + optional serialization
+        (size/bandwidth) + exponential jitter."""
         base = self.spec.base_latency
-        if (
-            self.spec.topology == "two_level"
-            and src
-            and dst
-            and self._node_groups.get(src) != self._node_groups.get(dst)
-        ):
-            base += self.spec.uplink_latency  # edge -> core -> edge hop
         if self.spec.bandwidth is not None and size > 0:
             base += size / self.spec.bandwidth
         if self.spec.jitter > 0:
@@ -267,9 +248,7 @@ class Network:
         # the same path, as on a real store-and-forward fabric (a later
         # send may arrive together with, but not before, an earlier one).
         sim = self.sim
-        arrival = sim.now + latency_mult * self.latency_sample(
-            msg.src_node, msg.dst_node, msg.size
-        )
+        arrival = sim.now + latency_mult * self.latency_sample(msg.size)
         flow = (msg.src_node, msg.dst_node)
         prev = self._flow_clock.get(flow, 0.0)
         if arrival < prev:

@@ -53,17 +53,13 @@ class NetworkSpec:
 
     ``base_latency``/``jitter`` parameterize per-message delivery delay
     (seconds); ``loss_rate`` is an independent per-message drop
-    probability.  With ``topology="two_level"`` the fabric models the
-    Dawning 4000A's hierarchical switching: traffic crossing partition
-    boundaries pays ``uplink_latency`` extra (edge switch → core → edge).
+    probability.
     """
 
     name: str
     base_latency: float = usec(100)
     jitter: float = usec(50)
     loss_rate: float = 0.0
-    topology: str = "flat"  # "flat" | "two_level"
-    uplink_latency: float = usec(120)
     #: Optional per-message serialization charge: size/bandwidth added to
     #: latency.  ``None`` keeps the latency-only model (the calibration
     #: the Tables 1–3 defaults assume — kernel messages are tiny anyway).
@@ -74,10 +70,6 @@ class NetworkSpec:
             raise ClusterError(f"network {self.name}: latency must be finite and non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ClusterError(f"network {self.name}: loss_rate must be in [0, 1)")
-        if self.topology not in ("flat", "two_level"):
-            raise ClusterError(f"network {self.name}: unknown topology {self.topology!r}")
-        if not 0 <= self.uplink_latency < math.inf:
-            raise ClusterError(f"network {self.name}: uplink latency must be finite and non-negative")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ClusterError(f"network {self.name}: bandwidth must be positive")
 

@@ -111,12 +111,10 @@ def run_serve_campaign(
     rate: float = 2000.0,
     profile: str = "diurnal",
     kill: bool = True,
-    span_sample: int = 0,
-    trace_capacity: int | None = 0,
 ) -> ServeResult:
     """Run the serving campaign; deterministic per (requests, seed, rate,
     profile, kill)."""
-    sim = Simulator(seed=seed, trace_capacity=trace_capacity)
+    sim = Simulator(seed=seed, trace_capacity=0)
     cluster = Cluster(sim, ClusterSpec.build(partitions=2, computes=6))
     timings = KernelTimings(heartbeat_interval=5.0, health_report_interval=2.5)
     kernel = PhoenixKernel(cluster, timings=timings)
@@ -136,7 +134,7 @@ def run_serve_campaign(
     arrival = build_profile(profile, rate)
     generator = TrafficGenerator(
         runtime, APP, list(REQUEST_CLASSES), profile=arrival,
-        queue_cap=256, slots_per_replica=16, span_sample=span_sample,
+        queue_cap=256, slots_per_replica=16,
     )
     scaler = Autoscaler(
         runtime, APP, SCALE_BOUNDS,

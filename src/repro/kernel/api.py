@@ -20,6 +20,7 @@ from typing import Any
 from repro.cluster.cluster import Cluster
 from repro.errors import KernelError, ServiceUnavailable
 from repro.kernel import ports
+from repro.kernel.bulletin.query import Query
 from repro.kernel.bulletin.service import BulletinDaemon
 from repro.kernel.checkpoint.service import CheckpointDaemon, CheckpointReplicaDaemon
 from repro.kernel.config.service import ConfigServiceDaemon
@@ -372,25 +373,25 @@ class KernelClient:
         timeout: float = 5.0,
     ) -> Signal:
         """Read ``table``'s rows matching ``where`` cluster-wide through
-        *any* bulletin instance: ``DB_EXEC`` of ``Query(table, where)``.
+        *any* bulletin instance: ``exec_query(Query(table, where))``.
 
         An aggregate is a typed query (:meth:`exec_query`) or a registered
         view (:meth:`register_view`).
         """
-        query = {"table": table, "where": where} if where else {"table": table}
-        return self._transport.rpc_retry(
-            self.node_id, self._node("db", partition), ports.DB, ports.DB_EXEC,
-            {"query": query}, timeout=timeout,
-        )
+        return self.exec_query(Query(table, where), partition, timeout)
 
     # -- relational layer (typed queries + materialized views) -----------
-    def exec_query(self, query, partition: str | None = None, timeout: float = 15.0) -> Signal:
-        """Run a typed relational query
-        (:class:`repro.kernel.bulletin.query.Query`) through any bulletin
-        instance — the one cluster-wide read path, or a read of checkpoint
-        history when the query is ``AS OF`` a past time."""
+    def exec_query(self, query: Query, partition: str | None = None,
+                   timeout: float = 15.0) -> Signal:
+        """Run a typed relational query through any bulletin instance — the
+        one cluster-wide read path, or a read of checkpoint history when
+        the query is ``AS OF`` a past time.  A query over a registered
+        view's name goes to the view's owner (default partition); a
+        malformed name is left for the bulletin to refuse."""
+        owners = self.kernel.view_owners
+        part = partition or (owners.get(query.table) if isinstance(query.table, str) else None)
         return self._transport.rpc_retry(
-            self.node_id, self._node("db", partition), ports.DB, ports.DB_EXEC,
+            self.node_id, self._node("db", part), ports.DB, ports.DB_EXEC,
             {"query": query.to_payload()}, timeout=timeout,
         )
 
@@ -405,14 +406,11 @@ class KernelClient:
         )
 
     def read_view(self, name: str, partition: str | None = None, timeout: float = 5.0) -> Signal:
-        """Read a registered view from its owner — one RPC, O(result) bytes."""
-        part = partition or self.kernel.view_owners.get(name)
-        if part is None:
+        """Read a registered view from its owner: ``exec_query(Query(name))``,
+        O(result) bytes."""
+        if partition is None and name not in self.kernel.view_owners:
             raise ServiceUnavailable(f"view {name!r} has no registered owner")
-        return self._transport.rpc_retry(
-            self.node_id, self._node("db", part), ports.DB, ports.DB_VIEW_READ,
-            {"name": name}, timeout=timeout,
-        )
+        return self.exec_query(Query(name), partition, timeout)
 
     def drop_view(self, name: str, timeout: float = 5.0) -> Signal:
         """Unregister a view at its owner (delta publishing stays on)."""

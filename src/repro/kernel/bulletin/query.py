@@ -12,7 +12,8 @@ than hand-roll scans.  This module is the query half of that bargain:
   and GSDs export, including the ``nodes`` full outer join of
   ``node_metrics`` and ``node_state``; any other name is a physical
   table read as itself (:func:`table_def`), so a key-value read is a
-  ``Query(table, where)`` too;
+  ``Query(table, where)`` too, and a registered view's name is a table
+  read at the view's owner;
 * a pure executor, :func:`execute`, used both by ``DB_EXEC`` (the one
   cluster-wide read) and as the from-scratch reference the materialized
   views (:mod:`repro.kernel.bulletin.views`) are tested against;
@@ -45,6 +46,8 @@ TABLE_NODE_METRICS = "node_metrics"
 TABLE_NODE_STATE = "node_state"
 TABLE_NET_STATE = "net_state"
 TABLE_APPS = "apps"
+TABLE_NET_EVENTS = "net_events"
+TABLE_METAGROUP = "metagroup"
 
 
 # -- AST ---------------------------------------------------------------------
@@ -276,6 +279,12 @@ LOGICAL_TABLES: dict[str, LogicalTable] = {
     "services": LogicalTable("services", (TABLE_HEALTH,), _services_derive, _services_key),
     "health": LogicalTable("health", (TABLE_HEALTH,), _health_derive, _health_key),
 }
+
+
+#: The derived tables and the physical ones the kernel writes: no view may
+#: take one's name, so a scan of it stays a scan.
+KERNEL_TABLES = frozenset((*LOGICAL_TABLES, TABLE_NODE_METRICS, TABLE_NODE_STATE, TABLE_NET_STATE,
+                           TABLE_APPS, TABLE_NET_EVENTS, TABLE_METAGROUP, TABLE_HEALTH))
 
 
 @functools.lru_cache(maxsize=64)  # names come from clients: bounded

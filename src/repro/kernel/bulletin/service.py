@@ -11,7 +11,7 @@ every peer (``DB_QUERY``, the peer probe), merges the rows, and reports
 which partitions could not answer — so users see a single access point,
 and one failed instance only hides one partition's state until the GSD
 restarts it.  A key-value read is ``Query(table, where)`` over a
-physical table.
+physical table; a registered view is a table too, answered by its owner.
 
 The reads are a small relational layer
 (:mod:`repro.kernel.bulletin.query`): typed AST queries over logical or
@@ -32,6 +32,7 @@ import math
 from typing import Any
 
 from repro.cluster.message import Message
+from repro.errors import KernelError
 from repro.kernel import ports
 from repro.kernel.bulletin import query as rel
 from repro.kernel.bulletin.query import (  # noqa: F401 - re-exported
@@ -240,13 +241,37 @@ class BulletinDaemon(ServiceDaemon):
 
     # -- the one cluster-wide read (DB_EXEC) -------------------------------
     def _on_exec(self, msg: Message) -> dict[str, Any] | None:
+        """A registered view is a table: a query over its name is answered
+        at once from the maintained rows; any other table is gathered."""
         try:
             q = rel.Query.from_payload(msg.payload["query"])
             q.validate()
+            if q.table in self.kernel.view_owners:
+                return self._read_view(q)
         except Exception as exc:
             return {"error": str(exc), "rows": [], "partitions_missing": []}
         self.sim.trace.count("db.execs")
         return self._start_exec(msg, q)
+
+    def _read_view(self, q: "rel.Query") -> dict[str, Any]:
+        """``q`` over the view it names, at the view's owner: O(result)
+        bytes.  A view keeps no history, so it has no ``AS OF``."""
+        engine = self.engine
+        if engine is None or q.table not in engine.views:
+            raise KernelError(f"view {q.table!r} is not registered here")
+        if q.as_of is not None:
+            raise KernelError(f"view {q.table!r} has no as_of: query its base table")
+        self.sim.trace.count("db.view_reads")
+        return {
+            "rows": rel.execute(q, engine.read(q.table)),
+            "ready": engine.ready,
+            "watermark": {"epoch": self.epoch, "seq": self._seq},
+            "watermarks": {
+                part_id: epoch
+                for (part_id, _table), (epoch, _seq) in sorted(engine.sources.items())
+            },
+            "staleness": engine.views[q.table].last_lag,
+        }
 
     def _start_exec(self, msg: Message, q: "rel.Query", region: bool = False) -> None:
         span = self.sim.trace.span(
@@ -365,8 +390,11 @@ class BulletinDaemon(ServiceDaemon):
         return view
 
     def _on_view_register(self, msg: Message) -> dict[str, Any] | None:
+        name = msg.payload["name"]
+        if name in rel.KERNEL_TABLES or name in self.store.tables():
+            return {"ok": False, "error": f"view {name!r} would shadow the table {name!r}"}
         try:
-            view = self._adopt_view(msg.payload["name"], msg.payload["query"])
+            view = self._adopt_view(name, msg.payload["query"])
         except Exception as exc:
             return {"ok": False, "error": str(exc)}
         self.kernel.view_maintenance = True
@@ -391,7 +419,7 @@ class BulletinDaemon(ServiceDaemon):
             for table in sorted(rel.base_tables(view.query.table)):
                 yield from engine.build_table(table)
             view.rebuild(rel.table_def(view.query.table).derive(engine._get_rows))
-        self.sim.trace.mark("db.view_ready", view=view.name, node=self.node_id)
+        self.sim.trace.mark("db.view_built", view=view.name, node=self.node_id)
         self.reply(msg, {
             "ok": True,
             "view": view.name,
@@ -474,24 +502,6 @@ class BulletinDaemon(ServiceDaemon):
         self._save_views()
         return {"ok": True, "view": name}
 
-    def _on_view_read(self, msg: Message) -> dict[str, Any]:
-        name = msg.payload["name"]
-        engine = self.engine
-        if engine is None or name not in engine.views:
-            return {"error": f"view {name!r} is not registered here", "rows": []}
-        view = engine.views[name]
-        self.sim.trace.count("db.view_reads")
-        return {
-            "rows": engine.read(name),
-            "ready": engine.ready,
-            "watermark": {"epoch": self.epoch, "seq": self._seq},
-            "watermarks": {
-                part_id: epoch
-                for (part_id, _table), (epoch, _seq) in sorted(engine.sources.items())
-            },
-            "staleness": view.last_lag,
-        }
-
     def _on_view_list(self, msg: Message) -> dict[str, Any]:
         engine = self.engine
         return {
@@ -519,7 +529,6 @@ class BulletinDaemon(ServiceDaemon):
             ports.DB_EXEC: _on_exec,
             ports.DB_VIEW_REGISTER: _on_view_register,
             ports.DB_VIEW_DROP: _on_view_drop,
-            ports.DB_VIEW_READ: _on_view_read,
             ports.DB_VIEW_LIST: _on_view_list,
             ports.DB_MAINT: _on_maint,
         },

@@ -27,6 +27,7 @@ from repro.sim import Proc, Signal, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.api import PhoenixKernel
+    from repro.kernel.bulletin.query import Query
 
 #: Bulletin table carrying the daemons' periodic ``kernel.health``
 #: self-reports (defined here, not in the bulletin module, to avoid an
@@ -282,13 +283,14 @@ class ServiceDaemon:
         if node is not None:
             self.send(node, ports.DB, ports.DB_PUT, {"table": table, "key": key, "row": row})
 
-    def exec_query(self, query: dict[str, Any], timeout: float) -> Signal | None:
-        """Run ``query`` (a ``Query`` payload) cluster-wide through this
-        partition's bulletin, retried; ``None`` while no bulletin is placed."""
+    def exec_query(self, query: Query, timeout: float) -> Signal | None:
+        """Run ``query`` cluster-wide through this partition's bulletin,
+        retried; ``None`` while no bulletin is placed."""
         node = self.kernel.placement.get(("db", self.partition_id))
         if node is None:
             return None
-        return self.rpc_retry(node, ports.DB, ports.DB_EXEC, {"query": query}, timeout=timeout)
+        return self.rpc_retry(node, ports.DB, ports.DB_EXEC, {"query": query.to_payload()},
+                              timeout=timeout)
 
     def subscribe(self, consumer_id: str, port: str, types: list[str] | tuple[str, ...],
                   where: dict[str, Any] | None = None):

@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.cluster.message import Message
 from repro.kernel import ports
-from repro.kernel.bulletin.service import TABLE_NODE_STATE
+from repro.kernel.bulletin.query import TABLE_NET_EVENTS, TABLE_NODE_STATE
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.group.metagroup import MetaGroup
@@ -50,7 +50,7 @@ class WatchFailover(Failover):
 
     def network_changed(self, node, network, up):
         self.gsd.export_row(
-            "net_events", f"{node}:{network}", {"node": node, "network": network, "up": up}
+            TABLE_NET_EVENTS, f"{node}:{network}", {"node": node, "network": network, "up": up}
         )
 
     def on_return(self, node):

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster.message import Message
 from repro.kernel import ports
+from repro.kernel.bulletin.query import TABLE_METAGROUP
 from repro.kernel.events import types as ev
 from repro.kernel.group.recovery import NODE, PROCESS, Failover, pick_migration_target
 from repro.kernel.timings import JOIN_PROCESS_TIME, MIGRATE_SELECT_TIME
@@ -508,7 +509,7 @@ class MetaGroup(Failover):
         if self.view is None or self._refused("leader_export", epoch=self.view.epoch):
             return
         self.gsd.export_row(
-            "metagroup", "leader",
+            TABLE_METAGROUP, "leader",
             {"node": self.me, "epoch": self.view.epoch, "view_id": self.view.view_id},
         )
 

@@ -201,7 +201,8 @@ ES_PEERS = declare("es.peers", ES, partition=PARTITION, node=NODE)  # federation
 _NO_ROWS = {"rows": [], "partitions_missing": []}
 DB_PUT = declare("db.put", DB, table=NAME, key=NAME, row=DICT)
 DB_DELETE = declare("db.delete", DB, table=NAME, key=NAME)
-# the one cluster-wide read: a typed query (a key-value read is ``Query(table, where)``)
+# the one cluster-wide read: a typed query (a key-value read is ``Query(table, where)``;
+# a registered view is a table, read at its owner)
 DB_EXEC = declare("db.exec", DB, empty=_NO_ROWS, query=DICT, _span=opt(STR))
 # the federation's peer probe: one instance's slice, or an aggregator's region
 DB_QUERY = declare("db.query", DB, empty=_NO_ROWS, table=NAME, where=opt(WHERE),
@@ -210,7 +211,6 @@ DB_QUERY = declare("db.query", DB, empty=_NO_ROWS, table=NAME, where=opt(WHERE),
 # materialized views
 DB_VIEW_REGISTER = declare("db.view_register", DB, name=NAME, query=DICT)
 DB_VIEW_DROP = declare("db.view_drop", DB, name=NAME)
-DB_VIEW_READ = declare("db.view_read", DB, empty={"rows": []}, name=NAME)  # O(result) bytes
 DB_VIEW_LIST = declare("db.view_list", DB)  # owned views + maintenance counters
 # peer broadcast: enable delta publishing for tables; views -> owner partition
 DB_MAINT = declare("db.maint", DB, tables=opt(NAMES), views=opt(mapping(NAME, PARTITION)), relay=opt(BOOL))

@@ -19,8 +19,10 @@ import math
 from collections.abc import Iterable
 from typing import Any
 
+from repro.kernel.bulletin.query import Query
+
 #: The one read: each node's metrics ⟗ state row.
-NODES_QUERY = {"table": "nodes"}
+NODES_QUERY = Query("nodes")
 
 
 class Inventory:

@@ -291,8 +291,8 @@ class Alert:
     """One fired alert rule."""
 
     severity: str  # "warning" | "critical"
-    rule: str  # "health.stale" | "latency.p99" | "bizreq.slo" | ...
-    subject: str  # daemon name, histogram name, request class, ...
+    rule: str  # "health.stale" | "latency.p99" | "view.staleness" | ...
+    subject: str  # daemon, histogram, view or node name
     value: float
     message: str
 
@@ -306,11 +306,6 @@ DEFAULT_P99_LIMITS = {
     "db.exec": 1.0,
 }
 
-#: Histogram-name prefix of the per-class business-request latency
-#: distributions fed by the serving tier's traffic generator.
-REQUEST_SLO_PREFIX = "bizreq.latency."
-
-
 #: Default ceiling (seconds) on a materialized view's event-time lag —
 #: how far the owner's last applied delta trailed its base-table change.
 DEFAULT_VIEW_STALENESS_LIMIT = 1.0
@@ -319,23 +314,19 @@ DEFAULT_VIEW_STALENESS_LIMIT = 1.0
 def alerts(
     report: dict[str, Any],
     p99_limits: dict[str, float] | None = None,
-    class_slos: dict[str, float] | None = None,
     view_stats: dict[str, dict[str, Any]] | None = None,
     view_staleness_limit: float | None = None,
     quorum_events: list[dict[str, Any]] | None = None,
 ) -> list[Alert]:
     """Evaluate alert rules over a :func:`health_report` dict.
 
-    Five rule families:
+    Four rule families:
 
     * ``health.stale`` (critical) — a daemon's last ``kernel.health``
       self-report is older than the report's staleness threshold (its
       heartbeat analog at the monitoring layer);
     * ``latency.p99`` (warning) — a spine latency histogram's p99 exceeds
       its ceiling from ``p99_limits`` (default :data:`DEFAULT_P99_LIMITS`);
-    * ``bizreq.slo`` (warning) — a per-request-class latency histogram
-      (``bizreq.latency.<class>``, fed by the serving tier) has a p99
-      past that class's objective in ``class_slos``;
     * ``view.staleness`` (warning) — a materialized view's event-time lag
       (``view_stats``, the ``views`` map of a :func:`view_report`) exceeds
       ``view_staleness_limit`` — the owner is falling behind its delta
@@ -379,24 +370,6 @@ def alerts(
                     subject=hist_name,
                     value=p99,
                     message=f"{hist_name} p99 {p99 * 1e3:.1f}ms exceeds {limit * 1e3:.0f}ms",
-                )
-            )
-    for cls, cls_slo in sorted((class_slos or {}).items()):
-        summary = report.get("latency", {}).get(f"{REQUEST_SLO_PREFIX}{cls}")
-        if not summary:
-            continue
-        p99 = float(summary.get("p99", 0.0))
-        if p99 > cls_slo:
-            fired.append(
-                Alert(
-                    severity="warning",
-                    rule="bizreq.slo",
-                    subject=cls,
-                    value=p99,
-                    message=(
-                        f"request class {cls} p99 {p99 * 1e3:.1f}ms "
-                        f"exceeds SLO {cls_slo * 1e3:.0f}ms"
-                    ),
                 )
             )
     lag_limit = (

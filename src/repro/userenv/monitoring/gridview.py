@@ -106,7 +106,7 @@ class GridView(ServiceDaemon):
 
     def _refresh_once(self):
         started = self.sim.now
-        read = self.exec_query(REFRESH_QUERY.to_payload(), timeout=30.0)
+        read = self.exec_query(REFRESH_QUERY, timeout=30.0)
         if read is None:
             return
         reply = yield read

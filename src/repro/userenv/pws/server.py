@@ -29,7 +29,7 @@ from repro.kernel import ports
 from repro.kernel.ports import INT, NAME, NODE, NUMBER, STR, declare, each, opt, record
 from repro.kernel.security.acl import AccessPolicy
 from repro.kernel.security.tokens import verify_token
-from repro.kernel.bulletin.service import TABLE_APPS
+from repro.kernel.bulletin.query import TABLE_APPS, Query
 from repro.kernel.daemon import ServiceDaemon
 from repro.kernel.events import types as ev
 from repro.kernel.events.types import Event
@@ -482,7 +482,7 @@ class PWSServer(ServiceDaemon):
             running = [j for j in self.jobs.values() if j.state is JobState.RUNNING]
             if not running:
                 continue
-            read = self.exec_query({"table": TABLE_APPS}, timeout=10.0)
+            read = self.exec_query(Query(TABLE_APPS), timeout=10.0)
             reply = None if read is None else (yield read)
             if reply is None:
                 continue

@@ -62,7 +62,7 @@ def test_network_spec_validation():
     with pytest.raises(ClusterError):
         NetworkSpec(name="x", loss_rate=1.0)
     # Transmit schedules arrivals unchecked: every latency must be finite.
-    for field in ("base_latency", "jitter", "uplink_latency"):
+    for field in ("base_latency", "jitter"):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ClusterError):
                 NetworkSpec(name="x", **{field: value})

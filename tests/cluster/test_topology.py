@@ -1,70 +1,12 @@
-"""Two-level (hierarchical) network topology tests."""
+"""Network topology: one flat fabric, every node pair pays the same base latency."""
 
-import pytest
-
-from repro.cluster import Cluster, ClusterSpec, NetworkSpec
-from repro.errors import ClusterError
-from repro.sim import Simulator
 from repro.units import usec
-
-
-def build_two_level(jitter=0.0):
-    spec = ClusterSpec.build(partitions=2, computes=2, networks=("mgmt",))
-    nets = (NetworkSpec(name="mgmt", base_latency=usec(100), jitter=jitter,
-                        topology="two_level", uplink_latency=usec(200)),)
-    spec2 = ClusterSpec(partitions=spec.partitions, networks=nets, nodes=dict(spec.nodes))
-    sim = Simulator(seed=3)
-    return sim, Cluster(sim, spec2)
-
-
-def test_topology_validation():
-    with pytest.raises(ClusterError):
-        NetworkSpec(name="x", topology="ring")
-    with pytest.raises(ClusterError):
-        NetworkSpec(name="x", uplink_latency=-1)
-
-
-def test_intra_partition_latency_is_base():
-    sim, cluster = build_two_level()
-    net = cluster.networks["mgmt"]
-    assert net.latency_sample("p0c0", "p0c1") == pytest.approx(usec(100))
-    assert net.latency_sample("p0c0", "p0s0") == pytest.approx(usec(100))
-
-
-def test_cross_partition_latency_pays_uplink():
-    sim, cluster = build_two_level()
-    net = cluster.networks["mgmt"]
-    assert net.latency_sample("p0c0", "p1c0") == pytest.approx(usec(300))
 
 
 def test_flat_topology_ignores_groups(cluster):
     net = cluster.networks["mgmt"]
     base = net.spec.base_latency
-    # flat: both intra and inter partition draw from the same base.
-    samples = [net.latency_sample("p0c0", "p1c0") for _ in range(20)]
+    # Intra and inter partition messages draw from the same base.
+    samples = [net.latency_sample() for _ in range(20)]
     assert min(samples) >= base
     assert min(samples) < base + usec(120)  # no systematic uplink charge
-
-
-def test_delivery_uses_topology_latency():
-    sim, cluster = build_two_level()
-    arrivals = {}
-    cluster.transport.bind("p0c1", "svc", lambda m: arrivals.__setitem__("local", sim.now))
-    cluster.transport.bind("p1c0", "svc", lambda m: arrivals.__setitem__("remote", sim.now))
-    cluster.transport.send("p0c0", "p0c1", "svc", "x")
-    cluster.transport.send("p0c0", "p1c0", "svc", "x")
-    sim.run(until=0.01)
-    assert arrivals["local"] == pytest.approx(usec(100))
-    assert arrivals["remote"] == pytest.approx(usec(300))
-
-
-def test_kernel_boots_on_two_level_topology():
-    """Sanity: the whole kernel works unchanged on the hierarchical fabric
-    (the grace margin dwarfs the uplink charge)."""
-    from repro.kernel import KernelTimings, PhoenixKernel
-
-    sim, cluster = build_two_level(jitter=usec(50))
-    kernel = PhoenixKernel(cluster, timings=KernelTimings(heartbeat_interval=10.0))
-    kernel.boot()
-    sim.run(until=65.0)
-    assert sim.trace.records("failure.detected") == []

@@ -68,7 +68,7 @@ def _world():
     kernel.start_service("pbs", "p1s0")
     sim.run(until=sim.now + 3.0)
     jobs = Query(table="jobs", group_by=("phase",), aggs=(Agg("count", "*", "n"),))
-    assert drive(sim, kernel.client(SRC).register_view("jobs", jobs))["ok"]
+    assert drive(sim, kernel.client(SRC).register_view("jobs.by_phase", jobs))["ok"]
     return sim, kernel
 
 

@@ -81,7 +81,7 @@ CASES = {
     "gridview-subscribe": (ports.ES_SUBSCRIBE, _consumer("gridview"),
                            _console_hears_a_node_failure),
     "pws-inventory": (ports.DB_EXEC,
-                      lambda payload: payload.get("query") == NODES_QUERY,
+                      lambda payload: payload.get("query") == NODES_QUERY.to_payload(),
                       _scheduler_runs_a_job),
 }
 
